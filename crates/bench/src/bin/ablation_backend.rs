@@ -1,15 +1,14 @@
 //! Ablation A13: backend comparison — tuned mixed CPU+GPU shares vs
 //! GPU-only vs CPU-only execution.
 //!
-//! The `Backend` trait lets the same runtime drive the sim-GPU machine,
-//! the rayon host-CPU backend, and a mixed machine hosting both device
-//! classes. This ablation answers three questions for hotspot and
-//! nbody:
+//! The one machine's device slots are sim-GPUs, host CPU sockets, or
+//! both, so the same runtime drives all three shapes. This ablation
+//! answers three questions for hotspot and nbody:
 //!
 //! 1. **Functional equivalence** — the bytes produced on a pure sim-GPU
-//!    machine, on `CpuBackend` alone, and on a mixed CPU+GPU machine
-//!    must be identical (all backends share the block-parallel
-//!    interpreter, so divergence is a backend bug).
+//!    machine, on host sockets alone, and on a mixed CPU+GPU machine
+//!    must be identical (every class runs the block-parallel
+//!    interpreter, so divergence is a partitioning or copy bug).
 //! 2. **Heterogeneous shares** — on the mixed machine the autotuner
 //!    must notice the class imbalance. For nbody (compute-bound, and
 //!    every partition re-reads all positions, so the transfer bill is
@@ -267,7 +266,10 @@ fn main() {
             MachineSpec::kepler_system(gpus + cpus),
             true,
         )));
-        let cpu_out = w.verify_output(Box::new(CpuBackend::system(gpus + cpus, true)));
+        let cpu_out = w.verify_output(Box::new(Machine::new(
+            MachineSpec::cpu_system(gpus + cpus),
+            true,
+        )));
         let mixed_out = w.verify_output(Box::new(Machine::new(
             MachineSpec::hybrid_system(gpus, cpus),
             true,
@@ -302,7 +304,7 @@ fn main() {
         );
         let (cpu, cpu_shares) = run(
             (bench.make)(
-                Box::new(CpuBackend::system(2, false)),
+                Box::new(Machine::new(MachineSpec::cpu_system(2), false)),
                 RuntimeConfig::tuned(),
                 n,
             ),

@@ -4,7 +4,7 @@
 //! with plain allocations and copies: no virtual buffers, no tracker, no
 //! enumerators. Speedups in Figure 6 are measured against this.
 
-use mekong_gpusim::{DevBuf, Machine, MachineSpec, SimArg};
+use mekong_gpusim::{Backend, DevBuf, Machine, MachineSpec, SimArg};
 use mekong_kernel::{Dim3, Kernel, Value};
 
 /// A minimal single-device runner.
@@ -27,13 +27,14 @@ impl SingleGpuRunner {
         }
     }
 
-    /// Access the underlying machine.
-    pub fn machine(&self) -> &Machine {
+    /// The underlying machine, through the same op surface
+    /// `MgpuRuntime::machine` hands out.
+    pub fn machine(&self) -> &dyn Backend {
         &self.machine
     }
 
-    /// Mutable access (clock resets etc.).
-    pub fn machine_mut(&mut self) -> &mut Machine {
+    /// Mutable access (timing-only copies, clock resets etc.).
+    pub fn machine_mut(&mut self) -> &mut dyn Backend {
         &mut self.machine
     }
 
@@ -59,7 +60,7 @@ impl SingleGpuRunner {
     /// Launch the kernel over the full grid on device 0.
     pub fn launch(&mut self, kernel: &Kernel, args: &[SimArg], grid: Dim3, block: Dim3) {
         self.machine
-            .launch(0, kernel, args, grid, block)
+            .launch(0, kernel, args, grid, block, None, &[])
             .expect("reference launch");
     }
 
@@ -75,7 +76,7 @@ impl SingleGpuRunner {
         traffic: u64,
     ) {
         self.machine
-            .launch_with_traffic(0, kernel, args, grid, block, Some(traffic))
+            .launch(0, kernel, args, grid, block, Some(traffic), &[])
             .expect("reference launch");
     }
 

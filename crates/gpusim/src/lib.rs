@@ -24,16 +24,14 @@
 //! testbed's absolute numbers.
 
 pub mod backend;
-pub mod cpu;
 pub mod machine;
 pub mod shadow;
 pub mod spec;
 pub mod stream;
 
-pub use backend::{Backend, ObservedWriteSets, SimMachine};
-pub use cpu::CpuBackend;
+pub use backend::{Backend, CpuBackend, ObservedWriteSets};
 pub use machine::{
-    sample_kernel_profile, DevBuf, Machine, OpCounters, SimArg, SimTime, ThreadProfile,
+    sample_kernel_profile, CopyRuns, DevBuf, Machine, OpCounters, SimArg, SimTime, ThreadProfile,
     TimeBreakdown, TimeCat,
 };
 pub use spec::{DeviceClass, DeviceSpec, LinkSpec, MachineSpec};
@@ -78,7 +76,7 @@ impl std::fmt::Display for SimError {
             } => write!(
                 f,
                 "copy [{offset}, {}) exceeds buffer of {buffer_len} bytes",
-                offset + len
+                offset.saturating_add(*len)
             ),
             SimError::NoSuchDevice { device, n_devices } => {
                 write!(f, "device {device} out of range ({n_devices} devices)")

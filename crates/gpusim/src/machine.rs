@@ -1,6 +1,7 @@
 //! The simulated multi-GPU machine: device memories + clocks.
 
-use crate::shadow::{run_grid_parallel, BufStore};
+use crate::backend::{Backend, ObservedWriteSets};
+use crate::shadow::{run_grid_parallel, run_grid_recording, BufStore};
 use crate::spec::MachineSpec;
 use crate::stream::{apply_op, DeviceStream, StreamOp};
 use crate::{Result, SimError};
@@ -41,6 +42,71 @@ pub struct DevBuf {
     pub len: usize,
 }
 
+/// The byte runs one peer copy moves: `count` runs of `len` bytes, the
+/// first at `src_offset` / `dst_offset` and each subsequent one `stride`
+/// bytes later on both endpoints. One run is a plain contiguous copy;
+/// several are the column-halo shape of a 2-D grid tiling, modeled as
+/// **one** DMA transaction (a `cudaMemcpy2D`-style descriptor): one link
+/// latency plus the aggregate bytes, and one `d2d_copies` tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CopyRuns {
+    pub src_offset: usize,
+    pub dst_offset: usize,
+    /// Bytes per run.
+    pub len: usize,
+    /// Distance between run starts; not consulted for a single run.
+    pub stride: usize,
+    pub count: usize,
+}
+
+impl CopyRuns {
+    /// One run of `len` bytes.
+    pub fn contiguous(src_offset: usize, dst_offset: usize, len: usize) -> CopyRuns {
+        CopyRuns {
+            src_offset,
+            dst_offset,
+            len,
+            stride: len,
+            count: 1,
+        }
+    }
+
+    /// `count` runs of `len` bytes, `stride` apart, at the *same*
+    /// offsets on both endpoints.
+    pub fn strided(offset: usize, len: usize, stride: usize, count: usize) -> CopyRuns {
+        CopyRuns {
+            src_offset: offset,
+            dst_offset: offset,
+            len,
+            stride,
+            count,
+        }
+    }
+
+    /// Validate the shape against both endpoints; returns the payload
+    /// bytes. Every sum and product is checked: offsets and lengths may
+    /// come verbatim from a plan snapshot.
+    fn check(&self, src: &DevBuf, dst: &DevBuf) -> Result<usize> {
+        let bad_stride = || SimError::BadStride {
+            run: self.len,
+            stride: self.stride,
+        };
+        let span = match self.count {
+            0 => return Ok(0),
+            1 => self.len,
+            _ if self.len == 0 => return Ok(0),
+            _ if self.stride < self.len => return Err(bad_stride()),
+            n => (n - 1)
+                .checked_mul(self.stride)
+                .and_then(|s| s.checked_add(self.len))
+                .ok_or_else(bad_stride)?,
+        };
+        Machine::check_range(src, self.src_offset, span)?;
+        Machine::check_range(dst, self.dst_offset, span)?;
+        self.len.checked_mul(self.count).ok_or_else(bad_stride)
+    }
+}
+
 enum DeviceMem {
     /// Functional mode: real bytes. The lock lets stream workers of
     /// different devices read each other's stores during a flush; the
@@ -59,7 +125,20 @@ struct Device {
     copy_busy_until: SimTime,
 }
 
+impl Device {
+    /// The clock a peer copy occupies on this endpoint.
+    fn copy_clock(&mut self, pipelined: bool) -> &mut SimTime {
+        if pipelined {
+            &mut self.copy_busy_until
+        } else {
+            &mut self.busy_until
+        }
+    }
+}
+
 /// Operation counters (inspected by tests and the benchmark harness).
+/// The machine ticks the launch and copy fields itself; the rest is
+/// reported by the runtime through [`Backend::counters_mut`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
     pub launches: u64,
@@ -76,7 +155,8 @@ pub struct OpCounters {
     pub plan_misses: u64,
     /// Plan-cache hits on a plan captured by a *different* namespace —
     /// another tenant of a shared cache, or a loaded snapshot from a
-    /// previous process (multi-tenant serving, see mekong-serve).
+    /// previous process (multi-tenant serving, see mekong-serve). A
+    /// subset of `plan_hits`.
     pub plan_shared_hits: u64,
     /// Captured plans evicted by the plan cache's LRU capacity bound
     /// (`RuntimeConfig::plan_cache_capacity` in mekong-runtime).
@@ -99,9 +179,7 @@ pub struct OpCounters {
     /// Partitioned launches whose split axis carried a static
     /// write-disjointness proof (see mekong-check).
     pub checked_safe: u64,
-    /// Partitioned launches whose split axis had no proof: refused, or
-    /// merely counted when `RuntimeConfig::enforce_partition_safety` is
-    /// off.
+    /// Partitioned launches refused because a split axis had no proof.
     pub checked_rejected: u64,
     /// Read-sync segment runs served by a *local replica* of remote-fresh
     /// bytes (replica-aware coherence, see mekong-runtime): under
@@ -130,7 +208,8 @@ pub enum SimArg {
     Buf(DevBuf),
 }
 
-/// The simulated machine.
+/// The simulated machine. Its ops are the [`Backend`] implementation
+/// below — bring the trait into scope to drive a `Machine` directly.
 pub struct Machine {
     spec: MachineSpec,
     functional: bool,
@@ -157,22 +236,22 @@ pub struct Machine {
     /// One command stream per device.
     streams: Vec<DeviceStream>,
     /// First error raised by a stream worker; surfaced at the next
-    /// [`Machine::try_sync_all`] (or panics in [`Machine::sync_all`]).
+    /// [`Backend::try_sync_all`] (or panics in [`Backend::sync_all`]).
     stream_error: Mutex<Option<SimError>>,
 }
 
-/// Cache key for the roofline estimate (shared with the CPU backend).
+/// Cache key for the roofline estimate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct KernelTimeKey {
-    pub(crate) kernel: String,
+struct KernelTimeKey {
+    kernel: String,
     /// 0 on homogeneous machines (every device prices identically, so
     /// partitions share memo entries); the device index when overrides
     /// make the roofline device-dependent.
-    pub(crate) device: usize,
-    pub(crate) grid: Dim3,
-    pub(crate) block: Dim3,
-    pub(crate) scalars: Vec<i64>,
-    pub(crate) traffic: Option<u64>,
+    device: usize,
+    grid: Dim3,
+    block: Dim3,
+    scalars: Vec<i64>,
+    traffic: Option<u64>,
 }
 
 impl Machine {
@@ -207,20 +286,6 @@ impl Machine {
             streams,
             stream_error: Mutex::new(None),
         }
-    }
-
-    /// Switch between streamed (default) and serial execution of the
-    /// functional byte effects. Pending ops are flushed first, so the
-    /// switch is safe at any point. Performance-mode machines have no
-    /// byte effects; the flag is irrelevant there.
-    pub fn set_streamed(&mut self, on: bool) {
-        self.flush_streams();
-        self.streamed = on;
-    }
-
-    /// Is streamed execution enabled?
-    pub fn is_streamed(&self) -> bool {
-        self.streamed
     }
 
     /// True when this launch/copy should defer its byte effect.
@@ -265,366 +330,110 @@ impl Machine {
         });
     }
 
-    /// The machine specification.
-    pub fn spec(&self) -> &MachineSpec {
-        &self.spec
-    }
-
-    /// Number of devices.
-    pub fn n_devices(&self) -> usize {
-        self.spec.n_devices
-    }
-
-    /// Is this a functional (data-materializing) machine?
-    pub fn is_functional(&self) -> bool {
-        self.functional
-    }
-
-    /// Disable/enable transfer timing (the paper's β measurement: "execution
-    /// with disabled transfers, but dependency resolution and tracker
-    /// updates are performed").
-    pub fn set_transfer_timing(&mut self, on: bool) {
-        self.transfer_timing = on;
-    }
-
-    /// Disable/enable pattern timing (γ: "disabled dependency resolution
-    /// and tracker updates").
-    pub fn set_pattern_timing(&mut self, on: bool) {
-        self.pattern_timing = on;
-    }
-
-    /// Current host clock.
-    pub fn now(&self) -> SimTime {
-        self.host_now
-    }
-
-    /// Informational time breakdown.
-    pub fn breakdown(&self) -> TimeBreakdown {
-        self.breakdown
-    }
-
-    /// Operation counters.
-    pub fn counters(&self) -> OpCounters {
-        self.counters
-    }
-
-    /// Record a launch-plan cache hit (runtime capture/replay).
-    pub fn note_plan_hit(&mut self) {
-        self.counters.plan_hits += 1;
-    }
-
-    /// Record a launch-plan cache miss.
-    pub fn note_plan_miss(&mut self) {
-        self.counters.plan_misses += 1;
-    }
-
-    /// Record a plan-cache hit whose plan was captured by a different
-    /// namespace (cross-tenant sharing; also bump `note_plan_hit`
-    /// separately — shared hits are a subset of hits).
-    pub fn note_plan_shared_hit(&mut self) {
-        self.counters.plan_shared_hits += 1;
-    }
-
-    /// Record captured plans evicted by the cache's LRU capacity bound.
-    pub fn note_plan_evictions(&mut self, n: u64) {
-        self.counters.plan_evictions += n;
-    }
-
-    /// Record an autotuner decision: the encoded strategy (see
-    /// [`OpCounters::strategy_chosen`]) and its predicted steady-state
-    /// transfer bytes per launch.
-    pub fn note_tuner_choice(&mut self, encoded: u32, predict_bytes: u64) {
-        self.counters.strategy_chosen = encoded;
-        self.counters.tuner_predict_bytes = predict_bytes;
-    }
-
-    /// Record a completed autotuner observation window: measured transfer
-    /// bytes per launch for the current strategy.
-    pub fn note_tuner_measured(&mut self, bytes_per_launch: u64) {
-        self.counters.tuner_measured_bytes = bytes_per_launch;
-    }
-
-    /// Record a partitioned launch whose split axis carried a static
-    /// write-disjointness proof.
-    pub fn note_check_safe(&mut self) {
-        self.counters.checked_safe += 1;
-    }
-
-    /// Record a partitioned launch whose split axis had no proof
-    /// (refused, or executed anyway with enforcement off).
-    pub fn note_check_rejected(&mut self) {
-        self.counters.checked_rejected += 1;
-    }
-
-    /// Record read-sync segment runs served by a local replica instead of
-    /// a D2D re-fetch, and the bytes that saved.
-    pub fn note_replica_hits(&mut self, runs: u64, bytes_saved: u64) {
-        self.counters.replica_hits += runs;
-        self.counters.refetch_bytes_saved += bytes_saved;
-    }
-
-    /// Record replica copies evicted by a write or H2D upload.
-    pub fn note_replica_invalidations(&mut self, n: u64) {
-        self.counters.replica_invalidations += n;
-    }
-
-    /// Record bounded may-read box traffic of a partitioned launch: the
-    /// bytes enumerated from interval-box footprints, and how many of
-    /// them exceed the single-device (whole-grid) box.
-    pub fn note_mayread(&mut self, fetch_bytes: u64, overfetch_bytes: u64) {
-        self.counters.mayread_fetch_bytes += fetch_bytes;
-        self.counters.mayread_overfetch_bytes += overfetch_bytes;
-    }
-
-    /// Reset clocks, breakdown and counters (memory contents stay).
-    pub fn reset_clock(&mut self) {
-        self.host_now = 0.0;
-        self.breakdown = TimeBreakdown::default();
-        self.counters = OpCounters::default();
-        self.link_busy_until = 0.0;
-        for d in &mut self.devices {
-            d.busy_until = 0.0;
-            d.copy_busy_until = 0.0;
+    fn check_device(&self, d: usize) -> Result<()> {
+        if d < self.devices.len() {
+            Ok(())
+        } else {
+            Err(SimError::NoSuchDevice {
+                device: d,
+                n_devices: self.devices.len(),
+            })
         }
     }
 
     fn device(&mut self, d: usize) -> Result<&mut Device> {
-        let n = self.devices.len();
-        self.devices.get_mut(d).ok_or(SimError::NoSuchDevice {
-            device: d,
-            n_devices: n,
-        })
-    }
-
-    /// Allocate `bytes` on device `d`.
-    pub fn alloc(&mut self, d: usize, bytes: usize) -> Result<DevBuf> {
-        let dev = self.device(d)?;
-        let handle = match &mut dev.mem {
-            DeviceMem::Real(store) => store.get_mut().alloc(bytes),
-            DeviceMem::Virtual(sizes) => {
-                sizes.push(bytes);
-                sizes.len() - 1
-            }
-        };
-        Ok(DevBuf {
-            device: d,
-            handle,
-            len: bytes,
-        })
+        self.check_device(d)?;
+        Ok(&mut self.devices[d])
     }
 
     fn check_range(buf: &DevBuf, offset: usize, len: usize) -> Result<()> {
-        if offset + len > buf.len {
-            return Err(SimError::CopyOutOfRange {
+        match offset.checked_add(len) {
+            Some(end) if end <= buf.len => Ok(()),
+            _ => Err(SimError::CopyOutOfRange {
                 buffer_len: buf.len,
                 offset,
                 len,
-            });
-        }
-        Ok(())
-    }
-
-    /// Charge host-side work of the given category (advances the host
-    /// clock; devices keep running).
-    pub fn charge_host(&mut self, seconds: SimTime, cat: TimeCat) {
-        let seconds = match cat {
-            TimeCat::Pattern if !self.pattern_timing => 0.0,
-            TimeCat::Transfer if !self.transfer_timing => 0.0,
-            _ => seconds,
-        };
-        self.host_now += seconds;
-        match cat {
-            TimeCat::Application => self.breakdown.app += seconds,
-            TimeCat::Transfer => self.breakdown.transfer += seconds,
-            TimeCat::Pattern => self.breakdown.pattern += seconds,
+            }),
         }
     }
 
-    /// Host → device copy. Synchronous unless `async_`.
-    pub fn copy_h2d(
-        &mut self,
-        src: &[u8],
-        dst: DevBuf,
-        dst_offset: usize,
-        async_: bool,
-    ) -> Result<()> {
-        Self::check_range(&dst, dst_offset, src.len())?;
-        self.counters.h2d_copies += 1;
-        self.counters.h2d_bytes += src.len() as u64;
+    /// The clock and counter half of a host↔device copy of `len` bytes
+    /// on device `d` (already validated), in either direction.
+    fn charge_host_copy(&mut self, d: usize, len: usize, async_: bool) {
         let t = if self.transfer_timing {
             // Class-aware: a HostCpu device "uploads" with a memcpy
             // (host_copy constants), a GPU crosses PCIe. Identical to the
             // pre-class expression on pure-GPU machines.
-            let (lat, bw) = self.spec.host_link_params(dst.device);
-            lat + src.len() as f64 / bw
+            let (lat, bw) = self.spec.host_link_params(d);
+            lat + len as f64 / bw
         } else {
             0.0
         };
-        self.device(dst.device)?;
-        let host_now = self.host_now;
-        if self.defer_effects() {
-            // Snapshot the payload now (the host buffer is reusable on
-            // return, like a pinned staging copy); land it at flush time.
-            self.streams[dst.device].push(StreamOp::WriteBytes {
-                handle: dst.handle,
-                offset: dst_offset,
-                data: src.to_vec(),
-            });
-        } else if let DeviceMem::Real(store) = &mut self.devices[dst.device].mem {
-            store.get_mut().bytes_mut(dst.handle)[dst_offset..dst_offset + src.len()]
-                .copy_from_slice(src);
-        }
-        let dev = &mut self.devices[dst.device];
-        let start = host_now.max(dev.busy_until);
+        let dev = &mut self.devices[d];
+        let start = self.host_now.max(dev.busy_until);
         dev.busy_until = start + t;
-        let busy = dev.busy_until;
         self.breakdown.transfer += t;
         if !async_ {
-            self.host_now = busy;
+            self.host_now = start + t;
         }
-        Ok(())
     }
 
-    /// Device → host copy. Synchronous unless `async_`.
-    pub fn copy_d2h(
+    /// Host → device copy of `len` bytes; `payload` is `None` for the
+    /// timing-only variant.
+    fn h2d(
         &mut self,
-        src: DevBuf,
-        src_offset: usize,
-        dst: &mut [u8],
-        async_: bool,
-    ) -> Result<()> {
-        Self::check_range(&src, src_offset, dst.len())?;
-        self.counters.d2h_copies += 1;
-        self.counters.d2h_bytes += dst.len() as u64;
-        let t = if self.transfer_timing {
-            let (lat, bw) = self.spec.host_link_params(src.device);
-            lat + dst.len() as f64 / bw
-        } else {
-            0.0
-        };
-        self.device(src.device)?;
-        // A D2H read observes device bytes: drain pending effects first.
-        self.flush_streams();
-        let host_now = self.host_now;
-        let dev = &mut self.devices[src.device];
-        if let DeviceMem::Real(store) = &mut dev.mem {
-            dst.copy_from_slice(
-                &store.get_mut().bytes(src.handle)[src_offset..src_offset + dst.len()],
-            );
-        }
-        let start = host_now.max(dev.busy_until);
-        dev.busy_until = start + t;
-        let busy = dev.busy_until;
-        self.breakdown.transfer += t;
-        if !async_ {
-            self.host_now = busy;
-        }
-        Ok(())
-    }
-
-    /// Host → device copy without host data: timing and counters only.
-    /// For performance-mode harnesses where no host payload exists.
-    pub fn copy_h2d_timed(
-        &mut self,
+        payload: Option<&[u8]>,
         dst: DevBuf,
         dst_offset: usize,
         len: usize,
         async_: bool,
     ) -> Result<()> {
         Self::check_range(&dst, dst_offset, len)?;
+        self.check_device(dst.device)?;
         self.counters.h2d_copies += 1;
         self.counters.h2d_bytes += len as u64;
-        let t = if self.transfer_timing {
-            let (lat, bw) = self.spec.host_link_params(dst.device);
-            lat + len as f64 / bw
-        } else {
-            0.0
-        };
-        self.device(dst.device)?;
-        let host_now = self.host_now;
-        let dev = &mut self.devices[dst.device];
-        let start = host_now.max(dev.busy_until);
-        dev.busy_until = start + t;
-        let busy = dev.busy_until;
-        self.breakdown.transfer += t;
-        if !async_ {
-            self.host_now = busy;
+        if let Some(src) = payload {
+            if self.defer_effects() {
+                // Snapshot the payload now (the host buffer is reusable
+                // on return, like a pinned staging copy); land it at
+                // flush time.
+                self.streams[dst.device].push(StreamOp::WriteBytes {
+                    handle: dst.handle,
+                    offset: dst_offset,
+                    data: src.to_vec(),
+                });
+            } else if let DeviceMem::Real(store) = &mut self.devices[dst.device].mem {
+                store.get_mut().bytes_mut(dst.handle)[dst_offset..dst_offset + len]
+                    .copy_from_slice(src);
+            }
         }
+        self.charge_host_copy(dst.device, len, async_);
         Ok(())
     }
 
-    /// Device → host copy without a host destination: timing and counters
-    /// only (performance mode).
-    pub fn copy_d2h_timed(
+    /// Device → host copy of `len` bytes; `out` is `None` for the
+    /// timing-only variant.
+    fn d2h(
         &mut self,
         src: DevBuf,
         src_offset: usize,
         len: usize,
+        out: Option<&mut [u8]>,
         async_: bool,
     ) -> Result<()> {
         Self::check_range(&src, src_offset, len)?;
+        self.check_device(src.device)?;
         self.counters.d2h_copies += 1;
         self.counters.d2h_bytes += len as u64;
-        let t = if self.transfer_timing {
-            let (lat, bw) = self.spec.host_link_params(src.device);
-            lat + len as f64 / bw
-        } else {
-            0.0
-        };
-        self.device(src.device)?;
-        let host_now = self.host_now;
-        let dev = &mut self.devices[src.device];
-        let start = host_now.max(dev.busy_until);
-        dev.busy_until = start + t;
-        let busy = dev.busy_until;
-        self.breakdown.transfer += t;
-        if !async_ {
-            self.host_now = busy;
+        if let Some(dst) = out {
+            // A D2H read observes device bytes: drain pending effects
+            // first.
+            self.flush_streams();
+            if let DeviceMem::Real(store) = &mut self.devices[src.device].mem {
+                dst.copy_from_slice(&store.get_mut().bytes(src.handle)[src_offset..][..len]);
+            }
         }
-        Ok(())
-    }
-
-    /// Device → device copy (peer). On a host-staged interconnect the
-    /// bytes cross PCIe twice. Asynchronous (the runtime's buffer sync
-    /// issues these in bulk, paper §8.3).
-    pub fn copy_d2d(
-        &mut self,
-        src: DevBuf,
-        src_offset: usize,
-        dst: DevBuf,
-        dst_offset: usize,
-        len: usize,
-    ) -> Result<()> {
-        Self::check_range(&src, src_offset, len)?;
-        Self::check_range(&dst, dst_offset, len)?;
-        self.counters.d2d_copies += 1;
-        self.counters.d2d_bytes += len as u64;
-        // Class-aware pair pricing: GPU↔GPU uses the interconnect (and
-        // its staging engine), CPU↔CPU a memcpy, mixed one PCIe hop.
-        let (lat, bw, staged) = self.spec.pair_copy_params(src.device, dst.device);
-        let t = if self.transfer_timing {
-            lat + len as f64 / bw
-        } else {
-            0.0
-        };
-        // Move the bytes.
-        self.move_bytes_d2d(src, src_offset, dst, dst_offset, len)?;
-        // Clock: engages both endpoints and, on a host-staged system, the
-        // shared staging engine — peer copies then serialize globally.
-        let mut start = self
-            .host_now
-            .max(self.devices[src.device].busy_until)
-            .max(self.devices[dst.device].busy_until);
-        if staged {
-            start = start.max(self.link_busy_until);
-        }
-        let end = start + t;
-        self.devices[src.device].busy_until = end;
-        self.devices[dst.device].busy_until = end;
-        if staged {
-            self.link_busy_until = end;
-        }
-        self.breakdown.transfer += t;
+        self.charge_host_copy(src.device, len, async_);
         Ok(())
     }
 
@@ -637,9 +446,9 @@ impl Machine {
         dst: DevBuf,
         dst_offset: usize,
         len: usize,
-    ) -> Result<()> {
+    ) {
         if !self.functional || len == 0 {
-            return Ok(());
+            return;
         }
         if self.defer_effects() {
             // Event token: everything submitted to the source stream
@@ -655,161 +464,258 @@ impl Machine {
                 len,
             });
         } else {
-            let data: Vec<u8> = {
-                let sdev = &self.devices[src.device];
-                match &sdev.mem {
-                    DeviceMem::Real(store) => {
-                        store.read().bytes(src.handle)[src_offset..src_offset + len].to_vec()
-                    }
-                    DeviceMem::Virtual(_) => Vec::new(),
+            let data: Vec<u8> = match &self.devices[src.device].mem {
+                DeviceMem::Real(store) => {
+                    store.read().bytes(src.handle)[src_offset..src_offset + len].to_vec()
                 }
+                DeviceMem::Virtual(_) => Vec::new(),
             };
-            let ddev = self.device(dst.device)?;
-            if let DeviceMem::Real(store) = &mut ddev.mem {
+            if let DeviceMem::Real(store) = &mut self.devices[dst.device].mem {
                 store.get_mut().bytes_mut(dst.handle)[dst_offset..dst_offset + len]
                     .copy_from_slice(&data);
             }
         }
-        Ok(())
     }
 
-    /// Pipelined peer copy: charged to the endpoints' **copy-engine**
-    /// clocks (and the staging engine when host-staged) instead of their
-    /// compute clocks, so an in-flight halo exchange overlaps compute.
-    /// `deps` are event edges from the caller's dependency DAG — the copy
-    /// cannot start before any of them. Returns the copy's completion
-    /// time so the caller can thread it into later edges.
-    pub fn copy_d2d_pipelined(
+    /// Resolve machine-level launch arguments to interpreter arguments,
+    /// validating the device index and every buffer's residency.
+    fn resolve_args(&self, d: usize, args: &[SimArg]) -> Result<Vec<KernelArg>> {
+        self.check_device(d)?;
+        let mut kargs = Vec::with_capacity(args.len());
+        for a in args {
+            kargs.push(match a {
+                SimArg::Scalar(v) => KernelArg::Scalar(*v),
+                SimArg::Buf(b) if b.device == d => KernelArg::Array(b.handle),
+                SimArg::Buf(b) => {
+                    return Err(SimError::BadBuffer {
+                        device: d,
+                        handle: b.handle,
+                    })
+                }
+            });
+        }
+        Ok(kargs)
+    }
+
+    /// Roofline kernel-time estimate from sampled per-thread statistics,
+    /// priced with device `d`'s spec.
+    fn kernel_time(
+        &self,
+        d: usize,
+        kernel: &Kernel,
+        args: &[KernelArg],
+        grid_dim: Dim3,
+        block_dim: Dim3,
+        traffic: Option<u64>,
+    ) -> Result<SimTime> {
+        let total_threads = grid_dim.count() * block_dim.count();
+        if total_threads == 0 {
+            return Ok(0.0);
+        }
+        let profile = sample_kernel_profile(kernel, args, grid_dim, block_dim)?;
+        let flops = profile.flops_per_thread * total_threads as f64;
+        let intops = profile.intops_per_thread * total_threads as f64;
+        // Memory traffic: the polyhedral footprint when provided (models
+        // on-chip reuse), else the no-reuse per-thread total.
+        let bytes = match traffic {
+            Some(t) => t as f64,
+            None => profile.bytes_per_thread * total_threads as f64,
+        };
+        let spec = self.spec.device_spec(d);
+        let t = (flops / spec.flops)
+            .max(intops / spec.int_ops)
+            .max(bytes / spec.mem_bw);
+        Ok(t)
+    }
+}
+
+impl Backend for Machine {
+    fn spec(&self) -> &MachineSpec {
+        &self.spec
+    }
+
+    fn is_functional(&self) -> bool {
+        self.functional
+    }
+
+    fn is_streamed(&self) -> bool {
+        self.streamed
+    }
+
+    /// Switch between streamed (default) and serial execution of the
+    /// functional byte effects. Pending ops are flushed first, so the
+    /// switch is safe at any point. Performance-mode machines have no
+    /// byte effects; the flag is irrelevant there.
+    fn set_streamed(&mut self, on: bool) {
+        self.flush_streams();
+        self.streamed = on;
+    }
+
+    /// Disable/enable transfer timing (the paper's β measurement: "execution
+    /// with disabled transfers, but dependency resolution and tracker
+    /// updates are performed").
+    fn set_transfer_timing(&mut self, on: bool) {
+        self.transfer_timing = on;
+    }
+
+    /// Disable/enable pattern timing (γ: "disabled dependency resolution
+    /// and tracker updates").
+    fn set_pattern_timing(&mut self, on: bool) {
+        self.pattern_timing = on;
+    }
+
+    fn now(&self) -> SimTime {
+        self.host_now
+    }
+
+    fn breakdown(&self) -> TimeBreakdown {
+        self.breakdown
+    }
+
+    fn counters(&self) -> OpCounters {
+        self.counters
+    }
+
+    fn counters_mut(&mut self) -> &mut OpCounters {
+        &mut self.counters
+    }
+
+    fn reset_clock(&mut self) {
+        self.host_now = 0.0;
+        self.breakdown = TimeBreakdown::default();
+        self.counters = OpCounters::default();
+        self.link_busy_until = 0.0;
+        for d in &mut self.devices {
+            d.busy_until = 0.0;
+            d.copy_busy_until = 0.0;
+        }
+    }
+
+    fn alloc(&mut self, d: usize, bytes: usize) -> Result<DevBuf> {
+        let dev = self.device(d)?;
+        let handle = match &mut dev.mem {
+            DeviceMem::Real(store) => store.get_mut().alloc(bytes),
+            DeviceMem::Virtual(sizes) => {
+                sizes.push(bytes);
+                sizes.len() - 1
+            }
+        };
+        Ok(DevBuf {
+            device: d,
+            handle,
+            len: bytes,
+        })
+    }
+
+    fn charge_host(&mut self, seconds: SimTime, cat: TimeCat) {
+        let seconds = match cat {
+            TimeCat::Pattern if !self.pattern_timing => 0.0,
+            TimeCat::Transfer if !self.transfer_timing => 0.0,
+            _ => seconds,
+        };
+        self.host_now += seconds;
+        match cat {
+            TimeCat::Application => self.breakdown.app += seconds,
+            TimeCat::Transfer => self.breakdown.transfer += seconds,
+            TimeCat::Pattern => self.breakdown.pattern += seconds,
+        }
+    }
+
+    fn copy_h2d(&mut self, src: &[u8], dst: DevBuf, dst_offset: usize, async_: bool) -> Result<()> {
+        self.h2d(Some(src), dst, dst_offset, src.len(), async_)
+    }
+
+    fn copy_d2h(
         &mut self,
         src: DevBuf,
         src_offset: usize,
+        dst: &mut [u8],
+        async_: bool,
+    ) -> Result<()> {
+        self.d2h(src, src_offset, dst.len(), Some(dst), async_)
+    }
+
+    /// For performance-mode harnesses where no host payload exists.
+    fn copy_h2d_timed(
+        &mut self,
         dst: DevBuf,
         dst_offset: usize,
         len: usize,
-        deps: &[SimTime],
-    ) -> Result<SimTime> {
-        Self::check_range(&src, src_offset, len)?;
-        Self::check_range(&dst, dst_offset, len)?;
-        self.counters.d2d_copies += 1;
-        self.counters.d2d_bytes += len as u64;
-        let (lat, bw, staged) = self.spec.pair_copy_params(src.device, dst.device);
-        let t = if self.transfer_timing {
-            lat + len as f64 / bw
-        } else {
-            0.0
-        };
-        self.move_bytes_d2d(src, src_offset, dst, dst_offset, len)?;
-        let mut start = self
-            .host_now
-            .max(self.devices[src.device].copy_busy_until)
-            .max(self.devices[dst.device].copy_busy_until);
-        for &d in deps {
-            start = start.max(d);
-        }
-        if staged {
-            start = start.max(self.link_busy_until);
-        }
-        let end = start + t;
-        self.devices[src.device].copy_busy_until = end;
-        self.devices[dst.device].copy_busy_until = end;
-        if staged {
-            self.link_busy_until = end;
-        }
-        self.breakdown.transfer += t;
-        Ok(end)
-    }
-
-    /// Strided (rectangular) peer copy: `count` runs of `run` bytes,
-    /// `stride` bytes apart, at the *same* offsets on both endpoints —
-    /// the column-halo shape of a 2-D grid tiling. Modeled as **one**
-    /// DMA transaction (a `cudaMemcpy2D`-style descriptor): one link
-    /// latency plus the aggregate bytes, and one `d2d_copies` tick.
-    pub fn copy_d2d_strided(
-        &mut self,
-        src: DevBuf,
-        dst: DevBuf,
-        offset: usize,
-        run: usize,
-        stride: usize,
-        count: usize,
+        async_: bool,
     ) -> Result<()> {
-        let (_, bytes) = Self::check_strided(&src, &dst, offset, run, stride, count)?;
-        if bytes == 0 {
-            return Ok(());
-        }
-        self.counters.d2d_copies += 1;
-        self.counters.d2d_bytes += bytes as u64;
-        let (lat, bw, staged) = self.spec.pair_copy_params(src.device, dst.device);
-        let t = if self.transfer_timing {
-            lat + bytes as f64 / bw
-        } else {
-            0.0
-        };
-        for i in 0..count {
-            let off = offset + i * stride;
-            self.move_bytes_d2d(src, off, dst, off, run)?;
-        }
-        let mut start = self
-            .host_now
-            .max(self.devices[src.device].busy_until)
-            .max(self.devices[dst.device].busy_until);
-        if staged {
-            start = start.max(self.link_busy_until);
-        }
-        let end = start + t;
-        self.devices[src.device].busy_until = end;
-        self.devices[dst.device].busy_until = end;
-        if staged {
-            self.link_busy_until = end;
-        }
-        self.breakdown.transfer += t;
-        Ok(())
+        self.h2d(None, dst, dst_offset, len, async_)
     }
 
-    /// Pipelined [`Machine::copy_d2d_strided`]: charged to the
-    /// copy-engine clocks with the caller's event-edge dependencies,
-    /// like [`Machine::copy_d2d_pipelined`]. Returns the completion
-    /// time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn copy_d2d_strided_pipelined(
+    fn copy_d2h_timed(
+        &mut self,
+        src: DevBuf,
+        src_offset: usize,
+        len: usize,
+        async_: bool,
+    ) -> Result<()> {
+        self.d2h(src, src_offset, len, None, async_)
+    }
+
+    /// On a host-staged interconnect the bytes cross PCIe twice. The
+    /// runtime's buffer sync issues these in bulk (paper §8.3); with
+    /// `deps` they stream on the copy engines while the SMs compute, and
+    /// the returned completion time threads into the caller's later
+    /// event edges.
+    ///
+    /// A single run always counts as a transaction, even of zero bytes;
+    /// no runs, or several empty ones, move nothing, tick nothing and
+    /// return the current host time.
+    fn copy_d2d(
         &mut self,
         src: DevBuf,
         dst: DevBuf,
-        offset: usize,
-        run: usize,
-        stride: usize,
-        count: usize,
-        deps: &[SimTime],
+        runs: CopyRuns,
+        deps: Option<&[SimTime]>,
     ) -> Result<SimTime> {
-        let (_, bytes) = Self::check_strided(&src, &dst, offset, run, stride, count)?;
-        if bytes == 0 {
+        let bytes = runs.check(&src, &dst)?;
+        self.check_device(src.device)?;
+        self.check_device(dst.device)?;
+        if bytes == 0 && runs.count != 1 {
             return Ok(self.host_now);
         }
         self.counters.d2d_copies += 1;
         self.counters.d2d_bytes += bytes as u64;
+        // Class-aware pair pricing: GPU↔GPU uses the interconnect (and
+        // its staging engine), CPU↔CPU a memcpy, mixed one PCIe hop.
         let (lat, bw, staged) = self.spec.pair_copy_params(src.device, dst.device);
         let t = if self.transfer_timing {
             lat + bytes as f64 / bw
         } else {
             0.0
         };
-        for i in 0..count {
-            let off = offset + i * stride;
-            self.move_bytes_d2d(src, off, dst, off, run)?;
+        for i in 0..runs.count {
+            let shift = i * runs.stride;
+            self.move_bytes_d2d(
+                src,
+                runs.src_offset + shift,
+                dst,
+                runs.dst_offset + shift,
+                runs.len,
+            );
         }
+        // Clock: engages both endpoints — their compute clocks, or their
+        // copy engines behind the caller's event edges — and, on a
+        // host-staged system, the shared staging engine: peer copies then
+        // serialize globally.
+        let pipelined = deps.is_some();
         let mut start = self
             .host_now
-            .max(self.devices[src.device].copy_busy_until)
-            .max(self.devices[dst.device].copy_busy_until);
-        for &d in deps {
-            start = start.max(d);
+            .max(*self.devices[src.device].copy_clock(pipelined))
+            .max(*self.devices[dst.device].copy_clock(pipelined));
+        for &edge in deps.unwrap_or_default() {
+            start = start.max(edge);
         }
         if staged {
             start = start.max(self.link_busy_until);
         }
         let end = start + t;
-        self.devices[src.device].copy_busy_until = end;
-        self.devices[dst.device].copy_busy_until = end;
+        *self.devices[src.device].copy_clock(pipelined) = end;
+        *self.devices[dst.device].copy_clock(pipelined) = end;
         if staged {
             self.link_busy_until = end;
         }
@@ -817,86 +723,18 @@ impl Machine {
         Ok(end)
     }
 
-    /// Validate a strided copy's shape against both endpoints; returns
-    /// `(span, payload bytes)`.
-    fn check_strided(
-        src: &DevBuf,
-        dst: &DevBuf,
-        offset: usize,
-        run: usize,
-        stride: usize,
-        count: usize,
-    ) -> Result<(usize, usize)> {
-        if count == 0 || run == 0 {
-            return Ok((0, 0));
-        }
-        if stride < run {
-            return Err(SimError::BadStride { run, stride });
-        }
-        let span = (count - 1) * stride + run;
-        Self::check_range(src, offset, span)?;
-        Self::check_range(dst, offset, span)?;
-        Ok((span, run * count))
-    }
-
-    /// Launch a kernel asynchronously on device `d`.
-    ///
     /// Functional machines execute the grid (rayon-parallel over blocks);
     /// all machines charge the roofline time model, calibrated by sampling
     /// threads in counting mode.
-    pub fn launch(
-        &mut self,
-        d: usize,
-        kernel: &Kernel,
-        args: &[SimArg],
-        grid_dim: Dim3,
-        block_dim: Dim3,
-    ) -> Result<()> {
-        self.launch_with_traffic(d, kernel, args, grid_dim, block_dim, None)
-    }
-
-    /// [`Machine::launch`] with an explicit memory-traffic estimate.
     ///
     /// `traffic` is the number of unique bytes the launch touches — for
     /// partitioned kernels the **polyhedral footprint** of the partition
-    /// (sum of the read/write enumerator ranges). It feeds the roofline's
-    /// bandwidth term and models on-chip reuse: per-thread byte counts
-    /// treat every load as a DRAM access, wildly overestimating traffic
-    /// for broadcast patterns (N-Body) and tiled reuse (Matmul). Without
-    /// a hint the sampled per-thread bytes are used (no-reuse worst case).
-    pub fn launch_with_traffic(
-        &mut self,
-        d: usize,
-        kernel: &Kernel,
-        args: &[SimArg],
-        grid_dim: Dim3,
-        block_dim: Dim3,
-        traffic: Option<u64>,
-    ) -> Result<()> {
-        self.launch_core(d, kernel, args, grid_dim, block_dim, traffic, &[])
-            .map(|_| ())
-    }
-
-    /// Pipelined launch: like [`Machine::launch_with_traffic`], but the
-    /// kernel additionally waits for the `deps` event edges (its incoming
-    /// halo copies, prior readers of its write buffers) and the completion
-    /// time is returned for the caller's dependency DAG.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_pipelined(
-        &mut self,
-        d: usize,
-        kernel: &Kernel,
-        args: &[SimArg],
-        grid_dim: Dim3,
-        block_dim: Dim3,
-        traffic: Option<u64>,
-        deps: &[SimTime],
-    ) -> Result<SimTime> {
-        self.launch_core(d, kernel, args, grid_dim, block_dim, traffic, deps)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn launch_core(
+    /// (sum of the read/write enumerator ranges). It models on-chip
+    /// reuse: per-thread byte counts treat every load as a DRAM access,
+    /// wildly overestimating traffic for broadcast patterns (N-Body) and
+    /// tiled reuse (Matmul). Without a hint the sampled per-thread bytes
+    /// are used (no-reuse worst case).
+    fn launch(
         &mut self,
         d: usize,
         kernel: &Kernel,
@@ -907,22 +745,7 @@ impl Machine {
         deps: &[SimTime],
     ) -> Result<SimTime> {
         self.counters.launches += 1;
-        // Resolve args to interpreter args; validate buffer residency.
-        let mut kargs = Vec::with_capacity(args.len());
-        for a in args {
-            match a {
-                SimArg::Scalar(v) => kargs.push(KernelArg::Scalar(*v)),
-                SimArg::Buf(b) => {
-                    if b.device != d {
-                        return Err(SimError::BadBuffer {
-                            device: d,
-                            handle: b.handle,
-                        });
-                    }
-                    kargs.push(KernelArg::Array(b.handle));
-                }
-            }
-        }
+        let kargs = self.resolve_args(d, args)?;
         // Cost model: sample threads (memoized per geometry + scalars).
         let key = KernelTimeKey {
             kernel: kernel.name.clone(),
@@ -958,11 +781,8 @@ impl Machine {
                 grid: grid_dim,
                 block: block_dim,
             });
-        } else if self.functional {
-            let dev = &mut self.devices[d];
-            if let DeviceMem::Real(store) = &mut dev.mem {
-                run_grid_parallel(kernel, &kargs, grid_dim, block_dim, store.get_mut())?;
-            }
+        } else if let DeviceMem::Real(store) = &mut self.devices[d].mem {
+            run_grid_parallel(kernel, &kargs, grid_dim, block_dim, store.get_mut())?;
         }
         let overhead = self.spec.device_spec(d).launch_overhead;
         let dev = &mut self.devices[d];
@@ -976,21 +796,19 @@ impl Machine {
         Ok(start + t)
     }
 
-    /// Launch a kernel on device `d` and record its **observed write
-    /// set** per buffer handle (element ranges, merged). The paper's §11
-    /// instrumentation path for statically unmodelable write patterns.
-    /// Functional machines only; the recorded launch is charged an
-    /// instrumentation penalty on top of the roofline time (the paper's
-    /// related work reports "significant runtime overhead" for this
-    /// technique, cf. VAST).
-    pub fn launch_recording(
+    /// The paper's §11 instrumentation path for statically unmodelable
+    /// write patterns: element ranges per buffer handle, merged. The
+    /// recorded launch is charged an instrumentation penalty on top of
+    /// the roofline time (the paper's related work reports "significant
+    /// runtime overhead" for this technique, cf. VAST).
+    fn launch_recording(
         &mut self,
         d: usize,
         kernel: &Kernel,
         args: &[SimArg],
         grid_dim: Dim3,
         block_dim: Dim3,
-    ) -> Result<std::collections::HashMap<usize, Vec<(u64, u64)>>> {
+    ) -> Result<ObservedWriteSets> {
         const INSTRUMENTATION_FACTOR: f64 = 2.0;
         if !self.functional {
             return Err(SimError::BadBuffer {
@@ -999,85 +817,28 @@ impl Machine {
             });
         }
         self.counters.launches += 1;
-        let mut kargs = Vec::with_capacity(args.len());
-        for a in args {
-            match a {
-                SimArg::Scalar(v) => kargs.push(KernelArg::Scalar(*v)),
-                SimArg::Buf(b) => {
-                    if b.device != d {
-                        return Err(SimError::BadBuffer {
-                            device: d,
-                            handle: b.handle,
-                        });
-                    }
-                    kargs.push(KernelArg::Array(b.handle));
-                }
-            }
-        }
+        let kargs = self.resolve_args(d, args)?;
         let t_kernel = self.kernel_time(d, kernel, &kargs, grid_dim, block_dim, None)?;
         self.charge_host(self.spec.host_per_launch, TimeCat::Application);
         // Recording needs the final bytes and runs synchronously.
         self.flush_streams();
-        let observed = {
-            let dev = &mut self.devices[d];
-            match &mut dev.mem {
-                DeviceMem::Real(store) => {
-                    let (_, obs) = crate::shadow::run_grid_recording(
-                        kernel,
-                        &kargs,
-                        grid_dim,
-                        block_dim,
-                        store.get_mut(),
-                    )?;
-                    obs
-                }
-                DeviceMem::Virtual(_) => unreachable!("checked functional above"),
-            }
-        };
-        let overhead = self.spec.device_spec(d).launch_overhead;
         let dev = &mut self.devices[d];
+        let DeviceMem::Real(store) = &mut dev.mem else {
+            unreachable!("checked functional above")
+        };
+        let (_, observed) =
+            run_grid_recording(kernel, &kargs, grid_dim, block_dim, store.get_mut())?;
         let start = self.host_now.max(dev.busy_until);
-        let t = overhead + t_kernel * INSTRUMENTATION_FACTOR;
+        let t = self.spec.device_spec(d).launch_overhead + t_kernel * INSTRUMENTATION_FACTOR;
         dev.busy_until = start + t;
         self.breakdown.app += t;
         Ok(observed)
     }
 
-    /// Roofline kernel-time estimate from sampled per-thread statistics,
-    /// priced with device `d`'s spec.
-    fn kernel_time(
-        &self,
-        d: usize,
-        kernel: &Kernel,
-        args: &[KernelArg],
-        grid_dim: Dim3,
-        block_dim: Dim3,
-        traffic: Option<u64>,
-    ) -> Result<SimTime> {
-        let total_threads = grid_dim.count() * block_dim.count();
-        if total_threads == 0 {
-            return Ok(0.0);
-        }
-        let profile = sample_kernel_profile(kernel, args, grid_dim, block_dim)?;
-        let flops = profile.flops_per_thread * total_threads as f64;
-        let intops = profile.intops_per_thread * total_threads as f64;
-        // Memory traffic: the polyhedral footprint when provided (models
-        // on-chip reuse), else the no-reuse per-thread total.
-        let bytes = match traffic {
-            Some(t) => t as f64,
-            None => profile.bytes_per_thread * total_threads as f64,
-        };
-        let spec = self.spec.device_spec(d);
-        let t = (flops / spec.flops)
-            .max(intops / spec.int_ops)
-            .max(bytes / spec.mem_bw);
-        Ok(t)
-    }
-
-    /// Block host until device `d` is idle (cudaStreamSynchronize-like).
-    /// All streams are flushed: a peer copy on `d` may depend on another
-    /// device's stream, so a partial drain could not make progress.
-    pub fn sync_device(&mut self, d: usize) -> Result<()> {
+    /// cudaStreamSynchronize-like. All streams are flushed: a peer copy
+    /// on `d` may depend on another device's stream, so a partial drain
+    /// could not make progress.
+    fn sync_device(&mut self, d: usize) -> Result<()> {
         self.flush_streams();
         let dev = self.device(d)?;
         let busy = dev.busy_until.max(dev.copy_busy_until);
@@ -1085,49 +846,11 @@ impl Machine {
         Ok(())
     }
 
-    /// Advance the host clock to `t` (no-op when already past). The
-    /// launch-ahead pipeline uses this to model the host blocking on an
-    /// in-flight launch when the window is full or flushed.
-    pub fn join_host(&mut self, t: SimTime) {
-        self.host_now = self.host_now.max(t);
-    }
-
-    /// Current event token of device `d`'s stream: the number of ops
-    /// submitted so far. A peer passing this to
-    /// [`Machine::stream_wait_cross`] waits for everything submitted to
-    /// `d` up to this point.
-    pub fn stream_mark(&self, d: usize) -> u64 {
-        self.streams[d].submitted
-    }
-
-    /// Queue a cross-stream event wait: device `waiter`'s stream stalls
-    /// until device `source`'s stream has completed `event` ops. Only
-    /// meaningful on streamed functional machines; a no-op otherwise.
-    /// Deadlock-free as long as `event` refers to ops submitted strictly
-    /// before this call (host submission is a total order).
-    pub fn stream_wait_cross(&mut self, waiter: usize, source: usize, event: u64) {
-        if !self.defer_effects() || waiter == source {
-            return;
-        }
-        self.streams[waiter].push(StreamOp::WaitEvent {
-            device: source,
-            event,
-        });
-    }
-
-    /// Block host until all devices are idle (cudaDeviceSynchronize over
-    /// every device — the runtime's replacement semantics, §8.4).
-    ///
-    /// Panics if a stream worker hit a deferred error since the last
-    /// sync; use [`Machine::try_sync_all`] to handle it instead.
-    pub fn sync_all(&mut self) {
-        self.try_sync_all()
-            .expect("deferred stream error at sync_all");
-    }
-
-    /// [`Machine::sync_all`], surfacing deferred stream-worker errors
-    /// (e.g. a kernel interpretation failure inside a queued launch).
-    pub fn try_sync_all(&mut self) -> Result<()> {
+    /// cudaDeviceSynchronize over every device — the runtime's
+    /// replacement semantics, §8.4 — surfacing deferred stream-worker
+    /// errors (e.g. a kernel interpretation failure inside a queued
+    /// launch).
+    fn try_sync_all(&mut self) -> Result<()> {
         self.flush_streams();
         for dev in &self.devices {
             self.host_now = self.host_now.max(dev.busy_until).max(dev.copy_busy_until);
@@ -1138,9 +861,35 @@ impl Machine {
         }
     }
 
-    /// Read back a whole device buffer (functional machines only; test
-    /// helper that bypasses the clock).
-    pub fn debug_read(&self, buf: DevBuf) -> Option<Vec<u8>> {
+    /// The launch-ahead pipeline uses this to model the host blocking on
+    /// an in-flight launch when the window is full or flushed.
+    fn join_host(&mut self, t: SimTime) {
+        self.host_now = self.host_now.max(t);
+    }
+
+    /// The number of ops submitted so far. A peer passing this to
+    /// [`Backend::stream_wait_cross`] waits for everything submitted to
+    /// `d` up to this point.
+    fn stream_mark(&self, d: usize) -> u64 {
+        self.streams[d].submitted
+    }
+
+    /// Device `waiter`'s stream stalls until device `source`'s stream
+    /// has completed `event` ops. Only meaningful on streamed functional
+    /// machines; a no-op otherwise. Deadlock-free as long as `event`
+    /// refers to ops submitted strictly before this call (host
+    /// submission is a total order).
+    fn stream_wait_cross(&mut self, waiter: usize, source: usize, event: u64) {
+        if !self.defer_effects() || waiter == source {
+            return;
+        }
+        self.streams[waiter].push(StreamOp::WaitEvent {
+            device: source,
+            event,
+        });
+    }
+
+    fn debug_read(&self, buf: DevBuf) -> Option<Vec<u8>> {
         self.flush_streams();
         match &self.devices[buf.device].mem {
             DeviceMem::Real(store) => Some(store.read().bytes(buf.handle).to_vec()),
@@ -1148,8 +897,7 @@ impl Machine {
         }
     }
 
-    /// Write a whole device buffer directly (functional test helper).
-    pub fn debug_write(&mut self, buf: DevBuf, data: &[u8]) {
+    fn debug_write(&mut self, buf: DevBuf, data: &[u8]) {
         self.flush_streams();
         if let DeviceMem::Real(store) = &mut self.devices[buf.device].mem {
             store.get_mut().bytes_mut(buf.handle)[..data.len()].copy_from_slice(data);
@@ -1257,7 +1005,13 @@ mod tests {
 
     #[test]
     fn functional_roundtrip_h2d_kernel_d2h() {
-        let mut m = Machine::new(MachineSpec::kepler_system(2), true);
+        // Same ops, same bytes, whether the slots are GPUs or host sockets.
+        for spec in [MachineSpec::kepler_system(2), MachineSpec::cpu_system(2)] {
+            roundtrip_on(Machine::new(spec, true));
+        }
+    }
+
+    fn roundtrip_on(mut m: Machine) {
         let n = 1024usize;
         let x = m.alloc(0, n * 4).unwrap();
         let y = m.alloc(0, n * 4).unwrap();
@@ -1274,6 +1028,8 @@ mod tests {
             ],
             Dim3::new1(8),
             Dim3::new1(128),
+            None,
+            &[],
         )
         .unwrap();
         m.sync_all();
@@ -1314,6 +1070,8 @@ mod tests {
             ],
             grid,
             block,
+            None,
+            &[],
         )
         .unwrap();
         m.sync_all();
@@ -1332,6 +1090,8 @@ mod tests {
                 ],
                 qgrid,
                 block,
+                None,
+                &[],
             )
             .unwrap();
         }
@@ -1353,8 +1113,10 @@ mod tests {
             let b = m.alloc(1, 1 << 24).unwrap();
             let c = m.alloc(2, 1 << 24).unwrap();
             let d = m.alloc(3, 1 << 24).unwrap();
-            m.copy_d2d(a, 0, b, 0, 1 << 24).unwrap();
-            m.copy_d2d(c, 0, d, 0, 1 << 24).unwrap();
+            m.copy_d2d(a, b, CopyRuns::contiguous(0, 0, 1 << 24), None)
+                .unwrap();
+            m.copy_d2d(c, d, CopyRuns::contiguous(0, 0, 1 << 24), None)
+                .unwrap();
             m.sync_all();
             m.now()
         };
@@ -1375,7 +1137,8 @@ mod tests {
         m.copy_h2d(&[7u8; 64], a, 0, false).unwrap();
         m.copy_h2d(&[0u8; 64], b, 0, false).unwrap();
         // 3 runs of 4 bytes, 16 apart, starting at offset 4.
-        m.copy_d2d_strided(a, b, 4, 4, 16, 3).unwrap();
+        m.copy_d2d(a, b, CopyRuns::strided(4, 4, 16, 3), None)
+            .unwrap();
         let mut out = [0u8; 64];
         m.copy_d2h(b, 0, &mut out, false).unwrap();
         for (i, &v) in out.iter().enumerate() {
@@ -1392,10 +1155,12 @@ mod tests {
             let a = m.alloc(0, 1 << 20).unwrap();
             let b = m.alloc(1, 1 << 20).unwrap();
             if strided {
-                m.copy_d2d_strided(a, b, 0, 64, 4096, 128).unwrap();
+                m.copy_d2d(a, b, CopyRuns::strided(0, 64, 4096, 128), None)
+                    .unwrap();
             } else {
                 for i in 0..128 {
-                    m.copy_d2d(a, i * 4096, b, i * 4096, 64).unwrap();
+                    m.copy_d2d(a, b, CopyRuns::contiguous(i * 4096, i * 4096, 64), None)
+                        .unwrap();
                 }
             }
             m.sync_all();
@@ -1407,8 +1172,11 @@ mod tests {
         let mut m = Machine::new(MachineSpec::kepler_system(2), true);
         let a = m.alloc(0, 64).unwrap();
         let b = m.alloc(1, 64).unwrap();
-        assert!(m.copy_d2d_strided(a, b, 0, 8, 4, 2).is_err()); // stride < run
-        m.copy_d2d_strided(a, b, 0, 4, 16, 0).unwrap(); // count 0: no-op
+        assert!(m
+            .copy_d2d(a, b, CopyRuns::strided(0, 8, 4, 2), None)
+            .is_err()); // stride < run
+        m.copy_d2d(a, b, CopyRuns::strided(0, 4, 16, 0), None)
+            .unwrap(); // count 0: no-op
         assert_eq!(m.counters().d2d_copies, 0);
     }
 
@@ -1418,7 +1186,8 @@ mod tests {
         m.set_transfer_timing(false);
         let a = m.alloc(0, 1 << 20).unwrap();
         let b = m.alloc(1, 1 << 20).unwrap();
-        m.copy_d2d(a, 0, b, 0, 1 << 20).unwrap();
+        m.copy_d2d(a, b, CopyRuns::contiguous(0, 0, 1 << 20), None)
+            .unwrap();
         m.copy_h2d(&vec![0u8; 1024], a, 0, false).unwrap();
         m.sync_all();
         assert_eq!(m.now(), 0.0);
@@ -1458,6 +1227,8 @@ mod tests {
                 ],
                 Dim3::new1(1),
                 Dim3::new1(1),
+                None,
+                &[],
             )
             .unwrap_err();
         assert!(matches!(err, SimError::BadBuffer { .. }));
@@ -1516,6 +1287,8 @@ mod tests {
                 ],
                 Dim3::new1(2),
                 Dim3::new1(128),
+                None,
+                &[],
             )
             .unwrap();
         }
@@ -1523,8 +1296,13 @@ mod tests {
         // half — every copy depends on the source device's kernel.
         for d in 0..n_dev {
             let next = (d + 1) % n_dev;
-            m.copy_d2d(bufs[d].1, n * 2, bufs[next].1, 0, n * 2)
-                .unwrap();
+            m.copy_d2d(
+                bufs[d].1,
+                bufs[next].1,
+                CopyRuns::contiguous(n * 2, 0, n * 2),
+                None,
+            )
+            .unwrap();
         }
         m.sync_all();
         let out = bufs
@@ -1577,9 +1355,12 @@ mod tests {
             ],
             Dim3::new1(4),
             Dim3::new1(128),
+            None,
+            &[],
         )
         .unwrap();
-        m.copy_d2d(y, 0, z, 0, n * 4).unwrap();
+        m.copy_d2d(y, z, CopyRuns::contiguous(0, 0, n * 4), None)
+            .unwrap();
         m.sync_all();
         let out = m.debug_read(z).unwrap();
         for (i, c) in out.chunks_exact(4).enumerate() {
@@ -1605,6 +1386,8 @@ mod tests {
             &[SimArg::Scalar(Value::I64(16)), SimArg::Buf(y)],
             Dim3::new1(1),
             Dim3::new1(1),
+            None,
+            &[],
         )
         .unwrap();
         let err = m.try_sync_all().unwrap_err();
@@ -1643,17 +1426,19 @@ mod tests {
             SimArg::Buf(y0),
         ];
         // Baseline: two launches back to back.
-        m.launch(0, &k, &args, grid, block).unwrap();
-        m.launch(0, &k, &args, grid, block).unwrap();
+        m.launch(0, &k, &args, grid, block, None, &[]).unwrap();
+        m.launch(0, &k, &args, grid, block, None, &[]).unwrap();
         m.sync_all();
         let t_serial_launches = m.now();
         // Same two launches with a large peer copy pipelined between
         // them: the copy overlaps, so the compute-critical path is
         // unchanged and sync time is the max of the two engines.
         m.reset_clock();
-        m.launch(0, &k, &args, grid, block).unwrap();
-        let copy_end = m.copy_d2d_pipelined(a0, 0, a1, 0, n * 4, &[]).unwrap();
-        m.launch(0, &k, &args, grid, block).unwrap();
+        m.launch(0, &k, &args, grid, block, None, &[]).unwrap();
+        let copy_end = m
+            .copy_d2d(a0, a1, CopyRuns::contiguous(0, 0, n * 4), Some(&[]))
+            .unwrap();
+        m.launch(0, &k, &args, grid, block, None, &[]).unwrap();
         m.sync_all();
         let t_pipe = m.now();
         assert!(copy_end > 0.0);
@@ -1663,9 +1448,10 @@ mod tests {
         );
         // The eager copy path serializes on the device clock instead.
         m.reset_clock();
-        m.launch(0, &k, &args, grid, block).unwrap();
-        m.copy_d2d(a0, 0, a1, 0, n * 4).unwrap();
-        m.launch(0, &k, &args, grid, block).unwrap();
+        m.launch(0, &k, &args, grid, block, None, &[]).unwrap();
+        m.copy_d2d(a0, a1, CopyRuns::contiguous(0, 0, n * 4), None)
+            .unwrap();
+        m.launch(0, &k, &args, grid, block, None, &[]).unwrap();
         m.sync_all();
         let t_eager = m.now();
         assert!(
@@ -1688,7 +1474,7 @@ mod tests {
         ];
         let dep = 5.0; // far in the simulated future
         let end = m
-            .launch_pipelined(0, &k, &args, Dim3::new1(16), Dim3::new1(256), None, &[dep])
+            .launch(0, &k, &args, Dim3::new1(16), Dim3::new1(256), None, &[dep])
             .unwrap();
         assert!(end > dep, "launch must start after its event edge");
         m.sync_all();
@@ -1712,7 +1498,8 @@ mod tests {
             m.copy_h2d(&host, x0, 0, false).unwrap();
             m.copy_h2d(&vec![0u8; n * 4], y0, 0, false).unwrap();
             // Reader: snapshot x0 into device 1.
-            m.copy_d2d(x0, 0, x1, 0, n * 4).unwrap();
+            m.copy_d2d(x0, x1, CopyRuns::contiguous(0, 0, n * 4), None)
+                .unwrap();
             let token = m.stream_mark(1);
             // Writer: saxpy writes y0 but ALSO overwrite x0 afterwards to
             // model an in-place producer (swap roles: y=2x+y writes y; we
@@ -1723,5 +1510,152 @@ mod tests {
             let got = m.debug_read(x1).unwrap();
             assert_eq!(got, host, "reader must observe pre-overwrite bytes");
         }
+    }
+
+    #[test]
+    fn launch_on_missing_device_is_an_error() {
+        // No buffer argument names a device, so only the index check can
+        // catch a launch on slot `n`.
+        let mut m = Machine::new(MachineSpec::kepler_system(2), true);
+        let noop = Kernel {
+            name: "noop".into(),
+            params: vec![scalar("n")],
+            body: vec![],
+        };
+        let args = [SimArg::Scalar(Value::I64(1))];
+        let (g, b) = (Dim3::new1(1), Dim3::new1(1));
+        let missing = SimError::NoSuchDevice {
+            device: 2,
+            n_devices: 2,
+        };
+        let err = m.launch(2, &noop, &args, g, b, None, &[]).unwrap_err();
+        assert_eq!(err, missing);
+        let err = m.launch_recording(2, &noop, &args, g, b).unwrap_err();
+        assert_eq!(err, missing);
+        m.launch(1, &noop, &args, g, b, None, &[]).unwrap();
+    }
+
+    /// Run `runs` from device 0 to device 1 of a fresh functional
+    /// machine whose source holds 0..64; returns (completion, synced
+    /// host clock, counters, destination bytes).
+    fn peer_copy(
+        runs: CopyRuns,
+        deps: Option<&[SimTime]>,
+    ) -> (SimTime, SimTime, OpCounters, Vec<u8>) {
+        let mut m = Machine::new(MachineSpec::kepler_system(2), true);
+        let a = m.alloc(0, 64).unwrap();
+        let b = m.alloc(1, 64).unwrap();
+        m.debug_write(a, &(0..64).collect::<Vec<u8>>());
+        let end = m.copy_d2d(a, b, runs, deps).unwrap();
+        m.sync_all();
+        (end, m.now(), m.counters(), m.debug_read(b).unwrap())
+    }
+
+    #[test]
+    fn single_strided_run_equals_contiguous_copy() {
+        // One run is one run however it is spelled — on the compute
+        // clocks and on the copy engines behind an event edge.
+        for deps in [None, Some(&[1.0e-3][..])] {
+            let plain = peer_copy(CopyRuns::contiguous(8, 8, 16), deps);
+            // The stride of a single run is never consulted.
+            for stride in [16, 4096, 0] {
+                assert_eq!(peer_copy(CopyRuns::strided(8, 16, stride, 1), deps), plain);
+            }
+            let (end, now, c, bytes) = plain;
+            assert!(end > 0.0 && now == end);
+            assert_eq!((c.d2d_copies, c.d2d_bytes), (1, 16));
+            assert_eq!(bytes[8..24], (8..24).collect::<Vec<u8>>()[..]);
+            assert!(bytes[..8].iter().chain(&bytes[24..]).all(|&v| v == 0));
+        }
+    }
+
+    #[test]
+    fn zero_length_copies_tick_only_as_a_single_run() {
+        for deps in [None, Some(&[1.0e-3][..])] {
+            // One empty run is still a transaction: latency and a tick.
+            let (end, _, c, _) = peer_copy(CopyRuns::contiguous(0, 0, 0), deps);
+            assert!(end > 0.0);
+            assert_eq!((c.d2d_copies, c.d2d_bytes), (1, 0));
+            // No runs, or several empty ones: nothing happens, and the
+            // completion time is the (unmoved) host clock.
+            for runs in [
+                CopyRuns::strided(0, 4, 16, 0),
+                CopyRuns::strided(0, 0, 16, 3),
+            ] {
+                let (end, now, c, _) = peer_copy(runs, deps);
+                assert_eq!((end, now), (0.0, 0.0));
+                assert_eq!(c.d2d_copies, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn copy_shapes_use_checked_arithmetic() {
+        // Offsets, strides and counts can arrive verbatim from a plan
+        // snapshot: sums and products must fail, not wrap or panic.
+        let mut m = Machine::new(MachineSpec::kepler_system(2), false);
+        let a = m.alloc(0, 64).unwrap();
+        let b = m.alloc(1, 64).unwrap();
+        let huge = usize::MAX - 1;
+        let err = m
+            .copy_d2d(a, b, CopyRuns::contiguous(huge, 0, 8), None)
+            .unwrap_err();
+        assert!(matches!(err, SimError::CopyOutOfRange { .. }), "{err}");
+        let err = m.copy_h2d_timed(a, huge, 8, false).unwrap_err();
+        assert!(matches!(err, SimError::CopyOutOfRange { .. }), "{err}");
+        for runs in [
+            CopyRuns::strided(0, 4, huge, 3),
+            CopyRuns::strided(0, 4, 8, huge),
+        ] {
+            let err = m.copy_d2d(a, b, runs, Some(&[])).unwrap_err();
+            assert!(matches!(err, SimError::BadStride { .. }), "{err}");
+        }
+        assert_eq!(m.counters(), OpCounters::default());
+    }
+
+    #[test]
+    fn host_socket_copies_cost_memcpys_and_skip_the_staging_engine() {
+        // Every transfer class of a pure-host machine is one memcpy at
+        // the host_copy constants — far cheaper than the same bytes over
+        // the simulated PCIe link.
+        let len = 64 << 20;
+        let spec = MachineSpec::cpu_system(4);
+        assert!(spec.link.host_staged, "the unused link stays Kepler's");
+        let memcpy = spec.host_copy_lat() + len as f64 / spec.host_copy_bw();
+        let mut cpu = Machine::new(spec, false);
+        let bufs: Vec<_> = (0..4).map(|d| cpu.alloc(d, len).unwrap()).collect();
+        cpu.copy_h2d_timed(bufs[0], 0, len, false).unwrap();
+        assert!((cpu.now() - memcpy).abs() < 1e-12);
+        cpu.copy_d2h_timed(bufs[0], 0, len, false).unwrap();
+        assert!((cpu.now() - 2.0 * memcpy).abs() < 1e-12);
+        let mut gpu = Machine::new(MachineSpec::kepler_system(1), false);
+        let g = gpu.alloc(0, len).unwrap();
+        gpu.copy_h2d_timed(g, 0, len, false).unwrap();
+        assert!(memcpy < gpu.now(), "{memcpy} !< {}", gpu.now());
+        // Peer copies on disjoint socket pairs overlap: no shared
+        // staging engine serialises them, eager or pipelined.
+        for deps in [None, Some(&[][..])] {
+            cpu.reset_clock();
+            let runs = CopyRuns::contiguous(0, 0, len);
+            let e01 = cpu.copy_d2d(bufs[0], bufs[1], runs, deps).unwrap();
+            let e23 = cpu.copy_d2d(bufs[2], bufs[3], runs, deps).unwrap();
+            assert!((e01 - memcpy).abs() < 1e-12);
+            assert_eq!(e01, e23);
+        }
+    }
+
+    #[test]
+    fn peer_memcpy_moves_bytes_between_sockets() {
+        let mut m = Machine::new(MachineSpec::cpu_system(2), true);
+        let a = m.alloc(0, 64).unwrap();
+        let b = m.alloc(1, 64).unwrap();
+        m.debug_write(a, &[7u8; 64]);
+        m.copy_d2d(a, b, CopyRuns::contiguous(16, 16, 32), None)
+            .unwrap();
+        let out = m.debug_read(b).unwrap();
+        assert_eq!(&out[16..48], &[7u8; 32]);
+        assert_eq!(&out[..16], &[0u8; 16]);
+        assert_eq!(m.counters().d2d_copies, 1);
+        assert_eq!(m.counters().d2d_bytes, 32);
     }
 }

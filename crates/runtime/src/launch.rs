@@ -12,12 +12,11 @@ use crate::vbuf::{MgpuRuntime, VBufId, VirtualBuffer};
 use crate::{Result, RuntimeError};
 use mekong_analysis::ArgModel;
 use mekong_enumgen::AccessEnumerator;
-use mekong_gpusim::machine::SimArg;
-use mekong_gpusim::{sample_kernel_profile, TimeCat};
+use mekong_gpusim::{sample_kernel_profile, CopyRuns, SimArg, SimTime, TimeCat};
 use mekong_kernel::{Dim3, Extent, KernelArg, Value};
 use mekong_partition::{partition_grid, Partition};
 use mekong_tuner::{
-    rank_candidates_opts, strided_groups, Candidate, OwnedSegment, Ownership, PartitionStrategy,
+    rank_candidates_masked, strided_groups, Candidate, OwnedSegment, Ownership, PartitionStrategy,
     ReadModel, TuneKey, TunerInput, WriteModel,
 };
 use rayon::prelude::*;
@@ -336,27 +335,21 @@ impl MgpuRuntime {
         // Partition-safety gate: a launch that actually splits the grid
         // must run along axes the static checker proved write-disjoint
         // (mekong-check) — for a rectangular tiling, *every* split axis
-        // needs its own proof. With enforcement off the launch proceeds
-        // but is counted, so experiments can quantify how often they ran
-        // unproven.
+        // needs its own proof. Refusals are counted.
         if parts.iter().filter(|p| !p.is_empty()).count() > 1 {
             let axes = strategy
                 .as_ref()
                 .map(|s| s.split_axes())
                 .unwrap_or_else(|| vec![ck.model.partitioning]);
-            match axes.iter().find(|a| !ck.safe_axes.allows(**a)) {
-                None => self.machine.note_check_safe(),
-                Some(axis) => {
-                    self.machine.note_check_rejected();
-                    if self.config.enforce_partition_safety {
-                        return Err(RuntimeError::NotPartitionable(format!(
-                            "{}: split along axis {} has no static write-disjointness proof \
-                             (proven axes {})",
-                            ck.model.kernel_name, axis, ck.safe_axes
-                        )));
-                    }
-                }
+            if let Some(axis) = axes.iter().find(|a| !ck.safe_axes.allows(**a)) {
+                self.machine.counters_mut().checked_rejected += 1;
+                return Err(RuntimeError::NotPartitionable(format!(
+                    "{}: split along axis {} has no static write-disjointness proof \
+                     (proven axes {})",
+                    ck.model.kernel_name, axis, ck.safe_axes
+                )));
             }
+            self.machine.counters_mut().checked_safe += 1;
         }
         // Peer-traffic delta around the launch feeds online refinement —
         // but not while a forced override is active: those launches run
@@ -372,28 +365,26 @@ impl MgpuRuntime {
                     // Another tenant (or a loaded snapshot) captured this
                     // plan — the cross-tenant sharing the serving layer
                     // exists for.
-                    self.machine.note_plan_shared_hit();
+                    self.machine.counters_mut().plan_shared_hits += 1;
                 }
                 self.replay_plan(ck, block, args, &plan)?;
             } else {
                 // A cold launch walks trackers and observes device
                 // clocks directly: drain the launch-ahead window first.
                 self.pipeline_flush();
-                self.machine.note_plan_miss();
+                self.machine.counters_mut().plan_misses += 1;
                 let plan = self.launch_full(ck, grid, block, args, &scalars, &parts, true)?;
                 let evicted = self.plan_cache.insert(
                     key,
                     Arc::new(plan.expect("capturing launch returns a plan")),
                     self.namespace,
                 );
-                if evicted > 0 {
-                    self.machine.note_plan_evictions(evicted);
-                }
+                self.machine.counters_mut().plan_evictions += evicted;
             }
         } else {
             self.pipeline_flush();
             if self.resolve_dependencies {
-                self.machine.note_plan_miss();
+                self.machine.counters_mut().plan_misses += 1;
             }
             self.launch_full(ck, grid, block, args, &scalars, &parts, false)?;
         }
@@ -407,14 +398,15 @@ impl MgpuRuntime {
             };
             let outcome = self.tuner.record(&key, moved);
             if let Some(avg) = outcome.window_avg {
-                self.machine.note_tuner_measured(avg);
+                self.machine.counters_mut().tuner_measured_bytes = avg;
             }
             if outcome.switched {
                 // The next launch re-captures under the new bounds; the
                 // counters reflect the refreshed decision.
                 if let Some(e) = self.tuner.entry(&key) {
-                    self.machine
-                        .note_tuner_choice(e.strategy().encode(), e.predicted().transfer_bytes);
+                    let c = self.machine.counters_mut();
+                    c.strategy_chosen = e.strategy().encode();
+                    c.tuner_predict_bytes = e.predicted().transfer_bytes;
                 }
             }
         }
@@ -455,8 +447,9 @@ impl MgpuRuntime {
         };
         let entry = self.tuner.decide(key, candidates, bandwidth, latency);
         let chosen = entry.strategy().clone();
-        let predict = entry.predicted().transfer_bytes;
-        self.machine.note_tuner_choice(chosen.encode(), predict);
+        let c = self.machine.counters_mut();
+        c.strategy_chosen = chosen.encode();
+        c.tuner_predict_bytes = entry.predicted().transfer_bytes;
         Ok(Some(chosen))
     }
 
@@ -583,11 +576,7 @@ impl MgpuRuntime {
         // Candidates along axes without a disjointness proof are never
         // enumerated — the tuner cannot pick an unsound strategy, and a
         // rectangular tiling needs proofs on *both* of its axes.
-        Ok(rank_candidates_opts(
-            &input,
-            ck.safe_axes,
-            self.config.enumerate_tilings,
-        ))
+        Ok(rank_candidates_masked(&input, ck.safe_axes))
     }
 
     /// Rank the tuner's candidate strategies for a launch site without
@@ -669,11 +658,86 @@ impl MgpuRuntime {
         sim_args
     }
 
+    /// The machine-level argument vector of a launch on `gpu`: scalars
+    /// verbatim, buffers as their instances on `gpu`, followed — for a
+    /// partition of the rewritten kernel — by the six partition-bound
+    /// scalars.
+    fn sim_args(&self, args: &[LaunchArg], gpu: usize, part: Option<&Partition>) -> Vec<SimArg> {
+        let mut sim_args = Vec::with_capacity(args.len() + 6);
+        sim_args.extend(args.iter().map(|a| match a {
+            LaunchArg::Scalar(v) => SimArg::Scalar(*v),
+            LaunchArg::Buf(b) => SimArg::Buf(self.buffers[b.index()].instances[gpu]),
+        }));
+        if let Some(p) = part {
+            let bounds = p.lo.iter().chain(p.hi.iter());
+            sim_args.extend(bounds.map(|&m| SimArg::Scalar(Value::I64(m))));
+        }
+        sim_args
+    }
+
+    /// Issue one read-sync transaction — the single place a peer copy
+    /// leaves the runtime: move `c`'s runs between the two instances,
+    /// meter the bytes the buffer received and, under replica coherence,
+    /// record the destination as a valid holder of each copied run
+    /// (Uninit bridge gaps are skipped inside). `deps` as in
+    /// [`mekong_gpusim::Backend::copy_d2d`]; returns the completion time.
+    fn issue_copy(&mut self, c: &PlanCopy, deps: Option<&[SimTime]>) -> Result<SimTime> {
+        let len = c.end.checked_sub(c.start).ok_or(RuntimeError::Overflow {
+            what: "copy length",
+            value: c.end,
+        })?;
+        let runs = CopyRuns::strided(
+            crate::to_usize(c.start, "copy offset")?,
+            crate::to_usize(len, "copy length")?,
+            crate::to_usize(c.stride, "copy stride")?,
+            crate::to_usize(c.count, "copy count")?,
+        );
+        let replica = self.config.replica_coherence;
+        let vb = &mut self.buffers[c.vb.index()];
+        let end =
+            self.machine
+                .copy_d2d(vb.instances[c.src_dev], vb.instances[c.dst_gpu], runs, deps)?;
+        vb.d2d_in_bytes += len * c.count;
+        if replica {
+            for r in 0..c.count {
+                let s = c.start + r * c.stride;
+                vb.tracker.add_holder(s, s + len, c.dst_gpu);
+            }
+        }
+        Ok(end)
+    }
+
+    /// Commit tracker write-updates — the single place kernel writes
+    /// reach the trackers: each range becomes fresh on its device,
+    /// replicas elsewhere are invalidated (and counted). Returns the
+    /// tracker segments the updates touched.
+    fn commit_updates(&mut self, updates: &[PlanUpdate]) -> usize {
+        let (mut touched, mut invalidated) = (0usize, 0usize);
+        for u in updates {
+            let vb = &mut self.buffers[u.vb.index()];
+            vb.kernel_written = true;
+            let stats = vb.tracker.update(u.start, u.end, Owner::Device(u.gpu));
+            touched += stats.touched;
+            invalidated += stats.invalidated;
+            debug_assert!(vb.tracker.check_invariants());
+        }
+        self.machine.counters_mut().replica_invalidations += invalidated as u64;
+        touched
+    }
+
     /// Replay a captured launch: enqueue the recorded copies and
     /// launches, apply the recorded tracker updates. The tracker state
     /// matches the capture byte for byte (the key embeds its signature),
     /// so the sequence is exact — only the pattern cost differs: one
     /// flat `host_per_replay` instead of the per-range/per-segment walk.
+    ///
+    /// With [`crate::RuntimeConfig::launch_ahead`] > 0 the replay joins
+    /// the launch-ahead window (see [`crate::pipeline`]): copies go to
+    /// the copy-engine clocks behind event edges and each launch waits
+    /// only on *its* incoming data, where `launch_ahead == 0` keeps the
+    /// Figure 4 barrier between the two phases. Counters, tracker
+    /// updates and host charges are identical either way — only the
+    /// device-clock schedule differs.
     ///
     /// Buffer references inside the plan are namespace-local ids; the
     /// live `args` re-resolve them against *this* runtime's instances
@@ -687,82 +751,66 @@ impl MgpuRuntime {
         args: &[LaunchArg],
         plan: &LaunchPlan,
     ) -> Result<()> {
-        if self.config.launch_ahead > 0 {
-            // Launch-ahead pipelining: record event edges into the
-            // in-flight window instead of executing eagerly (see
-            // [`crate::pipeline`]).
-            return self.replay_plan_pipelined(ck, block, args, plan);
-        }
-        self.machine.note_plan_hit();
-        if plan.replica_hits > 0 {
-            // Replay skips the planning walk that detects replica-served
-            // reads; re-note what the capture observed.
-            self.machine
-                .note_replica_hits(plan.replica_hits, plan.replica_saved_bytes);
-        }
-        if plan.mayread_fetch_bytes > 0 {
-            // Same: replay skips the enumerator walk that meters
-            // bounded may-read boxes.
-            self.machine
-                .note_mayread(plan.mayread_fetch_bytes, plan.mayread_overfetch_bytes);
-        }
+        // Replay skips the planning walk that detects replica-served
+        // reads and meters bounded may-read boxes; re-note what the
+        // capture observed.
+        let c = self.machine.counters_mut();
+        c.plan_hits += 1;
+        c.replica_hits += plan.replica_hits;
+        c.refetch_bytes_saved += plan.replica_saved_bytes;
+        c.mayread_fetch_bytes += plan.mayread_fetch_bytes;
+        c.mayread_overfetch_bytes += plan.mayread_overfetch_bytes;
         let cost = self.machine.spec().host_per_replay;
         self.machine.charge_host(cost, TimeCat::Pattern);
-        let replica = self.config.replica_coherence;
+        let pipelined = self.config.launch_ahead > 0;
+        // Functional WAR ordering only matters when byte effects are
+        // deferred to the streams; serial/perf machines need no tokens.
+        let track_events = pipelined && self.machine.is_functional() && self.machine.is_streamed();
+
         for c in &plan.copies {
-            let src = self.buffers[c.vb.index()].instances[c.src_dev];
-            let dst = self.buffers[c.vb.index()].instances[c.dst_gpu];
-            let off = crate::to_usize(c.start, "copy offset")?;
-            let run = crate::to_usize(c.end - c.start, "copy length")?;
-            if c.count <= 1 {
-                self.machine.copy_d2d(src, off, dst, off, run)?;
+            if pipelined {
+                let end = self.issue_copy(c, Some(&self.pipeline.copy_edges(c)))?;
+                let token = track_events.then(|| self.machine.stream_mark(c.dst_gpu));
+                self.pipeline.note_copy(c, end, token);
             } else {
-                self.machine.copy_d2d_strided(
-                    src,
-                    dst,
-                    off,
-                    run,
-                    crate::to_usize(c.stride, "copy stride")?,
-                    crate::to_usize(c.count, "copy count")?,
-                )?;
-            }
-            self.buffers[c.vb.index()].d2d_in_bytes += (c.end - c.start) * c.count;
-            if replica {
-                // Re-derive the holder additions the captured run made, so
-                // the tracker reaches the same state as the capture did.
-                for r in 0..c.count {
-                    let s = c.start + r * c.stride;
-                    self.buffers[c.vb.index()].tracker.add_holder(
-                        s,
-                        s + (c.end - c.start),
-                        c.dst_gpu,
-                    );
-                }
+                self.issue_copy(c, None)?;
             }
         }
-        // Figure 4, line 8 — same barrier as the captured run.
-        self.machine.sync_all();
+        if !pipelined {
+            // Figure 4, line 8 — same barrier as the captured run.
+            self.machine.sync_all();
+        }
+        let mut launched: SimTime = 0.0;
+        let mut deps: Vec<SimTime> = Vec::new();
         for l in &plan.launches {
+            if pipelined {
+                for (reader, token) in self.pipeline.launch_edges(plan, l.gpu, &mut deps) {
+                    self.machine.stream_wait_cross(l.gpu, reader, token);
+                }
+            }
             let sim_args = self.resolve_sim_args(l, args);
-            self.machine.launch_with_traffic(
+            let end = self.machine.launch(
                 l.gpu,
                 &ck.partitioned,
                 &sim_args,
                 l.grid,
                 block,
                 Some(l.traffic),
+                &deps,
             )?;
+            if pipelined {
+                self.pipeline.note_launch(plan, l.gpu, end);
+                launched = launched.max(end);
+            }
         }
-        let mut invalidated = 0usize;
-        for u in &plan.updates {
-            self.buffers[u.vb.index()].kernel_written = true;
-            invalidated += self.buffers[u.vb.index()]
-                .tracker
-                .update(u.start, u.end, Owner::Device(u.gpu))
-                .invalidated;
-            debug_assert!(self.buffers[u.vb.index()].tracker.check_invariants());
+        // Trackers advance at submit, in both modes.
+        self.commit_updates(&plan.updates);
+        if pipelined {
+            let depth = self.config.launch_ahead as usize;
+            for t in self.pipeline.push(plan, launched, depth) {
+                self.machine.join_host(t);
+            }
         }
-        self.machine.note_replica_invalidations(invalidated as u64);
         Ok(())
     }
 
@@ -864,13 +912,14 @@ impl MgpuRuntime {
             let mut mayread_fetch = 0u64;
             for p in sync_plans {
                 mayread_fetch += p.fetch_bytes;
+                // Host time gates copy starts: charge each pair's walk
+                // before its copies are issued.
                 let cost = self.machine.spec().host_per_range * p.n_ranges as f64
                     + self.machine.spec().host_per_segment * p.n_segments as f64;
                 self.machine.charge_host(cost, TimeCat::Pattern);
-                if p.replica_hits > 0 {
-                    self.machine
-                        .note_replica_hits(p.replica_hits, p.saved_bytes);
-                }
+                let c = self.machine.counters_mut();
+                c.replica_hits += p.replica_hits;
+                c.refetch_bytes_saved += p.saved_bytes;
                 if let Some(cap) = &mut captured {
                     cap.replica_hits += p.replica_hits;
                     cap.replica_saved_bytes += p.saved_bytes;
@@ -891,44 +940,18 @@ impl MgpuRuntime {
                     let segs: Vec<(u64, u64)> =
                         p.copies[i..j].iter().map(|&(_, s, e)| (s, e)).collect();
                     for g in strided_groups(&segs) {
-                        let src = self.buffers[p.vb.index()].instances[d];
-                        let dst = self.buffers[p.vb.index()].instances[p.gpu];
-                        let off = crate::to_usize(g.start, "copy offset")?;
-                        let run = crate::to_usize(g.run, "copy length")?;
-                        if g.count <= 1 {
-                            self.machine.copy_d2d(src, off, dst, off, run)?;
-                        } else {
-                            self.machine.copy_d2d_strided(
-                                src,
-                                dst,
-                                off,
-                                run,
-                                crate::to_usize(g.stride, "copy stride")?,
-                                crate::to_usize(g.count, "copy count")?,
-                            )?;
-                        }
-                        self.buffers[p.vb.index()].d2d_in_bytes += g.run * g.count;
-                        if replica {
-                            // The destination now holds a valid copy of
-                            // the freshest bytes in each copied run
-                            // (Uninit bridge gaps are skipped inside).
-                            for r in 0..g.count {
-                                let s = g.start + r * g.stride;
-                                self.buffers[p.vb.index()]
-                                    .tracker
-                                    .add_holder(s, s + g.run, p.gpu);
-                            }
-                        }
+                        let copy = PlanCopy {
+                            vb: p.vb.local(),
+                            dst_gpu: p.gpu,
+                            src_dev: d,
+                            start: g.start,
+                            end: g.start + g.run,
+                            stride: g.stride,
+                            count: g.count,
+                        };
+                        self.issue_copy(&copy, None)?;
                         if let Some(cap) = &mut captured {
-                            cap.copies.push(PlanCopy {
-                                vb: p.vb.local(),
-                                dst_gpu: p.gpu,
-                                src_dev: d,
-                                start: g.start,
-                                end: g.start + g.run,
-                                stride: g.stride,
-                                count: g.count,
-                            });
+                            cap.copies.push(copy);
                         }
                     }
                     i = j;
@@ -957,7 +980,9 @@ impl MgpuRuntime {
                     baseline += merged_len(&ranges);
                 }
                 let over = mayread_fetch.saturating_sub(baseline);
-                self.machine.note_mayread(mayread_fetch, over);
+                let c = self.machine.counters_mut();
+                c.mayread_fetch_bytes += mayread_fetch;
+                c.mayread_overfetch_bytes += over;
                 if let Some(cap) = &mut captured {
                     cap.mayread_fetch_bytes = mayread_fetch;
                     cap.mayread_overfetch_bytes = over;
@@ -972,26 +997,16 @@ impl MgpuRuntime {
             if part.is_empty() {
                 continue;
             }
-            let mut sim_args: Vec<SimArg> = Vec::with_capacity(args.len() + 6);
-            for a in args {
-                match a {
-                    LaunchArg::Scalar(v) => sim_args.push(SimArg::Scalar(*v)),
-                    LaunchArg::Buf(b) => {
-                        sim_args.push(SimArg::Buf(self.buffers[b.index()].instances[gpu]))
-                    }
-                }
-            }
-            for &m in part.lo.iter().chain(part.hi.iter()) {
-                sim_args.push(SimArg::Scalar(Value::I64(m)));
-            }
+            let sim_args = self.sim_args(args, gpu, Some(part));
             let traffic = ck.footprint_bytes(part, block, grid, scalars);
-            self.machine.launch_with_traffic(
+            self.machine.launch(
                 gpu,
                 &ck.partitioned,
                 &sim_args,
                 part.launch_grid(),
                 block,
                 Some(traffic),
+                &[],
             )?;
             if let Some(cap) = &mut captured {
                 cap.launches.push(PlanLaunch {
@@ -1006,7 +1021,7 @@ impl MgpuRuntime {
         // ---- (4) update trackers (concurrent to the async kernels) --------
         if self.resolve_dependencies {
             // One scratch Vec for every (gpu, write-arg) pair.
-            let mut updates: Vec<(u64, u64)> = Vec::new();
+            let mut updates: Vec<PlanUpdate> = Vec::new();
             for (gpu, part) in parts.iter().enumerate() {
                 if part.is_empty() {
                     continue;
@@ -1025,39 +1040,24 @@ impl MgpuRuntime {
                         &ck.enums.scalar_names,
                         scalars,
                         &mut |r| {
-                            updates.push((r.start * elem, r.end * elem));
+                            updates.push(PlanUpdate {
+                                vb: vb_id.local(),
+                                gpu,
+                                start: r.start * elem,
+                                end: r.end * elem,
+                            });
                         },
                     );
-                    let n_ranges = updates.len();
-                    if n_ranges > 0 {
-                        self.buffers[vb_id.index()].kernel_written = true;
-                    }
                     // Segment maintenance costs what the update actually
                     // walked, same accounting as the read path's query —
                     // not one flat segment per range.
-                    let mut touched = 0usize;
-                    let mut invalidated = 0usize;
-                    for &(s, e) in &updates {
-                        let stats =
-                            self.buffers[vb_id.index()]
-                                .tracker
-                                .update(s, e, Owner::Device(gpu));
-                        touched += stats.touched;
-                        invalidated += stats.invalidated;
-                        if let Some(cap) = &mut captured {
-                            cap.updates.push(PlanUpdate {
-                                vb: vb_id.local(),
-                                gpu,
-                                start: s,
-                                end: e,
-                            });
-                        }
-                    }
-                    self.machine.note_replica_invalidations(invalidated as u64);
-                    let cost = self.machine.spec().host_per_range * n_ranges as f64
+                    let touched = self.commit_updates(&updates);
+                    let cost = self.machine.spec().host_per_range * updates.len() as f64
                         + self.machine.spec().host_per_segment * touched as f64;
                     self.machine.charge_host(cost, TimeCat::Pattern);
-                    debug_assert!(self.buffers[vb_id.index()].tracker.check_invariants());
+                    if let Some(cap) = &mut captured {
+                        cap.updates.extend_from_slice(&updates);
+                    }
                 }
             }
         }
@@ -1086,24 +1086,17 @@ impl MgpuRuntime {
             }
         }
         self.machine.sync_all();
-        let mut sim_args: Vec<SimArg> = Vec::with_capacity(args.len());
-        for a in args {
-            match a {
-                LaunchArg::Scalar(v) => sim_args.push(SimArg::Scalar(*v)),
-                LaunchArg::Buf(b) => {
-                    sim_args.push(SimArg::Buf(self.buffers[b.index()].instances[device]))
-                }
-            }
-        }
+        let sim_args = self.sim_args(args, device, None);
         let whole = Partition::whole(grid);
         let traffic = ck.footprint_bytes(&whole, block, grid, &scalars);
-        self.machine.launch_with_traffic(
+        self.machine.launch(
             device,
             &ck.original,
             &sim_args,
             grid,
             block,
             Some(traffic),
+            &[],
         )?;
         // Claim written buffers: after the full sync above, `device` holds
         // the freshest copy of everything it did not overwrite, so a full
@@ -1111,14 +1104,12 @@ impl MgpuRuntime {
         for (idx, arg_model) in ck.model.args.iter().enumerate() {
             if arg_model.is_written_array() {
                 if let LaunchArg::Buf(b) = args[idx] {
-                    let len = self.buffers[b.index()].len as u64;
-                    self.buffers[b.index()].kernel_written = true;
-                    let stats =
-                        self.buffers[b.index()]
-                            .tracker
-                            .update(0, len, Owner::Device(device));
-                    self.machine
-                        .note_replica_invalidations(stats.invalidated as u64);
+                    self.commit_updates(&[PlanUpdate {
+                        vb: b,
+                        gpu: device,
+                        start: 0,
+                        end: self.buffers[b.index()].len as u64,
+                    }]);
                 }
             }
         }
@@ -1163,25 +1154,13 @@ impl MgpuRuntime {
         self.machine.sync_all();
 
         // (2) Launch each partition with write recording.
-        let mut observed_per_gpu: Vec<std::collections::HashMap<usize, Vec<(u64, u64)>>> =
-            Vec::new();
+        let mut observed_per_gpu: Vec<mekong_gpusim::ObservedWriteSets> = Vec::new();
         for (gpu, part) in parts.iter().enumerate() {
             if part.is_empty() {
                 observed_per_gpu.push(Default::default());
                 continue;
             }
-            let mut sim_args: Vec<SimArg> = Vec::with_capacity(args.len() + 6);
-            for a in args {
-                match a {
-                    LaunchArg::Scalar(v) => sim_args.push(SimArg::Scalar(*v)),
-                    LaunchArg::Buf(b) => {
-                        sim_args.push(SimArg::Buf(self.buffers[b.index()].instances[gpu]))
-                    }
-                }
-            }
-            for &m in part.lo.iter().chain(part.hi.iter()) {
-                sim_args.push(SimArg::Scalar(Value::I64(m)));
-            }
+            let sim_args = self.sim_args(args, gpu, Some(part));
             let obs = self.machine.launch_recording(
                 gpu,
                 &ck.partitioned,
@@ -1217,20 +1196,18 @@ impl MgpuRuntime {
                     ck.model.args[idx].name()
                 )));
             }
-            let n_claims = claims.len() as f64;
-            if !claims.is_empty() {
-                self.buffers[b.index()].kernel_written = true;
-            }
-            let mut invalidated = 0usize;
-            for (gpu, s, e) in claims {
-                invalidated += self.buffers[b.index()]
-                    .tracker
-                    .update(s, e, Owner::Device(gpu))
-                    .invalidated;
-            }
-            self.machine.note_replica_invalidations(invalidated as u64);
+            let updates: Vec<PlanUpdate> = claims
+                .iter()
+                .map(|&(gpu, start, end)| PlanUpdate {
+                    vb: b,
+                    gpu,
+                    start,
+                    end,
+                })
+                .collect();
+            self.commit_updates(&updates);
             let cost = (self.machine.spec().host_per_range + self.machine.spec().host_per_segment)
-                * n_claims;
+                * updates.len() as f64;
             self.machine.charge_host(cost, TimeCat::Pattern);
         }
         Ok(())
@@ -1242,14 +1219,12 @@ impl MgpuRuntime {
     /// gaps, which collapses fragmented trackers.
     fn sync_whole_buffer(&mut self, b: VBufId, gpu: usize) -> Result<()> {
         let vb = &self.buffers[b.index()];
-        let instances = vb.instances.clone();
         let max_gap = if self.config.coalesce_transfers {
             TransferPlan::break_even_gap(&*self.machine)
         } else {
             0
         };
-        let replica = self.config.replica_coherence;
-        let mut plan = TransferPlan::new(gpu, max_gap, replica);
+        let mut plan = TransferPlan::new(gpu, max_gap, self.config.replica_coherence);
         let mut n_segments = 0u64;
         vb.tracker.query(0, vb.len as u64, &mut |s, e, v| {
             n_segments += 1;
@@ -1257,19 +1232,20 @@ impl MgpuRuntime {
         });
         let cost = self.machine.spec().host_per_segment * n_segments as f64;
         self.machine.charge_host(cost, TimeCat::Pattern);
-        if plan.replica_hits > 0 {
-            self.machine
-                .note_replica_hits(plan.replica_hits, plan.saved_bytes);
-        }
-        for (d, s, e) in plan.copies {
-            let off = crate::to_usize(s, "copy offset")?;
-            let len = crate::to_usize(e - s, "copy length")?;
-            self.machine
-                .copy_d2d(instances[d], off, instances[gpu], off, len)?;
-            self.buffers[b.index()].d2d_in_bytes += e - s;
-            if replica {
-                self.buffers[b.index()].tracker.add_holder(s, e, gpu);
-            }
+        let c = self.machine.counters_mut();
+        c.replica_hits += plan.replica_hits;
+        c.refetch_bytes_saved += plan.saved_bytes;
+        for (src_dev, start, end) in plan.copies {
+            let copy = PlanCopy {
+                vb: b,
+                dst_gpu: gpu,
+                src_dev,
+                start,
+                end,
+                stride: end - start,
+                count: 1,
+            };
+            self.issue_copy(&copy, None)?;
         }
         Ok(())
     }
@@ -1432,7 +1408,7 @@ mod tests {
         rt.launch(&ck, grid, block, &args).unwrap();
         assert_eq!(rt.machine().counters().checked_safe, 1);
         assert_eq!(rt.machine().counters().checked_rejected, 0);
-        // Forcing the unproven y split is refused by default...
+        // Forcing the unproven y split is refused, and the refusal counted.
         rt.force_strategy("colwrite", PartitionStrategy::even(SplitAxis::Y, 2));
         let err = rt.launch(&ck, grid, block, &args).unwrap_err();
         assert!(
@@ -1440,14 +1416,6 @@ mod tests {
             "unexpected error: {err:?}"
         );
         assert_eq!(rt.machine().counters().checked_rejected, 1);
-        // ...and merely counted when enforcement is off.
-        rt.set_config(RuntimeConfig {
-            enforce_partition_safety: false,
-            ..RuntimeConfig::default()
-        });
-        rt.launch(&ck, grid, block, &args).unwrap();
-        rt.synchronize();
-        assert_eq!(rt.machine().counters().checked_rejected, 2);
         assert_eq!(rt.machine().counters().checked_safe, 1);
     }
 
@@ -2596,7 +2564,9 @@ mod tests {
             rt.buffers[b.index()].instances[0],
             rt.buffers[b.index()].instances[1],
         );
-        rt.machine.copy_d2d(i1, 200, i0, 200, 200).unwrap();
+        rt.machine
+            .copy_d2d(i1, i0, CopyRuns::contiguous(200, 200, 200), None)
+            .unwrap();
         rt.machine.sync_all();
         rt.buffers[b.index()].tracker.add_holder(200, 400, 0);
         let before = rt.machine().counters();

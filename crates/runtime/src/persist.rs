@@ -272,20 +272,30 @@ fn unsnap_plan(p: &PlanSnap) -> Result<LaunchPlan> {
             traffic: l.traffic,
         });
     }
+    // Copy shapes reach offset arithmetic at replay: admit only what
+    // capture can produce — at least one run, `start <= end`, and runs
+    // of one transaction that do not overlap.
+    let mut copies = Vec::with_capacity(p.copies.len());
+    for c in &p.copies {
+        let run = c.end.checked_sub(c.start);
+        if c.count == 0 || run.is_none() || (c.count > 1 && Some(c.stride) < run) {
+            return Err(RuntimeError::Snapshot(format!(
+                "malformed copy: [{}, {}) × {} at stride {}",
+                c.start, c.end, c.count, c.stride
+            )));
+        }
+        copies.push(PlanCopy {
+            vb: VBufId(c.vb),
+            dst_gpu: c.dst_gpu,
+            src_dev: c.src_dev,
+            start: c.start,
+            end: c.end,
+            stride: c.stride,
+            count: c.count,
+        });
+    }
     Ok(LaunchPlan {
-        copies: p
-            .copies
-            .iter()
-            .map(|c| PlanCopy {
-                vb: VBufId(c.vb),
-                dst_gpu: c.dst_gpu,
-                src_dev: c.src_dev,
-                start: c.start,
-                end: c.end,
-                stride: c.stride,
-                count: c.count,
-            })
-            .collect(),
+        copies,
         launches,
         updates: p
             .updates
@@ -463,5 +473,42 @@ mod tests {
         let c = ShardedPlanCache::new(0);
         assert!(load_snapshot_json(&c, "not json").is_err());
         assert!(load_snapshot_json(&c, "{\"version\": 1}").is_err());
+        // Well-formed JSON whose copy shapes no capture can produce:
+        // reversed bounds, no runs, overlapping runs.
+        let key = PlanKey {
+            kernel: "k".into(),
+            strategy: 0,
+            grid: Dim3::new1(1),
+            block: Dim3::new1(1),
+            bounds: vec![],
+            args: vec![],
+        };
+        let copy = |start, end, stride, count| PlanCopy {
+            vb: VBufId(0),
+            dst_gpu: 1,
+            src_dev: 0,
+            start,
+            end,
+            stride,
+            count,
+        };
+        let load = |copy: PlanCopy| {
+            let src = ShardedPlanCache::new(0);
+            let plan = LaunchPlan {
+                copies: vec![copy],
+                ..LaunchPlan::default()
+            };
+            src.insert(key.clone(), Arc::new(plan), 0);
+            load_snapshot_json(&c, &snapshot_to_json(&src))
+        };
+        for bad in [copy(8, 4, 4, 1), copy(0, 4, 4, 0), copy(0, 8, 4, 2)] {
+            let err = load(bad).unwrap_err();
+            assert!(matches!(err, RuntimeError::Snapshot(_)), "{bad:?}: {err:?}");
+        }
+        assert!(c.is_empty(), "rejections leave the cache untouched");
+        // The boundary shapes stay loadable: a single run ignores its
+        // stride, and back-to-back runs (stride == run) are legal.
+        assert_eq!(load(copy(0, 8, 0, 1)).unwrap(), 1);
+        assert_eq!(load(copy(0, 8, 8, 2)).unwrap(), 1);
     }
 }

@@ -19,7 +19,7 @@
 //!   buffer it writes (`read_until[w,g]`).
 //!
 //! Copies are charged to per-device **copy-engine clocks**
-//! ([`mekong_gpusim::Machine::copy_d2d_pipelined`]), so iteration *i+1*'s
+//! ([`mekong_gpusim::Backend::copy_d2d`] with `deps`), so iteration *i+1*'s
 //! halo exchange streams while iteration *i*'s compute still occupies the
 //! SM clocks. There is deliberately **no write-after-write edge between a
 //! halo copy and the destination's own partition launch**: the partition
@@ -50,32 +50,29 @@
 //! snapshot always precedes the overwrite. Waits only ever reference
 //! strictly-earlier submissions, so the wait graph stays a DAG.
 
-use crate::plan::LaunchPlan;
-use crate::tracker::Owner;
+use crate::plan::{LaunchPlan, PlanCopy};
 use crate::vbuf::{MgpuRuntime, VBufId};
-use crate::{to_usize, CompiledKernel, Result};
-use mekong_gpusim::TimeCat;
-use mekong_kernel::Dim3;
+use mekong_gpusim::SimTime;
 use std::collections::{HashMap, VecDeque};
 
 /// Key of one whole-buffer × device dependency slot.
 type Slot = (usize, usize);
 
 /// In-flight window state of the launch-ahead scheduler. All times are
-/// simulated completion times ([`mekong_gpusim::SimTime`]).
+/// simulated completion times.
 #[derive(Debug, Default)]
 pub(crate) struct Pipeline {
     /// Completion time of each in-flight launch, oldest first. The
     /// window is depth-limited: exceeding `launch_ahead` joins the host
     /// clock to the oldest entry (the host blocks, as on a full CUDA
     /// stream).
-    in_flight: VecDeque<f64>,
+    in_flight: VecDeque<SimTime>,
     /// When `(buffer, device)` last became fully valid (producer kernel
     /// or incoming halo copies) — read-after-write edges.
-    ready_at: HashMap<Slot, f64>,
+    ready_at: HashMap<Slot, SimTime>,
     /// Until when `(buffer, device)` is being read (kernel reads, peer
     /// copies sourcing from it) — write-after-read edges.
-    read_until: HashMap<Slot, f64>,
+    read_until: HashMap<Slot, SimTime>,
     /// In-flight functional readers of `(buffer, source device)`: the
     /// destination device and its stream event token after the copy was
     /// queued. A later kernel writing the buffer on the source device
@@ -89,54 +86,102 @@ impl Pipeline {
         self.in_flight.len()
     }
 
-    fn ready_at(&self, vb: VBufId, device: usize) -> f64 {
-        self.ready_at
-            .get(&(vb.index(), device))
-            .copied()
-            .unwrap_or(0.0)
+    fn edge(map: &HashMap<Slot, SimTime>, vb: VBufId, device: usize) -> SimTime {
+        map.get(&(vb.index(), device)).copied().unwrap_or(0.0)
     }
 
-    fn read_until(&self, vb: VBufId, device: usize) -> f64 {
-        self.read_until
-            .get(&(vb.index(), device))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    fn raise(map: &mut HashMap<Slot, f64>, slot: Slot, t: f64) {
-        let e = map.entry(slot).or_insert(0.0);
+    fn raise(map: &mut HashMap<Slot, SimTime>, vb: VBufId, device: usize, t: SimTime) {
+        let e = map.entry((vb.index(), device)).or_insert(0.0);
         if t > *e {
             *e = t;
         }
     }
 
-    /// Record a completed-at-`end` copy of `vb` from `src` into `dst`.
-    fn note_copy(&mut self, vb: VBufId, src: usize, dst: usize, end: f64) {
-        Self::raise(&mut self.ready_at, (vb.index(), dst), end);
-        Self::raise(&mut self.read_until, (vb.index(), src), end);
+    /// Event edges of a read-sync copy: the producer launch of these
+    /// bytes on the source (RAW) and in-flight readers of the
+    /// destination's instance (WAR).
+    pub(crate) fn copy_edges(&self, c: &PlanCopy) -> [SimTime; 2] {
+        [
+            Self::edge(&self.ready_at, c.vb, c.src_dev),
+            Self::edge(&self.read_until, c.vb, c.dst_gpu),
+        ]
     }
 
-    /// Record a kernel on `device` finishing at `end` that read `vb`.
-    fn note_kernel_read(&mut self, vb: VBufId, device: usize, end: f64) {
-        Self::raise(&mut self.read_until, (vb.index(), device), end);
+    /// Record copy `c` completing at `end`. `token` is the destination
+    /// stream's event token after the copy was queued, when functional
+    /// byte effects are deferred to the streams: the copy is then an
+    /// in-flight *reader* of its source instance.
+    pub(crate) fn note_copy(&mut self, c: &PlanCopy, end: SimTime, token: Option<u64>) {
+        Self::raise(&mut self.ready_at, c.vb, c.dst_gpu, end);
+        Self::raise(&mut self.read_until, c.vb, c.src_dev, end);
+        if let Some(token) = token {
+            self.readers
+                .entry((c.vb.index(), c.src_dev))
+                .or_default()
+                .push((c.dst_gpu, token));
+        }
     }
 
-    /// Record a kernel on `device` finishing at `end` that wrote `vb`.
-    fn note_kernel_write(&mut self, vb: VBufId, device: usize, end: f64) {
-        Self::raise(&mut self.ready_at, (vb.index(), device), end);
+    /// Event edges of a partition launch on `gpu`, into `deps`: the
+    /// incoming copies of every buffer it reads and in-flight readers of
+    /// every buffer it writes. Returns the in-flight functional readers
+    /// of its write buffers' instances on `gpu`, as `(reader device,
+    /// event token)` — the launch must cross-stream-wait on each so the
+    /// copy's snapshot precedes the overwrite.
+    pub(crate) fn launch_edges(
+        &mut self,
+        plan: &LaunchPlan,
+        gpu: usize,
+        deps: &mut Vec<SimTime>,
+    ) -> Vec<(usize, u64)> {
+        deps.clear();
+        deps.extend(
+            plan.read_bufs
+                .iter()
+                .map(|b| Self::edge(&self.ready_at, *b, gpu)),
+        );
+        let mut waits = Vec::new();
+        for b in &plan.write_bufs {
+            deps.push(Self::edge(&self.read_until, *b, gpu));
+            // Readers are only ever recorded on streamed functional
+            // machines; everywhere else this skips the hashing.
+            if !self.readers.is_empty() {
+                waits.extend(self.readers.remove(&(b.index(), gpu)).unwrap_or_default());
+            }
+        }
+        waits
     }
 
-    fn record_reader(&mut self, vb: VBufId, src: usize, dst: usize, token: u64) {
-        self.readers
-            .entry((vb.index(), src))
-            .or_default()
-            .push((dst, token));
+    /// Record a partition launch of `plan` on `gpu` finishing at `end`.
+    pub(crate) fn note_launch(&mut self, plan: &LaunchPlan, gpu: usize, end: SimTime) {
+        for b in &plan.write_bufs {
+            Self::raise(&mut self.ready_at, *b, gpu, end);
+        }
+        for b in &plan.read_bufs {
+            Self::raise(&mut self.read_until, *b, gpu, end);
+        }
     }
 
-    fn take_readers(&mut self, vb: VBufId, device: usize) -> Vec<(usize, u64)> {
-        self.readers
-            .remove(&(vb.index(), device))
-            .unwrap_or_default()
+    /// Add the replayed `plan`, whose last partition launch finishes at
+    /// `launched`, to the window (a plan with no copies and no launches
+    /// adds nothing). Yields the completion times of the launches that
+    /// no longer fit in a window of `depth` — the host blocks on each.
+    pub(crate) fn push(
+        &mut self,
+        plan: &LaunchPlan,
+        launched: SimTime,
+        depth: usize,
+    ) -> impl Iterator<Item = SimTime> + '_ {
+        if !(plan.copies.is_empty() && plan.launches.is_empty()) {
+            // Copies with no kernel after them must still be covered by
+            // the window join.
+            let completion = plan.copies.iter().fold(launched, |t, c| {
+                t.max(Self::edge(&self.ready_at, c.vb, c.dst_gpu))
+            });
+            self.in_flight.push_back(completion);
+        }
+        let excess = self.in_flight.len().saturating_sub(depth);
+        self.in_flight.drain(..excess)
     }
 
     /// True when an in-flight operation may still be writing `vb` on
@@ -150,14 +195,8 @@ impl Pipeline {
 
     /// Drop all window state, returning the latest in-flight completion
     /// time (if any) for the caller to join the host clock to.
-    fn drain(&mut self) -> Option<f64> {
-        let latest = self
-            .in_flight
-            .iter()
-            .copied()
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |a| a.max(t)))
-            });
+    fn drain(&mut self) -> Option<SimTime> {
+        let latest = self.in_flight.iter().copied().reduce(SimTime::max);
         self.in_flight.clear();
         self.ready_at.clear();
         self.read_until.clear();
@@ -183,149 +222,5 @@ impl MgpuRuntime {
     /// [`MgpuRuntime::machine_mut`], observing the depth does not flush.
     pub fn pipeline_depth(&self) -> usize {
         self.pipeline.depth()
-    }
-
-    /// Replay a captured plan through the launch-ahead pipeline instead
-    /// of eagerly: copies go to the copy-engine clocks with event-edge
-    /// dependencies, launches wait only on *their* incoming data, and
-    /// the whole launch joins the in-flight window. Counters, tracker
-    /// updates and host charges are identical to the eager
-    /// `replay_plan` — only the device-clock schedule differs.
-    pub(crate) fn replay_plan_pipelined(
-        &mut self,
-        ck: &CompiledKernel,
-        block: Dim3,
-        args: &[crate::LaunchArg],
-        plan: &LaunchPlan,
-    ) -> Result<()> {
-        self.machine.note_plan_hit();
-        if plan.replica_hits > 0 {
-            self.machine
-                .note_replica_hits(plan.replica_hits, plan.replica_saved_bytes);
-        }
-        if plan.mayread_fetch_bytes > 0 {
-            self.machine
-                .note_mayread(plan.mayread_fetch_bytes, plan.mayread_overfetch_bytes);
-        }
-        let cost = self.machine.spec().host_per_replay;
-        self.machine.charge_host(cost, TimeCat::Pattern);
-        let replica = self.config.replica_coherence;
-        // Functional WAR ordering only matters when byte effects are
-        // deferred to the streams; serial/perf machines need no tokens.
-        let track_events = self.machine.is_functional() && self.machine.is_streamed();
-
-        // ---- read-sync copies, on the copy engines -----------------------
-        for c in &plan.copies {
-            let src = self.buffers[c.vb.index()].instances[c.src_dev];
-            let dst = self.buffers[c.vb.index()].instances[c.dst_gpu];
-            let off = to_usize(c.start, "copy offset")?;
-            let run = to_usize(c.end - c.start, "copy length")?;
-            let deps = [
-                // RAW: the producer launch of these bytes on the source.
-                self.pipeline.ready_at(c.vb, c.src_dev),
-                // WAR: in-flight readers of the destination's instance.
-                self.pipeline.read_until(c.vb, c.dst_gpu),
-            ];
-            let end = if c.count <= 1 {
-                self.machine
-                    .copy_d2d_pipelined(src, off, dst, off, run, &deps)?
-            } else {
-                // A captured strided group (column halo of a rectangular
-                // tile): one DMA transaction on the copy engine.
-                self.machine.copy_d2d_strided_pipelined(
-                    src,
-                    dst,
-                    off,
-                    run,
-                    to_usize(c.stride, "copy stride")?,
-                    to_usize(c.count, "copy count")?,
-                    &deps,
-                )?
-            };
-            if track_events {
-                let token = self.machine.stream_mark(c.dst_gpu);
-                self.pipeline
-                    .record_reader(c.vb, c.src_dev, c.dst_gpu, token);
-            }
-            self.pipeline.note_copy(c.vb, c.src_dev, c.dst_gpu, end);
-            self.buffers[c.vb.index()].d2d_in_bytes += (c.end - c.start) * c.count;
-            if replica {
-                for r in 0..c.count {
-                    let s = c.start + r * c.stride;
-                    self.buffers[c.vb.index()].tracker.add_holder(
-                        s,
-                        s + (c.end - c.start),
-                        c.dst_gpu,
-                    );
-                }
-            }
-        }
-
-        // ---- partition launches, gated on their event edges ---------------
-        let mut completion: f64 = 0.0;
-        let mut has_work = !plan.copies.is_empty();
-        let mut deps: Vec<f64> = Vec::new();
-        for l in &plan.launches {
-            deps.clear();
-            for b in &plan.read_bufs {
-                deps.push(self.pipeline.ready_at(*b, l.gpu));
-            }
-            for b in &plan.write_bufs {
-                deps.push(self.pipeline.read_until(*b, l.gpu));
-                if track_events {
-                    for (reader, token) in self.pipeline.take_readers(*b, l.gpu) {
-                        self.machine.stream_wait_cross(l.gpu, reader, token);
-                    }
-                }
-            }
-            // Buffer positions re-resolved from the live args — plans
-            // are namespace-local and portable across tenant runtimes.
-            let sim_args = self.resolve_sim_args(l, args);
-            let end = self.machine.launch_pipelined(
-                l.gpu,
-                &ck.partitioned,
-                &sim_args,
-                l.grid,
-                block,
-                Some(l.traffic),
-                &deps,
-            )?;
-            for b in &plan.write_bufs {
-                self.pipeline.note_kernel_write(*b, l.gpu, end);
-            }
-            for b in &plan.read_bufs {
-                self.pipeline.note_kernel_read(*b, l.gpu, end);
-            }
-            completion = completion.max(end);
-            has_work = true;
-        }
-        // Copies with no kernel after them must still be covered by the
-        // window join.
-        for c in &plan.copies {
-            completion = completion.max(self.pipeline.ready_at(c.vb, c.dst_gpu));
-        }
-
-        // ---- deferred tracker commit: advance at submit -------------------
-        let mut invalidated = 0usize;
-        for u in &plan.updates {
-            self.buffers[u.vb.index()].kernel_written = true;
-            invalidated += self.buffers[u.vb.index()]
-                .tracker
-                .update(u.start, u.end, Owner::Device(u.gpu))
-                .invalidated;
-            debug_assert!(self.buffers[u.vb.index()].tracker.check_invariants());
-        }
-        self.machine.note_replica_invalidations(invalidated as u64);
-
-        // ---- depth-limited window -----------------------------------------
-        if has_work {
-            self.pipeline.in_flight.push_back(completion);
-            while self.pipeline.depth() > self.config.launch_ahead as usize {
-                if let Some(t) = self.pipeline.in_flight.pop_front() {
-                    self.machine.join_host(t);
-                }
-            }
-        }
-        Ok(())
     }
 }

@@ -17,7 +17,7 @@
 //! and the next launch simply misses and re-captures.
 
 use crate::vbuf::VBufId;
-use mekong_gpusim::machine::SimArg;
+use mekong_gpusim::SimArg;
 use mekong_kernel::{Dim3, Value};
 
 /// One launch argument reduced to its cache-key form.
@@ -76,7 +76,8 @@ pub struct PlanKey {
 /// bytes later (same offsets both sides). `count == 1` is a plain
 /// contiguous copy; `count > 1` is a `cudaMemcpy2D`-style strided DMA —
 /// the column-halo shape of a rectangular tiling — replayed as **one**
-/// link transaction ([`mekong_gpusim::Machine::copy_d2d_strided`]).
+/// link transaction ([`mekong_gpusim::Backend::copy_d2d`] with
+/// [`mekong_gpusim::CopyRuns`] of `count` runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCopy {
     pub vb: VBufId,

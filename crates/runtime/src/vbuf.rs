@@ -101,12 +101,6 @@ pub struct RuntimeConfig {
     /// decision. Measured transfer traffic feeds back for online
     /// refinement. Off by default — the paper's fixed heuristic.
     pub autotune: bool,
-    /// Refuse multi-partition launches whose effective split axis lacks
-    /// a static write-disjointness proof (mekong-check). On by default —
-    /// the sound behaviour. Off downgrades the refusal to a counted
-    /// warning (`OpCounters::checked_rejected`), for experiments that
-    /// knowingly run unproven partitionings.
-    pub enforce_partition_safety: bool,
     /// Replica-aware coherence (MSI-style validity sets, see
     /// [`crate::tracker`]): read-sync copies record the destination as a
     /// valid holder, later reads served by a local replica skip the
@@ -122,12 +116,6 @@ pub struct RuntimeConfig {
     /// sync and launch phases). Only plan-cache *hits* pipeline; misses,
     /// uncaptured launches and H2D/D2H always flush the window first.
     pub launch_ahead: u32,
-    /// Let the autotuner consider 2-D rectangular grid tilings (X×Y
-    /// device lattices with perimeter-priced halos) in addition to 1-D
-    /// slab splits. A tiling is only enumerable when *both* of its axes
-    /// carry a static write-disjointness proof. On by default; off
-    /// restores the slab-only search space for the A10 ablation.
-    pub enumerate_tilings: bool,
     /// Maximum number of captured launch plans the plan cache holds
     /// before least-recently-used eviction kicks in (`0` = unbounded).
     /// The default is generous — a single app's working set is a handful
@@ -145,10 +133,8 @@ impl Default for RuntimeConfig {
             coalesce_transfers: true,
             capture_plans: false,
             autotune: false,
-            enforce_partition_safety: true,
             replica_coherence: true,
             launch_ahead: 2,
-            enumerate_tilings: true,
             plan_cache_capacity: 1024,
         }
     }
@@ -212,11 +198,11 @@ pub struct TunerReport {
 /// The multi-GPU runtime: owns the machine and all virtual buffers, and
 /// provides the CUDA Runtime API replacements (§8.4).
 pub struct MgpuRuntime {
-    /// The executor behind the runtime: the simulated multi-GPU machine,
-    /// the host CPU backend, or any other [`Backend`]. Every copy and
-    /// launch — eager and pipelined — dispatches through the trait;
-    /// trackers, validity sets and plan capture/replay above this line
-    /// are backend-agnostic.
+    /// The executor behind the runtime: the simulated machine (GPUs,
+    /// host sockets or both) or a [`Backend`] wrapped around it. Every
+    /// copy and launch — eager and pipelined — dispatches through the
+    /// trait; trackers, validity sets and plan capture/replay above this
+    /// line are backend-agnostic.
     pub(crate) machine: Box<dyn Backend>,
     pub(crate) buffers: Vec<VirtualBuffer>,
     pub(crate) config: RuntimeConfig,
@@ -244,9 +230,8 @@ pub struct MgpuRuntime {
 }
 
 impl MgpuRuntime {
-    /// Wrap a machine-level executor — [`mekong_gpusim::Machine`] for
-    /// simulated (or mixed CPU+GPU) devices, [`mekong_gpusim::CpuBackend`]
-    /// for pure-host execution.
+    /// Wrap a machine-level executor — [`mekong_gpusim::Machine`], whose
+    /// device slots are simulated GPUs, host CPU sockets or a mix.
     pub fn new(machine: impl Backend + 'static) -> MgpuRuntime {
         MgpuRuntime::from_boxed(Box::new(machine))
     }
@@ -477,53 +462,87 @@ impl MgpuRuntime {
     /// across all devices (§8.2); mismatches against later kernels' read
     /// patterns are corrected by buffer synchronization before launch.
     pub fn memcpy_h2d(&mut self, dst: VBufId, src: &[u8]) -> Result<()> {
+        self.h2d(dst, Some(src), false)
+    }
+
+    /// Performance-mode H2D: same linear distribution, tracker updates and
+    /// timing as [`MgpuRuntime::memcpy_h2d`], but without host payload
+    /// (paper-scale buffers need not exist in host memory).
+    pub fn memcpy_h2d_sim(&mut self, dst: VBufId) -> Result<()> {
+        self.h2d(dst, None, false)
+    }
+
+    /// `cudaMemcpyAsync(…, HostToDevice)` replacement. Our H2D already
+    /// issues per-device copies back-to-back; the async variant simply
+    /// does not join the host clock to the last device — callers must
+    /// synchronize before reusing the host buffer, exactly like CUDA.
+    pub fn memcpy_h2d_async(&mut self, dst: VBufId, src: &[u8]) -> Result<()> {
+        self.h2d(dst, Some(src), true)
+    }
+
+    /// The linear H2D distribution behind the three `memcpy_h2d*` entry
+    /// points; `payload` is `None` in performance mode.
+    fn h2d(&mut self, dst: VBufId, payload: Option<&[u8]>, async_: bool) -> Result<()> {
         self.check_live(dst)?;
         self.pipeline_flush();
-        let vb = &self.buffers[dst.index()];
-        if src.len() != vb.len {
+        let n = self.n_devices();
+        let vb = &mut self.buffers[dst.index()];
+        let got = payload.map_or(vb.len, <[u8]>::len);
+        if got != vb.len {
             return Err(RuntimeError::SizeMismatch {
                 expected: vb.len,
-                got: src.len(),
+                got,
             });
         }
-        let n = self.n_devices();
         let elem = vb.elem_size;
         let total_elems = vb.len / elem;
         let base = total_elems / n;
         let rem = total_elems % n;
+        let seg_cost = self.machine.spec().host_per_segment;
         let mut start_elem = 0usize;
-        let instances = vb.instances.clone();
-        for (d, &inst) in instances.iter().enumerate() {
+        for d in 0..n {
             let len_elems = base + usize::from(d < rem);
             let (s, e) = (start_elem * elem, (start_elem + len_elems) * elem);
             start_elem += len_elems;
             if s == e {
                 continue;
             }
-            self.machine.copy_h2d(&src[s..e], inst, s, false)?;
-            let stats =
-                self.buffers[dst.index()]
-                    .tracker
-                    .update(s as u64, e as u64, Owner::Device(d));
-            self.machine
-                .note_replica_invalidations(stats.invalidated as u64);
-            let seg_cost = self.machine.spec().host_per_segment;
+            let inst = vb.instances[d];
+            match payload {
+                Some(src) => self.machine.copy_h2d(&src[s..e], inst, s, async_)?,
+                None => self.machine.copy_h2d_timed(inst, s, e - s, async_)?,
+            }
+            let stats = vb.tracker.update(s as u64, e as u64, Owner::Device(d));
+            self.machine.counters_mut().replica_invalidations += stats.invalidated as u64;
             self.machine.charge_host(seg_cost, TimeCat::Pattern);
         }
-        self.buffers[dst.index()].kernel_written = false;
-        debug_assert!(self.buffers[dst.index()].tracker.check_invariants());
+        vb.kernel_written = false;
+        debug_assert!(vb.tracker.check_invariants());
         Ok(())
     }
 
     /// `cudaMemcpy(…, DeviceToHost)` replacement: an n:1 gather driven by
     /// the tracker (§8.2).
     pub fn memcpy_d2h(&mut self, src: VBufId, dst: &mut [u8]) -> Result<()> {
+        self.d2h(src, Some(dst))
+    }
+
+    /// Performance-mode D2H: tracker-driven gather without a host
+    /// destination.
+    pub fn memcpy_d2h_sim(&mut self, src: VBufId) -> Result<()> {
+        self.d2h(src, None)
+    }
+
+    /// The tracker-driven gather behind both `memcpy_d2h*` entry points;
+    /// `out` is `None` in performance mode.
+    fn d2h(&mut self, src: VBufId, mut out: Option<&mut [u8]>) -> Result<()> {
         self.check_live(src)?;
         let vb = &self.buffers[src.index()];
-        if dst.len() != vb.len {
+        let got = out.as_ref().map_or(vb.len, |dst| dst.len());
+        if got != vb.len {
             return Err(RuntimeError::SizeMismatch {
                 expected: vb.len,
-                got: dst.len(),
+                got,
             });
         }
         // A gather of a buffer no in-flight launch or halo copy still
@@ -536,14 +555,20 @@ impl MgpuRuntime {
         }
         let vb = &self.buffers[src.index()];
         let plan = Self::d2h_gather_plan(vb, self.config.replica_coherence);
-        let instances = vb.instances.clone();
         let seg_cost = self.machine.spec().host_per_segment * plan.len() as f64;
         self.machine.charge_host(seg_cost, TimeCat::Pattern);
         for (d, s, e) in plan {
+            let inst = vb.instances[d];
             let s_us = crate::to_usize(s, "gather offset")?;
             let e_us = crate::to_usize(e, "gather end")?;
-            self.machine
-                .copy_d2h(instances[d], s_us, &mut dst[s_us..e_us], false)?;
+            match &mut out {
+                Some(dst) => self
+                    .machine
+                    .copy_d2h(inst, s_us, &mut dst[s_us..e_us], false)?,
+                None => self
+                    .machine
+                    .copy_d2h_timed(inst, s_us, e_us - s_us, false)?,
+            }
         }
         Ok(())
     }
@@ -575,111 +600,12 @@ impl MgpuRuntime {
         plan
     }
 
-    /// Performance-mode H2D: same linear distribution, tracker updates and
-    /// timing as [`MgpuRuntime::memcpy_h2d`], but without host payload
-    /// (paper-scale buffers need not exist in host memory).
-    pub fn memcpy_h2d_sim(&mut self, dst: VBufId) -> Result<()> {
-        self.check_live(dst)?;
-        self.pipeline_flush();
-        let vb = &self.buffers[dst.index()];
-        let n = self.n_devices();
-        let elem = vb.elem_size;
-        let total_elems = vb.len / elem;
-        let base = total_elems / n;
-        let rem = total_elems % n;
-        let mut start_elem = 0usize;
-        let instances = vb.instances.clone();
-        for (d, &inst) in instances.iter().enumerate() {
-            let len_elems = base + usize::from(d < rem);
-            let (s, e) = (start_elem * elem, (start_elem + len_elems) * elem);
-            start_elem += len_elems;
-            if s == e {
-                continue;
-            }
-            self.machine.copy_h2d_timed(inst, s, e - s, false)?;
-            let stats =
-                self.buffers[dst.index()]
-                    .tracker
-                    .update(s as u64, e as u64, Owner::Device(d));
-            self.machine
-                .note_replica_invalidations(stats.invalidated as u64);
-            let seg_cost = self.machine.spec().host_per_segment;
-            self.machine.charge_host(seg_cost, TimeCat::Pattern);
-        }
-        self.buffers[dst.index()].kernel_written = false;
-        Ok(())
-    }
-
-    /// Performance-mode D2H: tracker-driven gather without a host
-    /// destination.
-    pub fn memcpy_d2h_sim(&mut self, src: VBufId) -> Result<()> {
-        self.check_live(src)?;
-        // Same cold-buffer bypass as `memcpy_d2h`.
-        if self.pipeline.writes_in_flight(src) {
-            self.pipeline_flush();
-        }
-        let vb = &self.buffers[src.index()];
-        let plan = Self::d2h_gather_plan(vb, self.config.replica_coherence);
-        let instances = vb.instances.clone();
-        let seg_cost = self.machine.spec().host_per_segment * plan.len() as f64;
-        self.machine.charge_host(seg_cost, TimeCat::Pattern);
-        for (d, s, e) in plan {
-            let s_us = crate::to_usize(s, "gather offset")?;
-            let len = crate::to_usize(e - s, "gather length")?;
-            self.machine
-                .copy_d2h_timed(instances[d], s_us, len, false)?;
-        }
-        Ok(())
-    }
-
     /// `cudaMemcpy(…, DeviceToDevice)` replacement: unsupported, as in
     /// the paper (§8.2).
     pub fn memcpy_d2d(&mut self, _src: VBufId, _dst: VBufId) -> Result<()> {
         Err(RuntimeError::Unsupported(
             "device-to-device memcpy (paper §8.2)",
         ))
-    }
-
-    /// `cudaMemcpyAsync(…, HostToDevice)` replacement. Our H2D already
-    /// issues per-device copies back-to-back; the async variant simply
-    /// does not join the host clock to the last device — callers must
-    /// synchronize before reusing the host buffer, exactly like CUDA.
-    pub fn memcpy_h2d_async(&mut self, dst: VBufId, src: &[u8]) -> Result<()> {
-        self.check_live(dst)?;
-        self.pipeline_flush();
-        let vb = &self.buffers[dst.index()];
-        if src.len() != vb.len {
-            return Err(RuntimeError::SizeMismatch {
-                expected: vb.len,
-                got: src.len(),
-            });
-        }
-        let n = self.n_devices();
-        let elem = vb.elem_size;
-        let total_elems = vb.len / elem;
-        let base = total_elems / n;
-        let rem = total_elems % n;
-        let mut start_elem = 0usize;
-        let instances = vb.instances.clone();
-        for (d, &inst) in instances.iter().enumerate() {
-            let len_elems = base + usize::from(d < rem);
-            let (s, e) = (start_elem * elem, (start_elem + len_elems) * elem);
-            start_elem += len_elems;
-            if s == e {
-                continue;
-            }
-            self.machine.copy_h2d(&src[s..e], inst, s, true)?;
-            let stats =
-                self.buffers[dst.index()]
-                    .tracker
-                    .update(s as u64, e as u64, Owner::Device(d));
-            self.machine
-                .note_replica_invalidations(stats.invalidated as u64);
-            let seg_cost = self.machine.spec().host_per_segment;
-            self.machine.charge_host(seg_cost, TimeCat::Pattern);
-        }
-        self.buffers[dst.index()].kernel_written = false;
-        Ok(())
     }
 
     /// `cudaDeviceSynchronize` replacement: synchronizes **all** devices
@@ -717,7 +643,7 @@ impl MgpuRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mekong_gpusim::{Machine, MachineSpec};
+    use mekong_gpusim::{CopyRuns, Machine, MachineSpec};
 
     fn runtime(n: usize) -> MgpuRuntime {
         MgpuRuntime::new(Machine::new(MachineSpec::kepler_system(n), true))
@@ -769,7 +695,9 @@ mod tests {
             rt.buffers[b.index()].instances[0],
             rt.buffers[b.index()].instances[1],
         );
-        rt.machine.copy_d2d(i1, 200, i0, 200, 200).unwrap();
+        rt.machine
+            .copy_d2d(i1, i0, CopyRuns::contiguous(200, 200, 200), None)
+            .unwrap();
         rt.machine.sync_all();
         rt.buffers[b.index()].tracker.add_holder(200, 400, 0);
         // Replica-aware gather: one copy, sourced entirely from device 0.

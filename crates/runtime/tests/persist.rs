@@ -66,20 +66,26 @@ fn copy_strategy() -> impl Strategy<Value = PlanCopy> {
         0usize..8,
         0u32..u32::MAX,
         0u32..u32::MAX,
-        // Contiguous (stride 0 / count 1) and strided row-block copies.
-        prop_oneof![Just((0u64, 1u64)), (1u64..1 << 20, 2u64..64)],
+        // Contiguous (one run, stride unused) and strided row-block
+        // copies, whose runs sit `gap` bytes apart — a stride below the
+        // run length is rejected at load.
+        prop_oneof![
+            Just((None, 1u64)),
+            (0u64..1 << 20, 2u64..64).prop_map(|(g, n)| (Some(g), n))
+        ],
     )
-        .prop_map(
-            |(vb, dst_gpu, src_dev, start, len, (stride, count))| PlanCopy {
+        .prop_map(|(vb, dst_gpu, src_dev, start, len, (gap, count))| {
+            let run = len as u64 + 1;
+            PlanCopy {
                 vb: VBufId::with_namespace(0, vb),
                 dst_gpu,
                 src_dev,
                 start: start as u64,
-                end: start as u64 + len as u64 + 1,
-                stride,
+                end: start as u64 + run,
+                stride: gap.map_or(0, |g| run + g),
                 count,
-            },
-        )
+            }
+        })
 }
 
 fn sim_arg_strategy() -> impl Strategy<Value = SimArg> {

@@ -229,7 +229,7 @@ fn intersect(a: &[(u64, u64)], b: &[(u64, u64)]) -> (u64, Vec<(u64, u64)>) {
 /// A maximal arithmetic progression of equally-sized, equally-spaced
 /// byte runs — the column-halo shape of a rectangular tiling. The
 /// runtime moves each group as **one** strided DMA transaction
-/// (`cudaMemcpy2D`-style; see `Machine::copy_d2d_strided`), so the
+/// (`cudaMemcpy2D`-style; see [`mekong_gpusim::CopyRuns`]), so the
 /// cost model prices one link latency per group, not per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StridedGroup {

@@ -1,12 +1,13 @@
-//! Cross-backend differential tests: every workload, run through the
+//! Cross-class differential tests: every workload, run through the
 //! identical runtime op sequence, must produce *byte-identical* output
-//! on a pure sim-GPU machine, on the rayon host-CPU backend, and on a
-//! mixed CPU+GPU machine — all backends execute kernels through the
-//! same block-parallel interpreter, so any byte of divergence is a
-//! backend bug, not numerics. The CPU reference stays the semantic
-//! anchor via each workload's `verify` tolerance.
+//! on a machine of sim-GPU slots, of host-CPU-socket slots, and of both
+//! mixed — every device class executes kernels through the same
+//! block-parallel interpreter, so any byte of divergence is a bug in
+//! the partitioning or the copy schedule, not numerics. The CPU
+//! reference stays the semantic anchor via each workload's `verify`
+//! tolerance.
 
-use mekong_gpusim::{CpuBackend, Machine, MachineSpec};
+use mekong_gpusim::{Machine, MachineSpec};
 use mekong_workloads::{benchmarks, extra_benchmarks, Benchmark};
 use proptest::prelude::*;
 
@@ -16,34 +17,32 @@ fn all_workloads() -> Vec<Box<dyn Benchmark>> {
     v
 }
 
-/// The three executors under test for a `(gpus, cpus)` shape.
+fn bytes_on(b: &dyn Benchmark, spec: MachineSpec) -> Vec<u8> {
+    b.verify_output(Box::new(Machine::new(spec, true)))
+}
+
+/// The three machines under test for a `(gpus, cpus)` shape.
 fn gpu_bytes(b: &dyn Benchmark, gpus: usize) -> Vec<u8> {
-    b.verify_output(Box::new(Machine::new(
-        MachineSpec::kepler_system(gpus),
-        true,
-    )))
+    bytes_on(b, MachineSpec::kepler_system(gpus))
 }
 
 fn cpu_bytes(b: &dyn Benchmark, sockets: usize) -> Vec<u8> {
-    b.verify_output(Box::new(CpuBackend::system(sockets, true)))
+    bytes_on(b, MachineSpec::cpu_system(sockets))
 }
 
 fn mixed_bytes(b: &dyn Benchmark, gpus: usize, cpus: usize) -> Vec<u8> {
-    b.verify_output(Box::new(Machine::new(
-        MachineSpec::hybrid_system(gpus, cpus),
-        true,
-    )))
+    bytes_on(b, MachineSpec::hybrid_system(gpus, cpus))
 }
 
 /// The acceptance shape: all six workloads byte-identical on
-/// CpuBackend-only, sim-GPU-only and mixed 1 CPU + 2 GPUs.
+/// CPU-sockets-only, sim-GPU-only and mixed 1 CPU + 2 GPUs.
 #[test]
 fn all_workloads_agree_across_backends() {
     for b in all_workloads() {
         let gpu = gpu_bytes(b.as_ref(), 3);
         let cpu = cpu_bytes(b.as_ref(), 3);
         let mixed = mixed_bytes(b.as_ref(), 2, 1);
-        assert_eq!(gpu, cpu, "{}: CpuBackend diverged from sim-GPU", b.name());
+        assert_eq!(gpu, cpu, "{}: host sockets diverged from sim-GPU", b.name());
         assert_eq!(gpu, mixed, "{}: mixed machine diverged", b.name());
         // And the shared bytes match the CPU reference (workload-specific
         // tolerance via verify).
@@ -52,7 +51,7 @@ fn all_workloads_agree_across_backends() {
 }
 
 proptest! {
-    // Each case runs one workload on three backends; keep the case count
+    // Each case runs one workload on three machines; keep the case count
     // small so the suite stays fast while still varying the shapes.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -70,7 +69,7 @@ proptest! {
         prop_assert_eq!(
             &gpu,
             &cpu_bytes(b, gpus),
-            "{}: CpuBackend({}) diverged", b.name(), gpus
+            "{}: cpu_system({}) diverged", b.name(), gpus
         );
         prop_assert_eq!(
             &gpu,

@@ -142,59 +142,22 @@ fn bench_enumerator_runtime(c: &mut Criterion) {
 /// wall-clock win A6 measures end-to-end.
 fn bench_launch_replay(c: &mut Criterion) {
     use mekong_gpusim::Machine;
+    use mekong_workloads::{Benchmark, Hotspot};
     let mut g = c.benchmark_group("launch");
-    let program = compile_source(mekong_workloads::hotspot::SOURCE).unwrap();
-    let ck = program.kernel("hotspot").unwrap();
-    let n = 2048usize;
-    let (grid, block) = mekong_workloads::hotspot::geometry(n);
     for (label, capture) in [("replay_on", true), ("replay_off", false)] {
-        let mut rt = MgpuRuntime::new(Machine::new(MachineSpec::kepler_system(4), false));
-        rt.set_config(RuntimeConfig {
+        let cfg = RuntimeConfig {
             capture_plans: capture,
             ..RuntimeConfig::beta()
-        });
-        let a = rt.malloc(n * n * 4, 4).unwrap();
-        let b = rt.malloc(n * n * 4, 4).unwrap();
-        let p = rt.malloc(n * n * 4, 4).unwrap();
-        for buf in [a, b, p] {
-            rt.memcpy_h2d_sim(buf).unwrap();
-        }
-        let (mut src, mut dst) = (a, b);
+        };
+        let machine = Machine::new(MachineSpec::kepler_system(4), false);
+        let mut p = Hotspot.describe(2048).prepare(Box::new(machine), cfg);
         // Warm up past the two ping-pong phases so `replay_on` measures
         // pure hits.
-        for _ in 0..4 {
-            rt.launch(
-                ck,
-                grid,
-                block,
-                &[
-                    LaunchArg::Scalar(Value::I64(n as i64)),
-                    LaunchArg::Scalar(Value::F32(mekong_workloads::hotspot::CAP)),
-                    LaunchArg::Buf(src),
-                    LaunchArg::Buf(p),
-                    LaunchArg::Buf(dst),
-                ],
-            )
-            .unwrap();
-            std::mem::swap(&mut src, &mut dst);
-        }
+        p.steps(4);
         g.bench_function(format!("hotspot_steady_state_{label}"), |bch| {
             bch.iter(|| {
-                rt.launch(
-                    ck,
-                    grid,
-                    block,
-                    &[
-                        LaunchArg::Scalar(Value::I64(n as i64)),
-                        LaunchArg::Scalar(Value::F32(mekong_workloads::hotspot::CAP)),
-                        LaunchArg::Buf(src),
-                        LaunchArg::Buf(p),
-                        LaunchArg::Buf(dst),
-                    ],
-                )
-                .unwrap();
-                std::mem::swap(&mut src, &mut dst);
-                black_box(src)
+                p.step();
+                black_box(p.buffer(0))
             })
         });
     }

@@ -28,32 +28,13 @@
 //!
 //! Emits `BENCH_backend.json`.
 
-use mekong_bench::BenchArgs;
+use crate::harness::{prepare, write_report, BenchArgs, Case, GateResult};
 use mekong_core::prelude::*;
-use mekong_workloads::harness::RunOutcome;
-use mekong_workloads::{hotspot, nbody, Benchmark};
+use mekong_workloads::{Benchmark, Hotspot, NBody, RunOutcome};
 use serde::Serialize;
 
-type StepFn = Box<dyn FnMut(&mut MgpuRuntime)>;
-
-/// A constructed workload instance on some backend: runtime with
-/// uploaded buffers plus a closure performing one iteration.
-struct Prepared {
-    rt: MgpuRuntime,
-    step: StepFn,
-}
-
 struct Bench {
-    name: &'static str,
-    n_full: usize,
-    n_quick: usize,
-    /// Iterations to absorb the initial redistribution before the
-    /// steady-state measurement window.
-    warmup: usize,
-    measure_full: usize,
-    measure_quick: usize,
-    make: fn(Box<dyn Backend>, RuntimeConfig, usize) -> Prepared,
-    workload: fn() -> Box<dyn Benchmark>,
+    case: Case,
     /// Must the tuner pick weighted shares on the mixed machine?
     /// (Only where the transfer bill is layout-invariant; see the
     /// module docs.)
@@ -63,90 +44,26 @@ struct Bench {
     expect_cpu_slower: bool,
 }
 
-fn make_hotspot(machine: Box<dyn Backend>, cfg: RuntimeConfig, n: usize) -> Prepared {
-    let program = compile_source(hotspot::SOURCE).expect("hotspot compiles");
-    let ck = program.kernel("hotspot").unwrap().clone();
-    let (grid, block) = hotspot::geometry(n);
-    let bytes = n * n * 4;
-    let mut rt = MgpuRuntime::from_boxed(machine);
-    rt.set_config(cfg);
-    let a = rt.malloc(bytes, 4).unwrap();
-    let b = rt.malloc(bytes, 4).unwrap();
-    let p = rt.malloc(bytes, 4).unwrap();
-    for buf in [a, b, p] {
-        rt.memcpy_h2d_sim(buf).unwrap();
-    }
-    let args = move |src, dst| {
-        vec![
-            LaunchArg::Scalar(Value::I64(n as i64)),
-            LaunchArg::Scalar(Value::F32(hotspot::CAP)),
-            LaunchArg::Buf(src),
-            LaunchArg::Buf(p),
-            LaunchArg::Buf(dst),
-        ]
-    };
-    let (mut src, mut dst) = (a, b);
-    let step: StepFn = Box::new(move |rt| {
-        rt.launch(&ck, grid, block, &args(src, dst))
-            .expect("hotspot launch");
-        std::mem::swap(&mut src, &mut dst);
-    });
-    Prepared { rt, step }
-}
-
-fn make_nbody(machine: Box<dyn Backend>, cfg: RuntimeConfig, n: usize) -> Prepared {
-    let program = compile_source(nbody::SOURCE).expect("nbody compiles");
-    let ck = program.kernel("nbody").unwrap().clone();
-    let (grid, block) = nbody::geometry(n);
-    let bytes = n * 4 * 4;
-    let mut rt = MgpuRuntime::from_boxed(machine);
-    rt.set_config(cfg);
-    let a = rt.malloc(bytes, 4).unwrap();
-    let b = rt.malloc(bytes, 4).unwrap();
-    let v = rt.malloc(bytes, 4).unwrap();
-    rt.memcpy_h2d_sim(a).unwrap();
-    rt.memcpy_h2d_sim(v).unwrap();
-    let args = move |src, dst| {
-        vec![
-            LaunchArg::Scalar(Value::I64(n as i64)),
-            LaunchArg::Scalar(Value::F32(nbody::DT)),
-            LaunchArg::Scalar(Value::F32(nbody::EPS)),
-            LaunchArg::Buf(src),
-            LaunchArg::Buf(v),
-            LaunchArg::Buf(dst),
-        ]
-    };
-    let (mut src, mut dst) = (a, b);
-    let step: StepFn = Box::new(move |rt| {
-        rt.launch(&ck, grid, block, &args(src, dst))
-            .expect("nbody launch");
-        std::mem::swap(&mut src, &mut dst);
-    });
-    Prepared { rt, step }
-}
-
 const BENCHES: &[Bench] = &[
     Bench {
-        name: "hotspot",
-        n_full: 2048,
-        n_quick: 512,
-        warmup: 3,
-        measure_full: 12,
-        measure_quick: 4,
-        make: make_hotspot,
-        workload: || Box::new(mekong_workloads::Hotspot),
+        case: Case {
+            name: "hotspot",
+            workload: &Hotspot,
+            n: (2048, 512),
+            warmup: 3,
+            measure: (12, 4),
+        },
         expect_weighted: false,
         expect_cpu_slower: false,
     },
     Bench {
-        name: "nbody",
-        n_full: 65_536,
-        n_quick: 8_192,
-        warmup: 2,
-        measure_full: 8,
-        measure_quick: 3,
-        make: make_nbody,
-        workload: || Box::new(mekong_workloads::NBody),
+        case: Case {
+            name: "nbody",
+            workload: &NBody,
+            n: (65_536, 8_192),
+            warmup: 2,
+            measure: (8, 3),
+        },
         expect_weighted: true,
         expect_cpu_slower: true,
     },
@@ -177,7 +94,6 @@ struct WorkloadReport {
 
 #[derive(Serialize)]
 struct Report {
-    quick: bool,
     gpus: usize,
     cpu_sockets: usize,
     workloads: Vec<WorkloadReport>,
@@ -190,26 +106,30 @@ fn prediction_error(o: &RunOutcome) -> f64 {
         / (o.tuner_measured_bytes as f64).max(1.0)
 }
 
-/// Run `iters` iterations, returning the outcome plus the chosen
-/// strategy's share vector normalized to fractions (even splits report
-/// `1/k` each; weighted splits the proportional weights).
-fn run(prep: Prepared, iters: usize) -> (RunOutcome, Vec<f64>) {
-    let Prepared { mut rt, mut step } = prep;
-    for _ in 0..iters {
-        step(&mut rt);
-    }
-    rt.synchronize();
-    let shares = rt
-        .tuner()
-        .entries()
-        .next()
-        .map(|(_, e)| {
-            let s = &e.strategy().shares;
-            let total: f64 = s.iter().sum();
-            s.iter().map(|w| w / total).collect()
-        })
-        .unwrap_or_default();
-    (RunOutcome::from_runtime(&rt), shares)
+/// A tuned performance run of `iters` iterations on `spec`, returning
+/// the outcome plus the chosen strategy's share vector normalized to
+/// fractions (even splits report `1/k` each; weighted splits the
+/// proportional weights).
+fn run_tuned(
+    b: &dyn Benchmark,
+    n: usize,
+    spec: MachineSpec,
+    iters: usize,
+) -> (RunOutcome, Vec<f64>) {
+    let mut p = prepare(b, n, spec, false, RuntimeConfig::tuned());
+    p.steps(iters);
+    p.rt.synchronize();
+    let shares =
+        p.rt.tuner()
+            .entries()
+            .next()
+            .map(|(_, e)| {
+                let s = &e.strategy().shares;
+                let total: f64 = s.iter().sum();
+                s.iter().map(|w| w / total).collect()
+            })
+            .unwrap_or_default();
+    (RunOutcome::from_runtime(&p.rt), shares)
 }
 
 fn row(executor: &str, o: &RunOutcome, shares: &[f64]) -> ExecRow {
@@ -240,42 +160,32 @@ fn row(executor: &str, o: &RunOutcome, shares: &[f64]) -> ExecRow {
     }
 }
 
-fn main() {
-    let args = BenchArgs::parse();
+pub fn run(args: &BenchArgs) -> GateResult {
     let (gpus, cpus) = (2usize, 1usize);
 
     println!("Ablation A13: Backend trait — GPU-only vs CPU-only vs mixed CPU+GPU");
     let mut workloads = Vec::new();
-    for bench in BENCHES {
-        let n = if args.quick {
-            bench.n_quick
-        } else {
-            bench.n_full
-        };
-        let measure = if args.quick {
-            bench.measure_quick
-        } else {
-            bench.measure_full
-        };
-        let iters = bench.warmup + measure;
+    for Bench {
+        case: bench,
+        expect_weighted,
+        expect_cpu_slower,
+    } in BENCHES
+    {
+        let n = args.pick(bench.n.0, bench.n.1);
+        let iters = bench.warmup + args.pick(bench.measure.0, bench.measure.1);
 
         // Functional equivalence across backends (small fixed-size
         // instances in functional mode, independent of `n`).
-        let w = (bench.workload)();
-        let gpu_out = w.verify_output(Box::new(Machine::new(
+        let w = bench.workload;
+        let [gpu_out, cpu_out, mixed_out] = [
             MachineSpec::kepler_system(gpus + cpus),
-            true,
-        )));
-        let cpu_out = w.verify_output(Box::new(Machine::new(
             MachineSpec::cpu_system(gpus + cpus),
-            true,
-        )));
-        let mixed_out = w.verify_output(Box::new(Machine::new(
             MachineSpec::hybrid_system(gpus, cpus),
-            true,
-        )));
+        ]
+        .map(|spec| w.verify_output(Box::new(Machine::new(spec, true))));
         let byte_identical = gpu_out == cpu_out && gpu_out == mixed_out;
-        assert!(
+        gate!(
+            "a13.backends-byte-identical",
             byte_identical,
             "{}: backends disagree on output bytes",
             bench.name
@@ -294,30 +204,9 @@ fn main() {
             "measured [B/l]",
             "pred err"
         );
-        let (gpu, gpu_shares) = run(
-            (bench.make)(
-                Box::new(Machine::new(MachineSpec::kepler_system(gpus), false)),
-                RuntimeConfig::tuned(),
-                n,
-            ),
-            iters,
-        );
-        let (cpu, cpu_shares) = run(
-            (bench.make)(
-                Box::new(Machine::new(MachineSpec::cpu_system(2), false)),
-                RuntimeConfig::tuned(),
-                n,
-            ),
-            iters,
-        );
-        let (mixed, mixed_shares) = run(
-            (bench.make)(
-                Box::new(Machine::new(MachineSpec::hybrid_system(gpus, cpus), false)),
-                RuntimeConfig::tuned(),
-                n,
-            ),
-            iters,
-        );
+        let (gpu, gpu_shares) = run_tuned(w, n, MachineSpec::kepler_system(gpus), iters);
+        let (cpu, cpu_shares) = run_tuned(w, n, MachineSpec::cpu_system(2), iters);
+        let (mixed, mixed_shares) = run_tuned(w, n, MachineSpec::hybrid_system(gpus, cpus), iters);
 
         let rows = vec![
             row(&format!("gpu:{gpus}"), &gpu, &gpu_shares),
@@ -328,30 +217,34 @@ fn main() {
         // Every executor must have consulted the tuner and recorded a
         // choice — the per-class pricing ran, whatever it picked.
         for (o, who) in [(&gpu, "gpu"), (&cpu, "cpu"), (&mixed, "mixed")] {
-            assert!(
+            gate!(
+                "a13.tuner-consulted",
                 o.strategy_chosen.is_some(),
                 "{}: no tuner decision recorded on the {who} executor",
                 bench.name
             );
         }
         let mixed_strategy = mixed.strategy_chosen.clone().unwrap_or_default();
-        if bench.expect_weighted {
-            assert!(
+        if *expect_weighted {
+            gate!(
+                "a13.mixed-picks-weighted",
                 mixed_strategy.ends_with(":w"),
                 "{}: expected weighted shares on the mixed machine, got {mixed_strategy:?}",
                 bench.name
             );
             // The host socket (last device) gets a real but strictly
             // smallest sliver of the grid.
-            let cpu_share = *mixed_shares.last().unwrap();
-            assert!(
+            let cpu_share = mixed_shares.last().copied().unwrap_or(0.0);
+            gate!(
+                "a13.cpu-share-smallest",
                 cpu_share > 0.0 && mixed_shares[..gpus].iter().all(|&g| g > cpu_share),
                 "{}: CPU share must be the smallest non-zero share: {mixed_shares:?}",
                 bench.name
             );
             // Layout-invariant transfers also mean the decision-time
             // prediction must track the measured steady state.
-            assert!(
+            gate!(
+                "a13.mixed-prediction-within-10pct",
                 prediction_error(&mixed) <= 0.10,
                 "{}: mixed prediction off by {:.0}%",
                 bench.name,
@@ -359,15 +252,14 @@ fn main() {
             );
         }
         let slowdown = cpu.elapsed / gpu.elapsed;
-        if bench.expect_cpu_slower {
-            assert!(
-                slowdown > 1.0,
-                "{}: CPU-only should be slower than GPU-only ({} vs {})",
-                bench.name,
-                cpu.elapsed,
-                gpu.elapsed
-            );
-        }
+        gate!(
+            "a13.cpu-only-slower",
+            !expect_cpu_slower || slowdown > 1.0,
+            "{}: CPU-only should be slower than GPU-only ({} vs {})",
+            bench.name,
+            cpu.elapsed,
+            gpu.elapsed
+        );
         println!(
             "mixed strategy {mixed_strategy}, CPU-only/GPU-only elapsed ratio {slowdown:.2}x, \
              outputs byte-identical"
@@ -385,13 +277,9 @@ fn main() {
     }
 
     let report = Report {
-        quick: args.quick,
         gpus,
         cpu_sockets: 2,
         workloads,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_backend.json", &json).expect("write BENCH_backend.json");
-    println!();
-    println!("wrote BENCH_backend.json");
+    write_report(args, "backend", &report)
 }

@@ -8,12 +8,11 @@
 //! cost nothing) is exactly the free-redistribution oracle, so α−β
 //! isolates what the distribution mismatch costs.
 
-use mekong_bench::BenchArgs;
+use crate::harness::{BenchArgs, GateResult};
 use mekong_runtime::RuntimeConfig;
 use mekong_workloads::{Benchmark, Matmul};
 
-fn main() {
-    let args = BenchArgs::parse();
+pub fn run(args: &BenchArgs) -> GateResult {
     println!("Ablation A1: Matmul — default linear distribution vs free-redistribution oracle.");
     println!();
     println!(
@@ -39,4 +38,5 @@ fn main() {
     println!();
     println!("The redistribution share grows with the device count and is what caps");
     println!("Matmul's scalability (paper: max 6.3x at 14 GPUs).");
+    Ok(())
 }

@@ -14,13 +14,12 @@
 //! partitioning approach), the NVLink rows should push the saturation
 //! points out — which is exactly what happens.
 
-use mekong_bench::BenchArgs;
+use crate::harness::{BenchArgs, GateResult};
 use mekong_gpusim::MachineSpec;
 use mekong_runtime::RuntimeConfig;
 use mekong_workloads::benchmarks;
 
-fn main() {
-    let args = BenchArgs::parse();
+pub fn run(args: &BenchArgs) -> GateResult {
     println!("Ablation A4: PCIe-tree vs NVLink-class interconnect (medium problems).");
     println!(
         "(speedups over the same single-GPU reference; iteration scale {:.3})",
@@ -61,4 +60,5 @@ fn main() {
     }
     println!("\nSame silicon, same toolchain — only the interconnect changes. The gap");
     println!("quantifies how much of Figure 6's saturation is the PCIe-era fabric.");
+    Ok(())
 }

@@ -21,11 +21,12 @@
 //! costs one transfer latency per *element* without coalescing, and one
 //! per *source device* with it.
 
+use crate::harness::{BenchArgs, GateResult};
 use mekong_core::prelude::*;
-use mekong_gpusim::{Machine, OpCounters};
+use mekong_gpusim::OpCounters;
 use mekong_kernel::builder::*;
 use mekong_kernel::Kernel;
-use mekong_workloads::blur::{geometry, SOURCE};
+use mekong_workloads::{Benchmark, Blur};
 use std::time::Instant;
 
 struct Run {
@@ -36,62 +37,28 @@ struct Run {
     output: Vec<u8>,
 }
 
-fn run_blur(label: &'static str, streamed: bool, coalesce: bool) -> Run {
-    let n = 512usize;
-    let iters = 3;
-    let program = compile_source(SOURCE).expect("blur compiles");
-    let row = program.kernel("blur_row").unwrap();
-    let col = program.kernel("blur_col").unwrap();
-    let (grid, block) = geometry(n);
-    let bytes = n * n * 4;
-
+fn run_engine(label: &'static str, streamed: bool, coalesce: bool) -> Run {
     let mut machine = Machine::new(MachineSpec::kepler_system(4), true);
     machine.set_streamed(streamed);
-    let mut rt = MgpuRuntime::new(machine);
-    rt.set_config(RuntimeConfig {
+    let cfg = RuntimeConfig {
         coalesce_transfers: coalesce,
         ..RuntimeConfig::alpha()
-    });
-
-    let a = rt.malloc(bytes, 4).unwrap();
-    let tmp = rt.malloc(bytes, 4).unwrap();
-    let img: Vec<u8> = (0..n * n)
-        .flat_map(|i| (((i * 41) % 211) as f32).to_le_bytes())
-        .collect();
+    };
+    let mut p = Blur.describe(512).prepare(Box::new(machine), cfg);
     let t0 = Instant::now();
-    rt.memcpy_h2d(a, &img).unwrap();
-    let n_arg = LaunchArg::Scalar(Value::I64(n as i64));
-    for _ in 0..iters {
-        rt.launch(
-            row,
-            grid,
-            block,
-            &[n_arg, LaunchArg::Buf(a), LaunchArg::Buf(tmp)],
-        )
-        .expect("blur_row launch");
-        rt.launch(
-            col,
-            grid,
-            block,
-            &[n_arg, LaunchArg::Buf(tmp), LaunchArg::Buf(a)],
-        )
-        .expect("blur_col launch");
-    }
-    rt.synchronize();
-    let mut output = vec![0u8; bytes];
-    rt.memcpy_d2h(a, &mut output).unwrap();
+    let output = p.run(3).concat();
     Run {
         label,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        elapsed: rt.elapsed(),
-        counters: rt.machine().counters(),
+        elapsed: p.rt.elapsed(),
+        counters: p.rt.machine().counters(),
         output,
     }
 }
 
 /// Strided scatter + whole-buffer gather: (d2d copies, sync seconds) of
 /// the gather phase.
-fn run_fragmented(coalesce: bool) -> (u64, f64) {
+fn run_fragmented(coalesce: bool) -> GateResult<(u64, f64)> {
     let scatter = Kernel {
         name: "stride_scatter".into(),
         params: vec![
@@ -168,20 +135,24 @@ fn run_fragmented(coalesce: bool) -> (u64, f64) {
     )
     .expect("gather launch");
     rt.synchronize();
-    assert!(fragments > n / 2, "tracker must be fragmented: {fragments}");
-    (
+    gate!(
+        "a5b.tracker-fragmented",
+        fragments > n / 2,
+        "tracker must be fragmented: {fragments}"
+    );
+    Ok((
         rt.machine().counters().d2d_copies - before,
         rt.elapsed() - t0,
-    )
+    ))
 }
 
-fn main() {
+pub fn run(_args: &BenchArgs) -> GateResult {
     println!("Ablation A5a: execution engine (blur 512x512, 3 iters, 4 functional GPUs)");
     println!();
     let runs = [
-        run_blur("serial", false, false),
-        run_blur("streamed", true, false),
-        run_blur("streamed+coalesced", true, true),
+        run_engine("serial", false, false),
+        run_engine("streamed", true, false),
+        run_engine("streamed+coalesced", true, true),
     ];
     println!(
         "{:>20} {:>12} {:>14} {:>10} {:>10}",
@@ -198,20 +169,30 @@ fn main() {
         );
     }
     let [serial, streamed, coalesced] = &runs;
-    assert_eq!(
-        serial.output, streamed.output,
+    gate!(
+        "a5a.streaming-keeps-output",
+        serial.output == streamed.output,
         "streaming must not change results"
     );
-    assert_eq!(
-        serial.output, coalesced.output,
+    gate!(
+        "a5a.coalescing-keeps-output",
+        serial.output == coalesced.output,
         "coalescing must not change results"
     );
-    assert_eq!(
-        serial.elapsed, streamed.elapsed,
+    gate_eq!(
+        "a5a.streaming-keeps-sim-clock",
+        serial.elapsed,
+        streamed.elapsed,
         "timing is charged at enqueue: streams must not move the simulated clock"
     );
-    assert_eq!(serial.counters, streamed.counters);
-    assert!(
+    gate_eq!(
+        "a5a.streaming-keeps-counters",
+        serial.counters,
+        streamed.counters,
+        "streams must not change any counter"
+    );
+    gate!(
+        "a5a.coalescing-not-slower",
         coalesced.elapsed <= serial.elapsed,
         "coalescing can only remove latency terms: {} vs {}",
         coalesced.elapsed,
@@ -224,8 +205,8 @@ fn main() {
     println!();
     println!("Ablation A5b: fragmented-tracker gather (strided scatter, n=8192, 4 GPUs)");
     println!();
-    let (copies_plain, time_plain) = run_fragmented(false);
-    let (copies_coalesced, time_coalesced) = run_fragmented(true);
+    let (copies_plain, time_plain) = run_fragmented(false)?;
+    let (copies_coalesced, time_coalesced) = run_fragmented(true)?;
     println!(
         "{:>20} {:>12} {:>14}",
         "transfers", "d2d copies", "sync [ms]"
@@ -242,13 +223,15 @@ fn main() {
         copies_coalesced,
         time_coalesced * 1e3
     );
-    assert!(
+    gate!(
+        "a5b.coalescing-cuts-copies",
         copies_coalesced < copies_plain,
-        "coalescing must reduce the copy count"
+        "coalescing must reduce the copy count: {copies_plain} -> {copies_coalesced}"
     );
-    assert!(
+    gate!(
+        "a5b.coalescing-not-slower",
         time_coalesced <= time_plain,
-        "fewer latencies cannot be slower"
+        "fewer latencies cannot be slower: {time_plain} -> {time_coalesced}"
     );
     println!();
     println!(
@@ -259,4 +242,5 @@ fn main() {
         "sync time x{:.4} (one link latency per device instead of per element).",
         time_coalesced / time_plain
     );
+    Ok(())
 }

@@ -32,11 +32,13 @@
 //!
 //! Emits `BENCH_tiling.json`.
 
-use mekong_bench::BenchArgs;
+use crate::harness::{
+    capturing, force_all, measure, prepare, write_report, BenchArgs, Case, GateResult,
+};
 use mekong_core::prelude::*;
 use mekong_gpusim::LinkSpec;
 use mekong_runtime::PartitionStrategy;
-use mekong_workloads::{blur, hotspot};
+use mekong_workloads::{Blur, Hotspot};
 use serde::Serialize;
 
 /// Direct-peer switched fabric: same device silicon as the Kepler
@@ -51,134 +53,20 @@ fn switched_fabric(n: usize) -> MachineSpec {
     spec
 }
 
-type StepFn = Box<dyn FnMut(&mut MgpuRuntime)>;
-
-struct Site {
-    ck: CompiledKernel,
-    grid: Dim3,
-    block: Dim3,
-    args: Vec<LaunchArg>,
-}
-
-struct Prepared {
-    rt: MgpuRuntime,
-    step: StepFn,
-    sites: Vec<Site>,
-}
-
-fn make_hotspot(spec: MachineSpec, cfg: RuntimeConfig, n: usize) -> Prepared {
-    let program = compile_source(hotspot::SOURCE).expect("hotspot compiles");
-    let ck = program.kernel("hotspot").unwrap().clone();
-    let (grid, block) = hotspot::geometry(n);
-    let bytes = n * n * 4;
-    let mut rt = MgpuRuntime::new(Machine::new(spec, false));
-    rt.set_config(cfg);
-    let a = rt.malloc(bytes, 4).unwrap();
-    let b = rt.malloc(bytes, 4).unwrap();
-    let p = rt.malloc(bytes, 4).unwrap();
-    for buf in [a, b, p] {
-        rt.memcpy_h2d_sim(buf).unwrap();
-    }
-    let args = move |src, dst| {
-        vec![
-            LaunchArg::Scalar(Value::I64(n as i64)),
-            LaunchArg::Scalar(Value::F32(hotspot::CAP)),
-            LaunchArg::Buf(src),
-            LaunchArg::Buf(p),
-            LaunchArg::Buf(dst),
-        ]
-    };
-    let sites = vec![Site {
-        ck: ck.clone(),
-        grid,
-        block,
-        args: args(a, b),
-    }];
-    let (mut src, mut dst) = (a, b);
-    let step: StepFn = Box::new(move |rt| {
-        rt.launch(&ck, grid, block, &args(src, dst))
-            .expect("hotspot launch");
-        std::mem::swap(&mut src, &mut dst);
-    });
-    Prepared { rt, step, sites }
-}
-
-fn make_blur(spec: MachineSpec, cfg: RuntimeConfig, n: usize) -> Prepared {
-    let program = compile_source(blur::SOURCE).expect("blur compiles");
-    let row = program.kernel("blur_row").unwrap().clone();
-    let col = program.kernel("blur_col").unwrap().clone();
-    let (grid, block) = blur::geometry(n);
-    let bytes = n * n * 4;
-    let mut rt = MgpuRuntime::new(Machine::new(spec, false));
-    rt.set_config(cfg);
-    let a = rt.malloc(bytes, 4).unwrap();
-    let tmp = rt.malloc(bytes, 4).unwrap();
-    rt.memcpy_h2d_sim(a).unwrap();
-    let n_arg = LaunchArg::Scalar(Value::I64(n as i64));
-    let sites = vec![
-        Site {
-            ck: row.clone(),
-            grid,
-            block,
-            args: vec![n_arg, LaunchArg::Buf(a), LaunchArg::Buf(tmp)],
-        },
-        Site {
-            ck: col.clone(),
-            grid,
-            block,
-            args: vec![n_arg, LaunchArg::Buf(tmp), LaunchArg::Buf(a)],
-        },
-    ];
-    let step: StepFn = Box::new(move |rt| {
-        rt.launch(
-            &row,
-            grid,
-            block,
-            &[n_arg, LaunchArg::Buf(a), LaunchArg::Buf(tmp)],
-        )
-        .expect("blur_row launch");
-        rt.launch(
-            &col,
-            grid,
-            block,
-            &[n_arg, LaunchArg::Buf(tmp), LaunchArg::Buf(a)],
-        )
-        .expect("blur_col launch");
-    });
-    Prepared { rt, step, sites }
-}
-
-struct Bench {
-    name: &'static str,
-    kernels: &'static [&'static str],
-    n_full: usize,
-    n_quick: usize,
-    warmup: usize,
-    measure_full: usize,
-    measure_quick: usize,
-    make: fn(MachineSpec, RuntimeConfig, usize) -> Prepared,
-}
-
-const BENCHES: &[Bench] = &[
-    Bench {
+const BENCHES: &[Case] = &[
+    Case {
         name: "hotspot",
-        kernels: &["hotspot"],
-        n_full: 2048,
-        n_quick: 512,
+        workload: &Hotspot,
+        n: (2048, 512),
         warmup: 4,
-        measure_full: 12,
-        measure_quick: 4,
-        make: make_hotspot,
+        measure: (12, 4),
     },
-    Bench {
+    Case {
         name: "blur",
-        kernels: &["blur_row", "blur_col"],
-        n_full: 2048,
-        n_quick: 512,
+        workload: &Blur,
+        n: (2048, 512),
         warmup: 4,
-        measure_full: 12,
-        measure_quick: 4,
-        make: make_blur,
+        measure: (12, 4),
     },
 ];
 
@@ -216,7 +104,6 @@ struct FunctionalReport {
 #[derive(Serialize)]
 struct Report {
     gpus: usize,
-    quick: bool,
     fabric_bandwidth: f64,
     fabric_latency: f64,
     fabric_host_staged: bool,
@@ -229,30 +116,22 @@ struct Report {
 /// Returns `(predicted bytes/iter, predicted time, measured bytes/iter,
 /// elapsed secs/iter)`.
 fn evaluate(
-    bench: &Bench,
+    bench: &Case,
     spec: &MachineSpec,
-    cfg: &RuntimeConfig,
+    cfg: RuntimeConfig,
     n: usize,
-    measure: usize,
+    iters: usize,
     strategy: &PartitionStrategy,
 ) -> (u64, f64, u64, f64) {
-    let Prepared {
-        mut rt,
-        mut step,
-        sites,
-    } = (bench.make)(spec.clone(), *cfg, n);
-    for k in bench.kernels {
-        rt.force_strategy(k, strategy.clone());
-    }
-    for _ in 0..bench.warmup {
-        step(&mut rt);
-    }
-    rt.synchronize();
+    let mut p = prepare(bench.workload, n, spec.clone(), false, cfg);
+    force_all(&mut p, strategy);
+    p.steps(bench.warmup);
+    p.rt.synchronize();
     let (mut pred_bytes, mut pred_time) = (0u64, 0.0f64);
-    for site in &sites {
-        let cands = rt
-            .tuner_candidates(&site.ck, site.grid, site.block, &site.args)
-            .expect("candidate enumeration");
+    for site in &p.sites {
+        let cands =
+            p.rt.tuner_candidates(&site.ck, site.grid, site.block, &site.args)
+                .expect("candidate enumeration");
         let own = cands
             .iter()
             .find(|c| c.strategy == *strategy)
@@ -260,14 +139,7 @@ fn evaluate(
         pred_bytes += own.predict.transfer_bytes;
         pred_time += own.predict.total_time();
     }
-    let bytes0 = rt.machine().counters().d2d_bytes;
-    let t0 = rt.elapsed();
-    for _ in 0..measure {
-        step(&mut rt);
-    }
-    rt.synchronize();
-    let moved = (rt.machine().counters().d2d_bytes - bytes0) / measure.max(1) as u64;
-    let per_iter = (rt.elapsed() - t0) / measure.max(1) as f64;
+    let (moved, per_iter) = measure(&mut p, iters);
     (pred_bytes, pred_time, moved, per_iter)
 }
 
@@ -275,63 +147,20 @@ fn evaluate(
 /// chosen tiling must be byte-identical to a single device.
 fn functional_differential(n: usize, iters: usize, strategy: &PartitionStrategy) -> bool {
     let run = |devices: usize, force: Option<&PartitionStrategy>| -> Vec<u8> {
-        let program = compile_source(hotspot::SOURCE).expect("hotspot compiles");
-        let ck = program.kernel("hotspot").unwrap().clone();
-        let (grid, block) = hotspot::geometry(n);
-        let bytes = n * n * 4;
-        let mut rt = MgpuRuntime::new(Machine::new(switched_fabric(devices), true));
-        rt.set_config(RuntimeConfig {
-            capture_plans: true,
-            ..RuntimeConfig::default()
-        });
-        let a = rt.malloc(bytes, 4).unwrap();
-        let b = rt.malloc(bytes, 4).unwrap();
-        let p = rt.malloc(bytes, 4).unwrap();
-        let temp: Vec<u8> = (0..n * n)
-            .flat_map(|i| (300.0 + (i as f32 * 0.37).sin()).to_le_bytes())
-            .collect();
-        let power: Vec<u8> = (0..n * n)
-            .flat_map(|i| (0.1 * (i as f32 * 0.11).cos().abs()).to_le_bytes())
-            .collect();
-        rt.memcpy_h2d(a, &temp).unwrap();
-        rt.memcpy_h2d(b, &temp).unwrap();
-        rt.memcpy_h2d(p, &power).unwrap();
+        let cfg = capturing(RuntimeConfig::default());
+        let mut p = prepare(&Hotspot, n, switched_fabric(devices), true, cfg);
         if let Some(s) = force {
-            rt.force_strategy("hotspot", s.clone());
+            force_all(&mut p, s);
         }
-        let (mut src, mut dst) = (a, b);
-        for _ in 0..iters {
-            rt.launch(
-                &ck,
-                grid,
-                block,
-                &[
-                    LaunchArg::Scalar(Value::I64(n as i64)),
-                    LaunchArg::Scalar(Value::F32(hotspot::CAP)),
-                    LaunchArg::Buf(src),
-                    LaunchArg::Buf(p),
-                    LaunchArg::Buf(dst),
-                ],
-            )
-            .expect("hotspot launch");
-            std::mem::swap(&mut src, &mut dst);
-        }
-        rt.synchronize();
-        let mut out = vec![0u8; bytes];
-        rt.memcpy_d2h(src, &mut out).unwrap();
-        out
+        p.run(iters).concat()
     };
     run(1, None) == run(4, Some(strategy))
 }
 
-fn main() {
-    let args = BenchArgs::parse();
+pub fn run(args: &BenchArgs) -> GateResult {
     let gpus = 4usize;
     let spec = switched_fabric(gpus);
-    let cfg = RuntimeConfig {
-        capture_plans: true,
-        ..RuntimeConfig::alpha()
-    };
+    let cfg = capturing(RuntimeConfig::alpha());
 
     println!(
         "Ablation A10: rectangular tilings vs slabs ({gpus} perf GPUs, switched fabric \
@@ -343,41 +172,31 @@ fn main() {
     let mut workloads = Vec::new();
     let mut hotspot_tiled: Option<PartitionStrategy> = None;
     for bench in BENCHES {
-        let n = if args.quick {
-            bench.n_quick
-        } else {
-            bench.n_full
-        };
-        let measure = if args.quick {
-            bench.measure_quick
-        } else {
-            bench.measure_full
-        };
+        let n = args.pick(bench.n.0, bench.n.1);
+        let iters = args.pick(bench.measure.0, bench.measure.1);
 
         // The candidate set does not depend on tracker state — grab it
         // from a fresh instance.
-        let fresh = (bench.make)(spec.clone(), cfg, n);
-        let strategies: Vec<PartitionStrategy> = {
-            let site = &fresh.sites[0];
-            fresh
-                .rt
-                .tuner_candidates(&site.ck, site.grid, site.block, &site.args)
-                .expect("candidate enumeration")
-                .into_iter()
-                .map(|c| c.strategy)
-                .collect()
-        };
+        let fresh = prepare(bench.workload, n, spec.clone(), false, cfg);
+        let site = &fresh.sites[0];
+        let strategies: Vec<PartitionStrategy> = fresh
+            .rt
+            .tuner_candidates(&site.ck, site.grid, site.block, &site.args)
+            .expect("candidate enumeration")
+            .into_iter()
+            .map(|c| c.strategy)
+            .collect();
         drop(fresh);
 
         println!();
-        println!("{} (n = {n}, {measure} measured iterations)", bench.name);
+        println!("{} (n = {n}, {iters} measured iterations)", bench.name);
         println!(
             "{:>10} {:>18} {:>18} {:>14} {:>14}",
             "strategy", "predicted [B/it]", "measured [B/it]", "pred time [ms]", "meas time [ms]"
         );
         let mut rows = Vec::new();
         for strategy in &strategies {
-            let (pb, pt, mb, mt) = evaluate(bench, &spec, &cfg, n, measure, strategy);
+            let (pb, pt, mb, mt) = evaluate(bench, &spec, cfg, n, iters, strategy);
             println!(
                 "{:>10} {:>18} {:>18} {:>14.4} {:>14.4}",
                 strategy.describe(),
@@ -398,13 +217,13 @@ fn main() {
 
         let chosen_idx = (0..rows.len())
             .min_by(|&a, &b| rows[a].predicted_time.total_cmp(&rows[b].predicted_time))
-            .unwrap();
-        let slab_idx = (0..rows.len())
-            .filter(|&i| !rows[i].tiled)
-            .min_by(|&a, &b| rows[a].predicted_time.total_cmp(&rows[b].predicted_time))
-            .unwrap();
+            .expect("at least one candidate");
+        let slab = rows
+            .iter()
+            .filter(|r| !r.tiled)
+            .min_by(|a, b| a.predicted_time.total_cmp(&b.predicted_time))
+            .expect("slabs are always enumerated");
         let chosen = &rows[chosen_idx];
-        let slab = &rows[slab_idx];
         let err = (chosen.predicted_bytes_per_iter as f64 - chosen.measured_bytes_per_iter as f64)
             .abs()
             / (chosen.measured_bytes_per_iter as f64).max(1.0);
@@ -419,18 +238,21 @@ fn main() {
         );
 
         if bench.name == "hotspot" {
-            assert!(
+            gate!(
+                "a10a.hotspot-picks-tiling",
                 chosen.tiled,
                 "hotspot on the switched fabric must choose a 2-D tiling, got {}",
                 chosen.strategy
             );
-            assert!(
+            gate!(
+                "a10a.tiling-moves-fewer-bytes",
                 chosen.measured_bytes_per_iter < slab.measured_bytes_per_iter,
                 "tiling must move fewer halo bytes than the best slab: {} vs {}",
                 chosen.measured_bytes_per_iter,
                 slab.measured_bytes_per_iter
             );
-            assert!(
+            gate!(
+                "a10a.perimeter-prediction-within-15pct",
                 err <= 0.15,
                 "perimeter prediction out of the ±15% band: predicted {} measured {}",
                 chosen.predicted_bytes_per_iter,
@@ -442,7 +264,7 @@ fn main() {
         workloads.push(WorkloadReport {
             name: bench.name.to_string(),
             n,
-            measured_iters: measure,
+            measured_iters: iters,
             chosen: chosen.strategy.clone(),
             chosen_is_tiled: chosen.tiled,
             best_slab: slab.strategy.clone(),
@@ -454,8 +276,8 @@ fn main() {
 
     // Part B: byte-identical functional replay under the chosen tiling.
     let tiled = hotspot_tiled.expect("hotspot ran");
-    let n_fn = if args.quick { 192 } else { 384 };
-    let iters_fn = if args.quick { 6 } else { 10 };
+    let n_fn = args.pick(384, 192);
+    let iters_fn = args.pick(10, 6);
     let identical = functional_differential(n_fn, iters_fn, &tiled);
     println!();
     println!(
@@ -463,14 +285,14 @@ fn main() {
          {identical}",
         tiled.describe()
     );
-    assert!(
+    gate!(
+        "a10b.lattice-byte-identical",
         identical,
         "2-D tiling must be byte-identical to the single-device run"
     );
 
     let report = Report {
         gpus,
-        quick: args.quick,
         fabric_bandwidth: spec.link.bandwidth,
         fabric_latency: spec.link.latency,
         fabric_host_staged: spec.link.host_staged,
@@ -482,8 +304,5 @@ fn main() {
             identical,
         },
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_tiling.json", &json).expect("write BENCH_tiling.json");
-    println!();
-    println!("wrote BENCH_tiling.json");
+    write_report(args, "tiling", &report)
 }

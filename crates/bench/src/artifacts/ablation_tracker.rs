@@ -8,10 +8,11 @@
 //! 2. A synthetic scaling study of the tracker data structure itself:
 //!    wall-clock cost of `update` + `query` at increasing fragmentation.
 
+use crate::harness::{BenchArgs, GateResult};
 use mekong_runtime::{Owner, Tracker};
 use std::time::Instant;
 
-fn main() {
+pub fn run(_args: &BenchArgs) -> GateResult {
     println!("Ablation A2a: Hotspot tracker fragmentation at steady state.");
     println!();
     println!("{:>5} {:>22}", "GPUs", "segments (temp buffer)");
@@ -38,7 +39,11 @@ fn main() {
                 t.update(s, e, Owner::Device(g as usize));
             }
         }
-        assert!(t.check_invariants());
+        gate!(
+            "tracker-invariants",
+            t.check_invariants(),
+            "{gpus} GPUs: segments out of order or overlapping"
+        );
         println!("{:>5} {:>22}", gpus, t.segment_count());
     }
 
@@ -85,4 +90,5 @@ fn main() {
     println!();
     println!("B-tree-backed segments keep both operations effectively O(log segments)");
     println!("(paper §8.1), so regular kernels see constant per-launch tracker cost.");
+    Ok(())
 }

@@ -5,9 +5,10 @@
 //! We measure our two-pass pipeline against the single-pass baseline
 //! (parse + validate) for each workload.
 
+use crate::harness::{BenchArgs, GateResult};
 use mekong_workloads::benchmarks;
 
-fn main() {
+pub fn run(_args: &BenchArgs) -> GateResult {
     println!("Compile-time overhead of the two-pass pipeline (vs single-pass baseline).");
     println!();
     println!(
@@ -49,4 +50,5 @@ fn main() {
     println!("Paper: 1.9x - 2.2x over one full gpucc invocation. Our `vs 1-pass` column");
     println!("is the comparable ratio (total pipeline over one full pass); the `ratio`");
     println!("column uses a parse-only baseline and is expected to run much higher.");
+    Ok(())
 }

@@ -1,13 +1,10 @@
 //! Figure 6: speedup of the benchmarks for up to 16 GPUs, three problem
 //! sizes each, relative to the single-GPU reference binary.
-//!
-//! Usage: `fig6 [--quick] [--iter-scale X] [--gpus 1,2,4,...]`
 
-use mekong_bench::{row, BenchArgs};
+use crate::harness::{row, BenchArgs, GateResult};
 use mekong_workloads::{benchmarks, SizeClass};
 
-fn main() {
-    let args = BenchArgs::parse();
+pub fn run(args: &BenchArgs) -> GateResult {
     println!("Figure 6: Speedup of the benchmarks for up to 16 GPUs.");
     println!(
         "(iteration scale {:.3}; speedup = t_reference / t_partitioned)",
@@ -45,4 +42,5 @@ fn main() {
     println!(
         "\nPaper reference points: Hotspot ~7.1x @ 14, N-Body ~12.4x @ 16, Matmul ~6.3x @ 14."
     );
+    Ok(())
 }

@@ -7,12 +7,10 @@
 //!
 //! giving `T_app = γ/α`, `T_transfers = (α−β)/α`, `T_patterns = (β−γ)/α`.
 
-use mekong_bench::BenchArgs;
-use mekong_runtime::RuntimeConfig;
+use crate::harness::{alpha_beta_gamma, BenchArgs, GateResult};
 use mekong_workloads::benchmarks;
 
-fn main() {
-    let args = BenchArgs::parse();
+pub fn run(args: &BenchArgs) -> GateResult {
     println!("Figure 7: Breakdown of the execution time of transformed applications.");
     println!(
         "(medium problem size; iteration scale {:.3})",
@@ -31,9 +29,7 @@ fn main() {
             if g < 2 {
                 continue;
             }
-            let alpha = b.mgpu_run(n, iters, g, RuntimeConfig::alpha()).elapsed;
-            let beta = b.mgpu_run(n, iters, g, RuntimeConfig::beta()).elapsed;
-            let gamma = b.mgpu_run(n, iters, g, RuntimeConfig::gamma()).elapsed;
+            let [alpha, beta, gamma] = alpha_beta_gamma(b.as_ref(), n, iters, g);
             let t_app = gamma / alpha;
             let t_transfers = (alpha - beta) / alpha;
             let t_patterns = (beta - gamma) / alpha;
@@ -50,4 +46,5 @@ fn main() {
     }
     println!("Paper: overhead grows with GPU count; transfers dominate it; non-transfer");
     println!("overheads (Patterns) stay below 6.8% across all measurements.");
+    Ok(())
 }

@@ -3,12 +3,10 @@
 //! benchmarks and problem sizes, summarized per GPU count (the paper
 //! shows a box plot; we print the quartiles).
 
-use mekong_bench::{median, percentile, BenchArgs};
-use mekong_runtime::RuntimeConfig;
+use crate::harness::{alpha_beta_gamma, median, percentile, BenchArgs, GateResult};
 use mekong_workloads::{benchmarks, SizeClass};
 
-fn main() {
-    let args = BenchArgs::parse();
+pub fn run(args: &BenchArgs) -> GateResult {
     println!("Figure 8: Overhead of the runtime system (non-transfer overhead fraction).");
     println!(
         "(all benchmarks x sizes; iteration scale {:.3})",
@@ -26,9 +24,7 @@ fn main() {
             let iters = args.iters_for(b.as_ref());
             for class in SizeClass::ALL {
                 let n = b.sizes()[class.index()];
-                let alpha = b.mgpu_run(n, iters, g, RuntimeConfig::alpha()).elapsed;
-                let beta = b.mgpu_run(n, iters, g, RuntimeConfig::beta()).elapsed;
-                let gamma = b.mgpu_run(n, iters, g, RuntimeConfig::gamma()).elapsed;
+                let [alpha, beta, gamma] = alpha_beta_gamma(b.as_ref(), n, iters, g);
                 fractions.push(((beta - gamma) / alpha).max(0.0));
             }
         }
@@ -53,4 +49,5 @@ fn main() {
         100.0 * percentile(&all, 75.0)
     );
     println!("Paper: p25 = 0.001%, median = 0.51%, p75 = 3.5%.");
+    Ok(())
 }

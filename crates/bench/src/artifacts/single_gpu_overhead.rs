@@ -3,12 +3,11 @@
 //! experiments, the slow-down has a median of 2.1%, with a 25th and 75th
 //! percentile of 0.13% and 3.1%."
 
-use mekong_bench::{median, percentile, BenchArgs};
+use crate::harness::{median, percentile, BenchArgs, GateResult};
 use mekong_runtime::RuntimeConfig;
 use mekong_workloads::{benchmarks, SizeClass};
 
-fn main() {
-    let args = BenchArgs::parse();
+pub fn run(args: &BenchArgs) -> GateResult {
     println!("Single-GPU overhead: partitioned binary on one GPU vs reference binary.");
     println!("(iteration scale {:.3})", args.iter_scale);
     println!();
@@ -44,4 +43,5 @@ fn main() {
         100.0 * percentile(&slowdowns, 75.0)
     );
     println!("Paper: p25 = 0.13%, median = 2.1%, p75 = 3.1%.");
+    Ok(())
 }

@@ -1,8 +1,9 @@
 //! Table 1: configurations of the benchmark applications.
 
+use crate::harness::{BenchArgs, GateResult};
 use mekong_workloads::benchmarks;
 
-fn main() {
+pub fn run(_args: &BenchArgs) -> GateResult {
     println!("Table 1: Configurations of the benchmark applications.");
     println!();
     println!(
@@ -25,4 +26,5 @@ fn main() {
             iters
         );
     }
+    Ok(())
 }

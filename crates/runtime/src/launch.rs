@@ -1285,22 +1285,28 @@ impl MgpuRuntime {
                 // another tenant's runtime must not reach this one's
                 // buffer table, even if its local index is in range.
                 self.check_live(*b)?;
-                let mut elems: i64 = 1;
+                let bad_extent = || {
+                    RuntimeError::BadArgument(format!(
+                        "extents of array {} are negative, overflow or name no scalar",
+                        model_arg.name()
+                    ))
+                };
+                let mut expected = elem.size_bytes();
                 for e in extents {
-                    elems *= match e {
-                        Extent::Const(c) => *c,
-                        Extent::Param(p) => {
-                            let idx = ck
-                                .model
-                                .scalar_params
-                                .iter()
-                                .position(|n| n == p)
-                                .expect("extent param exists");
-                            scalars[idx]
-                        }
+                    let extent = match e {
+                        Extent::Const(c) => Some(*c),
+                        Extent::Param(p) => ck
+                            .model
+                            .scalar_params
+                            .iter()
+                            .position(|n| n == p)
+                            .map(|idx| scalars[idx]),
                     };
+                    expected = extent
+                        .and_then(|v| usize::try_from(v).ok())
+                        .and_then(|v| expected.checked_mul(v))
+                        .ok_or_else(bad_extent)?;
                 }
-                let expected = elems as usize * elem.size_bytes();
                 let got = self.buffers[b.index()].len;
                 if expected != got {
                     return Err(RuntimeError::SizeMismatch { expected, got });
@@ -1827,6 +1833,23 @@ mod tests {
             ),
             Err(RuntimeError::SizeMismatch { .. })
         ));
+        // A negative or overflowing extent is a typed error, not a
+        // debug panic or a release wrap-around.
+        for n in [-1, i64::MAX] {
+            assert!(matches!(
+                rt.launch(
+                    &ck,
+                    Dim3::new1(1),
+                    Dim3::new1(32),
+                    &[
+                        LaunchArg::Scalar(Value::I64(n)),
+                        LaunchArg::Buf(a),
+                        LaunchArg::Buf(b),
+                    ],
+                ),
+                Err(RuntimeError::BadArgument(_))
+            ));
+        }
     }
 
     #[test]

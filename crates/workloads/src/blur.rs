@@ -12,9 +12,9 @@
 //! models: the same buffer is synchronized very differently depending on
 //! which kernel reads it next.
 
-use crate::harness::{Benchmark, RunOutcome};
+use crate::app::{f32_bytes, App, Arg, Buffer, Check, Launch};
+use crate::harness::Benchmark;
 use mekong_core::prelude::*;
-use mekong_gpusim::Machine;
 
 /// The blur benchmark (extra, not part of the paper's Table 1).
 pub struct Blur;
@@ -127,6 +127,11 @@ pub fn cpu_reference(n: usize, img: &[f32], iters: usize) -> Vec<f32> {
     cur
 }
 
+/// Seeded input image of side `n`.
+pub fn image(n: usize) -> Vec<f32> {
+    (0..n * n).map(|i| ((i * 41) % 211) as f32).collect()
+}
+
 impl Benchmark for Blur {
     fn name(&self) -> &'static str {
         "Blur"
@@ -144,157 +149,42 @@ impl Benchmark for Blur {
         SOURCE
     }
 
-    fn reference_time(&self, n: usize, iters: usize) -> f64 {
-        let program = mekong_core::compile_source(SOURCE).expect("blur compiles");
-        let row = program.kernel("blur_row").unwrap();
-        let col = program.kernel("blur_col").unwrap();
+    fn describe(&self, n: usize) -> App {
         let (grid, block) = geometry(n);
-        let bytes = n * n * 4;
-        let whole = Partition::whole(grid);
-        let t_row = row.footprint_bytes(&whole, block, grid, &[n as i64]);
-        let t_col = col.footprint_bytes(&whole, block, grid, &[n as i64]);
-        let mut r = SingleGpuRunner::performance();
-        let a = r.machine_mut().alloc(0, bytes).unwrap();
-        let tmp = r.machine_mut().alloc(0, bytes).unwrap();
-        r.machine_mut().copy_h2d_timed(a, 0, bytes, false).unwrap();
-        for _ in 0..iters {
-            r.launch_with_traffic(
-                &row.original,
-                &[
-                    SimArg::Scalar(Value::I64(n as i64)),
-                    SimArg::Buf(a),
-                    SimArg::Buf(tmp),
-                ],
-                grid,
-                block,
-                t_row,
-            );
-            r.launch_with_traffic(
-                &col.original,
-                &[
-                    SimArg::Scalar(Value::I64(n as i64)),
-                    SimArg::Buf(tmp),
-                    SimArg::Buf(a),
-                ],
-                grid,
-                block,
-                t_col,
-            );
+        let pass = |kernel, from, to| Launch {
+            kernel,
+            grid,
+            block,
+            args: vec![Arg::int(n), Arg::Buf(from), Arg::Buf(to)],
+        };
+        App {
+            source: SOURCE,
+            // 0: the image, blurred in place through 1: the row-pass
+            // intermediate.
+            buffers: vec![
+                Buffer::f32_input(n * n, move || image(n)),
+                Buffer::f32_output(n * n),
+            ],
+            launches: vec![pass("blur_row", 0, 1), pass("blur_col", 1, 0)],
+            swap: None,
+            outputs: vec![0],
+            check: Check {
+                n: 64,
+                iters: 3,
+                rel_tol: 1e-2,
+            },
         }
-        r.synchronize();
-        r.machine_mut().copy_d2h_timed(a, 0, bytes, false).unwrap();
-        r.elapsed()
     }
 
-    fn mgpu_run_spec(
-        &self,
-        spec: mekong_gpusim::MachineSpec,
-        n: usize,
-        iters: usize,
-        cfg: RuntimeConfig,
-    ) -> RunOutcome {
-        let program = mekong_core::compile_source(SOURCE).expect("blur compiles");
-        let row = program.kernel("blur_row").unwrap();
-        let col = program.kernel("blur_col").unwrap();
-        let (grid, block) = geometry(n);
-        let bytes = n * n * 4;
-        let mut rt = MgpuRuntime::new(Machine::new(spec, false));
-        rt.set_config(cfg);
-        let a = rt.malloc(bytes, 4).unwrap();
-        let tmp = rt.malloc(bytes, 4).unwrap();
-        rt.memcpy_h2d_sim(a).unwrap();
-        let n_arg = LaunchArg::Scalar(Value::I64(n as i64));
-        for _ in 0..iters {
-            rt.launch(
-                row,
-                grid,
-                block,
-                &[n_arg, LaunchArg::Buf(a), LaunchArg::Buf(tmp)],
-            )
-            .expect("blur_row launch");
-            rt.launch(
-                col,
-                grid,
-                block,
-                &[n_arg, LaunchArg::Buf(tmp), LaunchArg::Buf(a)],
-            )
-            .expect("blur_col launch");
-        }
-        rt.synchronize();
-        rt.memcpy_d2h_sim(a).unwrap();
-        RunOutcome::from_runtime(&rt)
-    }
-
-    fn verify_output(&self, machine: Box<dyn Backend>) -> Vec<u8> {
-        let n = 64usize;
-        let iters = 3;
-        let program = mekong_core::compile_source(SOURCE).expect("blur compiles");
-        let row = program.kernel("blur_row").unwrap();
-        let col = program.kernel("blur_col").unwrap();
-        let (grid, block) = geometry(n);
-        let img: Vec<f32> = (0..n * n).map(|i| ((i * 41) % 211) as f32).collect();
-
-        let mut rt = MgpuRuntime::from_boxed(machine);
-        let bytes = n * n * 4;
-        let a = rt.malloc(bytes, 4).unwrap();
-        let tmp = rt.malloc(bytes, 4).unwrap();
-        let img_b: Vec<u8> = img.iter().flat_map(|v| v.to_le_bytes()).collect();
-        rt.memcpy_h2d(a, &img_b).unwrap();
-        let n_arg = LaunchArg::Scalar(Value::I64(n as i64));
-        for _ in 0..iters {
-            rt.launch(
-                row,
-                grid,
-                block,
-                &[n_arg, LaunchArg::Buf(a), LaunchArg::Buf(tmp)],
-            )
-            .expect("blur_row launch");
-            rt.launch(
-                col,
-                grid,
-                block,
-                &[n_arg, LaunchArg::Buf(tmp), LaunchArg::Buf(a)],
-            )
-            .expect("blur_col launch");
-        }
-        rt.synchronize();
-        let mut out = vec![0u8; bytes];
-        rt.memcpy_d2h(a, &mut out).unwrap();
-        out
-    }
-
-    fn reference_output(&self) -> Vec<u8> {
-        let n = 64usize;
-        let img: Vec<f32> = (0..n * n).map(|i| ((i * 41) % 211) as f32).collect();
-        cpu_reference(n, &img, 3)
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect()
-    }
-
-    fn verify(&self, gpus: usize) -> bool {
-        let out = self.verify_output(Box::new(Machine::new(
-            MachineSpec::kepler_system(gpus),
-            true,
-        )));
-        let got: Vec<f32> = out
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let want: Vec<f32> = self
-            .reference_output()
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        got.iter()
-            .zip(&want)
-            .all(|(g, w)| (g - w).abs() <= 1e-2 * w.abs().max(1.0))
+    fn reference_output(&self, n: usize, iters: usize) -> Vec<u8> {
+        f32_bytes(&cpu_reference(n, &image(n), iters))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mekong_gpusim::Machine;
     use mekong_runtime::RuntimeConfig;
 
     #[test]
@@ -308,45 +198,18 @@ mod tests {
     }
 
     #[test]
-    fn blur_verifies_on_multiple_gpus() {
-        for gpus in [1, 2, 4] {
-            assert!(Blur.verify(gpus), "failed with {gpus} GPUs");
-        }
-    }
-
-    #[test]
     fn row_pass_needs_no_halo_but_col_pass_does() {
-        // Run one iteration on 4 GPUs and split the d2d traffic by pass:
-        // measure a run with only row passes vs a full run.
-        let program = mekong_core::compile_source(SOURCE).unwrap();
-        let row = program.kernel("blur_row").unwrap();
-        let (grid, block) = geometry(2048);
-        let bytes = 2048 * 2048 * 4;
-        let mut rt = MgpuRuntime::new(Machine::new(MachineSpec::kepler_system(4), false));
-        let a = rt.malloc(bytes, 4).unwrap();
-        let tmp = rt.malloc(bytes, 4).unwrap();
-        rt.memcpy_h2d_sim(a).unwrap();
-        let n_arg = LaunchArg::Scalar(Value::I64(2048));
-        for _ in 0..3 {
-            rt.launch(
-                row,
-                grid,
-                block,
-                &[n_arg, LaunchArg::Buf(a), LaunchArg::Buf(tmp)],
-            )
-            .unwrap();
-            rt.launch(
-                row,
-                grid,
-                block,
-                &[n_arg, LaunchArg::Buf(tmp), LaunchArg::Buf(a)],
-            )
-            .unwrap();
-        }
-        rt.synchronize();
+        // Three iterations on 4 GPUs with the column pass replaced by a
+        // second row pass, against the full pipeline.
+        let mut rows_only = Blur.describe(2048);
+        rows_only.launches[1].kernel = "blur_row";
+        let machine = Machine::new(MachineSpec::kepler_system(4), false);
+        let mut p = rows_only.prepare(Box::new(machine), RuntimeConfig::default());
+        p.steps(3);
+        p.rt.synchronize();
         // Row-pass reads are partition-local under a Y split: zero halo.
         assert_eq!(
-            rt.machine().counters().d2d_copies,
+            p.rt.machine().counters().d2d_copies,
             0,
             "row pass should need no cross-device transfers"
         );

@@ -1,6 +1,7 @@
 //! Shared benchmark harness types.
 
-use mekong_gpusim::{Backend, OpCounters, TimeBreakdown};
+use crate::app::{App, Check};
+use mekong_gpusim::{Backend, Machine, MachineSpec, OpCounters, TimeBreakdown};
 use mekong_runtime::{decode_strategy, MgpuRuntime, RuntimeConfig};
 
 /// Problem-size class (Table 1 columns).
@@ -152,7 +153,8 @@ impl RunOutcome {
     }
 }
 
-/// A benchmark application.
+/// A benchmark application: its Table 1 row, its description and its CPU
+/// reference. Every way of running it is provided on top of those.
 pub trait Benchmark {
     /// Display name (Table 1).
     fn name(&self) -> &'static str;
@@ -166,19 +168,39 @@ pub trait Benchmark {
     /// The mini-CUDA source of the application.
     fn source(&self) -> &'static str;
 
+    /// The workload at problem size `n`, as data (see [`App`]).
+    fn describe(&self, n: usize) -> App;
+
+    /// CPU-reference output bytes (little-endian) of `iters` iterations
+    /// at size `n`, on the description's seeded inputs.
+    fn reference_output(&self, n: usize, iters: usize) -> Vec<u8>;
+
+    /// The workload's functional check (the same at every described size).
+    fn check(&self) -> Check {
+        self.describe(self.sizes()[0]).check
+    }
+
     /// Single-GPU reference run (original kernel, no runtime) at `size`,
     /// in performance mode. Returns simulated seconds.
-    fn reference_time(&self, size: usize, iterations: usize) -> f64;
+    fn reference_time(&self, size: usize, iterations: usize) -> f64 {
+        self.describe(size).reference_time(iterations)
+    }
 
     /// Multi-GPU run on an arbitrary machine specification (performance
     /// mode) with the given α/β/γ configuration.
     fn mgpu_run_spec(
         &self,
-        spec: mekong_gpusim::MachineSpec,
+        spec: MachineSpec,
         size: usize,
         iterations: usize,
         cfg: RuntimeConfig,
-    ) -> RunOutcome;
+    ) -> RunOutcome {
+        let mut p = self
+            .describe(size)
+            .prepare(Box::new(Machine::new(spec, false)), cfg);
+        p.run(iterations);
+        RunOutcome::from_runtime(&p.rt)
+    }
 
     /// Multi-GPU run through the Mekong runtime at `size` on `gpus`
     /// Kepler-class devices, in performance mode.
@@ -189,41 +211,33 @@ pub trait Benchmark {
         gpus: usize,
         cfg: RuntimeConfig,
     ) -> RunOutcome {
-        self.mgpu_run_spec(
-            mekong_gpusim::MachineSpec::kepler_system(gpus),
-            size,
-            iterations,
-            cfg,
-        )
+        self.mgpu_run_spec(MachineSpec::kepler_system(gpus), size, iterations, cfg)
     }
 
     /// Functional verification run on an arbitrary machine-level
-    /// backend at the scaled-down verify size (fixed seeded inputs):
+    /// backend at the scaled-down check size (fixed seeded inputs):
     /// runs the workload through the Mekong runtime and returns the raw
     /// little-endian output bytes. Every backend interprets kernels
     /// through the same block-parallel interpreter, so the bytes must
     /// be identical across sim-GPU, host-CPU and mixed machines — the
     /// cross-backend differential tests assert exactly that.
-    fn verify_output(&self, machine: Box<dyn Backend>) -> Vec<u8>;
+    fn verify_output(&self, machine: Box<dyn Backend>) -> Vec<u8> {
+        let check = self.check();
+        self.describe(check.n)
+            .prepare(machine, RuntimeConfig::default())
+            .run(check.iters)
+            .concat()
+    }
 
-    /// CPU-reference output bytes for the same fixed verify problem.
-    fn reference_output(&self) -> Vec<u8>;
-
-    /// Functional verification at a scaled-down size on `gpus` devices:
-    /// multi-GPU result must match the CPU reference (each workload
-    /// applies its own comparison — exact for integer outputs,
-    /// tolerance-based for floating-point chains).
-    fn verify(&self, gpus: usize) -> bool;
-
-    /// Speedup of `gpus` devices over the single-GPU reference at `size`
-    /// (Figure 6 ordinate), using the Table 1 iteration count scaled by
-    /// `iter_scale` (1.0 = paper configuration).
-    fn speedup(&self, size: usize, gpus: usize, iter_scale: f64) -> f64 {
-        let iters = ((self.iterations() as f64 * iter_scale).round() as usize).max(1);
-        let t_ref = self.reference_time(size, iters);
-        let t_mgpu = self
-            .mgpu_run(size, iters, gpus, RuntimeConfig::alpha())
-            .elapsed;
-        t_ref / t_mgpu
+    /// Functional verification at the check size on `gpus` devices: the
+    /// multi-GPU result must match the CPU reference within the
+    /// workload's tolerance (exact bytes where it is 0).
+    fn verify(&self, gpus: usize) -> bool {
+        let check = self.check();
+        let out = self.verify_output(Box::new(Machine::new(
+            MachineSpec::kepler_system(gpus),
+            true,
+        )));
+        check.accepts(&out, &self.reference_output(check.n, check.iters))
     }
 }

@@ -13,9 +13,9 @@
 //! box, the kernel reads a subset, and the `mayread_overfetch_bytes`
 //! counter prices the difference.
 
-use crate::harness::{Benchmark, RunOutcome};
+use crate::app::{f32_bytes, App, Arg, Buffer, Check, Launch};
+use crate::harness::Benchmark;
 use mekong_core::prelude::*;
-use mekong_gpusim::Machine;
 
 /// The histogram benchmark (extra, not part of the paper's Table 1).
 pub struct Histogram;
@@ -80,15 +80,6 @@ pub fn cpu_reference(nbins: usize, off: &[i64], val: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// Scalar launch arguments `(nbins, npp, n)`.
-fn scalar_args(nbins: usize) -> [LaunchArg; 3] {
-    [
-        LaunchArg::Scalar(Value::I64(nbins as i64)),
-        LaunchArg::Scalar(Value::I64(nbins as i64 + 1)),
-        LaunchArg::Scalar(Value::I64(val_len(nbins) as i64)),
-    ]
-}
-
 impl Benchmark for Histogram {
     fn name(&self) -> &'static str {
         "Histogram"
@@ -107,133 +98,40 @@ impl Benchmark for Histogram {
         SOURCE
     }
 
-    fn reference_time(&self, nbins: usize, iters: usize) -> f64 {
-        let program = mekong_core::compile_source(SOURCE).expect("histogram compiles");
-        let k = program.kernel("histogram").unwrap();
+    fn describe(&self, nbins: usize) -> App {
         let (grid, block) = geometry(nbins);
-        let scalars = [nbins as i64, nbins as i64 + 1, val_len(nbins) as i64];
-        let whole = Partition::whole(grid);
-        let traffic = k.footprint_bytes(&whole, block, grid, &scalars);
-        let mut r = SingleGpuRunner::performance();
-        let off = r.machine_mut().alloc(0, (nbins + 1) * 8).unwrap();
-        let val = r.machine_mut().alloc(0, val_len(nbins) * 4).unwrap();
-        let hist = r.machine_mut().alloc(0, nbins * 4).unwrap();
-        for b in [off, val] {
-            r.machine_mut().copy_h2d_timed(b, 0, b.len, false).unwrap();
-        }
-        for _ in 0..iters {
-            r.launch_with_traffic(
-                &k.original,
-                &[
-                    SimArg::Scalar(Value::I64(nbins as i64)),
-                    SimArg::Scalar(Value::I64(nbins as i64 + 1)),
-                    SimArg::Scalar(Value::I64(val_len(nbins) as i64)),
-                    SimArg::Buf(off),
-                    SimArg::Buf(val),
-                    SimArg::Buf(hist),
-                ],
-                grid,
-                block,
-                traffic,
-            );
-        }
-        r.synchronize();
-        r.machine_mut()
-            .copy_d2h_timed(hist, 0, nbins * 4, false)
-            .unwrap();
-        r.elapsed()
-    }
-
-    fn mgpu_run_spec(
-        &self,
-        spec: mekong_gpusim::MachineSpec,
-        nbins: usize,
-        iters: usize,
-        cfg: RuntimeConfig,
-    ) -> RunOutcome {
-        let program = mekong_core::compile_source(SOURCE).expect("histogram compiles");
-        let k = program.kernel("histogram").unwrap();
-        let (grid, block) = geometry(nbins);
-        let mut rt = MgpuRuntime::new(Machine::new(spec, false));
-        rt.set_config(cfg);
-        let off = rt.malloc((nbins + 1) * 8, 8).unwrap();
-        let val = rt.malloc(val_len(nbins) * 4, 4).unwrap();
-        let hist = rt.malloc(nbins * 4, 4).unwrap();
-        rt.memcpy_h2d_sim(off).unwrap();
-        rt.memcpy_h2d_sim(val).unwrap();
-        let [a0, a1, a2] = scalar_args(nbins);
-        for _ in 0..iters {
-            rt.launch(
-                k,
-                grid,
-                block,
-                &[
-                    a0,
-                    a1,
-                    a2,
-                    LaunchArg::Buf(off),
-                    LaunchArg::Buf(val),
-                    LaunchArg::Buf(hist),
-                ],
-            )
-            .expect("histogram launch");
-        }
-        rt.synchronize();
-        rt.memcpy_d2h_sim(hist).unwrap();
-        RunOutcome::from_runtime(&rt)
-    }
-
-    fn verify_output(&self, machine: Box<dyn Backend>) -> Vec<u8> {
-        let nbins = 512usize;
-        let program = mekong_core::compile_source(SOURCE).expect("histogram compiles");
-        let k = program.kernel("histogram").unwrap();
-        let (grid, block) = geometry(nbins);
-        let off = offsets(nbins);
-        let val = values(nbins);
-
-        let mut rt = MgpuRuntime::from_boxed(machine);
-        let off_b = rt.malloc((nbins + 1) * 8, 8).unwrap();
-        let val_b = rt.malloc(val.len() * 4, 4).unwrap();
-        let hist_b = rt.malloc(nbins * 4, 4).unwrap();
-        let off_bytes: Vec<u8> = off.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let val_bytes: Vec<u8> = val.iter().flat_map(|v| v.to_le_bytes()).collect();
-        rt.memcpy_h2d(off_b, &off_bytes).unwrap();
-        rt.memcpy_h2d(val_b, &val_bytes).unwrap();
-        let [a0, a1, a2] = scalar_args(nbins);
-        rt.launch(
-            k,
-            grid,
-            block,
-            &[
-                a0,
-                a1,
-                a2,
-                LaunchArg::Buf(off_b),
-                LaunchArg::Buf(val_b),
-                LaunchArg::Buf(hist_b),
+        App {
+            source: SOURCE,
+            buffers: vec![
+                Buffer::i64_input(nbins + 1, move || offsets(nbins)),
+                Buffer::f32_input(val_len(nbins), move || values(nbins)),
+                Buffer::f32_output(nbins),
             ],
-        )
-        .expect("histogram launch");
-        rt.synchronize();
-        let mut out = vec![0u8; nbins * 4];
-        rt.memcpy_d2h(hist_b, &mut out).unwrap();
-        out
+            launches: vec![Launch {
+                kernel: "histogram",
+                grid,
+                block,
+                args: vec![
+                    Arg::int(nbins),
+                    Arg::int(nbins + 1),
+                    Arg::int(val_len(nbins)),
+                    Arg::Buf(0),
+                    Arg::Buf(1),
+                    Arg::Buf(2),
+                ],
+            }],
+            swap: None,
+            outputs: vec![2],
+            check: Check {
+                n: 512,
+                iters: 1,
+                rel_tol: 0.0,
+            },
+        }
     }
 
-    fn reference_output(&self) -> Vec<u8> {
-        let nbins = 512usize;
-        cpu_reference(nbins, &offsets(nbins), &values(nbins))
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect()
-    }
-
-    fn verify(&self, gpus: usize) -> bool {
-        let out = self.verify_output(Box::new(Machine::new(
-            MachineSpec::kepler_system(gpus),
-            true,
-        )));
-        out == self.reference_output()
+    fn reference_output(&self, nbins: usize, _iters: usize) -> Vec<u8> {
+        f32_bytes(&cpu_reference(nbins, &offsets(nbins), &values(nbins)))
     }
 }
 
@@ -265,13 +163,6 @@ mod tests {
             };
             let acc = read.as_ref().or(write.as_ref()).unwrap();
             assert!(acc.exact, "{name} must stay exact");
-        }
-    }
-
-    #[test]
-    fn histogram_verifies_on_multiple_gpus() {
-        for gpus in [1, 2, 4] {
-            assert!(Histogram.verify(gpus), "failed with {gpus} GPUs");
         }
     }
 

@@ -3,9 +3,9 @@
 //! fixed (Dirichlet) boundary; computation per thread is constant and low,
 //! so the benchmark is sensitive to distribution overheads.
 
-use crate::harness::{Benchmark, RunOutcome};
+use crate::app::{f32_bytes, App, Arg, Buffer, Check, Launch};
+use crate::harness::Benchmark;
 use mekong_core::prelude::*;
-use mekong_gpusim::Machine;
 
 /// The Hotspot benchmark.
 pub struct Hotspot;
@@ -65,6 +65,16 @@ pub fn cpu_reference(n: usize, temp: &[f32], power: &[f32], iters: usize) -> Vec
     cur
 }
 
+/// Seeded initial temperatures of an `n`×`n` grid.
+pub fn temperature(n: usize) -> Vec<f32> {
+    (0..n * n).map(|i| ((i * 31) % 173) as f32 * 0.1).collect()
+}
+
+/// Seeded power dissipation of an `n`×`n` grid.
+pub fn power(n: usize) -> Vec<f32> {
+    (0..n * n).map(|i| ((i * 17) % 97) as f32 * 0.01).collect()
+}
+
 impl Benchmark for Hotspot {
     fn name(&self) -> &'static str {
         "Hotspot"
@@ -82,157 +92,41 @@ impl Benchmark for Hotspot {
         SOURCE
     }
 
-    fn reference_time(&self, n: usize, iters: usize) -> f64 {
-        let program = mekong_core::compile_source(SOURCE).expect("hotspot compiles");
-        let ck = program.kernel("hotspot").unwrap();
-        let kernel = &ck.original;
+    fn describe(&self, n: usize) -> App {
         let (grid, block) = geometry(n);
-        let bytes = n * n * 4;
-        let traffic = ck.footprint_bytes(&Partition::whole(grid), block, grid, &[n as i64, 0]);
-        let mut r = SingleGpuRunner::performance();
-        let a = r.machine_mut().alloc(0, bytes).unwrap();
-        let b = r.machine_mut().alloc(0, bytes).unwrap();
-        let p = r.machine_mut().alloc(0, bytes).unwrap();
-        for buf in [a, b, p] {
-            r.machine_mut()
-                .copy_h2d_timed(buf, 0, bytes, false)
-                .unwrap();
-        }
-        let (mut src, mut dst) = (a, b);
-        for _ in 0..iters {
-            r.launch_with_traffic(
-                kernel,
-                &[
-                    SimArg::Scalar(Value::I64(n as i64)),
-                    SimArg::Scalar(Value::F32(CAP)),
-                    SimArg::Buf(src),
-                    SimArg::Buf(p),
-                    SimArg::Buf(dst),
-                ],
+        App {
+            source: SOURCE,
+            // 0/1: the ping-pong temperature pair (both sides seeded, as
+            // the Rodinia driver does); 2: power, read-only.
+            buffers: vec![
+                Buffer::f32_input(n * n, move || temperature(n)),
+                Buffer::f32_input(n * n, move || temperature(n)),
+                Buffer::f32_input(n * n, move || power(n)),
+            ],
+            launches: vec![Launch {
+                kernel: "hotspot",
                 grid,
                 block,
-                traffic,
-            );
-            std::mem::swap(&mut src, &mut dst);
-        }
-        r.synchronize();
-        r.machine_mut()
-            .copy_d2h_timed(src, 0, bytes, false)
-            .unwrap();
-        r.elapsed()
-    }
-
-    fn mgpu_run_spec(
-        &self,
-        spec: mekong_gpusim::MachineSpec,
-        n: usize,
-        iters: usize,
-        cfg: RuntimeConfig,
-    ) -> RunOutcome {
-        let program = mekong_core::compile_source(SOURCE).expect("hotspot compiles");
-        let ck = program.kernel("hotspot").unwrap();
-        let (grid, block) = geometry(n);
-        let bytes = n * n * 4;
-        let mut rt = MgpuRuntime::new(Machine::new(spec, false));
-        rt.set_config(cfg);
-        let a = rt.malloc(bytes, 4).unwrap();
-        let b = rt.malloc(bytes, 4).unwrap();
-        let p = rt.malloc(bytes, 4).unwrap();
-        for buf in [a, b, p] {
-            rt.memcpy_h2d_sim(buf).unwrap();
-        }
-        let (mut src, mut dst) = (a, b);
-        for _ in 0..iters {
-            rt.launch(
-                ck,
-                grid,
-                block,
-                &[
-                    LaunchArg::Scalar(Value::I64(n as i64)),
-                    LaunchArg::Scalar(Value::F32(CAP)),
-                    LaunchArg::Buf(src),
-                    LaunchArg::Buf(p),
-                    LaunchArg::Buf(dst),
+                args: vec![
+                    Arg::int(n),
+                    Arg::Scalar(Value::F32(CAP)),
+                    Arg::Buf(0),
+                    Arg::Buf(2),
+                    Arg::Buf(1),
                 ],
-            )
-            .expect("hotspot launch");
-            std::mem::swap(&mut src, &mut dst);
+            }],
+            swap: Some((0, 1)),
+            outputs: vec![0],
+            check: Check {
+                n: 96,
+                iters: 7,
+                rel_tol: 1e-3,
+            },
         }
-        rt.synchronize();
-        rt.memcpy_d2h_sim(src).unwrap();
-        RunOutcome::from_runtime(&rt)
     }
 
-    fn verify_output(&self, machine: Box<dyn Backend>) -> Vec<u8> {
-        let n = 96usize;
-        let iters = 7;
-        let program = mekong_core::compile_source(SOURCE).expect("hotspot compiles");
-        let ck = program.kernel("hotspot").unwrap();
-        let (grid, block) = geometry(n);
-
-        let temp: Vec<f32> = (0..n * n).map(|i| ((i * 31) % 173) as f32 * 0.1).collect();
-        let power: Vec<f32> = (0..n * n).map(|i| ((i * 17) % 97) as f32 * 0.01).collect();
-
-        let mut rt = MgpuRuntime::from_boxed(machine);
-        let bytes = n * n * 4;
-        let a = rt.malloc(bytes, 4).unwrap();
-        let b = rt.malloc(bytes, 4).unwrap();
-        let p = rt.malloc(bytes, 4).unwrap();
-        let temp_bytes: Vec<u8> = temp.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let power_bytes: Vec<u8> = power.iter().flat_map(|v| v.to_le_bytes()).collect();
-        rt.memcpy_h2d(a, &temp_bytes).unwrap();
-        rt.memcpy_h2d(b, &temp_bytes).unwrap();
-        rt.memcpy_h2d(p, &power_bytes).unwrap();
-        let (mut src, mut dst) = (a, b);
-        for _ in 0..iters {
-            rt.launch(
-                ck,
-                grid,
-                block,
-                &[
-                    LaunchArg::Scalar(Value::I64(n as i64)),
-                    LaunchArg::Scalar(Value::F32(CAP)),
-                    LaunchArg::Buf(src),
-                    LaunchArg::Buf(p),
-                    LaunchArg::Buf(dst),
-                ],
-            )
-            .expect("hotspot launch");
-            std::mem::swap(&mut src, &mut dst);
-        }
-        rt.synchronize();
-        let mut out = vec![0u8; bytes];
-        rt.memcpy_d2h(src, &mut out).unwrap();
-        out
-    }
-
-    fn reference_output(&self) -> Vec<u8> {
-        let n = 96usize;
-        let temp: Vec<f32> = (0..n * n).map(|i| ((i * 31) % 173) as f32 * 0.1).collect();
-        let power: Vec<f32> = (0..n * n).map(|i| ((i * 17) % 97) as f32 * 0.01).collect();
-        cpu_reference(n, &temp, &power, 7)
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect()
-    }
-
-    fn verify(&self, gpus: usize) -> bool {
-        let out = self.verify_output(Box::new(Machine::new(
-            MachineSpec::kepler_system(gpus),
-            true,
-        )));
-        let got: Vec<f32> = out
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let want: Vec<f32> = self
-            .reference_output()
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        got.iter()
-            .zip(&want)
-            .all(|(g, w)| (g - w).abs() <= 1e-3 * w.abs().max(1.0))
+    fn reference_output(&self, n: usize, iters: usize) -> Vec<u8> {
+        f32_bytes(&cpu_reference(n, &temperature(n), &power(n), iters))
     }
 }
 
@@ -247,13 +141,6 @@ mod tests {
         let ck = program.kernel("hotspot").unwrap();
         assert!(ck.is_partitionable(), "{:?}", ck.model.verdict);
         assert_eq!(ck.model.partitioning, SplitAxis::Y);
-    }
-
-    #[test]
-    fn hotspot_verifies_on_various_gpu_counts() {
-        for gpus in [1, 2, 3, 5] {
-            assert!(Hotspot.verify(gpus), "failed with {gpus} GPUs");
-        }
     }
 
     #[test]

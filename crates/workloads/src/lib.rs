@@ -6,19 +6,27 @@
 //! | N-Body    | 65,536 | 131,072 | 327,680 | 96         |
 //! | Matmul    | 8,192  | 16,384  | 30,656  | N/A        |
 //!
-//! Each workload provides:
+//! Each workload says once, in its module, what it is:
 //!
 //! * its **mini-CUDA source** (compiled by the full two-pass pipeline),
 //! * a **CPU reference implementation** for functional verification,
-//! * a **single-GPU reference run** (the "NVCC binary" baseline),
-//! * a **multi-GPU run** through the Mekong runtime with a configurable
-//!   number of devices and α/β/γ measurement configuration.
+//! * its **description** ([`Benchmark::describe`] → [`App`]): buffers
+//!   with seeded inputs, the launches of one iteration, the ping-pong
+//!   swap and the output buffers.
+//!
+//! Everything that runs a workload interprets that description: the
+//! **single-GPU reference run** (the "NVCC binary" baseline,
+//! [`App::reference_time`]) and the **multi-GPU run** through the Mekong
+//! runtime on any machine and α/β/γ configuration ([`App::prepare`]),
+//! from which the [`Benchmark`] trait provides `mgpu_run`,
+//! `verify_output` and `verify`.
 //!
 //! Performance runs use paper-scale problem sizes on the performance-mode
 //! simulator (metadata + timing, no payload); functional verification
 //! runs scaled-down sizes with real data and compares against the CPU
 //! reference.
 
+pub mod app;
 pub mod blur;
 pub mod harness;
 pub mod histogram;
@@ -27,6 +35,7 @@ pub mod matmul;
 pub mod nbody;
 pub mod spmv;
 
+pub use app::{App, Prepared};
 pub use blur::Blur;
 pub use harness::{Benchmark, RunOutcome, SizeClass};
 pub use histogram::Histogram;
@@ -87,9 +96,11 @@ mod tests {
     }
 
     #[test]
-    fn all_workloads_verify_functionally() {
-        for b in benchmarks() {
-            assert!(b.verify(4), "{} functional verification failed", b.name());
+    fn all_workloads_verify_on_various_gpu_counts() {
+        for b in benchmarks().iter().chain(&extra_benchmarks()) {
+            for gpus in [1, 2, 3, 4, 5] {
+                assert!(b.verify(gpus), "{} failed with {gpus} GPUs", b.name());
+            }
         }
     }
 }

@@ -4,9 +4,9 @@
 //! corrects the mismatch before the kernel starts, and that initial
 //! redistribution limits scalability.
 
-use crate::harness::{Benchmark, RunOutcome};
+use crate::app::{f32_bytes, App, Arg, Buffer, Check, Launch};
+use crate::harness::Benchmark;
 use mekong_core::prelude::*;
-use mekong_gpusim::Machine;
 
 /// The Matmul benchmark.
 pub struct Matmul;
@@ -53,6 +53,14 @@ pub fn cpu_reference(n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
     c
 }
 
+/// Seeded left and right operands of side `n`.
+pub fn operands(n: usize) -> (Vec<f32>, Vec<f32>) {
+    (
+        (0..n * n).map(|i| ((i * 13) % 7) as f32 - 3.0).collect(),
+        (0..n * n).map(|i| ((i * 11) % 5) as f32 - 2.0).collect(),
+    )
+}
+
 impl Benchmark for Matmul {
     fn name(&self) -> &'static str {
         "Matmul"
@@ -70,136 +78,34 @@ impl Benchmark for Matmul {
         SOURCE
     }
 
-    fn reference_time(&self, n: usize, _iters: usize) -> f64 {
-        let program = mekong_core::compile_source(SOURCE).expect("matmul compiles");
-        let ck = program.kernel("matmul").unwrap();
-        let kernel = &ck.original;
+    fn describe(&self, n: usize) -> App {
         let (grid, block) = geometry(n);
-        let bytes = n * n * 4;
-        let traffic = ck.footprint_bytes(&Partition::whole(grid), block, grid, &[n as i64]);
-        let mut r = SingleGpuRunner::performance();
-        let a = r.machine_mut().alloc(0, bytes).unwrap();
-        let b = r.machine_mut().alloc(0, bytes).unwrap();
-        let c = r.machine_mut().alloc(0, bytes).unwrap();
-        for buf in [a, b] {
-            r.machine_mut()
-                .copy_h2d_timed(buf, 0, bytes, false)
-                .unwrap();
+        App {
+            source: SOURCE,
+            buffers: vec![
+                Buffer::f32_input(n * n, move || operands(n).0),
+                Buffer::f32_input(n * n, move || operands(n).1),
+                Buffer::f32_output(n * n),
+            ],
+            launches: vec![Launch {
+                kernel: "matmul",
+                grid,
+                block,
+                args: vec![Arg::int(n), Arg::Buf(0), Arg::Buf(1), Arg::Buf(2)],
+            }],
+            swap: None,
+            outputs: vec![2],
+            check: Check {
+                n: 64,
+                iters: 1,
+                rel_tol: 1e-3,
+            },
         }
-        r.launch_with_traffic(
-            kernel,
-            &[
-                SimArg::Scalar(Value::I64(n as i64)),
-                SimArg::Buf(a),
-                SimArg::Buf(b),
-                SimArg::Buf(c),
-            ],
-            grid,
-            block,
-            traffic,
-        );
-        r.synchronize();
-        r.machine_mut().copy_d2h_timed(c, 0, bytes, false).unwrap();
-        r.elapsed()
     }
 
-    fn mgpu_run_spec(
-        &self,
-        spec: mekong_gpusim::MachineSpec,
-        n: usize,
-        _iters: usize,
-        cfg: RuntimeConfig,
-    ) -> RunOutcome {
-        let program = mekong_core::compile_source(SOURCE).expect("matmul compiles");
-        let ck = program.kernel("matmul").unwrap();
-        let (grid, block) = geometry(n);
-        let bytes = n * n * 4;
-        let mut rt = MgpuRuntime::new(Machine::new(spec, false));
-        rt.set_config(cfg);
-        let a = rt.malloc(bytes, 4).unwrap();
-        let b = rt.malloc(bytes, 4).unwrap();
-        let c = rt.malloc(bytes, 4).unwrap();
-        rt.memcpy_h2d_sim(a).unwrap();
-        rt.memcpy_h2d_sim(b).unwrap();
-        rt.launch(
-            ck,
-            grid,
-            block,
-            &[
-                LaunchArg::Scalar(Value::I64(n as i64)),
-                LaunchArg::Buf(a),
-                LaunchArg::Buf(b),
-                LaunchArg::Buf(c),
-            ],
-        )
-        .expect("matmul launch");
-        rt.synchronize();
-        rt.memcpy_d2h_sim(c).unwrap();
-        RunOutcome::from_runtime(&rt)
-    }
-
-    fn verify_output(&self, machine: Box<dyn Backend>) -> Vec<u8> {
-        let n = 64usize;
-        let program = mekong_core::compile_source(SOURCE).expect("matmul compiles");
-        let ck = program.kernel("matmul").unwrap();
-        let (grid, block) = geometry(n);
-        let a: Vec<f32> = (0..n * n).map(|i| ((i * 13) % 7) as f32 - 3.0).collect();
-        let b: Vec<f32> = (0..n * n).map(|i| ((i * 11) % 5) as f32 - 2.0).collect();
-
-        let mut rt = MgpuRuntime::from_boxed(machine);
-        let bytes = n * n * 4;
-        let va = rt.malloc(bytes, 4).unwrap();
-        let vb = rt.malloc(bytes, 4).unwrap();
-        let vc = rt.malloc(bytes, 4).unwrap();
-        let ab: Vec<u8> = a.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let bb: Vec<u8> = b.iter().flat_map(|v| v.to_le_bytes()).collect();
-        rt.memcpy_h2d(va, &ab).unwrap();
-        rt.memcpy_h2d(vb, &bb).unwrap();
-        rt.launch(
-            ck,
-            grid,
-            block,
-            &[
-                LaunchArg::Scalar(Value::I64(n as i64)),
-                LaunchArg::Buf(va),
-                LaunchArg::Buf(vb),
-                LaunchArg::Buf(vc),
-            ],
-        )
-        .expect("matmul launch");
-        rt.synchronize();
-        let mut out = vec![0u8; bytes];
-        rt.memcpy_d2h(vc, &mut out).unwrap();
-        out
-    }
-
-    fn reference_output(&self) -> Vec<u8> {
-        let n = 64usize;
-        let a: Vec<f32> = (0..n * n).map(|i| ((i * 13) % 7) as f32 - 3.0).collect();
-        let b: Vec<f32> = (0..n * n).map(|i| ((i * 11) % 5) as f32 - 2.0).collect();
-        cpu_reference(n, &a, &b)
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect()
-    }
-
-    fn verify(&self, gpus: usize) -> bool {
-        let out = self.verify_output(Box::new(Machine::new(
-            MachineSpec::kepler_system(gpus),
-            true,
-        )));
-        let got: Vec<f32> = out
-            .chunks_exact(4)
-            .map(|x| f32::from_le_bytes(x.try_into().unwrap()))
-            .collect();
-        let want: Vec<f32> = self
-            .reference_output()
-            .chunks_exact(4)
-            .map(|x| f32::from_le_bytes(x.try_into().unwrap()))
-            .collect();
-        got.iter()
-            .zip(&want)
-            .all(|(g, w)| (g - w).abs() <= 1e-3 * w.abs().max(1.0))
+    fn reference_output(&self, n: usize, _iters: usize) -> Vec<u8> {
+        let (a, b) = operands(n);
+        f32_bytes(&cpu_reference(n, &a, &b))
     }
 }
 
@@ -214,13 +120,6 @@ mod tests {
         let ck = program.kernel("matmul").unwrap();
         assert!(ck.is_partitionable(), "{:?}", ck.model.verdict);
         assert_eq!(ck.model.partitioning, SplitAxis::Y);
-    }
-
-    #[test]
-    fn matmul_verifies_on_multiple_gpus() {
-        for gpus in [1, 2, 5] {
-            assert!(Matmul.verify(gpus), "failed with {gpus} GPUs");
-        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! the problem size while the data (positions broadcast each step) grows
 //! only linearly, giving the best scaling of the three benchmarks.
 
-use crate::harness::{Benchmark, RunOutcome};
+use crate::app::{f32_bytes, App, Arg, Buffer, Check, Launch};
+use crate::harness::Benchmark;
 use mekong_core::prelude::*;
-use mekong_gpusim::Machine;
 
 /// The N-Body benchmark.
 pub struct NBody;
@@ -98,15 +98,17 @@ pub fn cpu_reference(n: usize, posm: &mut Vec<f32>, vel: &mut [f32], steps: usiz
     }
 }
 
-fn args(n: usize, posm: VBufId, vel: VBufId, out: VBufId) -> [LaunchArg; 6] {
-    [
-        LaunchArg::Scalar(Value::I64(n as i64)),
-        LaunchArg::Scalar(Value::F32(DT)),
-        LaunchArg::Scalar(Value::F32(EPS)),
-        LaunchArg::Buf(posm),
-        LaunchArg::Buf(vel),
-        LaunchArg::Buf(out),
-    ]
+/// Seeded positions and masses (`xyzm` per body).
+pub fn bodies(n: usize) -> Vec<f32> {
+    (0..n * 4)
+        .map(|i| {
+            if i % 4 == 3 {
+                1.0 + (i % 7) as f32 * 0.1 // mass
+            } else {
+                ((i * 29) % 83) as f32 * 0.05 - 2.0
+            }
+        })
+        .collect()
 }
 
 impl Benchmark for NBody {
@@ -126,147 +128,44 @@ impl Benchmark for NBody {
         SOURCE
     }
 
-    fn reference_time(&self, n: usize, iters: usize) -> f64 {
-        let program = mekong_core::compile_source(SOURCE).expect("nbody compiles");
-        let ck = program.kernel("nbody").unwrap();
-        let kernel = &ck.original;
+    fn describe(&self, n: usize) -> App {
         let (grid, block) = geometry(n);
-        let bytes = n * 4 * 4;
-        let traffic = ck.footprint_bytes(&Partition::whole(grid), block, grid, &[n as i64, 0, 0]);
-        let mut r = SingleGpuRunner::performance();
-        let a = r.machine_mut().alloc(0, bytes).unwrap();
-        let b = r.machine_mut().alloc(0, bytes).unwrap();
-        let v = r.machine_mut().alloc(0, bytes).unwrap();
-        for buf in [a, v] {
-            r.machine_mut()
-                .copy_h2d_timed(buf, 0, bytes, false)
-                .unwrap();
-        }
-        let (mut src, mut dst) = (a, b);
-        for _ in 0..iters {
-            r.launch_with_traffic(
-                kernel,
-                &[
-                    SimArg::Scalar(Value::I64(n as i64)),
-                    SimArg::Scalar(Value::F32(DT)),
-                    SimArg::Scalar(Value::F32(EPS)),
-                    SimArg::Buf(src),
-                    SimArg::Buf(v),
-                    SimArg::Buf(dst),
-                ],
+        App {
+            source: SOURCE,
+            // 0/1: the ping-pong position pair (only the source side is
+            // seeded); 2: velocities, updated in place, starting at rest.
+            buffers: vec![
+                Buffer::f32_input(n * 4, move || bodies(n)),
+                Buffer::f32_output(n * 4),
+                Buffer::f32_input(n * 4, move || vec![0.0; n * 4]),
+            ],
+            launches: vec![Launch {
+                kernel: "nbody",
                 grid,
                 block,
-                traffic,
-            );
-            std::mem::swap(&mut src, &mut dst);
+                args: vec![
+                    Arg::int(n),
+                    Arg::Scalar(Value::F32(DT)),
+                    Arg::Scalar(Value::F32(EPS)),
+                    Arg::Buf(0),
+                    Arg::Buf(2),
+                    Arg::Buf(1),
+                ],
+            }],
+            swap: Some((0, 1)),
+            outputs: vec![0],
+            check: Check {
+                n: 192,
+                iters: 3,
+                rel_tol: 1e-2,
+            },
         }
-        r.synchronize();
-        r.machine_mut()
-            .copy_d2h_timed(src, 0, bytes, false)
-            .unwrap();
-        r.elapsed()
     }
 
-    fn mgpu_run_spec(
-        &self,
-        spec: mekong_gpusim::MachineSpec,
-        n: usize,
-        iters: usize,
-        cfg: RuntimeConfig,
-    ) -> RunOutcome {
-        let program = mekong_core::compile_source(SOURCE).expect("nbody compiles");
-        let ck = program.kernel("nbody").unwrap();
-        let (grid, block) = geometry(n);
-        let bytes = n * 4 * 4;
-        let mut rt = MgpuRuntime::new(Machine::new(spec, false));
-        rt.set_config(cfg);
-        let a = rt.malloc(bytes, 4).unwrap();
-        let b = rt.malloc(bytes, 4).unwrap();
-        let v = rt.malloc(bytes, 4).unwrap();
-        rt.memcpy_h2d_sim(a).unwrap();
-        rt.memcpy_h2d_sim(v).unwrap();
-        let (mut src, mut dst) = (a, b);
-        for _ in 0..iters {
-            rt.launch(ck, grid, block, &args(n, src, v, dst))
-                .expect("nbody launch");
-            std::mem::swap(&mut src, &mut dst);
-        }
-        rt.synchronize();
-        rt.memcpy_d2h_sim(src).unwrap();
-        RunOutcome::from_runtime(&rt)
-    }
-
-    fn verify_output(&self, machine: Box<dyn Backend>) -> Vec<u8> {
-        let n = 192usize;
-        let steps = 3;
-        let program = mekong_core::compile_source(SOURCE).expect("nbody compiles");
-        let ck = program.kernel("nbody").unwrap();
-        let (grid, block) = geometry(n);
-
-        let posm: Vec<f32> = (0..n * 4)
-            .map(|i| {
-                if i % 4 == 3 {
-                    1.0 + (i % 7) as f32 * 0.1 // mass
-                } else {
-                    ((i * 29) % 83) as f32 * 0.05 - 2.0
-                }
-            })
-            .collect();
-        let posm0: Vec<u8> = posm.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let vel0: Vec<u8> = vec![0u8; n * 4 * 4];
-
-        let mut rt = MgpuRuntime::from_boxed(machine);
-        let bytes = n * 4 * 4;
-        let a = rt.malloc(bytes, 4).unwrap();
-        let b = rt.malloc(bytes, 4).unwrap();
-        let v = rt.malloc(bytes, 4).unwrap();
-        rt.memcpy_h2d(a, &posm0).unwrap();
-        rt.memcpy_h2d(v, &vel0).unwrap();
-        let (mut src, mut dst) = (a, b);
-        for _ in 0..steps {
-            rt.launch(ck, grid, block, &args(n, src, v, dst))
-                .expect("nbody launch");
-            std::mem::swap(&mut src, &mut dst);
-        }
-        rt.synchronize();
-        let mut out = vec![0u8; bytes];
-        rt.memcpy_d2h(src, &mut out).unwrap();
-        out
-    }
-
-    fn reference_output(&self) -> Vec<u8> {
-        let n = 192usize;
-        let mut posm: Vec<f32> = (0..n * 4)
-            .map(|i| {
-                if i % 4 == 3 {
-                    1.0 + (i % 7) as f32 * 0.1 // mass
-                } else {
-                    ((i * 29) % 83) as f32 * 0.05 - 2.0
-                }
-            })
-            .collect();
-        let mut vel: Vec<f32> = vec![0.0; n * 4];
-        cpu_reference(n, &mut posm, &mut vel, 3);
-        posm.iter().flat_map(|v| v.to_le_bytes()).collect()
-    }
-
-    fn verify(&self, gpus: usize) -> bool {
-        let out = self.verify_output(Box::new(Machine::new(
-            MachineSpec::kepler_system(gpus),
-            true,
-        )));
-        let got: Vec<f32> = out
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let want: Vec<f32> = self
-            .reference_output()
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        got.iter()
-            .zip(&want)
-            .all(|(g, w)| (g - w).abs() <= 1e-2 * w.abs().max(1.0))
+    fn reference_output(&self, n: usize, iters: usize) -> Vec<u8> {
+        let mut posm = bodies(n);
+        cpu_reference(n, &mut posm, &mut vec![0.0; n * 4], iters);
+        f32_bytes(&posm)
     }
 }
 
@@ -281,13 +180,6 @@ mod tests {
         let ck = program.kernel("nbody").unwrap();
         assert!(ck.is_partitionable(), "{:?}", ck.model.verdict);
         assert_eq!(ck.model.partitioning, SplitAxis::X);
-    }
-
-    #[test]
-    fn nbody_verifies_on_multiple_gpus() {
-        for gpus in [1, 3, 4] {
-            assert!(NBody.verify(gpus), "failed with {gpus} GPUs");
-        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! the runtime's `mayread_overfetch_bytes` counter reports how much of
 //! the fetched band the gather left untouched.
 
-use crate::harness::{Benchmark, RunOutcome};
+use crate::app::{f32_bytes, App, Arg, Buffer, Check, Launch};
+use crate::harness::Benchmark;
 use mekong_core::prelude::*;
-use mekong_gpusim::Machine;
 
 /// The SpMV benchmark (extra, not part of the paper's Table 1).
 pub struct Spmv;
@@ -86,15 +86,6 @@ pub fn cpu_reference(n: usize, cols: &[i64], vals: &[f32], x: &[f32]) -> Vec<f32
         .collect()
 }
 
-/// Scalar launch arguments `(n, m, w)`.
-fn scalar_args(n: usize) -> [LaunchArg; 3] {
-    [
-        LaunchArg::Scalar(Value::I64(n as i64)),
-        LaunchArg::Scalar(Value::I64(M as i64)),
-        LaunchArg::Scalar(Value::I64(W)),
-    ]
-}
-
 impl Benchmark for Spmv {
     fn name(&self) -> &'static str {
         "SpMV"
@@ -112,141 +103,47 @@ impl Benchmark for Spmv {
         SOURCE
     }
 
-    fn reference_time(&self, n: usize, iters: usize) -> f64 {
-        let program = mekong_core::compile_source(SOURCE).expect("spmv compiles");
-        let k = program.kernel("spmv").unwrap();
+    fn describe(&self, n: usize) -> App {
         let (grid, block) = geometry(n);
-        let scalars = [n as i64, M as i64, W];
-        let whole = Partition::whole(grid);
-        let traffic = k.footprint_bytes(&whole, block, grid, &scalars);
-        let mut r = SingleGpuRunner::performance();
-        let cols = r.machine_mut().alloc(0, n * M * 8).unwrap();
-        let vals = r.machine_mut().alloc(0, n * M * 4).unwrap();
-        let x = r.machine_mut().alloc(0, n * 4).unwrap();
-        let y = r.machine_mut().alloc(0, n * 4).unwrap();
-        for b in [cols, vals, x] {
-            r.machine_mut().copy_h2d_timed(b, 0, b.len, false).unwrap();
-        }
-        for _ in 0..iters {
-            r.launch_with_traffic(
-                &k.original,
-                &[
-                    SimArg::Scalar(Value::I64(n as i64)),
-                    SimArg::Scalar(Value::I64(M as i64)),
-                    SimArg::Scalar(Value::I64(W)),
-                    SimArg::Buf(cols),
-                    SimArg::Buf(vals),
-                    SimArg::Buf(x),
-                    SimArg::Buf(y),
-                ],
-                grid,
-                block,
-                traffic,
-            );
-        }
-        r.synchronize();
-        r.machine_mut().copy_d2h_timed(y, 0, n * 4, false).unwrap();
-        r.elapsed()
-    }
-
-    fn mgpu_run_spec(
-        &self,
-        spec: mekong_gpusim::MachineSpec,
-        n: usize,
-        iters: usize,
-        cfg: RuntimeConfig,
-    ) -> RunOutcome {
-        let program = mekong_core::compile_source(SOURCE).expect("spmv compiles");
-        let k = program.kernel("spmv").unwrap();
-        let (grid, block) = geometry(n);
-        let mut rt = MgpuRuntime::new(Machine::new(spec, false));
-        rt.set_config(cfg);
-        let cols = rt.malloc(n * M * 8, 8).unwrap();
-        let vals = rt.malloc(n * M * 4, 4).unwrap();
-        let x = rt.malloc(n * 4, 4).unwrap();
-        let y = rt.malloc(n * 4, 4).unwrap();
-        rt.memcpy_h2d_sim(cols).unwrap();
-        rt.memcpy_h2d_sim(vals).unwrap();
-        rt.memcpy_h2d_sim(x).unwrap();
-        let [a0, a1, a2] = scalar_args(n);
-        for _ in 0..iters {
-            rt.launch(
-                k,
-                grid,
-                block,
-                &[
-                    a0,
-                    a1,
-                    a2,
-                    LaunchArg::Buf(cols),
-                    LaunchArg::Buf(vals),
-                    LaunchArg::Buf(x),
-                    LaunchArg::Buf(y),
-                ],
-            )
-            .expect("spmv launch");
-        }
-        rt.synchronize();
-        rt.memcpy_d2h_sim(y).unwrap();
-        RunOutcome::from_runtime(&rt)
-    }
-
-    fn verify_output(&self, machine: Box<dyn Backend>) -> Vec<u8> {
-        let n = 1024usize;
-        let program = mekong_core::compile_source(SOURCE).expect("spmv compiles");
-        let k = program.kernel("spmv").unwrap();
-        let (grid, block) = geometry(n);
-        let cols = columns(n);
-        let vals = matrix_values(n);
-        let x = vector(n);
-
-        let mut rt = MgpuRuntime::from_boxed(machine);
-        let cols_b = rt.malloc(n * M * 8, 8).unwrap();
-        let vals_b = rt.malloc(n * M * 4, 4).unwrap();
-        let x_b = rt.malloc(n * 4, 4).unwrap();
-        let y_b = rt.malloc(n * 4, 4).unwrap();
-        let cols_bytes: Vec<u8> = cols.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let vals_bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let x_bytes: Vec<u8> = x.iter().flat_map(|v| v.to_le_bytes()).collect();
-        rt.memcpy_h2d(cols_b, &cols_bytes).unwrap();
-        rt.memcpy_h2d(vals_b, &vals_bytes).unwrap();
-        rt.memcpy_h2d(x_b, &x_bytes).unwrap();
-        let [a0, a1, a2] = scalar_args(n);
-        rt.launch(
-            k,
-            grid,
-            block,
-            &[
-                a0,
-                a1,
-                a2,
-                LaunchArg::Buf(cols_b),
-                LaunchArg::Buf(vals_b),
-                LaunchArg::Buf(x_b),
-                LaunchArg::Buf(y_b),
+        App {
+            source: SOURCE,
+            buffers: vec![
+                Buffer::i64_input(n * M, move || columns(n)),
+                Buffer::f32_input(n * M, move || matrix_values(n)),
+                Buffer::f32_input(n, move || vector(n)),
+                Buffer::f32_output(n),
             ],
-        )
-        .expect("spmv launch");
-        rt.synchronize();
-        let mut out = vec![0u8; n * 4];
-        rt.memcpy_d2h(y_b, &mut out).unwrap();
-        out
+            launches: vec![Launch {
+                kernel: "spmv",
+                grid,
+                block,
+                args: vec![
+                    Arg::int(n),
+                    Arg::int(M),
+                    Arg::Scalar(Value::I64(W)),
+                    Arg::Buf(0),
+                    Arg::Buf(1),
+                    Arg::Buf(2),
+                    Arg::Buf(3),
+                ],
+            }],
+            swap: None,
+            outputs: vec![3],
+            check: Check {
+                n: 1024,
+                iters: 1,
+                rel_tol: 0.0,
+            },
+        }
     }
 
-    fn reference_output(&self) -> Vec<u8> {
-        let n = 1024usize;
-        cpu_reference(n, &columns(n), &matrix_values(n), &vector(n))
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .collect()
-    }
-
-    fn verify(&self, gpus: usize) -> bool {
-        let out = self.verify_output(Box::new(Machine::new(
-            MachineSpec::kepler_system(gpus),
-            true,
-        )));
-        out == self.reference_output()
+    fn reference_output(&self, n: usize, _iters: usize) -> Vec<u8> {
+        f32_bytes(&cpu_reference(
+            n,
+            &columns(n),
+            &matrix_values(n),
+            &vector(n),
+        ))
     }
 }
 
@@ -277,13 +174,6 @@ mod tests {
             };
             let acc = read.as_ref().or(write.as_ref()).unwrap();
             assert!(acc.exact, "{name} must stay exact");
-        }
-    }
-
-    #[test]
-    fn spmv_verifies_on_multiple_gpus() {
-        for gpus in [1, 2, 4] {
-            assert!(Spmv.verify(gpus), "failed with {gpus} GPUs");
         }
     }
 

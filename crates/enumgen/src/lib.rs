@@ -57,7 +57,7 @@ type RangeCache = Arc<RangeCacheInner>;
 /// reported by the ablation benches).
 #[derive(Debug, Default)]
 struct RangeCacheInner {
-    map: Mutex<HashMap<Vec<i64>, Arc<Vec<ElemRange>>>>,
+    map: Mutex<HashMap<Vec<i64>, Arc<[ElemRange]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -102,8 +102,6 @@ impl AccessEnumerator {
                 param_names.push(format!("__{pfx}_{ax}"));
             }
         }
-        let dim_names: Vec<String> = rel.space().dim_names().to_vec();
-        let space = Space::from_names(dim_names, param_names);
         let n_dims = N_MAP_IN + d;
         let width = n_dims + n_orig_params + N_PART_PARAMS;
 
@@ -158,22 +156,13 @@ impl AccessEnumerator {
         // selects); accesses outside the allocation are UB in the original
         // program, so intersecting is always sound. §6's "dimension sizes
         // of all arrays" serve exactly this purpose.
-        let param_names_ref: Vec<String> = {
-            let mut v = rel.space().param_names().to_vec();
-            for pfx in ["bo_lo", "bo_hi", "bi_lo", "bi_hi"] {
-                for ax in ["z", "y", "x"] {
-                    v.push(format!("__{pfx}_{ax}"));
-                }
-            }
-            v
-        };
         for q in &mut pieces {
             for (j, ext) in extents.iter().enumerate() {
                 let out_v = LinExpr::var(width, N_MAP_IN + j);
                 let hi = match ext {
                     Extent::Const(c) => LinExpr::constant(width, *c),
                     Extent::Param(name) => {
-                        let idx = param_names_ref
+                        let idx = param_names
                             .iter()
                             .position(|n| n == name)
                             .expect("extent parameter must be a map parameter");
@@ -184,6 +173,7 @@ impl AccessEnumerator {
                 q.add_constraint(Constraint::lt(&out_v, &hi).unwrap());
             }
         }
+        let space = Space::from_names(rel.space().dim_names().to_vec(), param_names);
         let boxed = Set::from_pieces(space, pieces);
         let mut image = boxed.project_out_dims(0..N_MAP_IN)?;
         if !map.is_exact() {
@@ -205,9 +195,14 @@ impl AccessEnumerator {
         self.exact
     }
 
-    /// Assemble the full parameter vector: `[bd, gd, scalars | bo_lo,
-    /// bo_hi, bi_lo, bi_hi]`.
-    fn params_vec(
+    /// The compiled scan program of the image set.
+    pub fn enumerator(&self) -> &Enumerator {
+        &self.enumerator
+    }
+
+    /// Assemble the enumerator's full parameter vector: `[bd, gd, scalars |
+    /// bo_lo, bo_hi, bi_lo, bi_hi]`.
+    pub fn params_vec(
         &self,
         partition: &Partition,
         block_dim: Dim3,
@@ -232,7 +227,7 @@ impl AccessEnumerator {
     }
 
     /// Concrete array extents from scalar argument values.
-    fn concrete_extents(&self, scalar_names: &[String], scalars: &[i64]) -> Vec<i64> {
+    pub fn concrete_extents(&self, scalar_names: &[String], scalars: &[i64]) -> Vec<i64> {
         self.extents
             .iter()
             .map(|e| match e {
@@ -249,8 +244,8 @@ impl AccessEnumerator {
     }
 
     /// Enumerate the accessed elements of one partition as **linearized
-    /// element ranges**, one callback per range (ranges from different
-    /// convex pieces may overlap; consumers tolerate or merge).
+    /// element ranges**, sorted, disjoint and non-adjacent, one callback
+    /// per range.
     ///
     /// `scalars` are the kernel's scalar arguments as 64-bit integers in
     /// declaration order; `scalar_names` names them (for extent lookup).
@@ -264,74 +259,9 @@ impl AccessEnumerator {
         scalars: &[i64],
         f: &mut dyn FnMut(ElemRange),
     ) {
-        let params = self.params_vec(partition, block_dim, grid_dim, scalars);
-        if let Some(cached) = self.cache.map.lock().get(&params).cloned() {
-            self.cache.hits.fetch_add(1, Ordering::Relaxed);
-            for r in cached.iter() {
-                f(*r);
-            }
-            return;
-        }
-        self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        let exts = self.concrete_extents(scalar_names, scalars);
-        let d = exts.len();
-        // Linearize rows and fuse ranges that are adjacent in the
-        // linearized space (full consecutive rows collapse into one big
-        // range — the common stencil/matmul shape).
-        let mut collected: Vec<ElemRange> = Vec::new();
-        let mut pending: Option<ElemRange> = None;
-        self.enumerator
-            .for_each_row(&params, &mut |prefix, lo, hi| {
-                // Row-major linearization: prefix fixes dims 0..d-1.
-                debug_assert_eq!(prefix.len(), d - 1);
-                let mut base: i64 = 0;
-                for (i, &p) in prefix.iter().enumerate() {
-                    base = base * exts[i] + p;
-                }
-                let row_len = exts[d - 1];
-                // Clamp defensively against over-approximated rows outside the
-                // array (read sets may over-approximate).
-                let lo = lo.max(0).min(row_len);
-                let hi = hi.max(-1).min(row_len - 1);
-                if lo > hi {
-                    return;
-                }
-                let start = (base * row_len + lo) as u64;
-                let end = (base * row_len + hi + 1) as u64;
-                match &mut pending {
-                    Some(p) if start <= p.end && end >= p.start => {
-                        p.start = p.start.min(start);
-                        p.end = p.end.max(end);
-                    }
-                    Some(p) => {
-                        collected.push(*p);
-                        *p = ElemRange { start, end };
-                    }
-                    None => pending = Some(ElemRange { start, end }),
-                }
-            });
-        if let Some(p) = pending {
-            collected.push(p);
-        }
-        // Global sort + merge across pieces: a union of single-column
-        // pieces (e.g. `posm[j][0..3]` recorded as four maps) fuses into
-        // whole rows only after sorting. Identical element coverage,
-        // drastically fewer ranges for the tracker.
-        collected.sort_by_key(|r| r.start);
-        let mut merged: Vec<ElemRange> = Vec::with_capacity(collected.len());
-        for r in collected {
-            if let Some(last) = merged.last_mut() {
-                if r.start <= last.end {
-                    last.end = last.end.max(r.end);
-                    continue;
-                }
-            }
-            merged.push(r);
-        }
-        for r in &merged {
-            f(*r);
-        }
-        self.cache.map.lock().insert(params, Arc::new(merged));
+        self.ranges_merged(partition, block_dim, grid_dim, scalar_names, scalars)
+            .iter()
+            .for_each(|r| f(*r));
     }
 
     /// `(hits, misses)` of this enumerator's range memo, accumulated over
@@ -343,8 +273,9 @@ impl AccessEnumerator {
         )
     }
 
-    /// Collect merged, sorted element ranges (convenience; hot paths use
-    /// [`AccessEnumerator::for_each_range`]).
+    /// The ranges [`AccessEnumerator::for_each_range`] reports, as the
+    /// memo's own shared slice: a repeated call with the same geometry
+    /// and scalars scans and allocates nothing.
     pub fn ranges_merged(
         &self,
         partition: &Partition,
@@ -352,28 +283,80 @@ impl AccessEnumerator {
         grid_dim: Dim3,
         scalar_names: &[String],
         scalars: &[i64],
-    ) -> Vec<ElemRange> {
-        let mut out = Vec::new();
-        self.for_each_range(
-            partition,
-            block_dim,
-            grid_dim,
-            scalar_names,
-            scalars,
-            &mut |r| out.push(r),
-        );
-        out.sort_by_key(|r| r.start);
-        let mut merged: Vec<ElemRange> = Vec::with_capacity(out.len());
-        for r in out {
-            if let Some(last) = merged.last_mut() {
-                if r.start <= last.end {
-                    last.end = last.end.max(r.end);
-                    continue;
+    ) -> Arc<[ElemRange]> {
+        let params = self.params_vec(partition, block_dim, grid_dim, scalars);
+        if let Some(cached) = self.cache.map.lock().get(&params).cloned() {
+            self.cache.hits.fetch_add(1, Ordering::Relaxed);
+            return cached;
+        }
+        self.cache.misses.fetch_add(1, Ordering::Relaxed);
+        let exts = self.concrete_extents(scalar_names, scalars);
+        let merged: Arc<[ElemRange]> = self.scan_ranges(&params, &exts).into();
+        self.cache.map.lock().insert(params, merged.clone());
+        merged
+    }
+
+    /// Scan the image for `params` and linearize it row-major over the
+    /// concrete extents `exts`: sorted, overlapping and adjacent ranges
+    /// fused, clamped to the array's element count.
+    fn scan_ranges(&self, params: &[i64], exts: &[i64]) -> Vec<ElemRange> {
+        let (outer, row_len) = exts.split_at(exts.len() - 1);
+        let row_len = row_len[0] as i128;
+        // Hostile extents must not wrap into a plausible range: all
+        // linearization is done in `i128` and clamped to the element count.
+        let total = exts
+            .iter()
+            .try_fold(1i128, |n, &e| n.checked_mul(e.max(0) as i128))
+            .map_or(u64::MAX, |n| u64::try_from(n).unwrap_or(u64::MAX));
+        let clamp = |v: i128| v.clamp(0, total as i128) as u64;
+        let mut ranges: Vec<ElemRange> = Vec::new();
+        let mut push = |start: i128, end: i128| {
+            let (start, end) = (clamp(start), clamp(end));
+            if start < end {
+                ranges.push(ElemRange { start, end });
+            }
+        };
+        self.enumerator.for_each_run(params, &mut |run| {
+            debug_assert_eq!(run.prefix.len(), outer.len());
+            // Row-major: the prefix fixes the row, rows of a run are
+            // consecutive.
+            let row = run.prefix.iter().zip(outer).fold(0i128, |row, (&p, &ext)| {
+                row.saturating_mul(ext as i128).saturating_add(p as i128)
+            });
+            let elem = |i: i128, x: i128| {
+                row.saturating_add(i)
+                    .saturating_mul(row_len)
+                    .saturating_add(x)
+            };
+            // Clamp defensively against over-approximated rows outside the
+            // array (read sets may over-approximate).
+            let lo = (run.lo as i128).max(0).min(row_len);
+            let hi = (run.hi as i128).max(-1).min(row_len - 1);
+            if lo > hi {
+                return;
+            }
+            let count = run.count as i128;
+            if lo == 0 && hi == row_len - 1 {
+                // Full rows: the whole run is one contiguous range.
+                push(elem(0, 0), elem(count, 0));
+            } else {
+                for i in 0..count {
+                    push(elem(i, lo), elem(i, hi + 1));
                 }
             }
-            merged.push(r);
-        }
-        merged
+        });
+        // Sort + merge across pieces: overlapping halo pieces fuse, and a
+        // union of single-column pieces (e.g. `posm[j][0..3]` recorded as
+        // four maps) fuses into whole rows only after sorting.
+        ranges.sort_by_key(|r| r.start);
+        ranges.dedup_by(|r, last| {
+            let fuse = r.start <= last.end;
+            if fuse {
+                last.end = last.end.max(r.end);
+            }
+            fuse
+        });
+        ranges
     }
 
     /// Render the generated scan program (for inspection/tests).
@@ -498,10 +481,10 @@ mod tests {
         let names = vec!["n".to_string()];
         let r0 = wr.ranges_merged(&parts[0], block, grid, &names, &[n]);
         let r1 = wr.ranges_merged(&parts[1], block, grid, &names, &[n]);
-        assert_eq!(r0, vec![ElemRange { start: 0, end: 128 }]);
+        assert_eq!(*r0, [ElemRange { start: 0, end: 128 }]);
         assert_eq!(
-            r1,
-            vec![ElemRange {
+            *r1,
+            [ElemRange {
                 start: 128,
                 end: 200
             }]
@@ -536,14 +519,13 @@ mod tests {
         let parts = partition_grid(grid, 2, mekong_analysis::SplitAxis::X);
         // Partition 1 covers threads 16..32, writes 16..31; reads 15..32.
         let r1 = rd.ranges_merged(&parts[1], block, grid, &names, &[32]);
-        assert_eq!(r1, vec![ElemRange { start: 15, end: 32 }]);
+        assert_eq!(*r1, [ElemRange { start: 15, end: 32 }]);
         // Partition 0: threads 0..16, writers 1..16, reads 0..17.
         let r0 = rd.ranges_merged(&parts[0], block, grid, &names, &[32]);
-        assert_eq!(r0, vec![ElemRange { start: 0, end: 17 }]);
+        assert_eq!(*r0, [ElemRange { start: 0, end: 17 }]);
     }
 
-    #[test]
-    fn matmul_b_column_reads_span_rows() {
+    fn matmul_model() -> KernelModel {
         let k = Kernel {
             name: "matmul".into(),
             params: vec![
@@ -572,7 +554,12 @@ mod tests {
         };
         let model = analyze_kernel(&k).unwrap();
         assert!(model.verdict.is_partitionable());
-        let ens = KernelEnumerators::build(&model).unwrap();
+        model
+    }
+
+    #[test]
+    fn matmul_b_column_reads_span_rows() {
+        let ens = KernelEnumerators::build(&matmul_model()).unwrap();
         let names = vec!["n".to_string()];
         let n = 16i64;
         let block = Dim3::new2(4, 4);
@@ -589,8 +576,8 @@ mod tests {
         let c_wr = ens.write_of(3).unwrap();
         let rc = c_wr.ranges_merged(&parts[0], block, grid, &names, &[n]);
         assert_eq!(
-            rc,
-            vec![ElemRange {
+            *rc,
+            [ElemRange {
                 start: 0,
                 end: (8 * n) as u64
             }]
@@ -599,12 +586,38 @@ mod tests {
         let a_rd = ens.read_of(1).unwrap();
         let ra = a_rd.ranges_merged(&parts[0], block, grid, &names, &[n]);
         assert_eq!(
-            ra,
-            vec![ElemRange {
+            *ra,
+            [ElemRange {
                 start: 0,
                 end: (8 * n) as u64
             }]
         );
+    }
+
+    /// An `n`×`n` array with `n = 2^33` has 2^66 elements: rows past 2^31
+    /// linearize beyond `u64`. They must clamp away, not wrap around to
+    /// small offsets that look like a footprint.
+    #[test]
+    fn hostile_extents_clamp_instead_of_wrapping() {
+        let ens = KernelEnumerators::build(&matmul_model()).unwrap();
+        let names = vec!["n".to_string()];
+        let n = 1i64 << 33;
+        let block = Dim3::new2(4, 4);
+        let grid = Dim3::new2(1 << 31, 1 << 31);
+        let parts = partition_grid(grid, 2, mekong_analysis::SplitAxis::Y);
+        let c_wr = ens.write_of(3).unwrap();
+        // Rows 0..2^32: elements 0..2^65, cut at the last representable.
+        let r0 = c_wr.ranges_merged(&parts[0], block, grid, &names, &[n]);
+        assert_eq!(
+            *r0,
+            [ElemRange {
+                start: 0,
+                end: u64::MAX
+            }]
+        );
+        // Rows 2^32..2^33 start at element 2^65: nothing representable.
+        let r1 = c_wr.ranges_merged(&parts[1], block, grid, &names, &[n]);
+        assert!(r1.is_empty(), "wrapped into {r1:?}");
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! The AST mirrors isl's: `for` loops and guards are the only control
 //! flow; every bound is a closed-form expression built from affine forms,
 //! floor/ceil division, `min` and `max` (§6.1). Where isl would emit LLVM
-//! IR we keep the AST and interpret it — the information content and the
-//! callback interface (§6.2, one invocation per element range, no dynamic
-//! allocation) are the same.
+//! IR and let the optimiser hoist what is loop-invariant, we keep the AST
+//! and run it in two stages: **specialise** each piece for the concrete
+//! parameter vector (parameters folded into one constant per guard and
+//! bound, guards moved to the loop level that binds their last dimension,
+//! parameter-only guards decided once), then **scan** the specialised
+//! nest. A nest whose innermost loop changes neither the row bounds nor a
+//! guard is emitted in closed form, as one [`RowRun`]. The callback
+//! interface (§6.2, one invocation per element range) is the same.
 //!
 //! Correctness note: outer loop bounds come from Fourier–Motzkin
 //! projections, which may over-approximate; we therefore re-check all
@@ -18,7 +23,7 @@
 //! emitting a row range. Emission is thus exact per convex piece even when
 //! the projections are not.
 
-use crate::constraint::Constraint;
+use crate::constraint::{Constraint, ConstraintKind};
 use crate::expr::{cdiv, fdiv, LinExpr};
 use crate::polyhedron::Polyhedron;
 use crate::set::Set;
@@ -154,6 +159,22 @@ pub struct RowRange {
     pub hi: i64,
 }
 
+/// `count` consecutive rows with the same inclusive `[lo, hi]` range: the
+/// row at `prefix` and the `count - 1` after it along the last prefix
+/// dimension. A rectangular piece is a single run; a 1-D set has an
+/// empty prefix and `count == 1`.
+#[derive(Debug, Clone, Copy)]
+pub struct RowRun<'a> {
+    /// Values of dimensions `0 .. n_dims-1` of the first row.
+    pub prefix: &'a [i64],
+    /// First element of every row of the run (inclusive).
+    pub lo: i64,
+    /// Last element of every row of the run (inclusive).
+    pub hi: i64,
+    /// Number of rows, at least 1.
+    pub count: u64,
+}
+
 /// A compiled enumerator for a set: one loop nest per convex piece.
 ///
 /// This is the runtime-callable artifact of §6.2 — input: parameter values
@@ -269,16 +290,33 @@ impl Enumerator {
         &self.pieces
     }
 
-    /// Run the enumerator: invoke `f(prefix, lo, hi)` once per row range
-    /// (inclusive bounds). No allocation per invocation.
-    pub fn for_each_row(&self, params: &[i64], f: &mut dyn FnMut(&[i64], i64, i64)) {
+    /// Run the enumerator: invoke `f` once per [`RowRun`]. Each piece is
+    /// specialised for `params` first (see the module docs), so a piece
+    /// whose parameter-only guards fail costs nothing and a rectangular
+    /// piece is one invocation however many rows it has.
+    pub fn for_each_run(&self, params: &[i64], f: &mut dyn FnMut(RowRun<'_>)) {
         assert_eq!(params.len(), self.n_params, "parameter count mismatch");
-        // values = [dims..., params...]; dims filled during the scan.
-        let mut values = vec![0i64; self.n_dims + self.n_params];
-        values[self.n_dims..].copy_from_slice(params);
+        let mut dims = vec![0i64; self.n_dims - 1];
         for piece in &self.pieces {
-            scan_piece(piece, self.n_dims, &mut values, 0, f);
+            if let Some(nest) = Specialised::new(piece, self.n_dims, params) {
+                nest.scan(0, &mut dims, f);
+            }
         }
+    }
+
+    /// Run the enumerator: invoke `f(prefix, lo, hi)` once per row range
+    /// (inclusive bounds), in lexicographic order within each piece.
+    pub fn for_each_row(&self, params: &[i64], f: &mut dyn FnMut(&[i64], i64, i64)) {
+        let mut prefix = vec![0i64; self.n_dims - 1];
+        self.for_each_run(params, &mut |run| {
+            prefix.copy_from_slice(run.prefix);
+            for _ in 0..run.count {
+                f(&prefix, run.lo, run.hi);
+                if let Some(last) = prefix.last_mut() {
+                    *last += 1;
+                }
+            }
+        });
     }
 
     /// Collect all row ranges, merged and deduplicated across pieces
@@ -337,33 +375,244 @@ impl Enumerator {
     }
 }
 
-fn scan_piece(
-    piece: &PieceNest,
-    n_dims: usize,
-    values: &mut Vec<i64>,
-    level: usize,
-    f: &mut dyn FnMut(&[i64], i64, i64),
-) {
-    if level == piece.loops.len() {
-        // Guards re-establish exactness of the emission.
-        for g in &piece.guards {
-            if !g.holds(values) {
-                return;
+/// An affine form with the parameters folded into the constant: only the
+/// coefficients of the loop dimensions it mentions stay symbolic.
+struct Affine {
+    /// Coefficients of dimensions `0..depth`; the last one is non-zero.
+    dims: Vec<i128>,
+    konst: i128,
+}
+
+impl Affine {
+    fn new(mut dims: Vec<i128>, konst: i128) -> Affine {
+        while dims.last() == Some(&0) {
+            dims.pop();
+        }
+        Affine { dims, konst }
+    }
+
+    /// Fold `params` into `expr`. The innermost dimension never occurs in
+    /// a guard or bound, so only the `n_dims - 1` loop dimensions count.
+    fn fold(expr: &LinExpr, n_dims: usize, params: &[i64]) -> Affine {
+        let (dims, on_params) = expr.coeffs.split_at(n_dims);
+        let mut konst = expr.konst as i128;
+        for (c, p) in on_params.iter().zip(params) {
+            konst += (*c as i128) * (*p as i128);
+        }
+        let loop_dims = dims[..n_dims - 1].iter().map(|&c| c as i128);
+        Affine::new(loop_dims.collect(), konst)
+    }
+
+    /// Number of leading loop dimensions that must be bound to evaluate.
+    fn depth(&self) -> usize {
+        self.dims.len()
+    }
+
+    fn eval(&self, dims: &[i64]) -> i128 {
+        let mut acc = self.konst;
+        for (c, v) in self.dims.iter().zip(dims) {
+            acc += c * (*v as i128);
+        }
+        acc
+    }
+}
+
+/// An [`AstExpr`] specialised for one parameter vector: parameter-only
+/// leaves are constants, and each `max`/`min` keeps one constant operand.
+enum Bound {
+    Const(i64),
+    Div {
+        affine: Affine,
+        divisor: i128,
+        ceil: bool,
+    },
+    Max(Vec<Bound>),
+    Min(Vec<Bound>),
+}
+
+impl Bound {
+    fn new(e: &AstExpr, n_dims: usize, params: &[i64]) -> Bound {
+        let fold_all = |es: &[AstExpr]| es.iter().map(|e| Bound::new(e, n_dims, params)).collect();
+        match e {
+            AstExpr::Const(k) => Bound::Const(*k),
+            AstExpr::Div {
+                expr,
+                divisor,
+                ceil,
+            } => Bound::div(Affine::fold(expr, n_dims, params), *divisor as i128, *ceil),
+            AstExpr::Max(es) => Bound::extremum(fold_all(es), true),
+            AstExpr::Min(es) => Bound::extremum(fold_all(es), false),
+        }
+    }
+
+    /// `ceil(affine / divisor)` or `floor(affine / divisor)`, `divisor > 0`.
+    fn div(affine: Affine, divisor: i128, ceil: bool) -> Bound {
+        let div = Bound::Div {
+            affine,
+            divisor,
+            ceil,
+        };
+        if div.depth() == 0 {
+            Bound::Const(div.eval(&[]))
+        } else {
+            div
+        }
+    }
+
+    /// `max` or `min` of `operands`, constants folded into one operand
+    /// and nested extrema of the same kind flattened.
+    fn extremum(operands: Vec<Bound>, max: bool) -> Bound {
+        let identity = if max { i64::MIN } else { i64::MAX };
+        let mut konst = identity;
+        let mut symbolic = Vec::new();
+        let mut pending = operands;
+        while let Some(b) = pending.pop() {
+            match b {
+                Bound::Const(k) if max => konst = konst.max(k),
+                Bound::Const(k) => konst = konst.min(k),
+                Bound::Max(inner) if max => pending.extend(inner),
+                Bound::Min(inner) if !max => pending.extend(inner),
+                b => symbolic.push(b),
             }
         }
-        let lo = piece.row_lb.eval(values);
-        let hi = piece.row_ub.eval(values);
-        if lo <= hi {
-            f(&values[..n_dims - 1], lo, hi);
+        if symbolic.is_empty() {
+            return Bound::Const(konst);
         }
-        return;
+        if konst != identity {
+            symbolic.push(Bound::Const(konst));
+        }
+        if max {
+            Bound::Max(symbolic)
+        } else {
+            Bound::Min(symbolic)
+        }
     }
-    let l = &piece.loops[level];
-    let lb = l.lb.eval(values);
-    let ub = l.ub.eval(values);
-    for v in lb..=ub {
-        values[l.dim] = v;
-        scan_piece(piece, n_dims, values, level + 1, f);
+
+    fn depth(&self) -> usize {
+        match self {
+            Bound::Const(_) => 0,
+            Bound::Div { affine, .. } => affine.depth(),
+            Bound::Max(bs) | Bound::Min(bs) => bs.iter().map(Bound::depth).max().unwrap_or(0),
+        }
+    }
+
+    fn eval(&self, dims: &[i64]) -> i64 {
+        match self {
+            Bound::Const(k) => *k,
+            Bound::Div {
+                affine,
+                divisor,
+                ceil,
+            } => {
+                let v = affine.eval(dims);
+                let q = match (*divisor, *ceil) {
+                    (1, _) => v,
+                    (d, true) => cdiv(v, d),
+                    (d, false) => fdiv(v, d),
+                };
+                q.clamp(i64::MIN as i128, i64::MAX as i128) as i64
+            }
+            Bound::Max(bs) => bs.iter().map(|b| b.eval(dims)).max().unwrap_or(i64::MIN),
+            Bound::Min(bs) => bs.iter().map(|b| b.eval(dims)).min().unwrap_or(i64::MAX),
+        }
+    }
+}
+
+/// A [`PieceNest`] specialised for one parameter vector — the transient
+/// second stage of the scan. What isl gets from LLVM's loop-invariant code
+/// motion we do here by hand: parameters are one constant per bound,
+/// parameter-only guards are decided once, and a guard `c·x_k + rest >= 0`
+/// whose last dimension is `x_k` becomes a bound of the loop over `x_k`
+/// (`x_k >= ceil(-rest / c)` or `x_k <= floor(rest / -c)`), so nothing is
+/// left to check per row.
+struct Specialised {
+    /// `(lb, ub)` of the loop over dimension `k`, outermost first.
+    loops: Vec<(Bound, Bound)>,
+    row_lb: Bound,
+    row_ub: Bound,
+    /// The row bounds do not mention the innermost loop variable: all its
+    /// rows are the same `[lo, hi]`, one [`RowRun`].
+    uniform_rows: bool,
+}
+
+impl Specialised {
+    /// `None` if a parameter-only guard fails: the piece is empty.
+    fn new(piece: &PieceNest, n_dims: usize, params: &[i64]) -> Option<Specialised> {
+        let n_loops = piece.loops.len();
+        assert!(
+            piece.loops.iter().enumerate().all(|(k, l)| l.dim == k),
+            "loop k of a piece nest scans dimension k"
+        );
+        let bound = |e: &AstExpr| Bound::new(e, n_dims, params);
+        let mut lowers: Vec<Vec<Bound>> = piece.loops.iter().map(|l| vec![bound(&l.lb)]).collect();
+        let mut uppers: Vec<Vec<Bound>> = piece.loops.iter().map(|l| vec![bound(&l.ub)]).collect();
+        for g in &piece.guards {
+            let affine = Affine::fold(&g.expr, n_dims, params);
+            let eq = g.kind == ConstraintKind::Eq;
+            let Some(&c) = affine.dims.last() else {
+                if affine.konst < 0 || (eq && affine.konst != 0) {
+                    return None;
+                }
+                continue;
+            };
+            let k = affine.depth() - 1;
+            // c·x_k + rest >= 0  <=>  x_k >= ceil(-rest / c) if c > 0,
+            // x_k <= floor(rest / -c) if c < 0; an equality is both.
+            let side = |ceil| {
+                let sign = -c.signum();
+                let rest = affine.dims[..k].iter().map(|d| sign * d).collect();
+                Bound::div(Affine::new(rest, sign * affine.konst), c.abs(), ceil)
+            };
+            if c > 0 || eq {
+                lowers[k].push(side(true));
+            }
+            if c < 0 || eq {
+                uppers[k].push(side(false));
+            }
+        }
+        let row_lb = bound(&piece.row_lb);
+        let row_ub = bound(&piece.row_ub);
+        Some(Specialised {
+            loops: lowers
+                .into_iter()
+                .zip(uppers)
+                .map(|(l, u)| (Bound::extremum(l, true), Bound::extremum(u, false)))
+                .collect(),
+            uniform_rows: n_loops > 0 && row_lb.depth() < n_loops && row_ub.depth() < n_loops,
+            row_lb,
+            row_ub,
+        })
+    }
+
+    /// Scan loop `level` and everything nested in it; `dims[..level]` are
+    /// bound.
+    fn scan(&self, level: usize, dims: &mut [i64], f: &mut dyn FnMut(RowRun<'_>)) {
+        let mut emit = |dims: &[i64], count: u64| {
+            let (lo, hi) = (self.row_lb.eval(dims), self.row_ub.eval(dims));
+            if lo <= hi {
+                f(RowRun {
+                    prefix: dims,
+                    lo,
+                    hi,
+                    count,
+                });
+            }
+        };
+        let Some((lb, ub)) = self.loops.get(level) else {
+            return emit(dims, 1);
+        };
+        let (lb, ub) = (lb.eval(dims), ub.eval(dims));
+        if self.uniform_rows && level + 1 == self.loops.len() {
+            if lb <= ub {
+                dims[level] = lb;
+                emit(dims, ub.abs_diff(lb).saturating_add(1));
+            }
+            return;
+        }
+        for v in lb..=ub {
+            dims[level] = v;
+            self.scan(level + 1, dims, f);
+        }
     }
 }
 

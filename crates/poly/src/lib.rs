@@ -57,7 +57,7 @@ pub mod polyhedron;
 pub mod set;
 pub mod space;
 
-pub use codegen::{AstExpr, Enumerator, LoopSpec, PieceNest, RowRange};
+pub use codegen::{AstExpr, Enumerator, LoopSpec, PieceNest, RowRange, RowRun};
 pub use constraint::{Constraint, ConstraintKind};
 pub use expr::LinExpr;
 pub use map::Map;

@@ -3,7 +3,11 @@
 //! Strategy: generate random bounded convex polyhedra (a bounding box plus
 //! random affine cuts) and check the algebraic laws that the toolchain
 //! relies on — soundness of projection, exactness of enumeration,
-//! consistency of union/intersection, and membership coherence.
+//! consistency of union/intersection, and membership coherence — and,
+//! for the enumerator, identity of the specialised scan with the
+//! row-by-row interpreter it replaced ([`oracle`]).
+
+mod oracle;
 
 use mekong_poly::{Constraint, Enumerator, LinExpr, Polyhedron, Set, Space};
 use proptest::prelude::*;
@@ -235,4 +239,117 @@ proptest! {
         let img = m.image(&s).unwrap();
         prop_assert_eq!(img.count_points(&[]), s.count_points(&[]));
     }
+}
+
+const N_PARAMS: usize = 2;
+
+/// A random constraint over `n` dims and [`N_PARAMS`] parameters with
+/// coefficients in `[-3, 3]` (so bounds get non-unit divisors): one in
+/// five is an equality, one in four mentions no dimension at all and
+/// becomes a parameter-only guard.
+fn arb_param_cut(n: usize) -> impl Strategy<Value = Constraint> {
+    (
+        proptest::collection::vec(-3i64..=3, n + N_PARAMS),
+        -(2 * BOX)..=(2 * BOX),
+        0u8..20,
+    )
+        .prop_map(move |(mut coeffs, konst, shape)| {
+            if shape % 4 == 0 {
+                coeffs[..n].fill(0);
+            }
+            let expr = LinExpr { coeffs, konst };
+            if shape >= 16 {
+                Constraint::eq(expr)
+            } else {
+                Constraint::ge0(expr)
+            }
+        })
+}
+
+/// A union of up to three parametric pieces: `0 <= d_i <= BOX` plus up to
+/// four [`arb_param_cut`]s each.
+fn arb_param_set(n: usize) -> impl Strategy<Value = Set> {
+    let piece = proptest::collection::vec(arb_param_cut(n), 0..=4).prop_map(move |cuts| {
+        let w = n + N_PARAMS;
+        let mut p = Polyhedron::universe(n, N_PARAMS);
+        for d in 0..n {
+            let v = LinExpr::var(w, d);
+            p.add_constraint(Constraint::ge0(v.clone()));
+            p.add_constraint(Constraint::le(&v, &LinExpr::constant(w, BOX)).unwrap());
+        }
+        for c in cuts {
+            p.add_constraint(c);
+        }
+        p
+    });
+    proptest::collection::vec(piece, 1..=3)
+        .prop_map(move |pieces| Set::from_pieces(Space::anonymous(n, N_PARAMS), pieces))
+}
+
+type Rows = Vec<(Vec<i64>, i64, i64)>;
+
+/// The rows of the specialised scan and of the oracle, in emission order.
+fn scan_rows(e: &Enumerator, params: &[i64]) -> (Rows, Rows) {
+    let (mut new, mut old) = (Rows::new(), Rows::new());
+    e.for_each_row(params, &mut |prefix, lo, hi| {
+        new.push((prefix.to_vec(), lo, hi))
+    });
+    oracle::for_each_row(e, params, &mut |prefix, lo, hi| {
+        old.push((prefix.to_vec(), lo, hi))
+    });
+    (new, old)
+}
+
+proptest! {
+    /// The specialised scan emits exactly the oracle's rows, in its order:
+    /// pieces killed by a parameter-only guard, empty loops, equality
+    /// guards and non-unit divisors included.
+    #[test]
+    fn specialised_scan_matches_interpreter(
+        s in prop_oneof![arb_param_set(1), arb_param_set(2), arb_param_set(3)],
+        params in proptest::collection::vec(-4i64..=8, N_PARAMS),
+    ) {
+        let e = Enumerator::build(&s).unwrap();
+        let (new, old) = scan_rows(&e, &params);
+        prop_assert_eq!(new, old);
+    }
+}
+
+/// Coefficients and a parameter around 2^40: every guard and bound is a
+/// sum of products near 2^80, which only `i128` accumulation gets right
+/// (the low 64 bits of `A·p` are negative as an `i64`).
+#[test]
+fn specialised_scan_keeps_i128_accumulation() {
+    const A: i64 = (1 << 40) + 1;
+    const B: i64 = 1 << 40;
+    let p: i64 = (1 << 40) + (1 << 23);
+    assert!(((A as i128 * p as i128) as i64) < 0);
+    // [p] -> { [y, x] : 0 <= y <= 2 and A·p + B·y >= 1
+    //                   and y <= x and A·x <= B·p + y + 3A }
+    let ge0 = |y, x, p, konst| {
+        Constraint::ge0(LinExpr {
+            coeffs: vec![y, x, p],
+            konst,
+        })
+    };
+    let mut piece = Polyhedron::universe(2, 1);
+    for c in [
+        ge0(1, 0, 0, 0),
+        ge0(-1, 0, 0, 2),
+        ge0(B, 0, A, -1),
+        ge0(-1, 1, 0, 0),
+        ge0(1, -A, B, 3 * A),
+    ] {
+        piece.add_constraint(c);
+    }
+    let e = Enumerator::build(&Set::from_polyhedron(Space::anonymous(2, 1), piece)).unwrap();
+    let (new, old) = scan_rows(&e, &[p]);
+    let expected: Rows = (0..=2i64)
+        .map(|y| {
+            let hi = (B as i128 * p as i128 + y as i128 + 3 * A as i128).div_euclid(A as i128);
+            (vec![y], y, hi as i64)
+        })
+        .collect();
+    assert_eq!(new, expected);
+    assert_eq!(old, expected);
 }

@@ -38,10 +38,11 @@
 use crate::strategy::PartitionStrategy;
 use mekong_analysis::SplitAxis;
 use mekong_check::AxisMask;
-use mekong_enumgen::AccessEnumerator;
+use mekong_enumgen::{AccessEnumerator, ElemRange};
 use mekong_gpusim::{DeviceSpec, MachineSpec, ThreadProfile};
 use mekong_kernel::Dim3;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A byte interval owned by `device` (`None` = host/uninitialized: reads
 /// of it are not peer traffic). `holders` is the raw bitmask of devices
@@ -178,38 +179,55 @@ pub fn thread_time(profile: ThreadProfile, spec: &DeviceSpec) -> f64 {
     roofline(1.0, profile, spec)
 }
 
-/// Element ranges → sorted byte intervals. Enumerator output is already
-/// sorted and merged.
-fn to_byte_intervals(
-    enumerator: &AccessEnumerator,
+/// One partition's footprint on an array: the enumerator's sorted,
+/// merged element ranges (the range memo's own slice) and the element
+/// size that turns them into byte intervals.
+struct Footprint {
+    ranges: Arc<[ElemRange]>,
     elem_size: u64,
-    part: &mekong_partition::Partition,
-    input: &TunerInput<'_>,
-) -> Vec<(u64, u64)> {
-    enumerator
-        .ranges_merged(
-            part,
-            input.block,
-            input.grid,
-            input.scalar_names,
-            input.scalars,
-        )
-        .into_iter()
-        .map(|r| (r.start * elem_size, r.end * elem_size))
-        .collect()
 }
 
-/// Intersect two sorted, non-overlapping interval lists; returns the
+impl Footprint {
+    fn of(
+        enumerator: &AccessEnumerator,
+        elem_size: u64,
+        part: &mekong_partition::Partition,
+        input: &TunerInput<'_>,
+    ) -> Footprint {
+        Footprint {
+            ranges: enumerator.ranges_merged(
+                part,
+                input.block,
+                input.grid,
+                input.scalar_names,
+                input.scalars,
+            ),
+            elem_size,
+        }
+    }
+
+    /// The sorted, non-overlapping byte intervals.
+    fn bytes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.ranges
+            .iter()
+            .map(|r| (r.start * self.elem_size, r.end * self.elem_size))
+    }
+}
+
+/// Intersect two sorted, non-overlapping interval sequences; returns the
 /// total overlap bytes and the maximal (coalesced) overlap intervals.
 /// Adjacent pieces merge, as the runtime's transfer coalescer would
 /// merge them.
-fn intersect(a: &[(u64, u64)], b: &[(u64, u64)]) -> (u64, Vec<(u64, u64)>) {
-    let (mut i, mut j) = (0usize, 0usize);
+fn intersect(
+    a: impl Iterator<Item = (u64, u64)>,
+    b: impl Iterator<Item = (u64, u64)>,
+) -> (u64, Vec<(u64, u64)>) {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
     let mut bytes = 0u64;
     let mut pieces: Vec<(u64, u64)> = Vec::new();
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
+    while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
+        let lo = x.0.max(y.0);
+        let hi = x.1.min(y.1);
         if lo < hi {
             bytes += hi - lo;
             match pieces.last_mut() {
@@ -217,10 +235,10 @@ fn intersect(a: &[(u64, u64)], b: &[(u64, u64)]) -> (u64, Vec<(u64, u64)>) {
                 _ => pieces.push((lo, hi)),
             }
         }
-        if a[i].1 <= b[j].1 {
-            i += 1;
+        if x.1 <= y.1 {
+            a.next();
         } else {
-            j += 1;
+            b.next();
         }
     }
     (bytes, pieces)
@@ -291,21 +309,21 @@ pub fn evaluate(input: &TunerInput<'_>, strategy: &PartitionStrategy) -> CostEst
 
     // Write footprints per (write model, partition), needed both for
     // SelfWrites ownership and the range count.
-    let writes_by_part: Vec<Vec<Vec<(u64, u64)>>> = input
+    let writes_by_part: Vec<Vec<Footprint>> = input
         .writes
         .iter()
         .map(|w| {
             parts
                 .iter()
-                .map(|p| to_byte_intervals(w.enumerator, w.elem_size, p, input))
+                .map(|p| Footprint::of(w.enumerator, w.elem_size, p, input))
                 .collect()
         })
         .collect();
 
     let mut est = CostEstimate::default();
     for per_part in &writes_by_part {
-        for intervals in per_part {
-            est.n_ranges += intervals.len() as u64;
+        for written in per_part {
+            est.n_ranges += written.ranges.len() as u64;
         }
     }
 
@@ -349,36 +367,43 @@ pub fn evaluate(input: &TunerInput<'_>, strategy: &PartitionStrategy) -> CostEst
         }
     };
     for read in &input.reads {
+        // Owned intervals per device, built once per read; which of them
+        // partition p already holds as a replica is decided per p below.
+        let owned_by: Vec<Vec<&OwnedSegment>> = match &read.ownership {
+            Ownership::Segments(segs) => {
+                let mut per = vec![Vec::new(); spec.n_devices];
+                for s in segs {
+                    if let Some(d) = s.device.filter(|&d| d < spec.n_devices && s.start < s.end) {
+                        per[d].push(s);
+                    }
+                }
+                per
+            }
+            _ => Vec::new(),
+        };
         for (p, part) in parts.iter().enumerate() {
-            let ranges = to_byte_intervals(read.enumerator, read.elem_size, part, input);
-            est.n_ranges += ranges.len() as u64;
+            let reads = Footprint::of(read.enumerator, read.elem_size, part, input);
+            est.n_ranges += reads.ranges.len() as u64;
             match &read.ownership {
                 Ownership::SelfWrites(w) => {
                     for (q, owned) in writes_by_part[*w].iter().enumerate() {
                         if q == p {
                             continue;
                         }
-                        let (bytes, pieces) = intersect(&ranges, owned);
+                        let (bytes, pieces) = intersect(reads.bytes(), owned.bytes());
                         note(p, q, bytes, &pieces);
                     }
                 }
-                Ownership::Segments(segs) => {
+                Ownership::Segments(_) => {
                     // Intervals remote *to p*: owned by another device and
                     // not already held by p as a valid replica.
-                    let mut per = vec![Vec::new(); spec.n_devices];
-                    for s in segs {
-                        let held = p < 64 && (s.holders >> p) & 1 == 1;
-                        if let Some(d) = s.device {
-                            if d < spec.n_devices && s.start < s.end && !held {
-                                per[d].push((s.start, s.end));
-                            }
-                        }
-                    }
-                    for (owner, owned) in per.iter().enumerate() {
-                        if owner == p || owned.is_empty() {
+                    let held = |s: &OwnedSegment| p < 64 && (s.holders >> p) & 1 == 1;
+                    for (owner, owned) in owned_by.iter().enumerate() {
+                        if owner == p || owned.iter().all(|s| held(s)) {
                             continue;
                         }
-                        let (bytes, pieces) = intersect(&ranges, owned);
+                        let remote = owned.iter().filter(|s| !held(s)).map(|s| (s.start, s.end));
+                        let (bytes, pieces) = intersect(reads.bytes(), remote);
                         note(p, owner, bytes, &pieces);
                     }
                 }

@@ -95,7 +95,7 @@ impl Launch {
 
     /// The integer scalars in parameter order, floats as 0 — the array
     /// the enumerators take (§6.2), as `MgpuRuntime::launch` derives it.
-    fn scalars(&self) -> Vec<i64> {
+    pub fn scalars(&self) -> Vec<i64> {
         self.args
             .iter()
             .filter_map(|a| match a {

@@ -225,7 +225,7 @@ proptest! {
                         re.ranges_merged(&whole, block, grid, &exact_enums.scalar_names, &scalars);
                     let boxed_ =
                         rb.ranges_merged(&whole, block, grid, &boxed_enums.scalar_names, &scalars);
-                    for r in &exact {
+                    for r in exact.iter() {
                         prop_assert!(
                             boxed_.iter().any(|b| b.start <= r.start && r.end <= b.end),
                             "{} arg {idx_e}: boxed footprint tighter than affine \

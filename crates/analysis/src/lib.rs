@@ -43,7 +43,7 @@ pub use annotate::{apply_annotations, scan_annotations, value_ranges, Annotation
 pub use extract::{analyze_kernel, analyze_kernel_boxed, analyze_kernel_with, ValueRanges};
 pub use injective::is_block_injective;
 pub use interval::{widen, AbsVal};
-pub use model::{AccessKind, AppModel, ArgModel, ArrayAccess, KernelModel, Verdict};
+pub use model::{AccessKind, AppModel, ArgModel, ArrayAccess, KernelModel, ModelError, Verdict};
 pub use space::{AnalysisSpace, BD_OFF, GD_OFF, N_FIXED_PARAMS, N_GRID_DIMS, N_MAP_IN};
 pub use strategy::{suggest_split, SplitAxis};
 

@@ -1,11 +1,18 @@
-//! The on-disk application model (paper §4: "the application model is
+//! The application model (paper §4: "the application model is
 //! saved to disk. For each kernel, a record is created that contains the
 //! kernel's name, suggested partitioning strategy, and a list of its
 //! arguments. The read and write maps of arrays are stored per-argument.")
+//!
+//! The compiler hands the model from analysis to code generation in
+//! memory; the JSON form is an *export* — what `mekongc` and
+//! `mekong-bench dump-models` write and `mekong-check` reads — and
+//! [`AppModel::from_json`] is the one door through which a model the
+//! analysis did not just build gets in, so it validates what it lets in.
 
+use crate::space::{N_FIXED_PARAMS, N_MAP_IN};
 use crate::strategy::SplitAxis;
 use mekong_kernel::{Extent, ScalarTy};
-use mekong_poly::Map;
+use mekong_poly::{Constraint, Map};
 use serde::{Deserialize, Serialize};
 
 /// Read or write access.
@@ -16,7 +23,7 @@ pub enum AccessKind {
 }
 
 /// One access map of one array argument.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArrayAccess {
     /// The polyhedral map `Z^6 → Z^d` (blockOff/blockIdx → array coords).
     pub map: Map,
@@ -38,7 +45,7 @@ pub struct ArrayAccess {
 // A kernel has a handful of these, ever; boxing the access maps would
 // complicate every construction and match site for no measurable gain.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArgModel {
     Scalar {
         name: String,
@@ -95,7 +102,7 @@ impl Verdict {
 }
 
 /// The per-kernel record of the application model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelModel {
     pub kernel_name: String,
     /// Suggested grid axis to split (paper: "suggested partitioning
@@ -131,11 +138,48 @@ impl KernelModel {
             .enumerate()
             .filter(|(_, a)| a.is_written_array())
     }
+
+    /// Do the access maps have the shape this record declares? The checker
+    /// and the enumerator generator index map dimensions and parameters by
+    /// that shape, so a record from outside must pass before they see it.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        let n_params = N_FIXED_PARAMS + self.scalar_params.len();
+        for arg in &self.args {
+            let ArgModel::Array {
+                name,
+                extents,
+                read,
+                write,
+                ..
+            } = arg
+            else {
+                continue;
+            };
+            let needs = (N_MAP_IN, extents.len(), n_params);
+            for acc in read.iter().chain(write) {
+                let problem = match map_shape(&acc.map) {
+                    Some(shape) if shape == needs => continue,
+                    Some((n_in, n_out, np)) => format!(
+                        "has {n_in} inputs, {n_out} outputs and {np} parameters; \
+                         its record needs {}, {} and {}",
+                        needs.0, needs.1, needs.2
+                    ),
+                    None => "has pieces or constraints wider or narrower than its space".into(),
+                };
+                return Err(ModelError::Map {
+                    kernel: self.kernel_name.clone(),
+                    array: name.clone(),
+                    problem,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
-/// The whole application model: one record per kernel, written to disk
-/// between the two compiler passes (paper §3).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The whole application model: one record per kernel (paper §3 writes it
+/// to disk between the two compiler passes; here it stays in memory).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AppModel {
     pub kernels: Vec<KernelModel>,
 }
@@ -146,24 +190,72 @@ impl AppModel {
         self.kernels.iter().find(|k| k.kernel_name == name)
     }
 
-    /// Serialize to JSON (the on-disk format between passes).
+    /// Serialize to compact JSON (the export format).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("model serialization cannot fail")
+        serde_json::to_string(self).expect("model serialization cannot fail")
     }
 
-    /// Deserialize from JSON.
-    pub fn from_json(text: &str) -> Result<AppModel, serde_json::Error> {
-        serde_json::from_str(text)
+    /// Deserialize from JSON, refusing a model with a record that is not
+    /// [valid](KernelModel::validate).
+    pub fn from_json(text: &str) -> Result<AppModel, ModelError> {
+        let app: AppModel = serde_json::from_str(text).map_err(ModelError::Json)?;
+        app.kernels.iter().try_for_each(KernelModel::validate)?;
+        Ok(app)
     }
 }
+
+/// `(inputs, outputs, parameters)` of a map that came from outside, `None`
+/// if its parts contradict each other: more inputs than dimensions, or a
+/// piece or a constraint that is not as wide as the space says.
+fn map_shape(map: &Map) -> Option<(usize, usize, usize)> {
+    let rel = map.relation();
+    let (n_dims, n_params) = (rel.n_dims(), rel.n_params());
+    let consistent = rel.pieces().iter().all(|p| {
+        let as_wide = |c: &Constraint| c.expr.coeffs.len() == n_dims + n_params;
+        (p.n_dims(), p.n_params()) == (n_dims, n_params) && p.constraints().iter().all(as_wide)
+    });
+    let n_out = n_dims.checked_sub(map.n_in())?;
+    consistent.then_some((map.n_in(), n_out, n_params))
+}
+
+/// Why [`AppModel::from_json`] refused its input.
+#[derive(Debug, Clone)]
+pub enum ModelError {
+    /// Not JSON, or not the JSON of an application model.
+    Json(serde_json::Error),
+    /// An access map that is not over the six block coordinates, the
+    /// array's rank and the six launch parameters plus the kernel's
+    /// scalars, or not even consistent in itself.
+    Map {
+        kernel: String,
+        array: String,
+        problem: String,
+    },
+}
+
+impl std::fmt::Display for ModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelError::Json(e) => write!(f, "{e}"),
+            ModelError::Map {
+                kernel,
+                array,
+                problem,
+            } => write!(f, "kernel {kernel}, array {array}: access map {problem}"),
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn model_roundtrips_through_json() {
-        let m = AppModel {
+    const PARAMS: &str = "[bdz,bdy,bdx,gdz,gdy,gdx,n] -> ";
+
+    fn vadd_model() -> AppModel {
+        AppModel {
             kernels: vec![KernelModel {
                 kernel_name: "vadd".into(),
                 partitioning: SplitAxis::X,
@@ -178,8 +270,7 @@ mod tests {
                         elem: ScalarTy::F32,
                         extents: vec![Extent::Param("n".into())],
                         read: Some(ArrayAccess {
-                            map: Map::parse("{ [boz,boy,box,biz,biy,bix] -> [e] : e = box }")
-                                .unwrap(),
+                            map: map("{ [boz,boy,box,biz,biy,bix] -> [e] : e = box }"),
                             exact: true,
                             may: false,
                             interval: false,
@@ -189,13 +280,60 @@ mod tests {
                 ],
                 scalar_params: vec!["n".into()],
             }],
-        };
+        }
+    }
+
+    fn map(body: &str) -> Map {
+        Map::parse(&format!("{PARAMS}{body}")).unwrap()
+    }
+
+    #[test]
+    fn model_roundtrips_through_json() {
+        let m = vadd_model();
         let json = m.to_json();
+        assert!(!json.contains('\n'), "the export is compact");
         let back = AppModel::from_json(&json).unwrap();
-        assert_eq!(back.kernels.len(), 1);
+        assert_eq!(back, m);
         let k = back.kernel("vadd").unwrap();
         assert!(k.verdict.is_partitionable());
         assert!(k.arg("a").unwrap().is_read_array());
         assert!(!k.arg("a").unwrap().is_written_array());
+    }
+
+    /// A record that declares a shape its maps do not have is refused at
+    /// the door, whichever of the three counts is off.
+    #[test]
+    fn from_json_refuses_maps_that_do_not_fit_their_record() {
+        let refused_json = |json: &str| match AppModel::from_json(json) {
+            Err(ModelError::Map { kernel, array, .. }) => {
+                assert_eq!((kernel.as_str(), array.as_str()), ("vadd", "a"));
+            }
+            other => panic!("expected a map error, got {other:?}"),
+        };
+        let refused = |broken: AppModel| refused_json(&broken.to_json());
+        let with_map = |m: Map| {
+            let mut broken = vadd_model();
+            let ArgModel::Array { read: Some(r), .. } = &mut broken.kernels[0].args[1] else {
+                unreachable!("args[1] is the read array");
+            };
+            r.map = m;
+            broken
+        };
+        refused(with_map(map("{ [boz,boy,box,biz,biy] -> [e] : e = box }")));
+        refused(with_map(map(
+            "{ [boz,boy,box,biz,biy,bix] -> [r,c] : c = box }",
+        )));
+        let mut extra_scalar = vadd_model();
+        extra_scalar.kernels[0].scalar_params.push("m".into());
+        refused(extra_scalar);
+        // A constraint with a coefficient missing, a piece of another width.
+        let good = vadd_model().to_json();
+        assert!(good.contains("\"coeffs\":[0,") && good.contains("\"n_dims\":7"));
+        refused_json(&good.replacen("\"coeffs\":[0,", "\"coeffs\":[", 1));
+        refused_json(&good.replacen("\"n_dims\":7", "\"n_dims\":8", 1));
+        assert!(matches!(
+            AppModel::from_json("{\"kernels\": 3}"),
+            Err(ModelError::Json(_))
+        ));
     }
 }

@@ -2,14 +2,16 @@
 //! resulting in a compile time increase from 1.9x - 2.2x for the tested
 //! applications."
 //!
-//! We measure our two-pass pipeline against the single-pass baseline
-//! (parse + validate) for each workload.
+//! We have no second gpucc invocation — pass 2 takes the parsed program
+//! and the model from pass 1 in memory — so what remains of the increase
+//! is the analysis itself. We measure the pipeline against the
+//! single-pass baseline (parse + validate) for each workload.
 
 use crate::harness::{BenchArgs, GateResult};
 use mekong_workloads::benchmarks;
 
 pub fn run(_args: &BenchArgs) -> GateResult {
-    println!("Compile-time overhead of the two-pass pipeline (vs single-pass baseline).");
+    println!("Compile-time overhead of the pipeline (vs single-pass baseline).");
     println!();
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>12} {:>8} {:>10}",
@@ -32,9 +34,10 @@ pub fn run(_args: &BenchArgs) -> GateResult {
         let s = best.unwrap();
         // The paper's ratio compares the double-gpucc pipeline against one
         // full gpucc invocation. Our closest equivalent of "one full
-        // compile" is pass 2 (parse + partition + codegen), so
-        // total/pass2 is the apples-to-apples number.
-        let vs_one_pass = s.total().as_secs_f64() / s.pass2.as_secs_f64();
+        // compile" is the front end once plus pass 2 (partition +
+        // codegen), so total over that is the apples-to-apples number.
+        let one_pass = s.single_pass_baseline + s.pass2;
+        let vs_one_pass = s.total().as_secs_f64() / one_pass.as_secs_f64();
         println!(
             "{:<10} {:>10.1}us {:>10.1}us {:>10.1}us {:>10.1}us {:>7.2}x {:>9.2}x",
             b.name(),
@@ -48,7 +51,7 @@ pub fn run(_args: &BenchArgs) -> GateResult {
     }
     println!();
     println!("Paper: 1.9x - 2.2x over one full gpucc invocation. Our `vs 1-pass` column");
-    println!("is the comparable ratio (total pipeline over one full pass); the `ratio`");
+    println!("is the comparable ratio (total pipeline over front end + pass 2); the `ratio`");
     println!("column uses a parse-only baseline and is expected to run much higher.");
     Ok(())
 }

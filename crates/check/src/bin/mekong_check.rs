@@ -5,8 +5,9 @@
 //! mekong-check [--json] MODEL.json...
 //! ```
 //!
-//! Each input file is an `AppModel` as written by the compiler
-//! (`model.json`, pass 1 of the pipeline). The process exits non-zero
+//! Each input file is an `AppModel` as exported by the compiler
+//! (`mekongc`'s `<stem>.model.json`, `mekong-bench dump-models`); a file
+//! whose records do not validate is refused. The process exits non-zero
 //! if any kernel carries an `Error`-severity diagnostic — the CI
 //! soundness gate.
 

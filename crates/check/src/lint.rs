@@ -2,13 +2,16 @@
 //! out-of-bounds escapes and enumerator-coverage gaps.
 
 use crate::diag::Witness;
-use crate::race::{bounded_point, extent_value, trial_params, witness_from_point};
+use crate::race::{
+    bounded_point, concretize, extent_value, trial_params, whole_grid, witness_from_point,
+};
 use crate::Result;
 use mekong_analysis::{AnalysisSpace, SplitAxis, N_MAP_IN};
 use mekong_enumgen::AccessEnumerator;
 use mekong_kernel::{Dim3, Extent};
 use mekong_partition::partition_grid;
 use mekong_poly::{Constraint, LinExpr, Map};
+use std::ops::ControlFlow;
 
 /// A proven (or unexcluded) escape of an access image past the declared
 /// extents.
@@ -73,7 +76,7 @@ pub fn oob_finding(
                 }
                 let mut witness = None;
                 for params in trial_params(space) {
-                    if let Some(pt) = bounded_point(&sys, 1, d, &params, extents, space)? {
+                    if let Some(pt) = bounded_point(&sys, 1, &params, extents, space)? {
                         witness = Some(witness_from_point(&pt, &params, space, 1, d));
                         break;
                     }
@@ -134,35 +137,15 @@ pub fn may_read_box(
     if exts.iter().product::<i64>() > 1 << 20 {
         return Ok(None);
     }
+    let in_bounds: Vec<(i64, i64)> = exts.iter().map(|&e| (0, e - 1)).collect();
     let mut seen: std::collections::HashSet<Vec<i64>> = std::collections::HashSet::new();
     for piece in map.relation().pieces() {
-        let mut p = piece.bind_params(&params)?;
-        if p.is_marked_empty() {
-            continue;
+        // blockIdx across the whole sampled grid.
+        if let Some(p) = concretize(piece, 1, &params, &whole_grid(&params), &in_bounds)? {
+            p.for_each_point(&[], &mut |pt| {
+                seen.insert(pt[N_MAP_IN..N_MAP_IN + d].to_vec());
+            })?;
         }
-        let w = p.n_dims();
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..3 {
-            // bo_k = bd_k · bi_k, blockIdx across the whole sampled grid.
-            let mut e = LinExpr::constant(w, 0);
-            e.coeffs[k] = 1;
-            e.coeffs[3 + k] = -params[k];
-            p.add_constraint(Constraint::eq(e));
-            let bi = LinExpr::var(w, 3 + k);
-            p.add_constraint(Constraint::ge0(bi.clone()));
-            p.add_constraint(Constraint::lt(&bi, &LinExpr::constant(w, params[3 + k]))?);
-        }
-        for (j, &e) in exts.iter().enumerate() {
-            let y = LinExpr::var(w, N_MAP_IN + j);
-            p.add_constraint(Constraint::ge0(y.clone()));
-            p.add_constraint(Constraint::lt(&y, &LinExpr::constant(w, e))?);
-        }
-        if p.is_marked_empty() {
-            continue;
-        }
-        p.for_each_point(&[], &mut |pt| {
-            seen.insert(pt[N_MAP_IN..N_MAP_IN + d].to_vec());
-        })?;
     }
     if seen.is_empty() {
         return Ok(None);
@@ -230,57 +213,35 @@ pub fn coverage_gap(
         .iter()
         .map(|e| extent_value(e, space, &params).max(1))
         .collect();
+    let in_bounds: Vec<(i64, i64)> = exts.iter().map(|&e| (0, e - 1)).collect();
     for (pi, part) in partition_grid(grid, 2, axis).iter().enumerate() {
         if part.is_empty() {
             continue;
         }
         let covered = en.ranges_merged(part, block, grid, scalar_names, &scalars);
         for piece in map.relation().pieces() {
-            let mut p = piece.bind_params(&params)?;
-            if p.is_marked_empty() {
+            // blockIdx inside this partition.
+            let Some(p) = concretize(piece, 1, &params, part, &in_bounds)? else {
                 continue;
-            }
-            let w = p.n_dims();
-            #[allow(clippy::needless_range_loop)]
-            for k in 0..3 {
-                // bo_k = bd_k * bi_k, blockIdx inside this partition.
-                let mut e = LinExpr::constant(w, 0);
-                e.coeffs[k] = 1;
-                e.coeffs[3 + k] = -params[k];
-                p.add_constraint(Constraint::eq(e));
-                let bi = LinExpr::var(w, 3 + k);
-                p.add_constraint(Constraint::ge(&bi, &LinExpr::constant(w, part.lo[k]))?);
-                p.add_constraint(Constraint::lt(&bi, &LinExpr::constant(w, part.hi[k]))?);
-            }
-            for (j, &e) in exts.iter().enumerate() {
-                let y = LinExpr::var(w, N_MAP_IN + j);
-                p.add_constraint(Constraint::ge0(y.clone()));
-                p.add_constraint(Constraint::lt(&y, &LinExpr::constant(w, e))?);
-            }
-            if p.is_marked_empty() {
-                continue;
-            }
-            let mut gap: Option<(Vec<i64>, u64)> = None;
-            p.for_each_point(&[], &mut |pt| {
-                if gap.is_some() {
-                    return;
-                }
+            };
+            let gap = p.try_for_each_point(&[], &mut |pt| {
                 let y = &pt[N_MAP_IN..N_MAP_IN + d];
                 let mut lin = 0i64;
                 for (i, &v) in y.iter().enumerate() {
                     lin = lin * exts[i] + v;
                 }
                 let lin = lin as u64;
-                if !covered.iter().any(|r| r.start <= lin && lin < r.end) {
-                    gap = Some((y.to_vec(), lin));
+                if covered.iter().any(|r| r.start <= lin && lin < r.end) {
+                    return ControlFlow::Continue(());
                 }
-            })?;
-            if let Some((element, linear)) = gap {
-                return Ok(Some(CoverageGap {
-                    element,
-                    linear,
+                ControlFlow::Break(CoverageGap {
+                    element: y.to_vec(),
+                    linear: lin,
                     partition: pi,
-                }));
+                })
+            })?;
+            if gap.is_some() {
+                return Ok(gap);
             }
         }
     }

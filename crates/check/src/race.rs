@@ -18,8 +18,9 @@
 
 use crate::diag::Witness;
 use crate::Result;
-use mekong_analysis::{is_block_injective, AnalysisSpace, SplitAxis, N_MAP_IN};
+use mekong_analysis::{is_block_injective, AnalysisSpace, SplitAxis, GD_OFF, N_MAP_IN};
 use mekong_kernel::Extent;
+use mekong_partition::Partition;
 use mekong_poly::{Constraint, LinExpr, Map, Polyhedron};
 
 /// Outcome of the per-axis disjointness analysis for one write map.
@@ -102,7 +103,7 @@ pub fn find_race_witness(
                 continue;
             }
             for params in trial_params(space) {
-                if let Some(pt) = bounded_point(&sys, 2, d, &params, extents, space)? {
+                if let Some(pt) = bounded_point(&sys, 2, &params, extents, space)? {
                     return Ok(Some(witness_from_point(&pt, &params, space, 2, d)));
                 }
             }
@@ -159,53 +160,71 @@ pub(crate) fn trial_params(space: &AnalysisSpace) -> Vec<Vec<i64>> {
     out
 }
 
-/// Bind `params`, make the system finite (concrete `blockOff =
-/// blockDim·blockIdx` coupling, `0 ≤ blockIdx < gridDim` boxes per input
-/// copy, generous boxes around the declared extents for the outputs) and
-/// return the first integer point, if any.
+/// Bind `params` in a system over `copies` input copies and the outputs,
+/// and make it finite: per copy the coupling `blockOff = blockDim ·
+/// blockIdx` (affine now that `blockDim` is a number) and blockIdx inside
+/// `blocks`, and the inclusive range `outputs[j]` for output `j`. `None` if
+/// that leaves it visibly empty.
+pub(crate) fn concretize(
+    sys: &Polyhedron,
+    copies: usize,
+    params: &[i64],
+    blocks: &Partition,
+    outputs: &[(i64, i64)],
+) -> Result<Option<Polyhedron>> {
+    let mut p = sys.bind_params(params)?;
+    let w = p.n_dims();
+    let clamp = |p: &mut Polyhedron, dim: usize, lo: i64, hi: i64| -> Result<()> {
+        let x = LinExpr::var(w, dim);
+        p.add_constraint(Constraint::ge(&x, &LinExpr::constant(w, lo))?);
+        p.add_constraint(Constraint::le(&x, &LinExpr::constant(w, hi))?);
+        Ok(())
+    };
+    for copy in 0..copies {
+        let off = copy * N_MAP_IN;
+        for (k, &block_dim) in params[..3].iter().enumerate() {
+            let mut e = LinExpr::constant(w, 0);
+            e.coeffs[off + k] = 1;
+            e.coeffs[off + 3 + k] = -block_dim;
+            p.add_constraint(Constraint::eq(e));
+            clamp(&mut p, off + 3 + k, blocks.lo[k], blocks.hi[k] - 1)?;
+        }
+    }
+    for (j, &(lo, hi)) in outputs.iter().enumerate() {
+        clamp(&mut p, copies * N_MAP_IN + j, lo, hi)?;
+    }
+    Ok((!p.is_marked_empty()).then_some(p))
+}
+
+/// Every block of the grid that `params` launches.
+pub(crate) fn whole_grid(params: &[i64]) -> Partition {
+    Partition {
+        lo: [0; 3],
+        hi: [params[GD_OFF], params[GD_OFF + 1], params[GD_OFF + 2]],
+    }
+}
+
+/// The first integer point of `sys` under `params`, over the whole trial
+/// grid and a generous box around the declared extents (it includes
+/// one-off OOB points on both sides).
 pub(crate) fn bounded_point(
     sys: &Polyhedron,
     copies: usize,
-    _d: usize,
     params: &[i64],
     extents: &[Extent],
     space: &AnalysisSpace,
 ) -> Result<Option<Vec<i64>>> {
-    let mut p = sys.bind_params(params)?;
-    if p.is_marked_empty() {
-        return Ok(None);
+    let outputs: Vec<(i64, i64)> = extents
+        .iter()
+        .map(|ext| {
+            let e = extent_value(ext, space, params).clamp(1, 64);
+            (-(e + 1), 2 * e + 1)
+        })
+        .collect();
+    match concretize(sys, copies, params, &whole_grid(params), &outputs)? {
+        Some(p) => Ok(p.first_point(&[])?),
+        None => Ok(None),
     }
-    let w = p.n_dims();
-    for copy in 0..copies {
-        let off = copy * N_MAP_IN;
-        for k in 0..3 {
-            // bo_k = bd_k * bi_k (affine now that bd_k is a number).
-            let mut e = LinExpr::constant(w, 0);
-            e.coeffs[off + k] = 1;
-            e.coeffs[off + 3 + k] = -params[k];
-            p.add_constraint(Constraint::eq(e));
-            let bi = LinExpr::var(w, off + 3 + k);
-            p.add_constraint(Constraint::ge0(bi.clone()));
-            p.add_constraint(Constraint::lt(&bi, &LinExpr::constant(w, params[3 + k]))?);
-        }
-    }
-    for (j, ext) in extents.iter().enumerate() {
-        // Generous box: includes one-off OOB points on both sides.
-        let e = extent_value(ext, space, params).clamp(1, 64);
-        let y = LinExpr::var(w, copies * N_MAP_IN + j);
-        p.add_constraint(Constraint::ge(&y, &LinExpr::constant(w, -(e + 1)))?);
-        p.add_constraint(Constraint::le(&y, &LinExpr::constant(w, 2 * e + 1))?);
-    }
-    if p.is_marked_empty() {
-        return Ok(None);
-    }
-    let mut found: Option<Vec<i64>> = None;
-    p.for_each_point(&[], &mut |pt| {
-        if found.is_none() {
-            found = Some(pt.to_vec());
-        }
-    })?;
-    Ok(found)
 }
 
 /// Concrete value of an extent under a full parameter binding.

@@ -4,8 +4,8 @@
 //! mekongc <input.cu> [--out-dir DIR] [--gpus N] [--run] [--verbose]
 //! ```
 //!
-//! Mirrors the paper's Figure 2 pipeline on a file: runs the two passes,
-//! writes the application model (`<stem>.model.json`) and the rewritten
+//! Mirrors the paper's Figure 2 pipeline on a file: runs the pipeline,
+//! exports the application model (`<stem>.model.json`) and the rewritten
 //! host source (`<stem>.mgpu.cu`) next to the input (or into `--out-dir`),
 //! and prints a per-kernel report. With `--run`, kernels that take only
 //! `(int n, arrays…)` are smoke-executed on a simulated machine.

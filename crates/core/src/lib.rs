@@ -14,7 +14,7 @@
 //!     b[i] = a[i] * 2.0f;
 //! }
 //! "#;
-//! // Two-pass compile (analysis → rewrite → partition/codegen):
+//! // Compile (analysis → rewrite → partition/codegen):
 //! let program = compile_source(src).unwrap();
 //! assert!(program.kernel("scale").unwrap().is_partitionable());
 //!

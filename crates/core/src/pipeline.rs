@@ -1,21 +1,26 @@
-//! The two-pass compilation pipeline (paper §3, Figure 2).
+//! The compilation pipeline (paper §3, Figure 2).
 //!
 //! ```text
-//! pass 1 (gpucc):  parse  →  polyhedral analysis  →  model to disk
-//! rewriter:        host code source-to-source transformation
-//! pass 2 (gpucc):  parse again  →  partition kernels  →  polyhedral
-//!                  codegen (enumerators)  →  link runtime
+//! pass 1:    parse  →  polyhedral analysis  →  application model
+//! rewriter:  host code source-to-source transformation
+//! pass 2:    partition kernels  →  polyhedral codegen (enumerators)
+//!            →  link runtime
 //! ```
 //!
-//! The first pass exists only to obtain the memory-behavior models; its
-//! other results are discarded, and the second invocation repeats the
-//! front-end work — the paper reports a resulting 1.9×–2.2× compile-time
-//! increase, which [`CompileStats`] lets the benchmark harness measure on
-//! our pipeline.
+//! The paper runs gpucc twice and hands the model from the first run to
+//! the second through a file, so its second pass repeats the front end —
+//! it reports a resulting 1.9×–2.2× compile-time increase. We have no
+//! gpucc to re-invoke: pass 2 takes the parsed program and the
+//! [`AppModel`] pass 1 just built, in memory. The JSON form of the model
+//! ([`CompiledProgram::model_json`]) is still produced, as an *export*:
+//! it is what `mekongc` and `mekong-bench dump-models` write and what
+//! `mekong-check` reads, not what the compiler reads back.
+//! [`CompileStats`] keeps the paper's stage accounting so the harness can
+//! set our ratio against theirs.
 
 use crate::{MekongError, Result};
 use mekong_analysis::{analyze_kernel_with, AppModel, ValueRanges};
-use mekong_frontend::parse_program;
+use mekong_frontend::{parse_program, ParseError};
 use mekong_rewriter::{rewrite_host, LaunchSite};
 use mekong_runtime::CompiledKernel;
 use std::time::{Duration, Instant};
@@ -23,11 +28,11 @@ use std::time::{Duration, Instant};
 /// Wall-clock timings of the pipeline stages.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompileStats {
-    /// Pass 1: parse + analysis + model serialization.
+    /// Pass 1: parse + analysis + model export.
     pub pass1: Duration,
     /// Source-to-source rewriting.
     pub rewrite: Duration,
-    /// Pass 2: re-parse + partitioning + enumerator generation.
+    /// Pass 2: partitioning + enumerator generation.
     pub pass2: Duration,
     /// A plain single-pass compile of the same source (parse + validate),
     /// the "NVCC-equivalent" baseline for the compile-time ratio.
@@ -50,9 +55,9 @@ impl CompileStats {
 /// A fully compiled multi-GPU program.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
-    /// The application model (what pass 1 wrote to disk).
+    /// The application model pass 1 built and pass 2 consumed.
     pub model: AppModel,
-    /// The serialized form of the model (the actual on-disk artifact).
+    /// The exported form of the model (what the tools write to disk).
     pub model_json: String,
     /// Per-kernel artifacts for the runtime.
     pub kernels: Vec<CompiledKernel>,
@@ -71,83 +76,54 @@ impl CompiledProgram {
     }
 }
 
-/// Run the full two-pass pipeline on a mini-CUDA translation unit.
+/// Run the full pipeline on a mini-CUDA translation unit.
 pub fn compile_source(src: &str) -> Result<CompiledProgram> {
+    let parse_error = |message: String| MekongError::Parse(ParseError { line: 0, message });
+
     // Baseline: what a plain compiler does (parse + validate).
     let t0 = Instant::now();
-    {
-        let prog = parse_program(src)?;
-        for k in &prog.kernels {
-            k.validate().map_err(|e| {
-                MekongError::Parse(mekong_frontend::ParseError {
-                    line: 0,
-                    message: format!("kernel {}: {e}", k.name),
-                })
-            })?;
-        }
+    for k in &parse_program(src)?.kernels {
+        k.validate()
+            .map_err(|e| parse_error(format!("kernel {}: {e}", k.name)))?;
     }
     let single_pass_baseline = t0.elapsed();
 
-    // ---- pass 1: analysis only; all other results discarded (§3) ------
+    // ---- pass 1: front end, analysis, model export ---------------------
     let t1 = Instant::now();
-    let model_json = {
-        let prog = parse_program(src)?;
-        // Programmer annotations (§11) adjust models the analysis could
-        // not establish on its own.
-        let annotations = mekong_analysis::scan_annotations(src).map_err(|m| {
-            MekongError::Parse(mekong_frontend::ParseError {
-                line: 0,
-                message: m,
-            })
-        })?;
-        // Value-range annotations feed the interval abstract interpreter
-        // *during* analysis (bounding indirect loads); map annotations
-        // replace finished access maps afterwards.
-        let ranges = mekong_analysis::value_ranges(&annotations).map_err(|m| {
-            MekongError::Parse(mekong_frontend::ParseError {
-                line: 0,
-                message: m,
-            })
-        })?;
-        let empty = ValueRanges::new();
-        let mut model = AppModel::default();
-        for k in &prog.kernels {
-            let mut km = analyze_kernel_with(k, ranges.get(&k.name).unwrap_or(&empty))?;
-            mekong_analysis::apply_annotations(&mut km, &annotations)?;
-            model.kernels.push(km);
-        }
-        // "the application model is saved to disk" (§4): serialize.
-        model.to_json()
-    };
+    let prog = parse_program(src)?;
+    // Programmer annotations (§11) adjust models the analysis could not
+    // establish on its own.
+    let annotations = mekong_analysis::scan_annotations(src).map_err(parse_error)?;
+    // Value-range annotations feed the interval abstract interpreter
+    // *during* analysis (bounding indirect loads); map annotations
+    // replace finished access maps afterwards.
+    let ranges = mekong_analysis::value_ranges(&annotations).map_err(parse_error)?;
+    let empty = ValueRanges::new();
+    let mut model = AppModel::default();
+    for k in &prog.kernels {
+        let mut km = analyze_kernel_with(k, ranges.get(&k.name).unwrap_or(&empty))?;
+        mekong_analysis::apply_annotations(&mut km, &annotations)?;
+        model.kernels.push(km);
+    }
+    // "the application model is saved to disk" (§4): serialize.
+    let model_json = model.to_json();
     let pass1 = t1.elapsed();
 
     // ---- rewriter ------------------------------------------------------
     let t2 = Instant::now();
-    let prog1 = parse_program(src)?;
-    let rewritten = rewrite_host(&prog1.host_source)?;
+    let rewritten = rewrite_host(&prog.host_source)?;
     let rewrite = t2.elapsed();
 
-    // ---- pass 2: repeat the front-end, partition, generate enumerators -
+    // ---- pass 2: partition, generate enumerators -----------------------
     let t3 = Instant::now();
-    let prog2 = parse_program(src)?;
-    let model = AppModel::from_json(&model_json).map_err(|e| {
-        MekongError::Parse(mekong_frontend::ParseError {
-            line: 0,
-            message: format!("model deserialization failed: {e}"),
-        })
-    })?;
-    let mut kernels = Vec::with_capacity(prog2.kernels.len());
-    for k in &prog2.kernels {
-        // Pass 2 consumes the model pass 1 wrote to disk (including any
-        // annotation adjustments) instead of re-analyzing.
-        let km = model.kernel(&k.name).cloned().ok_or_else(|| {
-            MekongError::Parse(mekong_frontend::ParseError {
-                line: 0,
-                message: format!("model file lacks kernel {}", k.name),
-            })
-        })?;
-        kernels.push(CompiledKernel::from_model(k, km)?);
-    }
+    // Pass 1 pushed one record per kernel, in program order (including
+    // any annotation adjustments).
+    let kernels = prog
+        .kernels
+        .iter()
+        .zip(&model.kernels)
+        .map(|(k, km)| CompiledKernel::from_model(k, km.clone()))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
     let pass2 = t3.elapsed();
 
     Ok(CompiledProgram {
@@ -197,22 +173,21 @@ int main() {
         assert_eq!(p.launch_sites.len(), 1);
     }
 
+    /// The export reads back as exactly the model both passes shared.
     #[test]
     fn model_roundtrips_between_passes() {
         let p = compile_source(SRC).unwrap();
-        let k = p.model.kernel("vadd").unwrap();
-        assert!(k.verdict.is_partitionable());
-        // The deserialized model matches the freshly analyzed one.
-        let again = AppModel::from_json(&p.model_json).unwrap();
-        assert_eq!(again.kernel("vadd").unwrap().scalar_params, k.scalar_params);
+        assert!(p.model.kernel("vadd").unwrap().verdict.is_partitionable());
+        assert_eq!(AppModel::from_json(&p.model_json).unwrap(), p.model);
+        assert_eq!(p.kernel("vadd").unwrap().model, p.model.kernels[0]);
     }
 
     #[test]
     fn compile_time_overhead_exceeds_baseline() {
         let p = compile_source(SRC).unwrap();
-        // Two front-end passes + analysis + codegen: must cost more than
-        // one plain parse. (The paper: 1.9×–2.2×; ours is higher since the
-        // baseline does no code generation at all.)
+        // Front end + analysis + codegen: must cost more than one plain
+        // parse. (The paper: 1.9×–2.2×; ours is higher since the baseline
+        // does no code generation at all.)
         assert!(p.stats.overhead_ratio() > 1.0);
         assert!(p.stats.total() >= p.stats.pass1);
     }

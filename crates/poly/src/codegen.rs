@@ -29,6 +29,7 @@ use crate::polyhedron::Polyhedron;
 use crate::set::Set;
 use crate::{PolyError, Result};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// A closed-form bound expression: `max`/`min` over floor/ceil divisions of
 /// affine forms, the leaves of isl's expression ASTs that we need.
@@ -147,6 +148,20 @@ pub struct PieceNest {
     pub row_ub: AstExpr,
 }
 
+impl PieceNest {
+    /// The dimensions the piece leaves without a lower or an upper bound,
+    /// outermost first. A nest can only be scanned as far as the first.
+    fn open_dims(&self) -> impl Iterator<Item = usize> + '_ {
+        let open = |e: &AstExpr| matches!(e, AstExpr::Max(es) | AstExpr::Min(es) if es.is_empty());
+        let loops = self.loops.iter().map(|l| (&l.lb, &l.ub));
+        loops
+            .chain([(&self.row_lb, &self.row_ub)])
+            .enumerate()
+            .filter(move |(_, (lb, ub))| open(lb) || open(ub))
+            .map(|(dim, _)| dim)
+    }
+}
+
 /// A row-range emitted by an [`Enumerator`]: the coordinates of all outer
 /// dimensions plus an inclusive `[lo, hi]` range of the innermost one.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -200,7 +215,11 @@ impl Enumerator {
         assert!(n >= 1, "cannot enumerate a 0-dimensional set");
         let mut pieces = Vec::with_capacity(set.pieces().len());
         for p in set.pieces() {
-            pieces.push(Self::build_piece(p, n)?);
+            let nest = Self::build_piece(p, n)?;
+            if let Some(dim) = nest.open_dims().last() {
+                return Err(PolyError::Unbounded { dim });
+            }
+            pieces.push(nest);
         }
         Ok(Enumerator {
             n_dims: n,
@@ -210,12 +229,12 @@ impl Enumerator {
         })
     }
 
+    /// The nest of one convex piece. A dimension the piece leaves without
+    /// a lower or upper bound gets an empty `max` or `min` there
+    /// ([`PieceNest::open_dims`]).
     fn build_piece(p: &Polyhedron, n: usize) -> Result<PieceNest> {
         // Innermost bounds and guards from the full system.
         let inner = p.bounds_of_last_dim();
-        if inner.lower.is_empty() || inner.upper.is_empty() {
-            return Err(PolyError::Unbounded { dim: n - 1 });
-        }
         let row_lb = bounds_to_expr(&inner.lower, true);
         let row_ub = bounds_to_expr(&inner.upper, false);
         let guards: Vec<Constraint> = p
@@ -243,9 +262,6 @@ impl Enumerator {
                 continue;
             }
             let b = proj.bounds_of_last_dim();
-            if b.lower.is_empty() || b.upper.is_empty() {
-                return Err(PolyError::Unbounded { dim: k });
-            }
             // Bounds come from a projection with dims 0..=k; widen the
             // expressions back to the full [n dims ++ params] width so they
             // can be evaluated against the shared value vector.
@@ -299,7 +315,10 @@ impl Enumerator {
         let mut dims = vec![0i64; self.n_dims - 1];
         for piece in &self.pieces {
             if let Some(nest) = Specialised::new(piece, self.n_dims, params) {
-                nest.scan(0, &mut dims, f);
+                let _: ControlFlow<()> = nest.scan(0, &mut dims, &mut |run| {
+                    f(run);
+                    ControlFlow::Continue(())
+                });
             }
         }
     }
@@ -584,36 +603,97 @@ impl Specialised {
         })
     }
 
-    /// Scan loop `level` and everything nested in it; `dims[..level]` are
-    /// bound.
-    fn scan(&self, level: usize, dims: &mut [i64], f: &mut dyn FnMut(RowRun<'_>)) {
+    /// Scan loop `level` and everything nested in it, until `f` breaks;
+    /// `dims[..level]` are bound.
+    fn scan<B>(
+        &self,
+        level: usize,
+        dims: &mut [i64],
+        f: &mut dyn FnMut(RowRun<'_>) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
         let mut emit = |dims: &[i64], count: u64| {
             let (lo, hi) = (self.row_lb.eval(dims), self.row_ub.eval(dims));
-            if lo <= hi {
-                f(RowRun {
-                    prefix: dims,
-                    lo,
-                    hi,
-                    count,
-                });
+            if lo > hi {
+                return ControlFlow::Continue(());
             }
+            f(RowRun {
+                prefix: dims,
+                lo,
+                hi,
+                count,
+            })
         };
         let Some((lb, ub)) = self.loops.get(level) else {
             return emit(dims, 1);
         };
         let (lb, ub) = (lb.eval(dims), ub.eval(dims));
         if self.uniform_rows && level + 1 == self.loops.len() {
-            if lb <= ub {
-                dims[level] = lb;
-                emit(dims, ub.abs_diff(lb).saturating_add(1));
+            if lb > ub {
+                return ControlFlow::Continue(());
             }
-            return;
+            dims[level] = lb;
+            return emit(dims, ub.abs_diff(lb).saturating_add(1));
         }
         for v in lb..=ub {
             dims[level] = v;
-            self.scan(level + 1, dims, f);
+            self.scan(level + 1, dims, f)?;
         }
+        ControlFlow::Continue(())
     }
+
+    /// Does the scan get as far as dimension `dim`: is there a prefix
+    /// `dims[..dim]` inside all the loops around it?
+    fn reaches(mut self, dim: usize) -> bool {
+        self.loops.truncate(dim);
+        let Some((row_lb, row_ub)) = self.loops.pop() else {
+            return true;
+        };
+        // The nest around `dim`: the ranges of loop `dim - 1` are its rows.
+        let outer = Specialised {
+            uniform_rows: false,
+            row_lb,
+            row_ub,
+            ..self
+        };
+        outer
+            .scan(0, &mut vec![0i64; dim - 1], &mut |_| ControlFlow::Break(()))
+            .is_break()
+    }
+}
+
+/// Visit the integer points of the parameter-free polyhedron `p`, at least
+/// one-dimensional, in lexicographic order until `f` breaks: the piece's
+/// nest is derived once and its rows are expanded element by element.
+/// A dimension without bounds is an error only if the scan gets to it.
+pub(crate) fn scan_points<B>(
+    p: &Polyhedron,
+    f: &mut dyn FnMut(&[i64]) -> ControlFlow<B>,
+) -> Result<ControlFlow<B>> {
+    let n = p.n_dims();
+    let piece = Enumerator::build_piece(p, n)?;
+    let Some(nest) = Specialised::new(&piece, n, &[]) else {
+        return Ok(ControlFlow::Continue(()));
+    };
+    if let Some(dim) = piece.open_dims().next() {
+        if nest.reaches(dim) {
+            return Err(PolyError::Unbounded { dim });
+        }
+        return Ok(ControlFlow::Continue(()));
+    }
+    let mut point = vec![0i64; n];
+    Ok(nest.scan(0, &mut vec![0i64; n - 1], &mut |run| {
+        point[..n - 1].copy_from_slice(run.prefix);
+        for _ in 0..run.count {
+            for x in run.lo..=run.hi {
+                point[n - 1] = x;
+                f(&point)?;
+            }
+            if n > 1 {
+                point[n - 2] += 1;
+            }
+        }
+        ControlFlow::Continue(())
+    }))
 }
 
 /// Turn a list of `(expr, divisor)` bounds into a single `Max`/`Min`

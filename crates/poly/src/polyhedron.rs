@@ -5,6 +5,7 @@ use crate::expr::LinExpr;
 use crate::fm;
 use crate::{PolyError, Result};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// A single convex Z-polyhedron over `n_dims` set dimensions and
 /// `n_params` parameters: the integer points satisfying every constraint.
@@ -331,53 +332,40 @@ impl Polyhedron {
         DimBounds { lower, upper }
     }
 
-    /// Enumerate all integer points for concrete `params`, invoking `f` for
-    /// each. Intended for tests and small sets; complexity is the volume of
-    /// the bounding box. Returns an error if some dimension is unbounded.
-    pub fn for_each_point(&self, params: &[i64], f: &mut dyn FnMut(&[i64])) -> Result<()> {
+    /// Visit the integer points for concrete `params` in lexicographic
+    /// order until `f` breaks, and return what it broke with. The loop
+    /// nest is derived once (one Fourier–Motzkin projection per
+    /// dimension), so a visit that breaks at the first point costs one
+    /// descent. A dimension without bounds is [`PolyError::Unbounded`] if
+    /// the scan gets to it.
+    pub fn try_for_each_point<B>(
+        &self,
+        params: &[i64],
+        f: &mut dyn FnMut(&[i64]) -> ControlFlow<B>,
+    ) -> Result<Option<B>> {
         let bound = self.bind_params(params)?;
-        if bound.empty {
-            return Ok(());
-        }
-        let mut point = vec![0i64; self.n_dims];
-        bound.scan_rec(0, &mut point, f)
+        let flow = if bound.empty {
+            ControlFlow::Continue(())
+        } else if self.n_dims == 0 {
+            f(&[])
+        } else {
+            crate::codegen::scan_points(&bound, f)?
+        };
+        Ok(flow.break_value())
     }
 
-    fn scan_rec(
-        &self,
-        depth: usize,
-        point: &mut Vec<i64>,
-        f: &mut dyn FnMut(&[i64]),
-    ) -> Result<()> {
-        if depth == self.n_dims {
-            f(point);
-            return Ok(());
-        }
-        // Project away dims > depth, then bound dim `depth` given the fixed
-        // prefix.
-        let mut p = self.clone();
-        for (i, &v) in point[..depth].iter().enumerate() {
-            p = p.fix_dim(i, v)?;
-        }
-        let (proj, _) = p.project_out_dims(depth + 1..self.n_dims)?;
-        if proj.is_marked_empty() {
-            return Ok(());
-        }
-        let b = proj.bounds_of_last_dim();
-        let prefix: Vec<i64> = point[..depth].to_vec();
-        let (lo, hi) = match b.concrete_range(&prefix, &[]) {
-            Some(r) => r,
-            None => {
-                return Err(PolyError::Parse(format!(
-                    "dimension {depth} is unbounded; cannot enumerate"
-                )))
-            }
+    /// Visit every integer point for concrete `params`.
+    pub fn for_each_point(&self, params: &[i64], f: &mut dyn FnMut(&[i64])) -> Result<()> {
+        let visit_all = &mut |pt: &[i64]| {
+            f(pt);
+            ControlFlow::<()>::Continue(())
         };
-        for v in lo..=hi {
-            point[depth] = v;
-            self.scan_rec(depth + 1, point, f)?;
-        }
-        Ok(())
+        self.try_for_each_point(params, visit_all).map(|_| ())
+    }
+
+    /// The lexicographically first integer point for concrete `params`.
+    pub fn first_point(&self, params: &[i64]) -> Result<Option<Vec<i64>>> {
+        self.try_for_each_point(params, &mut |pt| ControlFlow::Break(pt.to_vec()))
     }
 
     /// Count integer points for concrete `params` (test helper).
@@ -401,33 +389,6 @@ pub struct DimBounds {
     pub lower: Vec<(LinExpr, i64)>,
     /// Upper bounds `(expr, divisor)` meaning `x <= floor(expr / divisor)`.
     pub upper: Vec<(LinExpr, i64)>,
-}
-
-impl DimBounds {
-    /// Evaluate to a concrete `[lo, hi]` range given values for the earlier
-    /// dimensions and the parameters. Returns `None` if a side is
-    /// unbounded, `Some((lo, hi))` otherwise (empty if `lo > hi`).
-    pub fn concrete_range(&self, dims: &[i64], params: &[i64]) -> Option<(i64, i64)> {
-        use crate::expr::{cdiv, fdiv};
-        if self.lower.is_empty() || self.upper.is_empty() {
-            return None;
-        }
-        let mut values: Vec<i64> = Vec::with_capacity(dims.len() + 1 + params.len());
-        values.extend_from_slice(dims);
-        values.push(0); // placeholder for the bounded dim itself
-        values.extend_from_slice(params);
-        let mut lo = i64::MIN;
-        for (e, d) in &self.lower {
-            let v = cdiv(e.eval(&values), *d as i128);
-            lo = lo.max(i64::try_from(v).ok()?);
-        }
-        let mut hi = i64::MAX;
-        for (e, d) in &self.upper {
-            let v = fdiv(e.eval(&values), *d as i128);
-            hi = hi.min(i64::try_from(v).ok()?);
-        }
-        Some((lo, hi))
-    }
 }
 
 /// Helper rendering a polyhedron in isl-like notation.
@@ -568,10 +529,14 @@ mod tests {
 
     #[test]
     fn bounds_of_last_dim_triangle() {
-        // For S1 with dims [y, x]: bounds of x given y are y <= x <= 4.
+        // For S1 with dims [y, x]: bounds of x given y are
+        // max(y, 0) <= x <= 4, all with divisor 1.
         let b = s1().bounds_of_last_dim();
-        let r = b.concrete_range(&[2], &[]).unwrap();
-        assert_eq!(r, (2, 4));
+        let at_y2 = |bs: &[(LinExpr, i64)]| -> Vec<(i128, i64)> {
+            bs.iter().map(|(e, d)| (e.eval(&[2, 0]), *d)).collect()
+        };
+        assert_eq!(at_y2(&b.lower), [(2, 1), (0, 1)]);
+        assert_eq!(at_y2(&b.upper), [(4, 1)]);
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! relies on — soundness of projection, exactness of enumeration,
 //! consistency of union/intersection, and membership coherence — and,
 //! for the enumerator, identity of the specialised scan with the
-//! row-by-row interpreter it replaced ([`oracle`]).
+//! row-by-row interpreter it replaced ([`oracle`]) — and, for the point
+//! scan built on the same nest, identity with the per-node-projection scan
+//! it replaced ([`point_oracle`]).
 
 mod oracle;
+#[path = "oracle/points.rs"]
+mod point_oracle;
 
-use mekong_poly::{Constraint, Enumerator, LinExpr, Polyhedron, Set, Space};
+use mekong_poly::{Constraint, Enumerator, LinExpr, PolyError, Polyhedron, Set, Space};
 use proptest::prelude::*;
 
 const BOX: i64 = 6;
@@ -266,23 +270,36 @@ fn arb_param_cut(n: usize) -> impl Strategy<Value = Constraint> {
         })
 }
 
-/// A union of up to three parametric pieces: `0 <= d_i <= BOX` plus up to
-/// four [`arb_param_cut`]s each.
-fn arb_param_set(n: usize) -> impl Strategy<Value = Set> {
-    let piece = proptest::collection::vec(arb_param_cut(n), 0..=4).prop_map(move |cuts| {
+/// A parametric piece: `0 <= d_i <= BOX` plus up to four
+/// [`arb_param_cut`]s. Unless `boxed`, one piece in three has one side of
+/// one dimension's box left out, so that dimension is bounded only if a
+/// cut happens to bound it.
+fn arb_param_piece(n: usize, boxed: bool) -> impl Strategy<Value = Polyhedron> {
+    let cuts = proptest::collection::vec(arb_param_cut(n), 0..=4);
+    (cuts, 0..6 * n).prop_map(move |(cuts, side)| {
+        // Side 2d is the lower bound of dimension d, side 2d + 1 the upper.
+        let left_out = |s| !boxed && s == side;
         let w = n + N_PARAMS;
         let mut p = Polyhedron::universe(n, N_PARAMS);
         for d in 0..n {
             let v = LinExpr::var(w, d);
-            p.add_constraint(Constraint::ge0(v.clone()));
-            p.add_constraint(Constraint::le(&v, &LinExpr::constant(w, BOX)).unwrap());
+            if !left_out(2 * d) {
+                p.add_constraint(Constraint::ge0(v.clone()));
+            }
+            if !left_out(2 * d + 1) {
+                p.add_constraint(Constraint::le(&v, &LinExpr::constant(w, BOX)).unwrap());
+            }
         }
         for c in cuts {
             p.add_constraint(c);
         }
         p
-    });
-    proptest::collection::vec(piece, 1..=3)
+    })
+}
+
+/// A union of up to three boxed parametric pieces.
+fn arb_param_set(n: usize) -> impl Strategy<Value = Set> {
+    proptest::collection::vec(arb_param_piece(n, true), 1..=3)
         .prop_map(move |pieces| Set::from_pieces(Space::anonymous(n, N_PARAMS), pieces))
 }
 
@@ -312,6 +329,41 @@ proptest! {
         let e = Enumerator::build(&s).unwrap();
         let (new, old) = scan_rows(&e, &params);
         prop_assert_eq!(new, old);
+    }
+}
+
+type Points = Result<Vec<Vec<i64>>, PolyError>;
+
+/// The points of the generated-nest scan and of the oracle, in visiting
+/// order, or the error either stopped with.
+fn scan_points(p: &Polyhedron, params: &[i64]) -> (Points, Points) {
+    let (mut new, mut old) = (Vec::new(), Vec::new());
+    let new_end = p.for_each_point(params, &mut |pt| new.push(pt.to_vec()));
+    let old_end = point_oracle::for_each_point(p, params, &mut |pt| old.push(pt.to_vec()));
+    (new_end.map(|()| new), old_end.map(|()| old))
+}
+
+proptest! {
+    /// The point scan on the nest derived once visits exactly the oracle's
+    /// points, in its order — equalities, non-unit divisors, parameter-only
+    /// guards and empty loops included — and the first point is the first
+    /// of the full scan. One piece in three has a side of its box left out:
+    /// an unbounded dimension is the oracle's error if the scan gets to it
+    /// and no error if an empty loop around it keeps the scan away.
+    #[test]
+    fn point_scan_matches_per_node_projection(
+        p in prop_oneof![
+            arb_param_piece(1, false),
+            arb_param_piece(2, false),
+            arb_param_piece(3, false),
+            arb_param_piece(4, false),
+        ],
+        params in proptest::collection::vec(-4i64..=8, N_PARAMS),
+    ) {
+        let (new, old) = scan_points(&p, &params);
+        prop_assert_eq!(&new, &old);
+        let first = p.first_point(&params);
+        prop_assert_eq!(first, new.map(|pts| pts.into_iter().next()));
     }
 }
 

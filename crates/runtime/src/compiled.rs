@@ -1,4 +1,4 @@
-//! The per-kernel artifact the two-pass pipeline produces: model +
+//! The per-kernel artifact the compile pipeline produces: model +
 //! partitioned clone + compiled enumerators.
 
 use crate::{Result, RuntimeError};
@@ -43,8 +43,8 @@ impl CompiledKernel {
     }
 
     /// Build the artifacts from an existing model record — the pass-2
-    /// path, where the model comes from the disk file pass 1 wrote
-    /// (possibly adjusted by programmer annotations, §11).
+    /// path, where the model is the one pass 1 built (possibly adjusted
+    /// by programmer annotations, §11) or one read back from its export.
     pub fn from_model(kernel: &Kernel, model: KernelModel) -> Result<CompiledKernel> {
         debug_assert_eq!(model.kernel_name, kernel.name);
         let enums = KernelEnumerators::build(&model)?;

@@ -8,7 +8,7 @@
 //!
 //! Each workload says once, in its module, what it is:
 //!
-//! * its **mini-CUDA source** (compiled by the full two-pass pipeline),
+//! * its **mini-CUDA source** (compiled by the full pipeline),
 //! * a **CPU reference implementation** for functional verification,
 //! * its **description** ([`Benchmark::describe`] → [`App`]): buffers
 //!   with seeded inputs, the launches of one iteration, the ping-pong

@@ -3,6 +3,7 @@
 //! a cross-partition race and a static out-of-bounds write, each reported
 //! with a concrete witness point.
 
+use mekong_analysis::AppModel;
 use mekong_check::{check_app, codes, AxisMask, Severity};
 use mekong_core::prelude::*;
 use mekong_gpusim::ThreadProfile;
@@ -38,6 +39,24 @@ fn workload_kernels_prove_disjointness_along_suggested_axes() {
                 b.name(),
                 kc.kernel
             );
+        }
+    }
+}
+
+/// The exported JSON reconstructs every workload's model exactly: what
+/// `mekong-check` reads is what the compiler's second pass consumed.
+#[test]
+fn exported_models_round_trip_exactly() {
+    for b in benchmarks().iter().chain(extra_benchmarks().iter()) {
+        let prog = compile_source(b.source()).unwrap();
+        let read_back = AppModel::from_json(&prog.model_json).unwrap();
+        assert_eq!(read_back, prog.model, "{}", b.name());
+        assert_eq!(
+            AppModel::from_json(&read_back.to_json()).unwrap(),
+            read_back
+        );
+        for (ck, km) in prog.kernels.iter().zip(&prog.model.kernels) {
+            assert_eq!(&ck.model, km, "{}::{}", b.name(), km.kernel_name);
         }
     }
 }

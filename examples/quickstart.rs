@@ -27,7 +27,7 @@ int main() {
 "#;
 
 fn main() {
-    // 1. The two-pass pipeline: analysis -> rewrite -> partition/codegen.
+    // 1. The pipeline: analysis -> rewrite -> partition/codegen.
     let program = compile_source(SOURCE).expect("pipeline");
     let ck = program.kernel("saxpy").expect("kernel record");
     println!("kernel `saxpy`:");

@@ -136,8 +136,9 @@ int main() {
 #[test]
 fn model_json_is_the_pass_boundary() {
     let program = compile_source(MULTI_KERNEL).unwrap();
-    // The JSON on disk fully reconstructs the model.
+    // The exported JSON fully reconstructs the model pass 2 consumed.
     let back = AppModel::from_json(&program.model_json).unwrap();
+    assert_eq!(back, program.model);
     assert_eq!(back.kernels.len(), 3);
     for k in &back.kernels {
         assert!(k.verdict.is_partitionable());

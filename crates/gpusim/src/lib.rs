@@ -6,7 +6,7 @@
 //! * **Per-device memories** — kernels on different devices only see their
 //!   device's buffers, so coherence bugs in the runtime become functional
 //!   failures, not just timing artifacts.
-//! * **Functional kernel execution** — the thread-grid interpreter from
+//! * **Functional kernel execution** — the lowered kernel executor from
 //!   `mekong-kernel`, fanned out over blocks with rayon. Cross-block
 //!   isolation is enforced with shadow write-buffers: every block reads
 //!   the pre-launch state and its own writes, exactly the coherence that

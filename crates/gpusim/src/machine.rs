@@ -1,13 +1,14 @@
 //! The simulated multi-GPU machine: device memories + clocks.
 
 use crate::backend::{Backend, ObservedWriteSets};
-use crate::shadow::{run_grid_parallel, run_grid_recording, BufStore};
+use crate::shadow::{run_program, BufStore};
 use crate::spec::MachineSpec;
 use crate::stream::{apply_op, DeviceStream, StreamOp};
 use crate::{Result, SimError};
 use mekong_kernel::interp::{ExecMode, KernelArg};
-use mekong_kernel::{execute_thread, Dim3, ExecStats, Kernel, ThreadCtx, Value};
+use mekong_kernel::{Dim3, ExecStats, Kernel, Program, Value};
 use parking_lot::{Mutex, RwLock};
+use std::sync::Arc;
 
 /// Simulated time, in seconds.
 pub type SimTime = f64;
@@ -311,21 +312,32 @@ impl Machine {
             })
             .collect();
         std::thread::scope(|scope| {
-            for (d, stream) in self.streams.iter().enumerate() {
-                if stream.is_idle() {
-                    continue;
-                }
-                let stores = &stores;
-                scope.spawn(move || loop {
-                    let op = stream.queue.lock().pop_front();
-                    let Some(op) = op else { break };
-                    if let Err(e) = apply_op(op, d, stores, &self.streams) {
-                        self.stream_error.lock().get_or_insert(e);
-                    }
-                    // Completion is signalled even after an error so
-                    // dependent peers never deadlock.
-                    stream.signal_completion();
-                });
+            let busy = self
+                .streams
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| !s.is_idle());
+            let workers: Vec<_> = busy
+                .map(|(d, stream)| {
+                    let stores = &stores;
+                    scope.spawn(move || loop {
+                        let op = stream.queue.lock().pop_front();
+                        let Some(op) = op else { break };
+                        if let Err(e) = apply_op(op, d, stores, &self.streams) {
+                            self.stream_error.lock().get_or_insert(e);
+                        }
+                        // Completion is signalled even after an error so
+                        // dependent peers never deadlock.
+                        stream.signal_completion();
+                    })
+                })
+                .collect();
+            // Join the threads themselves: the scope only waits for their
+            // closures, and a worker that has not exited yet still holds
+            // its allocator arena, so flushes in quick succession would
+            // each start on fresh ones.
+            for worker in workers {
+                worker.join().expect("stream worker panicked");
             }
         });
     }
@@ -502,7 +514,7 @@ impl Machine {
     fn kernel_time(
         &self,
         d: usize,
-        kernel: &Kernel,
+        program: &Program,
         args: &[KernelArg],
         grid_dim: Dim3,
         block_dim: Dim3,
@@ -512,7 +524,7 @@ impl Machine {
         if total_threads == 0 {
             return Ok(0.0);
         }
-        let profile = sample_kernel_profile(kernel, args, grid_dim, block_dim)?;
+        let profile = sample_program_profile(program, args, grid_dim, block_dim)?;
         let flops = profile.flops_per_thread * total_threads as f64;
         let intops = profile.intops_per_thread * total_threads as f64;
         // Memory traffic: the polyhedral footprint when provided (models
@@ -761,10 +773,18 @@ impl Backend for Machine {
                 .collect(),
             traffic,
         };
-        let t_kernel = match self.kernel_time_cache.get(&key) {
-            Some(&t) => t,
+        let cached = self.kernel_time_cache.get(&key).copied();
+        // Lower once per launch, and only for a launch that runs the
+        // kernel: for its byte effects or to price a cache miss. A
+        // timing-only launch whose time is cached never touches it.
+        let program = (self.functional || cached.is_none())
+            .then(|| Program::lower(kernel).map(Arc::new))
+            .transpose()?;
+        let t_kernel = match cached {
+            Some(t) => t,
             None => {
-                let t = self.kernel_time(d, kernel, &kargs, grid_dim, block_dim, traffic)?;
+                let program = program.as_deref().expect("a cache miss lowers the kernel");
+                let t = self.kernel_time(d, program, &kargs, grid_dim, block_dim, traffic)?;
                 self.kernel_time_cache.insert(key, t);
                 t
             }
@@ -774,15 +794,18 @@ impl Backend for Machine {
         // Functional execution: streamed machines defer it to the flush
         // (partitions on different devices then run concurrently); serial
         // machines run it here on the host thread.
-        if self.defer_effects() {
-            self.streams[d].push(StreamOp::Kernel {
-                kernel: Box::new(kernel.clone()),
-                args: kargs,
-                grid: grid_dim,
-                block: block_dim,
-            });
-        } else if let DeviceMem::Real(store) = &mut self.devices[d].mem {
-            run_grid_parallel(kernel, &kargs, grid_dim, block_dim, store.get_mut())?;
+        if let (Some(program), true) = (program, self.functional) {
+            if self.defer_effects() {
+                self.streams[d].push(StreamOp::Kernel {
+                    program,
+                    args: kargs,
+                    grid: grid_dim,
+                    block: block_dim,
+                });
+            } else if let DeviceMem::Real(store) = &mut self.devices[d].mem {
+                let store = store.get_mut();
+                run_program(&program, &kargs, grid_dim, block_dim, store, false)?;
+            }
         }
         let overhead = self.spec.device_spec(d).launch_overhead;
         let dev = &mut self.devices[d];
@@ -818,7 +841,8 @@ impl Backend for Machine {
         }
         self.counters.launches += 1;
         let kargs = self.resolve_args(d, args)?;
-        let t_kernel = self.kernel_time(d, kernel, &kargs, grid_dim, block_dim, None)?;
+        let program = Program::lower(kernel)?;
+        let t_kernel = self.kernel_time(d, &program, &kargs, grid_dim, block_dim, None)?;
         self.charge_host(self.spec.host_per_launch, TimeCat::Application);
         // Recording needs the final bytes and runs synchronously.
         self.flush_streams();
@@ -826,8 +850,14 @@ impl Backend for Machine {
         let DeviceMem::Real(store) = &mut dev.mem else {
             unreachable!("checked functional above")
         };
-        let (_, observed) =
-            run_grid_recording(kernel, &kargs, grid_dim, block_dim, store.get_mut())?;
+        let (_, observed, _) = run_program(
+            &program,
+            &kargs,
+            grid_dim,
+            block_dim,
+            store.get_mut(),
+            false,
+        )?;
         let start = self.host_now.max(dev.busy_until);
         let t = self.spec.device_spec(d).launch_overhead + t_kernel * INSTRUMENTATION_FACTOR;
         dev.busy_until = start + t;
@@ -927,26 +957,30 @@ pub fn sample_kernel_profile(
     grid_dim: Dim3,
     block_dim: Dim3,
 ) -> Result<ThreadProfile> {
-    let mut probe = BufStore::new();
+    sample_program_profile(&Program::lower(kernel)?, args, grid_dim, block_dim)
+}
+
+/// [`sample_kernel_profile`] of a kernel that is already lowered.
+fn sample_program_profile(
+    program: &Program,
+    args: &[KernelArg],
+    grid_dim: Dim3,
+    block_dim: Dim3,
+) -> Result<ThreadProfile> {
     let blocks = sample_indices(grid_dim);
     let threads = sample_indices(block_dim);
-    let mut agg = ExecStats::default();
-    let mut n_samples = 0u64;
-    for &b in &blocks {
-        for &t in &threads {
-            let ctx = ThreadCtx {
-                block_idx: b,
-                thread_idx: t,
-                block_dim,
-                grid_dim,
-            };
-            let s = execute_thread(kernel, args, ctx, &mut probe, ExecMode::CountOnly)?;
-            agg.add(&s);
-            n_samples += 1;
-        }
-    }
+    let n_samples = (blocks.len() * threads.len()) as u64;
     if n_samples == 0 {
         return Ok(ThreadProfile::default());
+    }
+    let mut probe = BufStore::new();
+    let launch = program.bind(args, grid_dim, block_dim, ExecMode::CountOnly)?;
+    let mut frame = launch.frame();
+    let mut agg = ExecStats::default();
+    for &b in &blocks {
+        for &t in &threads {
+            agg.add(&frame.run_thread(b, t, &mut probe)?);
+        }
     }
     Ok(ThreadProfile {
         flops_per_thread: agg.flops as f64 / n_samples as f64,
@@ -1247,7 +1281,9 @@ mod tests {
             KernelArg::Array(0),
             KernelArg::Array(1),
         ];
-        let t = m.kernel_time(0, &k, &args, grid, block, None).unwrap();
+        let t = m
+            .kernel_time(0, &Program::lower(&k).unwrap(), &args, grid, block, None)
+            .unwrap();
         let expect = (n as f64) * 12.0 / m.spec().device.mem_bw;
         assert!((t / expect - 1.0).abs() < 0.2, "t={t}, expect={expect}");
     }

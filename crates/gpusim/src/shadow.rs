@@ -10,7 +10,7 @@
 //! — made deterministic.
 
 use mekong_kernel::interp::{ExecMode, KernelArg};
-use mekong_kernel::{execute_block, Dim3, ExecStats, Kernel, MemAccess, ScalarTy, Value};
+use mekong_kernel::{Dim3, ExecStats, Kernel, MemAccess, Program, ScalarTy, Value};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -45,6 +45,7 @@ impl BufStore {
 }
 
 impl MemAccess for BufStore {
+    #[inline]
     fn load(&self, array: usize, offset: usize, ty: ScalarTy) -> Value {
         let sz = ty.size_bytes();
         let start = offset * sz;
@@ -58,10 +59,14 @@ impl MemAccess for BufStore {
     }
 }
 
+/// One block's writes: per written array, the value at each offset.
+/// Blocks store to few arrays, so the arrays are a scanned list.
+type Overlay = Vec<(usize, HashMap<usize, Value>)>;
+
 /// A block-private overlay over an immutable base memory.
 struct ShadowMem<'a> {
     base: &'a BufStore,
-    writes: HashMap<(usize, usize), Value>,
+    writes: Overlay,
     /// When set, every load is logged `(array, offset)` — the oracle
     /// side of the may-read differential tests. `MemAccess::load` takes
     /// `&self`, hence the cell; blocks never share a `ShadowMem`.
@@ -73,14 +78,23 @@ impl MemAccess for ShadowMem<'_> {
         if let Some(log) = &self.reads {
             log.borrow_mut().push((array, offset));
         }
-        if let Some(v) = self.writes.get(&(array, offset)) {
-            return *v;
+        // Only an array this block has stored to pays for a lookup.
+        let written = self.writes.iter().find(|(a, _)| *a == array);
+        match written.and_then(|(_, at)| at.get(&offset)) {
+            Some(v) => *v,
+            None => self.base.load(array, offset, ty),
         }
-        self.base.load(array, offset, ty)
     }
 
     fn store(&mut self, array: usize, offset: usize, value: Value) {
-        self.writes.insert((array, offset), value);
+        let at = match self.writes.iter().position(|(a, _)| *a == array) {
+            Some(at) => at,
+            None => {
+                self.writes.push((array, HashMap::new()));
+                self.writes.len() - 1
+            }
+        };
+        self.writes[at].1.insert(offset, value);
     }
 }
 
@@ -109,11 +123,7 @@ pub type ObservedWrites = HashMap<usize, Vec<(u64, u64)>>;
 pub type ObservedReads = HashMap<usize, Vec<(u64, u64)>>;
 
 /// One block's functional result plus its shadow access logs.
-type BlockRecording = mekong_kernel::Result<(
-    ExecStats,
-    HashMap<(usize, usize), Value>,
-    Vec<(usize, usize)>,
-)>;
+type BlockRecording = mekong_kernel::Result<(ExecStats, Overlay, Vec<(usize, usize)>)>;
 
 pub fn run_grid_recording(
     kernel: &Kernel,
@@ -139,6 +149,21 @@ pub fn run_grid_recording_rw(
     mem: &mut BufStore,
     record_reads: bool,
 ) -> mekong_kernel::Result<(ExecStats, ObservedWrites, ObservedReads)> {
+    let program = Program::lower(kernel)?;
+    run_program(&program, args, grid_dim, block_dim, mem, record_reads)
+}
+
+/// [`run_grid_recording_rw`] of a kernel that is already lowered: the
+/// launch is bound once, every block runs on a frame of its own.
+pub(crate) fn run_program(
+    program: &Program,
+    args: &[KernelArg],
+    grid_dim: Dim3,
+    block_dim: Dim3,
+    mem: &mut BufStore,
+    record_reads: bool,
+) -> mekong_kernel::Result<(ExecStats, ObservedWrites, ObservedReads)> {
+    let launch = program.bind(args, grid_dim, block_dim, ExecMode::Functional)?;
     let blocks: Vec<Dim3> = (0..grid_dim.z)
         .flat_map(|z| {
             (0..grid_dim.y).flat_map(move |y| (0..grid_dim.x).map(move |x| Dim3::new3(x, y, z)))
@@ -150,18 +175,10 @@ pub fn run_grid_recording_rw(
         .map(|&block_idx| {
             let mut shadow = ShadowMem {
                 base: mem,
-                writes: HashMap::new(),
+                writes: Overlay::new(),
                 reads: record_reads.then(|| std::cell::RefCell::new(Vec::new())),
             };
-            let stats = execute_block(
-                kernel,
-                args,
-                block_idx,
-                block_dim,
-                grid_dim,
-                &mut shadow,
-                ExecMode::Functional,
-            )?;
+            let stats = launch.frame().run_block(block_idx, &mut shadow)?;
             let reads = shadow.reads.map(|c| c.into_inner()).unwrap_or_default();
             Ok((stats, shadow.writes, reads))
         })
@@ -173,12 +190,12 @@ pub fn run_grid_recording_rw(
     for r in results {
         let (stats, writes, reads) = r?;
         total.add(&stats);
-        for ((array, offset), v) in writes {
-            observed
-                .entry(array)
-                .or_default()
-                .push((offset as u64, offset as u64 + 1));
-            mem.store(array, offset, v);
+        for (array, at) in writes {
+            let ranges = observed.entry(array).or_default();
+            for (offset, v) in at {
+                ranges.push((offset as u64, offset as u64 + 1));
+                mem.store(array, offset, v);
+            }
         }
         for (array, offset) in reads {
             observed_reads

@@ -25,11 +25,12 @@
 //! Deadlock freedom: an op may only wait on ops submitted strictly before
 //! it (host submission is a total order), so the wait graph is a DAG.
 
-use crate::shadow::BufStore;
+use crate::shadow::{run_program, BufStore};
 use mekong_kernel::interp::KernelArg;
-use mekong_kernel::{Dim3, Kernel};
+use mekong_kernel::{Dim3, Program};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A deferred byte effect on one device's memory.
 pub enum StreamOp {
@@ -41,9 +42,10 @@ pub enum StreamOp {
         offset: usize,
         data: Vec<u8>,
     },
-    /// Functional kernel execution over the device store.
+    /// Functional kernel execution over the device store, of the program
+    /// the launch lowered.
     Kernel {
-        kernel: Box<Kernel>,
+        program: Arc<Program>,
         args: Vec<KernelArg>,
         grid: Dim3,
         block: Dim3,
@@ -136,13 +138,13 @@ pub(crate) fn apply_op(
             Ok(())
         }
         StreamOp::Kernel {
-            kernel,
+            program,
             args,
             grid,
             block,
         } => {
             let mut store = stores[device].write();
-            crate::shadow::run_grid_parallel(&kernel, &args, grid, block, &mut store)?;
+            run_program(&program, &args, grid, block, &mut store, false)?;
             Ok(())
         }
         StreamOp::CopyD2D {

@@ -1,31 +1,18 @@
 //! Block- and grid-level execution drivers.
 //!
 //! These run a kernel over (part of) its launch grid against a
-//! [`MemAccess`] memory. Device-level parallel execution and timing live
-//! in `mekong-gpusim`; these drivers are the sequential building blocks
-//! it composes (and what the tests use directly).
+//! [`MemAccess`] memory: lower it once, bind the launch once, then every
+//! thread runs on one reused [`crate::interp::Frame`]. Device-level
+//! parallel execution and timing live in `mekong-gpusim`; these drivers
+//! are the sequential building blocks (and what the tests use directly).
 
-use crate::interp::{ExecMode, ExecStats, Interp, KernelArg, MemAccess, ThreadCtx};
+use crate::interp::{ExecMode, ExecStats, KernelArg, MemAccess};
 use crate::ir::Kernel;
+use crate::lower::Program;
 use crate::types::Dim3;
 use crate::Result;
 
-/// Execute one thread.
-pub fn execute_thread<M: MemAccess + ?Sized>(
-    kernel: &Kernel,
-    args: &[KernelArg],
-    ctx: ThreadCtx,
-    mem: &mut M,
-    mode: ExecMode,
-) -> Result<ExecStats> {
-    Interp::new(kernel, args, ctx, mem, mode)?.run()
-}
-
 /// Execute every thread of one block (sequentially, `z`-outermost).
-///
-/// Thread blocks are the atomic unit of the CUDA execution model (paper
-/// §2.1); running a block's threads sequentially is a legal schedule for
-/// the kernels in scope (no inter-thread communication below block scope).
 pub fn execute_block<M: MemAccess + ?Sized>(
     kernel: &Kernel,
     args: &[KernelArg],
@@ -35,22 +22,10 @@ pub fn execute_block<M: MemAccess + ?Sized>(
     mem: &mut M,
     mode: ExecMode,
 ) -> Result<ExecStats> {
-    let mut stats = ExecStats::default();
-    for tz in 0..block_dim.z {
-        for ty in 0..block_dim.y {
-            for tx in 0..block_dim.x {
-                let ctx = ThreadCtx {
-                    block_idx,
-                    thread_idx: Dim3::new3(tx, ty, tz),
-                    block_dim,
-                    grid_dim,
-                };
-                let s = execute_thread(kernel, args, ctx, mem, mode)?;
-                stats.add(&s);
-            }
-        }
-    }
-    Ok(stats)
+    Program::lower(kernel)?
+        .bind(args, grid_dim, block_dim, mode)?
+        .frame()
+        .run_block(block_idx, mem)
 }
 
 /// Execute the whole grid sequentially. Returns aggregate statistics.
@@ -62,20 +37,14 @@ pub fn execute_grid<M: MemAccess + ?Sized>(
     mem: &mut M,
     mode: ExecMode,
 ) -> Result<ExecStats> {
+    let program = Program::lower(kernel)?;
+    let launch = program.bind(args, grid_dim, block_dim, mode)?;
+    let mut frame = launch.frame();
     let mut stats = ExecStats::default();
     for bz in 0..grid_dim.z {
         for by in 0..grid_dim.y {
             for bx in 0..grid_dim.x {
-                let s = execute_block(
-                    kernel,
-                    args,
-                    Dim3::new3(bx, by, bz),
-                    block_dim,
-                    grid_dim,
-                    mem,
-                    mode,
-                )?;
-                stats.add(&s);
+                stats.add(&frame.run_block(Dim3::new3(bx, by, bz), mem)?);
             }
         }
     }

@@ -1,18 +1,31 @@
-//! Per-thread interpretation of kernel IR.
+//! Execution of a lowered kernel.
 //!
-//! The interpreter serves two purposes:
+//! A [`Program`] (names resolved once, [`crate::lower`]) is bound to one
+//! launch — [`Program::bind`] checks the argument count and turns array
+//! extents into integers — and a [`Frame`] then runs threads over it:
+//! grid coordinates and locals live in frame slots, allocated once per
+//! frame and reused by every thread. The per-thread success path
+//! compares no strings and allocates nothing.
+//!
+//! Execution serves two purposes, as two modes of the same program:
 //!
 //! 1. **Functional execution** — runs real data through the kernel for
 //!    bit-exact correctness checks of the partitioning pipeline.
 //! 2. **Cost measurement** — counts executed operations, loads and stores
 //!    per thread; the simulator samples threads in this mode to calibrate
 //!    its timing model ([`ExecMode::CountOnly`]).
+//!
+//! Values are dynamically typed: a local may change type on assignment
+//! and numeric promotion (`f64 > f32 > i64`) follows run-time tags. The
+//! tree-walking interpreter this replaced lives on as the test oracle
+//! (`tests/oracle`), and the differential tests hold the two to the same
+//! bytes, counters and error values.
 
-use crate::ir::{Axis, BinOp, Expr, Extent, GridVar, Kernel, KernelParam, Stmt, UnOp};
+use crate::lower::{Access, ExtentSlot, Node, Op, Operands, Program, GRID_SLOTS};
 use crate::types::{Dim3, ScalarTy, Value};
 use crate::{KernelError, Result};
 
-/// Memory interface the interpreter reads/writes through. `array` is the
+/// Memory interface the executor reads/writes through. `array` is the
 /// buffer handle from the corresponding [`KernelArg::Array`]; `offset` is a
 /// linear element index (row-major).
 pub trait MemAccess {
@@ -72,12 +85,14 @@ impl VecMem {
 }
 
 impl MemAccess for VecMem {
+    #[inline]
     fn load(&self, array: usize, offset: usize, ty: ScalarTy) -> Value {
         let sz = ty.size_bytes();
         let start = offset * sz;
         Value::from_le_bytes(ty, &self.buffers[array][start..start + sz])
     }
 
+    #[inline]
     fn store(&mut self, array: usize, offset: usize, value: Value) {
         let sz = value.ty().size_bytes();
         let start = offset * sz;
@@ -92,33 +107,6 @@ pub enum KernelArg {
     Scalar(Value),
     /// Array by buffer handle (meaningful to the [`MemAccess`]).
     Array(usize),
-}
-
-/// The position of one thread in the launch grid.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadCtx {
-    pub block_idx: Dim3,
-    pub thread_idx: Dim3,
-    pub block_dim: Dim3,
-    pub grid_dim: Dim3,
-}
-
-impl ThreadCtx {
-    fn grid_value(&self, g: GridVar) -> i64 {
-        fn comp(d: Dim3, a: Axis) -> i64 {
-            match a {
-                Axis::X => d.x as i64,
-                Axis::Y => d.y as i64,
-                Axis::Z => d.z as i64,
-            }
-        }
-        match g {
-            GridVar::ThreadIdx(a) => comp(self.thread_idx, a),
-            GridVar::BlockIdx(a) => comp(self.block_idx, a),
-            GridVar::BlockDim(a) => comp(self.block_dim, a),
-            GridVar::GridDim(a) => comp(self.grid_dim, a),
-        }
-    }
 }
 
 /// Execution mode.
@@ -185,459 +173,680 @@ impl ExecStats {
     }
 }
 
+/// Iteration safety budget per single loop execution.
+const LOOP_BUDGET: i64 = 1 << 32;
+
+/// Counting mode extrapolates a loop of more than `SAMPLE_THRESHOLD`
+/// iterations from its first `SAMPLE_ITERS`: the per-iteration cost of
+/// regular kernels is uniform, and the roofline model only needs totals.
+const SAMPLE_THRESHOLD: i64 = 64;
+const SAMPLE_ITERS: i64 = 16;
+
+/// Iterations of `for (i = lo; i < hi; i += step)` with `step > 0`;
+/// `None` when the span `hi - lo` does not fit an `i64`.
+fn trip_count(lo: i64, hi: i64, step: i64) -> Option<i64> {
+    if hi <= lo {
+        return Some(0);
+    }
+    let span = hi.checked_sub(lo)?;
+    Some(span / step + (span % step != 0) as i64)
+}
+
+/// The value a counting-mode load yields: derived from the offset, so
+/// data-dependent code stays deterministic without touching memory.
+fn synthetic_load(elem: ScalarTy, offset: usize) -> Value {
+    match elem {
+        ScalarTy::I64 => Value::I64((offset % 7) as i64 + 1),
+        ScalarTy::F32 => Value::F32(1.0 + (offset % 7) as f32 * 0.125),
+        ScalarTy::F64 => Value::F64(1.0 + (offset % 7) as f64 * 0.125),
+    }
+}
+
+/// Whether an array parameter's argument and extents bound. A mismatch
+/// fails the threads that reach an access to that array, not the launch.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Binding {
+    Ok,
+    /// A scalar was passed for the array.
+    NotAnArray,
+    /// An extent's argument is not an integer scalar.
+    BadExtent,
+}
+
+struct BoundArray {
+    handle: usize,
+    elem: ScalarTy,
+    /// This array's extents are `Launch::extents[ext..ext + rank]`.
+    ext: usize,
+    rank: usize,
+    binding: Binding,
+}
+
+/// A [`Program`] bound to one launch: arguments, extents as integers,
+/// geometry and mode. Shared by the frames that run its blocks.
+pub struct Launch<'a> {
+    program: &'a Program,
+    args: &'a [KernelArg],
+    /// The scalar arguments by argument index; `None` where the argument
+    /// is an array.
+    scalars: Vec<Option<Val>>,
+    arrays: Vec<BoundArray>,
+    extents: Vec<i64>,
+    block_dim: Dim3,
+    grid_dim: Dim3,
+    mode: ExecMode,
+}
+
+impl Program {
+    /// The value of one extent under `args`.
+    fn extent_value(&self, extent: ExtentSlot, args: &[KernelArg]) -> Result<i64> {
+        match extent {
+            ExtentSlot::Const(c) => Ok(c),
+            ExtentSlot::Arg(i) => match args[i] {
+                KernelArg::Scalar(Value::I64(v)) => Ok(v),
+                KernelArg::Scalar(_) => Err(KernelError::TypeMismatch {
+                    context: format!("parameter {} used as integer extent", self.param_names[i]),
+                }),
+                KernelArg::Array(_) => Err(KernelError::UnknownVar(self.param_names[i].clone())),
+            },
+        }
+    }
+
+    /// Bind the program to one launch. Fails on a wrong argument count.
+    pub fn bind<'a>(
+        &'a self,
+        args: &'a [KernelArg],
+        grid_dim: Dim3,
+        block_dim: Dim3,
+        mode: ExecMode,
+    ) -> Result<Launch<'a>> {
+        if args.len() != self.param_names.len() {
+            return Err(KernelError::BadArguments {
+                expected: self.param_names.len(),
+                got: args.len(),
+            });
+        }
+        let mut extents = Vec::new();
+        let arrays = self
+            .arrays
+            .iter()
+            .map(|a| {
+                let ext = extents.len();
+                let mut binding = Binding::Ok;
+                for &e in &a.extents {
+                    extents.push(self.extent_value(e, args).unwrap_or_else(|_| {
+                        binding = Binding::BadExtent;
+                        0
+                    }));
+                }
+                let handle = match args[a.arg] {
+                    KernelArg::Array(h) => h,
+                    KernelArg::Scalar(_) => {
+                        binding = Binding::NotAnArray;
+                        0
+                    }
+                };
+                BoundArray {
+                    handle,
+                    elem: a.elem,
+                    ext,
+                    rank: a.extents.len(),
+                    binding,
+                }
+            })
+            .collect();
+        let scalars = args
+            .iter()
+            .map(|a| match a {
+                KernelArg::Scalar(v) => Some(Val::from(*v)),
+                KernelArg::Array(_) => None,
+            })
+            .collect();
+        Ok(Launch {
+            program: self,
+            args,
+            scalars,
+            arrays,
+            extents,
+            block_dim,
+            grid_dim,
+            mode,
+        })
+    }
+}
+
+impl Launch<'_> {
+    /// A frame to run this launch's threads on. Allocates the local
+    /// slots; running threads allocates nothing.
+    pub fn frame(&self) -> Frame<'_> {
+        let mut frame = Frame {
+            launch: self,
+            slots: vec![Val::int(0); self.program.frame_slots],
+            stats: ExecStats::default(),
+            error: None,
+        };
+        frame.set_coords(6, self.block_dim);
+        frame.set_coords(9, self.grid_dim);
+        frame
+    }
+
+    /// Why array `a` did not bind.
+    #[cold]
+    fn binding_error(&self, a: usize) -> KernelError {
+        let slot = &self.program.arrays[a];
+        if self.arrays[a].binding == Binding::NotAnArray {
+            return KernelError::TypeMismatch {
+                context: format!(
+                    "scalar passed for array parameter {}",
+                    self.program.param_names[slot.arg]
+                ),
+            };
+        }
+        let first_bad = slot
+            .extents
+            .iter()
+            .find_map(|&e| self.program.extent_value(e, self.args).err());
+        first_bad.expect("an array bound as BadExtent has a failing extent")
+    }
+}
+
 enum Flow {
     Normal,
     Return,
 }
 
-/// Iteration safety budget per single loop execution.
-const LOOP_BUDGET: i64 = 1 << 32;
+/// A step failed; the error is in [`Frame::error`]. Zero-sized, so a
+/// step's result travels in registers.
+struct Trap;
 
-/// The per-thread interpreter.
-pub struct Interp<'a, M: MemAccess + ?Sized> {
-    kernel: &'a Kernel,
-    args: &'a [KernelArg],
-    ctx: ThreadCtx,
-    mem: &'a mut M,
-    mode: ExecMode,
-    stats: ExecStats,
-    locals: Vec<(String, Value)>,
+type Step<T> = std::result::Result<T, Trap>;
+
+/// A [`Value`] as a type tag and 64 payload bits — two words the
+/// evaluator passes in registers, where the enum goes through memory.
+#[derive(Clone, Copy)]
+struct Val {
+    ty: ScalarTy,
+    bits: u64,
 }
 
-impl<'a, M: MemAccess + ?Sized> Interp<'a, M> {
-    /// Create an interpreter for one thread.
-    pub fn new(
-        kernel: &'a Kernel,
-        args: &'a [KernelArg],
-        ctx: ThreadCtx,
-        mem: &'a mut M,
-        mode: ExecMode,
-    ) -> Result<Self> {
-        if args.len() != kernel.params.len() {
-            return Err(KernelError::BadArguments {
-                expected: kernel.params.len(),
-                got: args.len(),
-            });
+impl Val {
+    fn int(v: i64) -> Val {
+        Val {
+            ty: ScalarTy::I64,
+            bits: v as u64,
         }
-        Ok(Interp {
-            kernel,
-            args,
-            ctx,
-            mem,
-            mode,
-            stats: ExecStats::default(),
-            locals: Vec::with_capacity(8),
-        })
     }
 
-    /// Run the thread to completion; returns its operation counters.
-    pub fn run(mut self) -> Result<ExecStats> {
-        let body = &self.kernel.body;
-        self.exec_block(body)?;
-        Ok(self.stats)
-    }
-
-    fn lookup(&self, name: &str) -> Result<Value> {
-        // Innermost binding wins.
-        if let Some((_, v)) = self.locals.iter().rev().find(|(n, _)| n == name) {
-            return Ok(*v);
+    fn f32(v: f32) -> Val {
+        Val {
+            ty: ScalarTy::F32,
+            bits: v.to_bits() as u64,
         }
-        // Scalar parameter?
-        if let Some(idx) = self.kernel.param_index(name) {
-            if let KernelArg::Scalar(v) = self.args[idx] {
-                return Ok(v);
-            }
+    }
+
+    fn f64(v: f64) -> Val {
+        Val {
+            ty: ScalarTy::F64,
+            bits: v.to_bits(),
         }
-        Err(KernelError::UnknownVar(name.to_string()))
     }
 
-    fn scalar_i64(&self, name: &str) -> Result<i64> {
-        self.lookup(name)?
-            .as_i64()
-            .ok_or_else(|| KernelError::TypeMismatch {
-                context: format!("parameter {name} used as integer extent"),
-            })
+    fn is_int(self) -> bool {
+        self.ty == ScalarTy::I64
     }
 
-    /// Resolve an array access: returns (buffer handle, element type,
-    /// linear offset), bounds-checked in functional mode.
-    fn resolve_access(
+    fn as_f64(self) -> f64 {
+        Value::from(self).as_f64()
+    }
+
+    fn is_truthy(self) -> bool {
+        Value::from(self).is_truthy()
+    }
+}
+
+impl From<Value> for Val {
+    fn from(v: Value) -> Val {
+        match v {
+            Value::I64(x) => Val::int(x),
+            Value::F32(x) => Val::f32(x),
+            Value::F64(x) => Val::f64(x),
+        }
+    }
+}
+
+impl From<Val> for Value {
+    fn from(v: Val) -> Value {
+        match v.ty {
+            ScalarTy::I64 => Value::I64(v.bits as i64),
+            ScalarTy::F32 => Value::F32(f32::from_bits(v.bits as u32)),
+            ScalarTy::F64 => Value::F64(f64::from_bits(v.bits)),
+        }
+    }
+}
+
+/// The mutable state threads of one launch run on: coordinates, local
+/// slots and the running thread's counters. One frame
+/// serves any number of threads, one after the other.
+pub struct Frame<'l> {
+    launch: &'l Launch<'l>,
+    /// First `threadIdx`, `blockIdx`, `blockDim`, `gridDim` as `x, y, z`
+    /// each ([`crate::lower::grid_slot`]), then the locals.
+    slots: Vec<Val>,
+    stats: ExecStats,
+    /// Why the running thread trapped.
+    error: Option<KernelError>,
+}
+
+impl<'l> Frame<'l> {
+    /// Run one thread to completion; returns its operation counters.
+    pub fn run_thread<M: MemAccess + ?Sized>(
         &mut self,
-        array: &str,
-        indices: &[Expr],
-    ) -> Result<(usize, ScalarTy, usize)> {
-        let pidx = self
-            .kernel
-            .param_index(array)
-            .ok_or_else(|| KernelError::UnknownArray(array.to_string()))?;
-        let (elem, extents) = match &self.kernel.params[pidx] {
-            KernelParam::Array { elem, extents, .. } => (*elem, extents.clone()),
-            _ => return Err(KernelError::UnknownArray(array.to_string())),
-        };
-        let handle = match self.args[pidx] {
-            KernelArg::Array(h) => h,
-            _ => {
-                return Err(KernelError::TypeMismatch {
-                    context: format!("scalar passed for array parameter {array}"),
-                })
-            }
-        };
-        let mut idx_vals = Vec::with_capacity(indices.len());
-        for e in indices {
-            let val = self.eval(e)?;
-            idx_vals.push(val.as_i64().ok_or_else(|| KernelError::TypeMismatch {
-                context: format!("non-integer index into {array}"),
-            })?);
+        block_idx: Dim3,
+        thread_idx: Dim3,
+        mem: &mut M,
+    ) -> Result<ExecStats> {
+        self.set_coords(0, thread_idx);
+        self.set_coords(3, block_idx);
+        self.stats = ExecStats::default();
+        let launch = self.launch;
+        match self.block(&launch.program.body, mem) {
+            Ok(_) => Ok(self.stats),
+            Err(Trap) => Err(self.error.take().expect("a trap records its error")),
         }
-        let mut ext_vals = Vec::with_capacity(extents.len());
-        for ext in &extents {
-            ext_vals.push(match ext {
-                Extent::Const(c) => *c,
-                Extent::Param(p) => self.scalar_i64(p)?,
-            });
-        }
-        if self.mode == ExecMode::Functional {
-            for (i, (&iv, &ev)) in idx_vals.iter().zip(&ext_vals).enumerate() {
-                if iv < 0 || iv >= ev {
-                    let _ = i;
-                    return Err(KernelError::OutOfBounds {
-                        array: array.to_string(),
-                        index: idx_vals.clone(),
-                        extents: ext_vals.clone(),
-                    });
+    }
+
+    /// Run every thread of one block (sequentially, `z`-outermost).
+    ///
+    /// Thread blocks are the atomic unit of the CUDA execution model
+    /// (paper §2.1); running a block's threads sequentially is a legal
+    /// schedule for the kernels in scope (no inter-thread communication
+    /// below block scope).
+    pub fn run_block<M: MemAccess + ?Sized>(
+        &mut self,
+        block_idx: Dim3,
+        mem: &mut M,
+    ) -> Result<ExecStats> {
+        let dim = self.launch.block_dim;
+        let mut stats = ExecStats::default();
+        for tz in 0..dim.z {
+            for ty in 0..dim.y {
+                for tx in 0..dim.x {
+                    stats.add(&self.run_thread(block_idx, Dim3::new3(tx, ty, tz), mem)?);
                 }
             }
         }
-        // Row-major linearization.
-        let mut linear: i64 = 0;
-        for (iv, ev) in idx_vals.iter().zip(&ext_vals) {
-            linear = linear * ev + iv;
-        }
-        Ok((handle, elem, linear.max(0) as usize))
+        Ok(stats)
     }
 
-    fn eval(&mut self, e: &Expr) -> Result<Value> {
-        match e {
-            Expr::Int(v) => Ok(Value::I64(*v)),
-            Expr::Float(v) => Ok(Value::F32(*v as f32)),
-            Expr::Var(name) => self.lookup(name),
-            Expr::Grid(g) => Ok(Value::I64(self.ctx.grid_value(*g))),
-            Expr::Load { array, indices } => {
-                let (handle, elem, off) = self.resolve_access(array, indices)?;
-                self.stats.loads += 1;
-                self.stats.bytes_loaded += elem.size_bytes() as u64;
-                match self.mode {
-                    ExecMode::Functional => Ok(self.mem.load(handle, off, elem)),
-                    ExecMode::CountOnly => {
-                        // Deterministic synthetic value derived from the
-                        // offset so data-dependent code stays stable.
-                        Ok(match elem {
-                            ScalarTy::I64 => Value::I64((off % 7) as i64 + 1),
-                            ScalarTy::F32 => Value::F32(1.0 + (off % 7) as f32 * 0.125),
-                            ScalarTy::F64 => Value::F64(1.0 + (off % 7) as f64 * 0.125),
-                        })
+    fn set_coords(&mut self, at: usize, d: Dim3) {
+        debug_assert!(at + 3 <= GRID_SLOTS);
+        for (slot, c) in self.slots[at..at + 3].iter_mut().zip([d.x, d.y, d.z]) {
+            *slot = Val::int(c as i64);
+        }
+    }
+
+    #[cold]
+    fn trap(&mut self, e: KernelError) -> Trap {
+        self.error = Some(e);
+        Trap
+    }
+
+    fn functional(&self) -> bool {
+        self.launch.mode == ExecMode::Functional
+    }
+
+    fn array_name(&self, a: usize) -> &'l str {
+        let program = self.launch.program;
+        &program.param_names[program.arrays[a].arg]
+    }
+
+    fn block<M: MemAccess + ?Sized>(&mut self, ops: &'l [Op], mem: &mut M) -> Step<Flow> {
+        for op in ops {
+            match op {
+                Op::Set { slot, value } => {
+                    self.slots[*slot as usize] = self.eval(value, mem)?;
+                }
+                Op::Store { access, value } => {
+                    // Value before indices, as the source reads.
+                    let value = self.eval(value, mem)?;
+                    let (handle, elem, offset) = self.resolve(access, mem)?;
+                    self.stats.stores += 1;
+                    self.stats.bytes_stored += elem.size_bytes() as u64;
+                    if self.functional() {
+                        mem.store(handle, offset, Value::from(value).cast(elem));
                     }
                 }
-            }
-            Expr::Unary(op, a) => {
-                let av = self.eval(a)?;
-                self.apply_unary(*op, av)
-            }
-            Expr::Binary(op, a, b) => {
-                let av = self.eval(a)?;
-                // Short-circuit logical operators.
-                if *op == BinOp::And && !av.is_truthy() {
-                    self.stats.int_ops += 1;
-                    return Ok(Value::I64(0));
-                }
-                if *op == BinOp::Or && av.is_truthy() {
-                    self.stats.int_ops += 1;
-                    return Ok(Value::I64(1));
-                }
-                let bv = self.eval(b)?;
-                self.apply_binary(*op, av, bv)
-            }
-            Expr::Cast(ty, a) => {
-                let av = self.eval(a)?;
-                Ok(av.cast(*ty))
-            }
-            Expr::Select(c, a, b) => {
-                let cv = self.eval(c)?;
-                self.stats.branches += 1;
-                if cv.is_truthy() {
-                    self.eval(a)
-                } else {
-                    self.eval(b)
-                }
-            }
-        }
-    }
-
-    fn apply_unary(&mut self, op: UnOp, a: Value) -> Result<Value> {
-        match op {
-            UnOp::Neg => {
-                self.count_arith(a.ty(), 1);
-                Ok(match a {
-                    Value::I64(v) => Value::I64(-v),
-                    Value::F32(v) => Value::F32(-v),
-                    Value::F64(v) => Value::F64(-v),
-                })
-            }
-            UnOp::Not => {
-                self.stats.int_ops += 1;
-                Ok(Value::I64(if a.is_truthy() { 0 } else { 1 }))
-            }
-            UnOp::Sqrt | UnOp::Exp | UnOp::Log => {
-                // Transcendentals cost several FLOP-equivalents.
-                self.stats.flops += 8;
-                let x = a.as_f64();
-                let r = match op {
-                    UnOp::Sqrt => x.sqrt(),
-                    UnOp::Exp => x.exp(),
-                    UnOp::Log => x.ln(),
-                    _ => unreachable!(),
-                };
-                Ok(match a.ty() {
-                    ScalarTy::F64 => Value::F64(r),
-                    _ => Value::F32(r as f32),
-                })
-            }
-            UnOp::Abs => {
-                self.count_arith(a.ty(), 1);
-                Ok(match a {
-                    Value::I64(v) => Value::I64(v.abs()),
-                    Value::F32(v) => Value::F32(v.abs()),
-                    Value::F64(v) => Value::F64(v.abs()),
-                })
-            }
-        }
-    }
-
-    fn count_arith(&mut self, ty: ScalarTy, n: u64) {
-        if ty.is_float() {
-            self.stats.flops += n;
-        } else {
-            self.stats.int_ops += n;
-        }
-    }
-
-    fn apply_binary(&mut self, op: BinOp, a: Value, b: Value) -> Result<Value> {
-        use ScalarTy::*;
-        // Numeric promotion: f64 > f32 > i64.
-        let ty = match (a.ty(), b.ty()) {
-            (F64, _) | (_, F64) => F64,
-            (F32, _) | (_, F32) => F32,
-            _ => I64,
-        };
-        if op.is_comparison() {
-            self.count_arith(ty, 1);
-            let r = match ty {
-                I64 => {
-                    let (x, y) = (a.as_i64().unwrap(), b.as_i64().unwrap());
-                    match op {
-                        BinOp::Lt => x < y,
-                        BinOp::Le => x <= y,
-                        BinOp::Gt => x > y,
-                        BinOp::Ge => x >= y,
-                        BinOp::EqEq => x == y,
-                        BinOp::Ne => x != y,
-                        _ => unreachable!(),
+                Op::If { cond, then_, else_ } => {
+                    let cond = self.eval(cond, mem)?;
+                    self.stats.branches += 1;
+                    let arm = if cond.is_truthy() { then_ } else { else_ };
+                    if let Flow::Return = self.block(arm, mem)? {
+                        return Ok(Flow::Return);
                     }
                 }
-                _ => {
-                    let (x, y) = (a.as_f64(), b.as_f64());
-                    match op {
-                        BinOp::Lt => x < y,
-                        BinOp::Le => x <= y,
-                        BinOp::Gt => x > y,
-                        BinOp::Ge => x >= y,
-                        BinOp::EqEq => x == y,
-                        BinOp::Ne => x != y,
-                        _ => unreachable!(),
-                    }
-                }
-            };
-            return Ok(Value::I64(r as i64));
-        }
-        match op {
-            BinOp::And => {
-                self.stats.int_ops += 1;
-                return Ok(Value::I64((a.is_truthy() && b.is_truthy()) as i64));
-            }
-            BinOp::Or => {
-                self.stats.int_ops += 1;
-                return Ok(Value::I64((a.is_truthy() || b.is_truthy()) as i64));
-            }
-            _ => {}
-        }
-        self.count_arith(ty, if op == BinOp::Div { 4 } else { 1 });
-        let out = match ty {
-            I64 => {
-                let (x, y) = (a.as_i64().unwrap(), b.as_i64().unwrap());
-                Value::I64(match op {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
-                    BinOp::Div => {
-                        if y == 0 {
-                            return Err(KernelError::DivByZero);
+                Op::For {
+                    slot,
+                    lo,
+                    hi,
+                    step,
+                    var,
+                    body,
+                } => {
+                    let lo = self.loop_bound(lo, var, mem)?;
+                    let hi = self.loop_bound(hi, var, mem)?;
+                    let Some(trip) = trip_count(lo, hi, *step).filter(|&t| t <= LOOP_BUDGET) else {
+                        return Err(self.trap(KernelError::IterationBudget {
+                            var: var.to_string(),
+                        }));
+                    };
+                    let sampled = !self.functional() && trip > SAMPLE_THRESHOLD;
+                    let run_iters = if sampled { SAMPLE_ITERS } else { trip };
+                    let base = self.stats;
+                    let mut i = lo;
+                    for _ in 0..run_iters {
+                        self.slots[*slot as usize] = Val::int(i);
+                        if let Flow::Return = self.block(body, mem)? {
+                            return Ok(Flow::Return);
                         }
-                        x / y
+                        i = i.wrapping_add(*step);
+                        self.stats.int_ops += 1;
                     }
-                    BinOp::Rem => {
-                        if y == 0 {
-                            return Err(KernelError::DivByZero);
-                        }
-                        x % y
+                    if sampled {
+                        self.stats
+                            .scale_since(&base, trip as f64 / run_iters as f64);
                     }
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                    _ => unreachable!(),
-                })
-            }
-            F32 => {
-                let (x, y) = (a.as_f64() as f32, b.as_f64() as f32);
-                Value::F32(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Rem => x % y,
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                    _ => unreachable!(),
-                })
-            }
-            F64 => {
-                let (x, y) = (a.as_f64(), b.as_f64());
-                Value::F64(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Rem => x % y,
-                    BinOp::Min => x.min(y),
-                    BinOp::Max => x.max(y),
-                    _ => unreachable!(),
-                })
-            }
-        };
-        Ok(out)
-    }
-
-    fn exec_block(&mut self, body: &[Stmt]) -> Result<Flow> {
-        let depth = self.locals.len();
-        for s in body {
-            match self.exec_stmt(s)? {
-                Flow::Return => {
-                    self.locals.truncate(depth);
-                    return Ok(Flow::Return);
                 }
-                Flow::Normal => {}
+                Op::Return => return Ok(Flow::Return),
             }
         }
-        self.locals.truncate(depth);
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, s: &Stmt) -> Result<Flow> {
-        match s {
-            Stmt::Let { var, value } => {
-                let v = self.eval(value)?;
-                self.locals.push((var.clone(), v));
-                Ok(Flow::Normal)
-            }
-            Stmt::Assign { var, value } => {
-                let v = self.eval(value)?;
-                if let Some(slot) = self.locals.iter_mut().rev().find(|(n, _)| n == var) {
-                    slot.1 = v;
-                    Ok(Flow::Normal)
-                } else {
-                    Err(KernelError::UnknownVar(var.clone()))
-                }
-            }
-            Stmt::Store {
-                array,
-                indices,
-                value,
-            } => {
-                let val = self.eval(value)?;
-                let (handle, elem, off) = self.resolve_access(array, indices)?;
-                let val = val.cast(elem);
-                self.stats.stores += 1;
-                self.stats.bytes_stored += elem.size_bytes() as u64;
-                if self.mode == ExecMode::Functional {
-                    self.mem.store(handle, off, val);
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::If { cond, then_, else_ } => {
-                let c = self.eval(cond)?;
-                self.stats.branches += 1;
-                if c.is_truthy() {
-                    self.exec_block(then_)
-                } else {
-                    self.exec_block(else_)
-                }
-            }
-            Stmt::For {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => {
-                let lo_v = self
-                    .eval(lo)?
-                    .as_i64()
-                    .ok_or_else(|| KernelError::TypeMismatch {
-                        context: format!("loop bound of {var}"),
-                    })?;
-                let hi_v = self
-                    .eval(hi)?
-                    .as_i64()
-                    .ok_or_else(|| KernelError::TypeMismatch {
-                        context: format!("loop bound of {var}"),
-                    })?;
-                let trip = ((hi_v - lo_v).max(0) + step - 1) / (*step).max(1);
-                if trip > LOOP_BUDGET {
-                    return Err(KernelError::IterationBudget { var: var.clone() });
-                }
-                // Counting mode extrapolates long loops from a sample of
-                // iterations: the per-iteration cost of regular kernels is
-                // uniform, and the roofline model only needs totals.
-                const SAMPLE_THRESHOLD: i64 = 64;
-                const SAMPLE_ITERS: i64 = 16;
-                let sampled = self.mode == ExecMode::CountOnly && trip > SAMPLE_THRESHOLD;
-                let run_iters = if sampled { SAMPLE_ITERS } else { trip };
-                let base = self.stats;
-                self.locals.push((var.clone(), Value::I64(lo_v)));
-                let slot = self.locals.len() - 1;
-                let mut i = lo_v;
-                let mut done = 0i64;
-                while done < run_iters {
-                    self.locals[slot].1 = Value::I64(i);
-                    match self.exec_block(body)? {
-                        Flow::Return => {
-                            self.locals.truncate(slot);
-                            return Ok(Flow::Return);
-                        }
-                        Flow::Normal => {}
-                    }
-                    i += step;
-                    done += 1;
-                    self.stats.int_ops += 1;
-                }
-                if sampled {
-                    self.stats
-                        .scale_since(&base, trip as f64 / run_iters as f64);
-                }
-                self.locals.truncate(slot);
-                Ok(Flow::Normal)
-            }
-            Stmt::Return => Ok(Flow::Return),
-            Stmt::SyncThreads => Ok(Flow::Normal),
+    fn loop_bound<M: MemAccess + ?Sized>(&mut self, e: &'l Node, var: &str, mem: &M) -> Step<i64> {
+        let v = self.eval(e, mem)?;
+        if v.ty != ScalarTy::I64 {
+            return Err(self.trap(KernelError::TypeMismatch {
+                context: format!("loop bound of {var}"),
+            }));
         }
+        Ok(v.bits as i64)
+    }
+
+    /// Resolve an array access: (buffer handle, element type, linear
+    /// offset), bounds-checked in functional mode.
+    #[inline(always)]
+    fn resolve<M: MemAccess + ?Sized>(
+        &mut self,
+        access: &'l Access,
+        mem: &M,
+    ) -> Step<(usize, ScalarTy, usize)> {
+        let launch = self.launch;
+        let a = access.array as usize;
+        let array = &launch.arrays[a];
+        if array.binding == Binding::NotAnArray {
+            return Err(self.trap(launch.binding_error(a)));
+        }
+        let extents = &launch.extents[array.ext..array.ext + array.rank];
+        // Row-major linearization, as the indices arrive.
+        let mut linear: i64 = 0;
+        let mut inside = true;
+        for (e, &ev) in access.indices.iter().zip(extents) {
+            let iv = self.eval(e, mem)?;
+            if !iv.is_int() {
+                return Err(self.trap(KernelError::TypeMismatch {
+                    context: format!("non-integer index into {}", self.array_name(a)),
+                }));
+            }
+            let iv = iv.bits as i64;
+            inside &= 0 <= iv && iv < ev;
+            linear = linear.wrapping_mul(ev).wrapping_add(iv);
+        }
+        if array.binding == Binding::BadExtent {
+            return Err(self.trap(launch.binding_error(a)));
+        }
+        if !inside && self.functional() {
+            return Err(self.out_of_bounds(access, extents, mem));
+        }
+        Ok((array.handle, array.elem, linear.max(0) as usize))
+    }
+
+    /// The error for an access that left its array. The success path keeps
+    /// no index vector, so this evaluates the indices once more: they are
+    /// pure, and just evaluated to integers.
+    #[cold]
+    fn out_of_bounds<M: MemAccess + ?Sized>(
+        &mut self,
+        access: &'l Access,
+        extents: &[i64],
+        mem: &M,
+    ) -> Trap {
+        let index = access.indices.iter().map(|e| match self.eval(e, mem) {
+            Ok(iv) => iv.bits as i64,
+            Err(Trap) => unreachable!("the index was evaluated a moment ago"),
+        });
+        let e = KernelError::OutOfBounds {
+            index: index.collect(),
+            array: self.array_name(access.array as usize).to_string(),
+            extents: extents.to_vec(),
+        };
+        self.trap(e)
+    }
+
+    /// Leaves are read in place; only an operator or a load costs a call.
+    #[inline(always)]
+    fn eval<M: MemAccess + ?Sized>(&mut self, e: &'l Node, mem: &M) -> Step<Val> {
+        if let Node::Slot(slot) = e {
+            Ok(self.slots[*slot as usize])
+        } else if let Node::Const(v) = e {
+            Ok(Val::from(*v))
+        } else if let Node::Param(arg) = e {
+            match self.launch.scalars[*arg as usize] {
+                Some(v) => Ok(v),
+                None => Err(self.array_for_scalar(*arg as usize)),
+            }
+        } else {
+            self.eval_node(e, mem)
+        }
+    }
+
+    /// An array was passed for the scalar parameter at `arg`.
+    #[cold]
+    fn array_for_scalar(&mut self, arg: usize) -> Trap {
+        let name = self.launch.program.param_names[arg].clone();
+        self.trap(KernelError::UnknownVar(name))
+    }
+
+    #[inline(always)]
+    fn eval_pair<M: MemAccess + ?Sized>(&mut self, ab: &'l Operands, mem: &M) -> Step<(Val, Val)> {
+        let a = self.eval(&ab[0], mem)?;
+        Ok((a, self.eval(&ab[1], mem)?))
+    }
+
+    /// The operands of a division: integers must not divide by zero.
+    #[inline(always)]
+    fn dividend_and_divisor<M: MemAccess + ?Sized>(
+        &mut self,
+        ab: &'l Operands,
+        mem: &M,
+    ) -> Step<(Val, Val)> {
+        let (a, b) = self.eval_pair(ab, mem)?;
+        if a.is_int() && b.is_int() && b.bits == 0 {
+            return Err(self.trap(KernelError::DivByZero));
+        }
+        Ok((a, b))
+    }
+
+    fn eval_node<M: MemAccess + ?Sized>(&mut self, e: &'l Node, mem: &M) -> Step<Val> {
+        /// `$int` between integers, else `$float` at the promoted type.
+        macro_rules! arith {
+            ($ab:expr, $cost:expr, $int:expr, $float:expr) => {{
+                let (a, b) = self.eval_pair($ab, mem)?;
+                self.arith(a, b, $cost, $int, $float, $float)
+            }};
+        }
+        macro_rules! compare {
+            ($ab:expr, $op:tt) => {{
+                let (a, b) = self.eval_pair($ab, mem)?;
+                self.compare(a, b, |x, y| x $op y, |x, y| x $op y)
+            }};
+        }
+        Ok(match e {
+            Node::Const(_) | Node::Slot(_) | Node::Param(_) => {
+                unreachable!("leaves are read by `eval`")
+            }
+            Node::Load(access) => {
+                let (handle, elem, offset) = self.resolve(access, mem)?;
+                self.stats.loads += 1;
+                self.stats.bytes_loaded += elem.size_bytes() as u64;
+                Val::from(if self.functional() {
+                    mem.load(handle, offset, elem)
+                } else {
+                    synthetic_load(elem, offset)
+                })
+            }
+            Node::Neg(a) => self.sign(a, mem, i64::wrapping_neg, |x| -x, |x| -x)?,
+            Node::Abs(a) => self.sign(a, mem, i64::wrapping_abs, f32::abs, f64::abs)?,
+            Node::Not(a) => {
+                let a = self.eval(a, mem)?;
+                self.stats.int_ops += 1;
+                Val::int(!a.is_truthy() as i64)
+            }
+            Node::Sqrt(a) => self.transcendental(a, mem, f64::sqrt)?,
+            Node::Exp(a) => self.transcendental(a, mem, f64::exp)?,
+            Node::Log(a) => self.transcendental(a, mem, f64::ln)?,
+            Node::Add(ab) => arith!(ab, 1, i64::wrapping_add, |x, y| x + y),
+            Node::Sub(ab) => arith!(ab, 1, i64::wrapping_sub, |x, y| x - y),
+            Node::Mul(ab) => arith!(ab, 1, i64::wrapping_mul, |x, y| x * y),
+            Node::Div(ab) => {
+                let (a, b) = self.dividend_and_divisor(ab, mem)?;
+                self.arith(a, b, 4, i64::wrapping_div, |x, y| x / y, |x, y| x / y)
+            }
+            Node::Rem(ab) => {
+                let (a, b) = self.dividend_and_divisor(ab, mem)?;
+                self.arith(a, b, 1, i64::wrapping_rem, |x, y| x % y, |x, y| x % y)
+            }
+            Node::Min(ab) => {
+                let (a, b) = self.eval_pair(ab, mem)?;
+                self.arith(a, b, 1, i64::min, f32::min, f64::min)
+            }
+            Node::Max(ab) => {
+                let (a, b) = self.eval_pair(ab, mem)?;
+                self.arith(a, b, 1, i64::max, f32::max, f64::max)
+            }
+            Node::Lt(ab) => compare!(ab, <),
+            Node::Le(ab) => compare!(ab, <=),
+            Node::Gt(ab) => compare!(ab, >),
+            Node::Ge(ab) => compare!(ab, >=),
+            Node::EqEq(ab) => compare!(ab, ==),
+            Node::Ne(ab) => compare!(ab, !=),
+            // Short-circuit: one integer op whichever way it goes.
+            Node::And(ab) => {
+                let a = self.eval(&ab[0], mem)?.is_truthy();
+                let both = a && self.eval(&ab[1], mem)?.is_truthy();
+                self.stats.int_ops += 1;
+                Val::int(both as i64)
+            }
+            Node::Or(ab) => {
+                let a = self.eval(&ab[0], mem)?.is_truthy();
+                let either = a || self.eval(&ab[1], mem)?.is_truthy();
+                self.stats.int_ops += 1;
+                Val::int(either as i64)
+            }
+            Node::Cast(ty, a) => Val::from(Value::from(self.eval(a, mem)?).cast(*ty)),
+            Node::Select(cab) => {
+                let c = self.eval(&cab[0], mem)?;
+                self.stats.branches += 1;
+                self.eval(&cab[if c.is_truthy() { 1 } else { 2 }], mem)?
+            }
+        })
+    }
+
+    /// `-x`, `abs(x)`: one operation at the operand's own type.
+    fn sign<M: MemAccess + ?Sized>(
+        &mut self,
+        a: &'l Node,
+        mem: &M,
+        int: fn(i64) -> i64,
+        single: fn(f32) -> f32,
+        double: fn(f64) -> f64,
+    ) -> Step<Val> {
+        Ok(match self.eval(a, mem)?.into() {
+            Value::I64(v) => {
+                self.stats.int_ops += 1;
+                Val::int(int(v))
+            }
+            Value::F32(v) => {
+                self.stats.flops += 1;
+                Val::f32(single(v))
+            }
+            Value::F64(v) => {
+                self.stats.flops += 1;
+                Val::f64(double(v))
+            }
+        })
+    }
+
+    /// `sqrt`, `exp`, `log`: several FLOP-equivalents each, computed in
+    /// `f64` and narrowed unless the operand was an `f64`.
+    fn transcendental<M: MemAccess + ?Sized>(
+        &mut self,
+        a: &'l Node,
+        mem: &M,
+        f: fn(f64) -> f64,
+    ) -> Step<Val> {
+        let a = self.eval(a, mem)?;
+        self.stats.flops += 8;
+        let r = f(a.as_f64());
+        Ok(match a.ty {
+            ScalarTy::F64 => Val::f64(r),
+            _ => Val::f32(r as f32),
+        })
+    }
+
+    /// One arithmetic operator at the promoted type of its operands
+    /// (`f64 > f32 > i64`, by their run-time tags): floats meet in `f64`
+    /// and narrow back for an `f32` result.
+    #[inline(always)]
+    fn arith(
+        &mut self,
+        a: Val,
+        b: Val,
+        cost: u64,
+        int: impl Fn(i64, i64) -> i64,
+        single: impl Fn(f32, f32) -> f32,
+        double: impl Fn(f64, f64) -> f64,
+    ) -> Val {
+        if a.is_int() && b.is_int() {
+            self.stats.int_ops += cost;
+            return Val::int(int(a.bits as i64, b.bits as i64));
+        }
+        self.stats.flops += cost;
+        let (x, y) = (a.as_f64(), b.as_f64());
+        if a.ty == ScalarTy::F64 || b.ty == ScalarTy::F64 {
+            Val::f64(double(x, y))
+        } else {
+            Val::f32(single(x as f32, y as f32))
+        }
+    }
+
+    /// One comparison: between integers, or in `f64` whatever the
+    /// promoted float type.
+    #[inline(always)]
+    fn compare(
+        &mut self,
+        a: Val,
+        b: Val,
+        int: impl Fn(i64, i64) -> bool,
+        float: impl Fn(f64, f64) -> bool,
+    ) -> Val {
+        let holds = if a.is_int() && b.is_int() {
+            self.stats.int_ops += 1;
+            int(a.bits as i64, b.bits as i64)
+        } else {
+            self.stats.flops += 1;
+            float(a.as_f64(), b.as_f64())
+        };
+        Val::int(holds as i64)
     }
 }
 
@@ -647,13 +856,19 @@ mod tests {
     use crate::builder::*;
     use crate::ir::Kernel;
 
-    fn ctx1d(block: u32, thread: u32, bdim: u32, gdim: u32) -> ThreadCtx {
-        ThreadCtx {
-            block_idx: Dim3::new1(block),
-            thread_idx: Dim3::new1(thread),
-            block_dim: Dim3::new1(bdim),
-            grid_dim: Dim3::new1(gdim),
-        }
+    /// Run thread `thread` of block `block` in a 1-D launch of `gdim`
+    /// blocks of `bdim` threads.
+    fn run_1d(
+        k: &Kernel,
+        args: &[KernelArg],
+        (block, thread, bdim, gdim): (u32, u32, u32, u32),
+        mem: &mut VecMem,
+        mode: ExecMode,
+    ) -> Result<ExecStats> {
+        Program::lower(k)?
+            .bind(args, Dim3::new1(gdim), Dim3::new1(bdim), mode)?
+            .frame()
+            .run_thread(Dim3::new1(block), Dim3::new1(thread), mem)
     }
 
     fn vadd_kernel() -> Kernel {
@@ -695,10 +910,7 @@ mod tests {
             KernelArg::Array(c),
         ];
         // thread 3 of block 0 (blockDim 8)
-        let stats = Interp::new(&k, &args, ctx1d(0, 3, 8, 1), &mut mem, ExecMode::Functional)
-            .unwrap()
-            .run()
-            .unwrap();
+        let stats = run_1d(&k, &args, (0, 3, 8, 1), &mut mem, ExecMode::Functional).unwrap();
         assert_eq!(mem.load(c, 3, ScalarTy::F32), Value::F32(33.0));
         assert_eq!(stats.loads, 2);
         assert_eq!(stats.stores, 1);
@@ -719,10 +931,7 @@ mod tests {
             KernelArg::Array(c),
         ];
         // thread 6 of block 0 with blockDim 8 and n = 4: must return early.
-        let stats = Interp::new(&k, &args, ctx1d(0, 6, 8, 1), &mut mem, ExecMode::Functional)
-            .unwrap()
-            .run()
-            .unwrap();
+        let stats = run_1d(&k, &args, (0, 6, 8, 1), &mut mem, ExecMode::Functional).unwrap();
         assert_eq!(stats.stores, 0);
         assert_eq!(stats.loads, 0);
     }
@@ -742,10 +951,7 @@ mod tests {
             KernelArg::Array(b),
             KernelArg::Array(c),
         ];
-        let err = Interp::new(&k, &args, ctx1d(0, 6, 8, 1), &mut mem, ExecMode::Functional)
-            .unwrap()
-            .run()
-            .unwrap_err();
+        let err = run_1d(&k, &args, (0, 6, 8, 1), &mut mem, ExecMode::Functional).unwrap_err();
         assert!(matches!(err, KernelError::OutOfBounds { .. }));
     }
 
@@ -759,10 +965,7 @@ mod tests {
             KernelArg::Array(1),
             KernelArg::Array(2),
         ];
-        let stats = Interp::new(&k, &args, ctx1d(2, 1, 8, 16), &mut mem, ExecMode::CountOnly)
-            .unwrap()
-            .run()
-            .unwrap();
+        let stats = run_1d(&k, &args, (2, 1, 8, 16), &mut mem, ExecMode::CountOnly).unwrap();
         assert_eq!(stats.loads, 2);
         assert_eq!(stats.stores, 1);
         assert_eq!(stats.flops, 1); // one f32 add
@@ -797,10 +1000,7 @@ mod tests {
             KernelArg::Array(a),
             KernelArg::Array(out),
         ];
-        Interp::new(&k, &args, ctx1d(0, 0, 1, 1), &mut mem, ExecMode::Functional)
-            .unwrap()
-            .run()
-            .unwrap();
+        run_1d(&k, &args, (0, 0, 1, 1), &mut mem, ExecMode::Functional).unwrap();
         assert_eq!(mem.load(out, 0, ScalarTy::F32), Value::F32(15.0));
     }
 
@@ -833,10 +1033,7 @@ mod tests {
         let a = mem.alloc_from(&(0..6).map(|i| Value::F32(i as f32)).collect::<Vec<_>>()); // a = [[0,1,2],[3,4,5]]
         let b = mem.alloc(6 * 4);
         let args = [KernelArg::Array(a), KernelArg::Array(b)];
-        Interp::new(&k, &args, ctx1d(0, 0, 1, 1), &mut mem, ExecMode::Functional)
-            .unwrap()
-            .run()
-            .unwrap();
+        run_1d(&k, &args, (0, 0, 1, 1), &mut mem, ExecMode::Functional).unwrap();
         let got = mem.read_all(b, ScalarTy::F32);
         let want: Vec<Value> = [0.0f32, 3.0, 1.0, 4.0, 2.0, 5.0]
             .iter()
@@ -854,10 +1051,7 @@ mod tests {
         };
         let mut mem = VecMem::new();
         let args = [KernelArg::Scalar(Value::I64(0))];
-        let err = Interp::new(&k, &args, ctx1d(0, 0, 1, 1), &mut mem, ExecMode::Functional)
-            .unwrap()
-            .run()
-            .unwrap_err();
+        let err = run_1d(&k, &args, (0, 0, 1, 1), &mut mem, ExecMode::Functional).unwrap_err();
         assert_eq!(err, KernelError::DivByZero);
     }
 
@@ -878,10 +1072,7 @@ mod tests {
         let mut mem = VecMem::new();
         let a = mem.alloc(4 * 4);
         let args = [KernelArg::Scalar(Value::I64(4)), KernelArg::Array(a)];
-        let stats = Interp::new(&k, &args, ctx1d(0, 0, 1, 1), &mut mem, ExecMode::Functional)
-            .unwrap()
-            .run()
-            .unwrap();
+        let stats = run_1d(&k, &args, (0, 0, 1, 1), &mut mem, ExecMode::Functional).unwrap();
         assert_eq!(stats.loads, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The kernel intermediate representation.
 
 use crate::types::ScalarTy;
-use crate::{KernelError, Result};
+use crate::Result;
 use serde::{Deserialize, Serialize};
 
 /// CUDA grid intrinsics, per component. The `w` component is one of the
@@ -384,114 +384,13 @@ impl Kernel {
             .collect()
     }
 
-    /// Structural validation: every referenced variable is a parameter,
-    /// a local `Let`/`For` binding, or a grid intrinsic; every array
-    /// access has the right rank.
+    /// Structural validation: every referenced variable is a scalar
+    /// parameter, a local `Let`/`For` binding, or a grid intrinsic; every
+    /// array access has the right rank; only locals are assigned; every
+    /// symbolic extent names a scalar parameter. A kernel is valid
+    /// exactly when it lowers ([`crate::lower::Program::lower`]).
     pub fn validate(&self) -> Result<()> {
-        let mut scope: Vec<String> = self
-            .params
-            .iter()
-            .filter(|p| !p.is_array())
-            .map(|p| p.name().to_string())
-            .collect();
-        self.validate_block(&self.body, &mut scope)
-    }
-
-    fn validate_block(&self, body: &[Stmt], scope: &mut Vec<String>) -> Result<()> {
-        let depth = scope.len();
-        for s in body {
-            match s {
-                Stmt::Let { var, value } => {
-                    self.validate_expr(value, scope)?;
-                    scope.push(var.clone());
-                }
-                Stmt::Assign { var, value } => {
-                    if !scope.contains(var) {
-                        return Err(KernelError::UnknownVar(var.clone()));
-                    }
-                    self.validate_expr(value, scope)?;
-                }
-                Stmt::Store {
-                    array,
-                    indices,
-                    value,
-                } => {
-                    self.validate_access(array, indices, scope)?;
-                    self.validate_expr(value, scope)?;
-                }
-                Stmt::If { cond, then_, else_ } => {
-                    self.validate_expr(cond, scope)?;
-                    self.validate_block(then_, scope)?;
-                    self.validate_block(else_, scope)?;
-                }
-                Stmt::For {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                } => {
-                    if *step <= 0 {
-                        return Err(KernelError::TypeMismatch {
-                            context: format!("loop step {step} must be positive"),
-                        });
-                    }
-                    self.validate_expr(lo, scope)?;
-                    self.validate_expr(hi, scope)?;
-                    scope.push(var.clone());
-                    self.validate_block(body, scope)?;
-                    scope.pop();
-                }
-                Stmt::Return | Stmt::SyncThreads => {}
-            }
-        }
-        scope.truncate(depth);
-        Ok(())
-    }
-
-    fn validate_access(&self, array: &str, indices: &[Expr], scope: &[String]) -> Result<()> {
-        match self.param(array) {
-            Some(KernelParam::Array { extents, .. }) => {
-                if extents.len() != indices.len() {
-                    return Err(KernelError::TypeMismatch {
-                        context: format!(
-                            "array {array:?} has rank {} but was indexed with {} indices",
-                            extents.len(),
-                            indices.len()
-                        ),
-                    });
-                }
-            }
-            _ => return Err(KernelError::UnknownArray(array.to_string())),
-        }
-        for i in indices {
-            self.validate_expr(i, scope)?;
-        }
-        Ok(())
-    }
-
-    fn validate_expr(&self, e: &Expr, scope: &[String]) -> Result<()> {
-        match e {
-            Expr::Var(v) => {
-                if !scope.contains(v) {
-                    return Err(KernelError::UnknownVar(v.clone()));
-                }
-                Ok(())
-            }
-            Expr::Load { array, indices } => self.validate_access(array, indices, scope),
-            Expr::Unary(_, a) => self.validate_expr(a, scope),
-            Expr::Binary(_, a, b) => {
-                self.validate_expr(a, scope)?;
-                self.validate_expr(b, scope)
-            }
-            Expr::Cast(_, a) => self.validate_expr(a, scope),
-            Expr::Select(c, a, b) => {
-                self.validate_expr(c, scope)?;
-                self.validate_expr(a, scope)?;
-                self.validate_expr(b, scope)
-            }
-            Expr::Int(_) | Expr::Float(_) | Expr::Grid(_) => Ok(()),
-        }
+        crate::lower::Program::lower(self).map(drop)
     }
 }
 
@@ -499,6 +398,7 @@ impl Kernel {
 mod tests {
     use super::*;
     use crate::builder::*;
+    use crate::KernelError;
 
     #[test]
     fn validate_accepts_wellformed() {

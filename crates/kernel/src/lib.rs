@@ -1,4 +1,4 @@
-//! # mekong-kernel — mini-CUDA kernel IR and thread-grid interpreter
+//! # mekong-kernel — mini-CUDA kernel IR and thread-grid executor
 //!
 //! The toolchain's device-side program representation: a small, typed IR
 //! for data-parallel kernels in the CUDA execution model (paper §2.1).
@@ -12,10 +12,14 @@
 //! * [`ir`] — kernels, statements, expressions, parameters,
 //! * [`builder`] — an ergonomic DSL with operator overloading for
 //!   constructing IR in Rust (used by tests and the workload crate),
-//! * [`interp`] — a per-thread interpreter with instruction/byte counting
-//!   (functional execution *and* the cost model's measurement device),
+//! * [`lower`] — the one name-resolution walk: a kernel becomes a
+//!   [`Program`] of frame slots and argument indices (and that walk is
+//!   what [`Kernel::validate`] means),
+//! * [`interp`] — runs a lowered program's threads on one reused frame,
+//!   with instruction/byte counting (functional execution *and* the cost
+//!   model's measurement device),
 //! * [`exec`] — block/grid execution drivers over a [`MemAccess`] memory
-//!   interface,
+//!   interface: lower once per call, then run,
 //! * [`pretty`] — renders IR back to CUDA-like source.
 //!
 //! The grid follows CUDA's hierarchy: a 3-D grid of 3-D thread blocks,
@@ -25,12 +29,14 @@ pub mod builder;
 pub mod exec;
 pub mod interp;
 pub mod ir;
+pub mod lower;
 pub mod pretty;
 pub mod types;
 
-pub use exec::{execute_block, execute_grid, execute_thread};
-pub use interp::{ExecMode, ExecStats, KernelArg, MemAccess, ThreadCtx, VecMem};
+pub use exec::{execute_block, execute_grid};
+pub use interp::{ExecMode, ExecStats, Frame, KernelArg, Launch, MemAccess, VecMem};
 pub use ir::{Axis, BinOp, Expr, Extent, GridVar, Kernel, KernelParam, Stmt, UnOp};
+pub use lower::Program;
 pub use types::{Dim3, ScalarTy, Value};
 
 /// Errors raised by IR construction, validation or interpretation.

@@ -16,6 +16,7 @@ pub enum ScalarTy {
 
 impl ScalarTy {
     /// Size of one element in bytes.
+    #[inline]
     pub fn size_bytes(self) -> usize {
         match self {
             ScalarTy::I64 => 8,
@@ -25,6 +26,7 @@ impl ScalarTy {
     }
 
     /// Is this a floating-point type?
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(self, ScalarTy::F32 | ScalarTy::F64)
     }
@@ -50,6 +52,7 @@ pub enum Value {
 
 impl Value {
     /// The value's type.
+    #[inline]
     pub fn ty(self) -> ScalarTy {
         match self {
             Value::I64(_) => ScalarTy::I64,
@@ -59,6 +62,7 @@ impl Value {
     }
 
     /// Interpret as an integer (integers only).
+    #[inline]
     pub fn as_i64(self) -> Option<i64> {
         match self {
             Value::I64(v) => Some(v),
@@ -67,6 +71,7 @@ impl Value {
     }
 
     /// Numeric value as f64 (lossy for big i64).
+    #[inline]
     pub fn as_f64(self) -> f64 {
         match self {
             Value::I64(v) => v as f64,
@@ -76,6 +81,7 @@ impl Value {
     }
 
     /// Truthiness for conditions: nonzero.
+    #[inline]
     pub fn is_truthy(self) -> bool {
         match self {
             Value::I64(v) => v != 0,
@@ -94,6 +100,7 @@ impl Value {
     }
 
     /// Cast to another scalar type with C semantics.
+    #[inline]
     pub fn cast(self, ty: ScalarTy) -> Value {
         match ty {
             ScalarTy::I64 => Value::I64(match self {
@@ -111,6 +118,7 @@ impl Value {
     }
 
     /// Encode into little-endian bytes (length = `ty().size_bytes()`).
+    #[inline]
     pub fn to_le_bytes(self, out: &mut [u8]) {
         match self {
             Value::I64(v) => out.copy_from_slice(&v.to_le_bytes()),
@@ -120,6 +128,7 @@ impl Value {
     }
 
     /// Decode from little-endian bytes.
+    #[inline]
     pub fn from_le_bytes(ty: ScalarTy, bytes: &[u8]) -> Value {
         match ty {
             ScalarTy::I64 => Value::I64(i64::from_le_bytes(bytes.try_into().unwrap())),

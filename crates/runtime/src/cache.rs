@@ -66,8 +66,12 @@ pub struct ShardedPlanCache {
     shards: Vec<Mutex<Shard>>,
     /// Maximum number of cached plans; `0` = unbounded.
     capacity: AtomicUsize,
-    /// Monotonic recency clock.
+    /// Monotonic recency clock: every touch takes its own tick, so no
+    /// two entries ever share a `last_used`.
     tick: AtomicU64,
+    /// Total cached plans, kept beside the shards so the capacity check
+    /// takes no lock.
+    len: AtomicUsize,
 }
 
 impl ShardedPlanCache {
@@ -77,6 +81,7 @@ impl ShardedPlanCache {
             shards: (0..PLAN_CACHE_SHARDS).map(|_| Mutex::default()).collect(),
             capacity: AtomicUsize::new(capacity),
             tick: AtomicU64::new(0),
+            len: AtomicUsize::new(0),
         }
     }
 
@@ -101,24 +106,32 @@ impl ShardedPlanCache {
     /// plans the capacity bound evicted to make room (0 when unbounded or
     /// not yet full).
     pub fn insert(&self, key: PlanKey, plan: Arc<LaunchPlan>, namespace: u32) -> u64 {
-        let tick = self.bump();
-        self.shards[shard_of(&key.kernel)].lock().map.insert(
-            key,
-            Entry {
-                plan,
-                namespace,
-                last_used: tick,
-                loaded: false,
-                hits: 0,
-            },
-        );
+        self.install(key, plan, namespace, false);
         self.enforce_capacity()
     }
 
+    /// Put one entry in as most-recently-used, replacing any entry under
+    /// the same key.
+    fn install(&self, key: PlanKey, plan: Arc<LaunchPlan>, namespace: u32, loaded: bool) {
+        let entry = Entry {
+            plan,
+            namespace,
+            last_used: self.bump(),
+            loaded,
+            hits: 0,
+        };
+        let mut shard = self.shards[shard_of(&key.kernel)].lock();
+        if shard.map.insert(key, entry).is_none() {
+            self.len.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Evict least-recently-used entries until the capacity holds.
-    /// Exact global LRU: scan every shard for the minimum recency tick.
-    /// Caches are small (thousands of plans at most) and eviction only
-    /// runs past the bound, so the scan is not a hot path.
+    /// Exact global LRU: scan every shard for the minimum recency tick —
+    /// by reference, no key is cloned — then take the entry carrying it
+    /// out of its shard, under that shard's lock. Caches are small
+    /// (thousands of plans at most) and eviction only runs past the
+    /// bound.
     fn enforce_capacity(&self) -> u64 {
         let cap = self.capacity.load(Ordering::Relaxed);
         if cap == 0 {
@@ -126,32 +139,31 @@ impl ShardedPlanCache {
         }
         let mut evicted = 0u64;
         while self.len() > cap {
-            let mut oldest: Option<(usize, PlanKey, u64)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let shard = shard.lock();
-                for (k, e) in &shard.map {
-                    if oldest.as_ref().is_none_or(|(_, _, t)| e.last_used < *t) {
-                        oldest = Some((i, k.clone(), e.last_used));
-                    }
-                }
+            let oldest = self
+                .shards
+                .iter()
+                .enumerate()
+                .filter_map(|(i, shard)| {
+                    let shard = shard.lock();
+                    let tick = shard.map.values().map(|e| e.last_used).min()?;
+                    Some((tick, i))
+                })
+                .min();
+            let Some((tick, i)) = oldest else { break };
+            let mut shard = self.shards[i].lock();
+            let taken = shard.map.extract_if(|_, e| e.last_used == tick).next();
+            if taken.is_none() {
+                break; // touched or raced away since the scan
             }
-            match oldest {
-                Some((i, key, _)) => {
-                    if self.shards[i].lock().map.remove(&key).is_some() {
-                        evicted += 1;
-                    } else {
-                        break; // raced away — nothing left to do
-                    }
-                }
-                None => break,
-            }
+            self.len.fetch_sub(1, Ordering::Relaxed);
+            evicted += 1;
         }
         evicted
     }
 
     /// Total cached plans across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.len.load(Ordering::Relaxed)
     }
 
     /// True when no plan is cached.
@@ -162,7 +174,9 @@ impl ShardedPlanCache {
     /// Drop every cached plan.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().map.clear();
+            let mut shard = shard.lock();
+            self.len.fetch_sub(shard.map.len(), Ordering::Relaxed);
+            shard.map.clear();
         }
     }
 
@@ -223,17 +237,7 @@ impl ShardedPlanCache {
     /// carries them forward (see [`ShardedPlanCache::export_live`]).
     pub fn import(&self, entries: Vec<(PlanKey, Arc<LaunchPlan>, u32)>) -> u64 {
         for (key, plan, namespace) in entries {
-            let tick = self.bump();
-            self.shards[shard_of(&key.kernel)].lock().map.insert(
-                key,
-                Entry {
-                    plan,
-                    namespace,
-                    last_used: tick,
-                    loaded: true,
-                    hits: 0,
-                },
-            );
+            self.install(key, plan, namespace, true);
         }
         self.enforce_capacity()
     }
@@ -246,11 +250,11 @@ mod tests {
 
     fn key(kernel: &str, n: i64) -> PlanKey {
         PlanKey {
-            kernel: kernel.to_string(),
+            kernel: kernel.into(),
             strategy: 0,
             grid: Dim3::new1(1),
             block: Dim3::new1(1),
-            bounds: vec![n],
+            bounds: [n].into(),
             args: Vec::new(),
         }
     }
@@ -320,7 +324,7 @@ mod tests {
         assert!(c.get(&key("hit", 0)).is_some());
         assert_eq!(c.compactable(), 1);
         let live = c.export_live();
-        let kernels: Vec<&str> = live.iter().map(|(k, _, _)| k.kernel.as_str()).collect();
+        let kernels: Vec<&str> = live.iter().map(|(k, _, _)| &*k.kernel).collect();
         assert!(kernels.contains(&"captured"));
         assert!(kernels.contains(&"hit"));
         assert!(!kernels.contains(&"cold"), "{kernels:?}");

@@ -6,20 +6,20 @@
 //! 4. update the buffer trackers for all writes.
 
 use crate::compiled::CompiledKernel;
-use crate::plan::{ArgKey, LaunchPlan, PlanCopy, PlanKey, PlanLaunch, PlanUpdate};
+use crate::plan::{ArgKey, LaunchPlan, PlanCopy, PlanLaunch, PlanUpdate, PostBuffer, PostState};
 use crate::tracker::{Owner, Validity};
 use crate::vbuf::{MgpuRuntime, VBufId, VirtualBuffer};
 use crate::{Result, RuntimeError};
-use mekong_analysis::ArgModel;
+use mekong_analysis::{ArgModel, SplitAxis};
+use mekong_check::AxisMask;
 use mekong_enumgen::AccessEnumerator;
 use mekong_gpusim::{sample_kernel_profile, CopyRuns, SimArg, SimTime, TimeCat};
 use mekong_kernel::{Dim3, Extent, KernelArg, Value};
 use mekong_partition::{partition_grid, Partition};
 use mekong_tuner::{
     rank_candidates_masked, strided_groups, Candidate, OwnedSegment, Ownership, PartitionStrategy,
-    ReadModel, TuneKey, TunerInput, WriteModel,
+    ReadModel, TunerInput, WriteModel,
 };
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// An argument of a rewritten kernel launch.
@@ -151,9 +151,8 @@ impl TransferPlan {
 /// The precomputed synchronization of one `(gpu, read-argument)` pair:
 /// the enumerator walk and tracker query reduced to cost terms plus the
 /// coalesced D2D copy list. Planning is a read-only function of the
-/// buffer state, so a capturing miss plans every pair in parallel;
-/// applying the plans (charging costs, issuing copies) stays serial and
-/// in the §5 order.
+/// buffer state: every pair is planned before the first plan is applied
+/// (costs charged, copies issued), in the §5 order.
 struct SyncPlan {
     vb: VBufId,
     gpu: usize,
@@ -306,13 +305,120 @@ fn cross_device_overlap(claims: &mut [(usize, u64, u64)]) -> Option<(usize, usiz
     None
 }
 
+/// Materialize one captured partition launch's argument vector for a
+/// runtime, into `out`: captured scalars (including the trailing six
+/// partition-bound scalars) pass through verbatim, while buffer
+/// positions are re-resolved from the live `args` to the runtime's own
+/// device instances. Within one runtime the result is identical to the
+/// captured vector; across tenants — or across processes, after a
+/// snapshot reload — it is the step that makes plans portable.
+fn resolve_sim_args(
+    buffers: &[VirtualBuffer],
+    l: &PlanLaunch,
+    args: &[LaunchArg],
+    out: &mut Vec<SimArg>,
+) {
+    out.clear();
+    out.extend_from_slice(&l.sim_args);
+    for (i, a) in args.iter().enumerate() {
+        if let LaunchArg::Buf(b) = a {
+            out[i] = SimArg::Buf(buffers[b.index()].instances[l.gpu]);
+        }
+    }
+}
+
+/// What a peer copy leaves on its destination buffer: the bytes the
+/// buffer received are metered and, under replica coherence, the
+/// destination becomes a valid holder of each copied run (Uninit bridge
+/// gaps are skipped inside).
+fn land_copy(buffers: &mut [VirtualBuffer], c: &PlanCopy, replica_coherence: bool) {
+    let len = c.end - c.start;
+    let vb = &mut buffers[c.vb.index()];
+    vb.d2d_in_bytes += len * c.count;
+    if replica_coherence {
+        for r in 0..c.count {
+            let s = c.start + r * c.stride;
+            vb.tracker.add_holder(s, s + len, c.dst_gpu);
+        }
+    }
+}
+
+/// Apply tracker write-updates: each range becomes fresh on its device
+/// and replicas elsewhere are invalidated. Returns the tracker segments
+/// the updates touched and the replica copies they evicted.
+fn apply_updates(buffers: &mut [VirtualBuffer], updates: &[PlanUpdate]) -> (usize, u64) {
+    let (mut touched, mut invalidated) = (0usize, 0u64);
+    for u in updates {
+        let vb = &mut buffers[u.vb.index()];
+        vb.kernel_written = true;
+        let stats = vb.tracker.update(u.start, u.end, Owner::Device(u.gpu));
+        touched += stats.touched;
+        invalidated += stats.invalidated as u64;
+        debug_assert!(vb.tracker.check_invariants());
+    }
+    (touched, invalidated)
+}
+
+/// The static partition-safety verdict of a launch site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// At most one non-empty partition: nothing to prove.
+    Unsplit,
+    /// Every split axis carries a write-disjointness proof.
+    Proven,
+    /// This split axis carries none: the launch is refused.
+    Unproven(SplitAxis),
+}
+
+/// Everything a launch derives from `(kernel, grid, block, TuneKey
+/// scalars)` alone, resolved once per site: the partitioning decision in
+/// its three forms (strategy encoding, partitions, flattened bounds),
+/// the safety-gate verdict and whether the tuner measures the site. A
+/// launch that finds its site computes none of them again; what varies
+/// from launch to launch — scalar bits, tracker signatures — goes into
+/// the plan key's `args`.
+///
+/// A float scalar is 0 in the `TuneKey`, so a drifting float mints no
+/// site. Sites are dropped by whatever changes a decision: `set_config`,
+/// `force_strategy`/`clear_forced_strategy`, `set_plan_cache`, and a
+/// tuner switch (that site only).
+#[derive(Debug)]
+pub(crate) struct LaunchSite {
+    /// The kernel facts the decision rests on; kernels are keyed by
+    /// name, and another kernel under the same name re-resolves.
+    partitioning: SplitAxis,
+    safe_axes: AxisMask,
+    /// [`PartitionStrategy::encode`] of the strategy in force — the
+    /// compiler's fixed even split when no tuner/forced strategy is
+    /// active. The full encoding (axes, factors, weighted/tiled bits):
+    /// a 2-D tiling and a 1-D slab can never alias in the plan key,
+    /// even if they happened to produce the same bounds list.
+    strategy: u32,
+    parts: Vec<Partition>,
+    /// Plan-key prefix, shared with every key of the site.
+    kernel: Arc<str>,
+    bounds: Arc<[i64]>,
+    gate: Gate,
+    /// Feed the launch's peer-traffic delta to the tuner's online
+    /// refinement — but not while a forced override is active: those
+    /// launches run a strategy the tuner did not choose, and mixing
+    /// their bytes into its measurement windows would corrupt the
+    /// averages.
+    measure: bool,
+}
+
+/// Resolved launch sites a runtime keeps before it starts over.
+const MAX_SITES: usize = 1024;
+
 impl MgpuRuntime {
     /// The kernel-launch replacement: run `ck` over `grid × block` across
     /// all devices (Figure 4). Errors if the kernel failed the §4 checks.
     ///
     /// With [`crate::RuntimeConfig::capture_plans`] on, the complete
     /// command sequence is captured into the plan cache on a miss and
-    /// replayed directly on a hit (see [`crate::plan`]).
+    /// replayed directly on a hit (see [`crate::plan`]). A hit is: find
+    /// the site, fill the plan key in place, one cache probe, then
+    /// the replay.
     pub fn launch(
         &mut self,
         ck: &CompiledKernel,
@@ -326,22 +432,30 @@ impl MgpuRuntime {
                 ck.model.kernel_name, ck.model.verdict
             )));
         }
-        let scalars = self.validate_args(ck, args)?;
-        let strategy = self.strategy_for(ck, grid, block, args, &scalars)?;
-        let parts = match &strategy {
-            Some(s) => s.partitions(grid),
-            None => partition_grid(grid, self.n_devices(), ck.model.partitioning),
+        // The site key doubles as the tuner's key and is refilled in
+        // place; the per-launch argument checks run on every launch.
+        let key = &mut self.site_key;
+        if key.kernel != ck.model.kernel_name {
+            key.kernel.clone_from(&ck.model.kernel_name);
+        }
+        key.grid = grid;
+        key.block = block;
+        validate_args(&self.buffers, self.namespace, ck, args, &mut key.scalars)?;
+        let site = match self.sites.get(&self.site_key) {
+            Some(site)
+                if site.partitioning == ck.model.partitioning && site.safe_axes == ck.safe_axes =>
+            {
+                Arc::clone(site)
+            }
+            _ => self.resolve_site(ck, grid, block, args)?,
         };
         // Partition-safety gate: a launch that actually splits the grid
         // must run along axes the static checker proved write-disjoint
-        // (mekong-check) — for a rectangular tiling, *every* split axis
-        // needs its own proof. Refusals are counted.
-        if parts.iter().filter(|p| !p.is_empty()).count() > 1 {
-            let axes = strategy
-                .as_ref()
-                .map(|s| s.split_axes())
-                .unwrap_or_else(|| vec![ck.model.partitioning]);
-            if let Some(axis) = axes.iter().find(|a| !ck.safe_axes.allows(**a)) {
+        // (mekong-check). Refusals are counted.
+        match site.gate {
+            Gate::Unsplit => {}
+            Gate::Proven => self.machine.counters_mut().checked_safe += 1,
+            Gate::Unproven(axis) => {
                 self.machine.counters_mut().checked_rejected += 1;
                 return Err(RuntimeError::NotPartitionable(format!(
                     "{}: split along axis {} has no static write-disjointness proof \
@@ -349,18 +463,36 @@ impl MgpuRuntime {
                     ck.model.kernel_name, axis, ck.safe_axes
                 )));
             }
-            self.machine.counters_mut().checked_safe += 1;
         }
-        // Peer-traffic delta around the launch feeds online refinement —
-        // but not while a forced override is active: those launches run
-        // a strategy the tuner did not choose, and mixing their bytes
-        // into its measurement windows would corrupt the averages.
-        let d2d_before = (self.config.autotune && !self.forced.contains_key(&ck.model.kernel_name))
-            .then(|| self.machine.counters().d2d_bytes);
-        let capture = self.config.capture_plans && self.resolve_dependencies;
-        if capture {
-            let key = self.plan_key(ck, grid, block, args, strategy.as_ref(), &parts);
-            if let Some((plan, captured_by)) = self.plan_cache.get(&key) {
+        let d2d_before = site.measure.then(|| self.machine.counters().d2d_bytes);
+        if self.config.capture_plans && self.resolve_dependencies {
+            // The content-addressed cache key of this launch: the site's
+            // prefix plus, per argument, scalar bits or `(id, tracker
+            // signature)`. Any tracker mutation since capture changes a
+            // signature and turns the lookup into a miss — no explicit
+            // invalidation exists.
+            let key = &mut self.plan_key;
+            if !Arc::ptr_eq(&key.kernel, &site.kernel) {
+                key.kernel = Arc::clone(&site.kernel);
+            }
+            if !Arc::ptr_eq(&key.bounds, &site.bounds) {
+                key.bounds = Arc::clone(&site.bounds);
+            }
+            key.strategy = site.strategy;
+            key.grid = grid;
+            key.block = block;
+            key.args.clear();
+            key.args.extend(args.iter().map(|a| match a {
+                LaunchArg::Scalar(v) => ArgKey::scalar(*v),
+                // Namespace-stripped: identical workloads in different
+                // tenant namespaces must produce identical keys, so
+                // tenants can hit each other's captured plans.
+                LaunchArg::Buf(b) => ArgKey::Buf {
+                    id: b.local(),
+                    sig: self.buffers[b.index()].tracker.signature(),
+                },
+            }));
+            if let Some((plan, captured_by)) = self.plan_cache.get(&self.plan_key) {
                 if captured_by != self.namespace {
                     // Another tenant (or a loaded snapshot) captured this
                     // plan — the cross-tenant sharing the serving layer
@@ -373,9 +505,10 @@ impl MgpuRuntime {
                 // clocks directly: drain the launch-ahead window first.
                 self.pipeline_flush();
                 self.machine.counters_mut().plan_misses += 1;
-                let plan = self.launch_full(ck, grid, block, args, &scalars, &parts, true)?;
+                let scalars = self.site_key.scalars.clone();
+                let plan = self.launch_full(ck, grid, block, args, &scalars, &site.parts, true)?;
                 let evicted = self.plan_cache.insert(
-                    key,
+                    self.plan_key.clone(),
                     Arc::new(plan.expect("capturing launch returns a plan")),
                     self.namespace,
                 );
@@ -386,24 +519,21 @@ impl MgpuRuntime {
             if self.resolve_dependencies {
                 self.machine.counters_mut().plan_misses += 1;
             }
-            self.launch_full(ck, grid, block, args, &scalars, &parts, false)?;
+            let scalars = self.site_key.scalars.clone();
+            self.launch_full(ck, grid, block, args, &scalars, &site.parts, false)?;
         }
         if let Some(before) = d2d_before {
             let moved = self.machine.counters().d2d_bytes - before;
-            let key = TuneKey {
-                kernel: ck.model.kernel_name.clone(),
-                grid,
-                block,
-                scalars,
-            };
-            let outcome = self.tuner.record(&key, moved);
+            let outcome = self.tuner.record(&self.site_key, moved);
             if let Some(avg) = outcome.window_avg {
                 self.machine.counters_mut().tuner_measured_bytes = avg;
             }
             if outcome.switched {
-                // The next launch re-captures under the new bounds; the
-                // counters reflect the refreshed decision.
-                if let Some(e) = self.tuner.entry(&key) {
+                // The next launch resolves the site afresh and
+                // re-captures under the new bounds; the counters reflect
+                // the refreshed decision.
+                self.sites.remove(&self.site_key);
+                if let Some(e) = self.tuner.entry(&self.site_key) {
                     let c = self.machine.counters_mut();
                     c.strategy_chosen = e.strategy().encode();
                     c.tuner_predict_bytes = e.predicted().transfer_bytes;
@@ -413,17 +543,70 @@ impl MgpuRuntime {
         Ok(())
     }
 
-    /// Resolve the partitioning strategy of this launch: a forced
-    /// override first, then (with [`crate::RuntimeConfig::autotune`] on)
-    /// the autotuner's cached or freshly ranked decision, else `None` —
-    /// the compiler's fixed even split.
+    /// Resolve the launch site under `self.site_key` (already filled and
+    /// validated for this launch) and remember it.
+    fn resolve_site(
+        &mut self,
+        ck: &CompiledKernel,
+        grid: Dim3,
+        block: Dim3,
+        args: &[LaunchArg],
+    ) -> Result<Arc<LaunchSite>> {
+        let strategy = self.strategy_for(ck, grid, block, args)?;
+        let parts = match &strategy {
+            Some(s) => s.partitions(grid),
+            None => partition_grid(grid, self.n_devices(), ck.model.partitioning),
+        };
+        // For a rectangular tiling, *every* split axis needs its own
+        // proof.
+        let gate = if parts.iter().filter(|p| !p.is_empty()).count() > 1 {
+            let axes = strategy
+                .as_ref()
+                .map(|s| s.split_axes())
+                .unwrap_or_else(|| vec![ck.model.partitioning]);
+            match axes.iter().find(|a| !ck.safe_axes.allows(**a)) {
+                Some(axis) => Gate::Unproven(*axis),
+                None => Gate::Proven,
+            }
+        } else {
+            Gate::Unsplit
+        };
+        let site = Arc::new(LaunchSite {
+            partitioning: ck.model.partitioning,
+            safe_axes: ck.safe_axes,
+            strategy: strategy.as_ref().map(|s| s.encode()).unwrap_or_else(|| {
+                PartitionStrategy::even(ck.model.partitioning, self.n_devices()).encode()
+            }),
+            kernel: ck.model.kernel_name.as_str().into(),
+            bounds: parts
+                .iter()
+                .flat_map(|p| p.lo.iter().chain(p.hi.iter()).copied())
+                .collect(),
+            parts,
+            gate,
+            measure: self.config.autotune && !self.forced.contains_key(&ck.model.kernel_name),
+        });
+        // A site is a cache entry, and an integer scalar that counts
+        // launches mints one per launch: bound the table like the plan
+        // cache it fronts. Dropping sites only costs re-resolving them.
+        if self.sites.len() >= MAX_SITES {
+            self.sites.clear();
+        }
+        self.sites.insert(self.site_key.clone(), Arc::clone(&site));
+        Ok(site)
+    }
+
+    /// Resolve the partitioning strategy of the site under
+    /// `self.site_key`: a forced override first, then (with
+    /// [`crate::RuntimeConfig::autotune`] on) the autotuner's cached or
+    /// freshly ranked decision, else `None` — the compiler's fixed even
+    /// split.
     fn strategy_for(
         &mut self,
         ck: &CompiledKernel,
         grid: Dim3,
         block: Dim3,
         args: &[LaunchArg],
-        scalars: &[i64],
     ) -> Result<Option<PartitionStrategy>> {
         if let Some(s) = self.forced.get(&ck.model.kernel_name) {
             return Ok(Some(s.clone()));
@@ -431,21 +614,17 @@ impl MgpuRuntime {
         if !self.config.autotune {
             return Ok(None);
         }
-        let key = TuneKey {
-            kernel: ck.model.kernel_name.clone(),
-            grid,
-            block,
-            scalars: scalars.to_vec(),
-        };
-        if let Some(s) = self.tuner.strategy(&key) {
+        if let Some(s) = self.tuner.strategy(&self.site_key) {
             return Ok(Some(s.clone()));
         }
-        let candidates = self.rank_strategies(ck, grid, block, args, scalars)?;
+        let candidates = self.rank_strategies(ck, grid, block, args, &self.site_key.scalars)?;
         let (bandwidth, latency) = {
             let link = &self.machine.spec().link;
             (link.bandwidth, link.latency)
         };
-        let entry = self.tuner.decide(key, candidates, bandwidth, latency);
+        let entry = self
+            .tuner
+            .decide(self.site_key.clone(), candidates, bandwidth, latency);
         let chosen = entry.strategy().clone();
         let c = self.machine.counters_mut();
         c.strategy_chosen = chosen.encode();
@@ -589,73 +768,9 @@ impl MgpuRuntime {
         block: Dim3,
         args: &[LaunchArg],
     ) -> Result<Vec<Candidate>> {
-        let scalars = self.validate_args(ck, args)?;
+        let mut scalars = Vec::new();
+        validate_args(&self.buffers, self.namespace, ck, args, &mut scalars)?;
         self.rank_strategies(ck, grid, block, args, &scalars)
-    }
-
-    /// The content-addressed cache key of one launch: kernel identity,
-    /// geometry, scalar values, and per-buffer `(id, tracker signature)`
-    /// pairs. Any tracker mutation since capture changes a signature and
-    /// turns the lookup into a miss — no explicit invalidation exists.
-    fn plan_key(
-        &self,
-        ck: &CompiledKernel,
-        grid: Dim3,
-        block: Dim3,
-        args: &[LaunchArg],
-        strategy: Option<&PartitionStrategy>,
-        parts: &[Partition],
-    ) -> PlanKey {
-        // The full strategy encoding (axes, factors, weighted/tiled
-        // bits) — the compiler's fixed even split when no tuner/forced
-        // strategy is active. A 2-D tiling and a 1-D slab can never
-        // alias, even if they happened to produce the same bounds list.
-        let strategy = strategy.map(|s| s.encode()).unwrap_or_else(|| {
-            PartitionStrategy::even(ck.model.partitioning, self.n_devices()).encode()
-        });
-        let bounds = parts
-            .iter()
-            .flat_map(|p| p.lo.iter().chain(p.hi.iter()).copied())
-            .collect();
-        let args = args
-            .iter()
-            .map(|a| match a {
-                LaunchArg::Scalar(v) => ArgKey::scalar(*v),
-                // Namespace-stripped: identical workloads in different
-                // tenant namespaces must produce identical keys, so
-                // tenants can hit each other's captured plans.
-                LaunchArg::Buf(b) => ArgKey::Buf {
-                    id: b.local(),
-                    sig: self.buffers[b.index()].tracker.signature(),
-                },
-            })
-            .collect();
-        PlanKey {
-            kernel: ck.model.kernel_name.clone(),
-            strategy,
-            grid,
-            block,
-            bounds,
-            args,
-        }
-    }
-
-    /// Materialize one captured partition launch's argument vector for
-    /// this runtime: captured scalars (including the trailing six
-    /// partition-bound scalars) pass through verbatim, while buffer
-    /// positions are re-resolved from the live `args` to this runtime's
-    /// own device instances. Within one runtime the result is identical
-    /// to the captured vector; across tenants — or across processes,
-    /// after a snapshot reload — it is the step that makes plans
-    /// portable.
-    pub(crate) fn resolve_sim_args(&self, l: &PlanLaunch, args: &[LaunchArg]) -> Vec<SimArg> {
-        let mut sim_args = l.sim_args.clone();
-        for (i, a) in args.iter().enumerate() {
-            if let LaunchArg::Buf(b) = a {
-                sim_args[i] = SimArg::Buf(self.buffers[b.index()].instances[l.gpu]);
-            }
-        }
-        sim_args
     }
 
     /// The machine-level argument vector of a launch on `gpu`: scalars
@@ -675,13 +790,11 @@ impl MgpuRuntime {
         sim_args
     }
 
-    /// Issue one read-sync transaction — the single place a peer copy
-    /// leaves the runtime: move `c`'s runs between the two instances,
-    /// meter the bytes the buffer received and, under replica coherence,
-    /// record the destination as a valid holder of each copied run
-    /// (Uninit bridge gaps are skipped inside). `deps` as in
-    /// [`mekong_gpusim::Backend::copy_d2d`]; returns the completion time.
-    fn issue_copy(&mut self, c: &PlanCopy, deps: Option<&[SimTime]>) -> Result<SimTime> {
+    /// Issue one read-sync transaction on the machine — the single place
+    /// a peer copy leaves the runtime: move `c`'s runs between the two
+    /// instances. `deps` as in [`mekong_gpusim::Backend::copy_d2d`];
+    /// returns the completion time.
+    fn machine_copy(&mut self, c: &PlanCopy, deps: Option<&[SimTime]>) -> Result<SimTime> {
         let len = c.end.checked_sub(c.start).ok_or(RuntimeError::Overflow {
             what: "copy length",
             value: c.end,
@@ -692,44 +805,132 @@ impl MgpuRuntime {
             crate::to_usize(c.stride, "copy stride")?,
             crate::to_usize(c.count, "copy count")?,
         );
-        let replica = self.config.replica_coherence;
-        let vb = &mut self.buffers[c.vb.index()];
-        let end =
-            self.machine
-                .copy_d2d(vb.instances[c.src_dev], vb.instances[c.dst_gpu], runs, deps)?;
-        vb.d2d_in_bytes += len * c.count;
-        if replica {
-            for r in 0..c.count {
-                let s = c.start + r * c.stride;
-                vb.tracker.add_holder(s, s + len, c.dst_gpu);
-            }
-        }
-        Ok(end)
+        let vb = &self.buffers[c.vb.index()];
+        Ok(self
+            .machine
+            .copy_d2d(vb.instances[c.src_dev], vb.instances[c.dst_gpu], runs, deps)?)
+    }
+
+    /// A read-sync transaction outside replay: the machine copy, then
+    /// its effect on the destination buffer ([`land_copy`]).
+    fn issue_copy(&mut self, c: &PlanCopy) -> Result<()> {
+        self.machine_copy(c, None)?;
+        land_copy(&mut self.buffers, c, self.config.replica_coherence);
+        Ok(())
     }
 
     /// Commit tracker write-updates — the single place kernel writes
-    /// reach the trackers: each range becomes fresh on its device,
-    /// replicas elsewhere are invalidated (and counted). Returns the
-    /// tracker segments the updates touched.
+    /// reach the trackers ([`apply_updates`]); evicted replicas are
+    /// counted. Returns the tracker segments the updates touched.
     fn commit_updates(&mut self, updates: &[PlanUpdate]) -> usize {
-        let (mut touched, mut invalidated) = (0usize, 0usize);
-        for u in updates {
-            let vb = &mut self.buffers[u.vb.index()];
-            vb.kernel_written = true;
-            let stats = vb.tracker.update(u.start, u.end, Owner::Device(u.gpu));
-            touched += stats.touched;
-            invalidated += stats.invalidated;
-            debug_assert!(vb.tracker.check_invariants());
-        }
-        self.machine.counters_mut().replica_invalidations += invalidated as u64;
+        let (touched, invalidated) = apply_updates(&mut self.buffers, updates);
+        self.machine.counters_mut().replica_invalidations += invalidated;
         touched
     }
 
+    /// The tracker effect of `plan`, op by op: every copy lands
+    /// ([`land_copy`]), then every write-update commits
+    /// ([`apply_updates`]) — in the captured order. This is the one
+    /// definition of what a replay does to the trackers; the returned
+    /// [`PostState`] says where it led, for later replays to install.
+    fn apply_tracker_ops(&mut self, plan: &LaunchPlan) -> PostState {
+        let replica_coherence = self.config.replica_coherence;
+        let mut touched: Vec<VBufId> = plan
+            .copies
+            .iter()
+            .map(|c| c.vb)
+            .chain(plan.updates.iter().map(|u| u.vb))
+            .collect();
+        touched.sort_unstable_by_key(|b| b.index());
+        touched.dedup();
+        let received: Vec<u64> = touched
+            .iter()
+            .map(|b| self.buffers[b.index()].d2d_in_bytes)
+            .collect();
+        for c in &plan.copies {
+            land_copy(&mut self.buffers, c, replica_coherence);
+        }
+        let (_, replica_invalidations) = apply_updates(&mut self.buffers, &plan.updates);
+        let buffers = touched
+            .iter()
+            .zip(received)
+            .map(|(&vb, before)| {
+                let buf = &mut self.buffers[vb.index()];
+                PostBuffer {
+                    vb,
+                    tracker: buf.tracker.share(),
+                    d2d_in_bytes: buf.d2d_in_bytes - before,
+                    written: plan.updates.iter().any(|u| u.vb == vb),
+                }
+            })
+            .collect();
+        PostState {
+            replica_coherence,
+            buffers,
+            replica_invalidations,
+        }
+    }
+
+    /// Advance the trackers by `plan`'s effect. The first replay applies
+    /// the ops ([`MgpuRuntime::apply_tracker_ops`]) and records where
+    /// they led; every later one installs that state — a pointer swap
+    /// and a signature memo per touched buffer, whatever its segment
+    /// count. Debug builds check each install against the ops applied to
+    /// the same pre-state.
+    fn advance_trackers(&mut self, plan: &LaunchPlan) {
+        let recorded = plan
+            .post
+            .0
+            .get()
+            .filter(|post| post.replica_coherence == self.config.replica_coherence);
+        let invalidated = match recorded {
+            Some(post) => {
+                if cfg!(debug_assertions) {
+                    let pre: Vec<_> = post
+                        .buffers
+                        .iter()
+                        .map(|b| {
+                            let buf = &self.buffers[b.vb.index()];
+                            (buf.tracker.clone(), buf.d2d_in_bytes, buf.kernel_written)
+                        })
+                        .collect();
+                    let applied = self.apply_tracker_ops(plan);
+                    assert_eq!(&applied, post, "installed post-state differs from the ops");
+                    for (b, (tracker, received, written)) in post.buffers.iter().zip(pre) {
+                        let buf = &mut self.buffers[b.vb.index()];
+                        buf.tracker = tracker;
+                        buf.d2d_in_bytes = received;
+                        buf.kernel_written = written;
+                    }
+                }
+                for b in &post.buffers {
+                    let buf = &mut self.buffers[b.vb.index()];
+                    buf.tracker.install(&b.tracker);
+                    buf.d2d_in_bytes += b.d2d_in_bytes;
+                    buf.kernel_written |= b.written;
+                }
+                post.replica_invalidations
+            }
+            None => {
+                let post = self.apply_tracker_ops(plan);
+                let invalidated = post.replica_invalidations;
+                // Losing the race to another tenant's first replay of a
+                // shared plan is fine: both recorded the same state.
+                let _ = plan.post.0.set(post);
+                invalidated
+            }
+        };
+        self.machine.counters_mut().replica_invalidations += invalidated;
+    }
+
     /// Replay a captured launch: enqueue the recorded copies and
-    /// launches, apply the recorded tracker updates. The tracker state
-    /// matches the capture byte for byte (the key embeds its signature),
-    /// so the sequence is exact — only the pattern cost differs: one
-    /// flat `host_per_replay` instead of the per-range/per-segment walk.
+    /// launches, advance the trackers by the recorded effect. The
+    /// tracker state matches the capture byte for byte (the key embeds
+    /// its signature), so the sequence is exact — only the pattern cost
+    /// differs: one flat `host_per_replay` instead of the
+    /// per-range/per-segment walk. The clock arithmetic runs op by op in
+    /// the captured order, so every simulated time is the sum the
+    /// capture-free path computes.
     ///
     /// With [`crate::RuntimeConfig::launch_ahead`] > 0 the replay joins
     /// the launch-ahead window (see [`crate::pipeline`]): copies go to
@@ -741,9 +942,9 @@ impl MgpuRuntime {
     ///
     /// Buffer references inside the plan are namespace-local ids; the
     /// live `args` re-resolve them against *this* runtime's instances
-    /// (see [`MgpuRuntime::resolve_sim_args`]), so a plan captured by
-    /// another tenant — or loaded from a snapshot taken in another
-    /// process — replays correctly here.
+    /// (see [`resolve_sim_args`]), so a plan captured by another tenant
+    /// — or loaded from a snapshot taken in another process — replays
+    /// correctly here.
     fn replay_plan(
         &mut self,
         ck: &CompiledKernel,
@@ -769,11 +970,11 @@ impl MgpuRuntime {
 
         for c in &plan.copies {
             if pipelined {
-                let end = self.issue_copy(c, Some(&self.pipeline.copy_edges(c)))?;
+                let end = self.machine_copy(c, Some(&self.pipeline.copy_edges(c)))?;
                 let token = track_events.then(|| self.machine.stream_mark(c.dst_gpu));
                 self.pipeline.note_copy(c, end, token);
             } else {
-                self.issue_copy(c, None)?;
+                self.machine_copy(c, None)?;
             }
         }
         if !pipelined {
@@ -781,22 +982,25 @@ impl MgpuRuntime {
             self.machine.sync_all();
         }
         let mut launched: SimTime = 0.0;
-        let mut deps: Vec<SimTime> = Vec::new();
+        let scratch = &mut self.replay_scratch;
+        scratch.deps.clear();
         for l in &plan.launches {
             if pipelined {
-                for (reader, token) in self.pipeline.launch_edges(plan, l.gpu, &mut deps) {
+                self.pipeline
+                    .launch_edges(plan, l.gpu, &mut scratch.deps, &mut scratch.waits);
+                for &(reader, token) in &scratch.waits {
                     self.machine.stream_wait_cross(l.gpu, reader, token);
                 }
             }
-            let sim_args = self.resolve_sim_args(l, args);
+            resolve_sim_args(&self.buffers, l, args, &mut scratch.sim_args);
             let end = self.machine.launch(
                 l.gpu,
                 &ck.partitioned,
-                &sim_args,
+                &scratch.sim_args,
                 l.grid,
                 block,
                 Some(l.traffic),
-                &deps,
+                &scratch.deps,
             )?;
             if pipelined {
                 self.pipeline.note_launch(plan, l.gpu, end);
@@ -804,7 +1008,7 @@ impl MgpuRuntime {
             }
         }
         // Trackers advance at submit, in both modes.
-        self.commit_updates(&plan.updates);
+        self.advance_trackers(plan);
         if pipelined {
             let depth = self.config.launch_ahead as usize;
             for t in self.pipeline.push(plan, launched, depth) {
@@ -816,8 +1020,7 @@ impl MgpuRuntime {
 
     /// The full Figure 4 sequence: synchronize reads, launch partitions,
     /// update trackers. With `capture` set, additionally records every
-    /// issued command into the returned [`LaunchPlan`] (and plans the
-    /// read synchronizations in parallel — they are read-only walks).
+    /// issued command into the returned [`LaunchPlan`].
     #[allow(clippy::too_many_arguments)]
     fn launch_full(
         &mut self,
@@ -873,42 +1076,29 @@ impl MgpuRuntime {
             };
             let buffers = &self.buffers;
             let names = &ck.enums.scalar_names;
-            let run = |&(gpu, part, arg_idx, renum): &(
-                usize,
-                &Partition,
-                usize,
-                &AccessEnumerator,
-            )|
-             -> SyncPlan {
-                let vb_id = match args[arg_idx] {
-                    LaunchArg::Buf(b) => b,
-                    _ => unreachable!("validated"),
-                };
-                plan_sync(
-                    &buffers[vb_id.index()],
-                    vb_id,
-                    renum,
-                    part,
-                    block,
-                    grid,
-                    names,
-                    scalars,
-                    gpu,
-                    max_gap,
-                    coalesce,
-                    replica,
-                )
-            };
-            // Parallel planning pays off exactly when the result will be
-            // reused — the capture path. Everyday launches with capture
-            // off keep the serial walk; the plans are identical either
-            // way, and applying them below preserves the serial
-            // (gpu-major, declaration-order) charge→copy sequence.
-            let sync_plans: Vec<SyncPlan> = if capture && tasks.len() > 1 {
-                tasks.par_iter().map(run).collect()
-            } else {
-                tasks.iter().map(run).collect()
-            };
+            let sync_plans: Vec<SyncPlan> = tasks
+                .iter()
+                .map(|&(gpu, part, arg_idx, renum)| {
+                    let vb_id = match args[arg_idx] {
+                        LaunchArg::Buf(b) => b,
+                        _ => unreachable!("validated"),
+                    };
+                    plan_sync(
+                        &buffers[vb_id.index()],
+                        vb_id,
+                        renum,
+                        part,
+                        block,
+                        grid,
+                        names,
+                        scalars,
+                        gpu,
+                        max_gap,
+                        coalesce,
+                        replica,
+                    )
+                })
+                .collect();
             let mut mayread_fetch = 0u64;
             for p in sync_plans {
                 mayread_fetch += p.fetch_bytes;
@@ -949,7 +1139,7 @@ impl MgpuRuntime {
                             stride: g.stride,
                             count: g.count,
                         };
-                        self.issue_copy(&copy, None)?;
+                        self.issue_copy(&copy)?;
                         if let Some(cap) = &mut captured {
                             cap.copies.push(copy);
                         }
@@ -1076,7 +1266,8 @@ impl MgpuRuntime {
         args: &[LaunchArg],
         device: usize,
     ) -> Result<()> {
-        let scalars = self.validate_args(ck, args)?;
+        let mut scalars = Vec::new();
+        validate_args(&self.buffers, self.namespace, ck, args, &mut scalars)?;
         // Uncaptured path: walks trackers and device clocks directly.
         self.pipeline_flush();
         // Pull every array argument fully local.
@@ -1133,7 +1324,7 @@ impl MgpuRuntime {
         block: Dim3,
         args: &[LaunchArg],
     ) -> Result<()> {
-        let _scalars = self.validate_args(ck, args)?;
+        validate_args(&self.buffers, self.namespace, ck, args, &mut Vec::new())?;
         if !self.machine.is_functional() {
             return Err(RuntimeError::Unsupported(
                 "instrumented launches need a functional machine",
@@ -1245,86 +1436,93 @@ impl MgpuRuntime {
                 stride: end - start,
                 count: 1,
             };
-            self.issue_copy(&copy, None)?;
+            self.issue_copy(&copy)?;
         }
         Ok(())
     }
+}
 
-    /// Validate launch arguments against the model; returns the scalar
-    /// values (as i64, floats as 0) in scalar-parameter order for the
-    /// enumerators (§6.2: "the scalar arguments are simply copied into an
-    /// array from the kernel launch they belong to").
-    fn validate_args(&self, ck: &CompiledKernel, args: &[LaunchArg]) -> Result<Vec<i64>> {
-        if args.len() != ck.model.args.len() {
-            return Err(RuntimeError::BadArgument(format!(
-                "expected {} arguments, got {}",
-                ck.model.args.len(),
-                args.len()
-            )));
-        }
-        let mut scalars = Vec::new();
-        for (model_arg, arg) in ck.model.args.iter().zip(args) {
-            match (model_arg, arg) {
-                (ArgModel::Scalar { .. }, LaunchArg::Scalar(v)) => {
-                    scalars.push(v.as_i64().unwrap_or(0));
-                }
-                (ArgModel::Array { .. }, LaunchArg::Buf(_)) => {}
-                (m, a) => {
-                    return Err(RuntimeError::BadArgument(format!(
-                        "argument {:?} does not match parameter {}",
-                        a,
-                        m.name()
-                    )))
-                }
-            }
-        }
-        // Check array sizes against extents.
-        for (model_arg, arg) in ck.model.args.iter().zip(args) {
-            if let (ArgModel::Array { elem, extents, .. }, LaunchArg::Buf(b)) = (model_arg, arg) {
-                // Liveness *and* namespace check: a handle minted by
-                // another tenant's runtime must not reach this one's
-                // buffer table, even if its local index is in range.
-                self.check_live(*b)?;
-                let bad_extent = || {
-                    RuntimeError::BadArgument(format!(
-                        "extents of array {} are negative, overflow or name no scalar",
-                        model_arg.name()
-                    ))
-                };
-                let mut expected = elem.size_bytes();
-                for e in extents {
-                    let extent = match e {
-                        Extent::Const(c) => Some(*c),
-                        Extent::Param(p) => ck
-                            .model
-                            .scalar_params
-                            .iter()
-                            .position(|n| n == p)
-                            .map(|idx| scalars[idx]),
-                    };
-                    expected = extent
-                        .and_then(|v| usize::try_from(v).ok())
-                        .and_then(|v| expected.checked_mul(v))
-                        .ok_or_else(bad_extent)?;
-                }
-                let got = self.buffers[b.index()].len;
-                if expected != got {
-                    return Err(RuntimeError::SizeMismatch { expected, got });
-                }
-            }
-        }
-        Ok(scalars)
+/// Validate launch arguments against the model — arity, kinds, buffer
+/// liveness and namespace, extent × element size — and collect the
+/// scalar values (as i64, floats as 0) in scalar-parameter order into
+/// `scalars`, for the enumerators (§6.2: "the scalar arguments are simply
+/// copied into an array from the kernel launch they belong to").
+fn validate_args(
+    buffers: &[VirtualBuffer],
+    namespace: u32,
+    ck: &CompiledKernel,
+    args: &[LaunchArg],
+    scalars: &mut Vec<i64>,
+) -> Result<()> {
+    if args.len() != ck.model.args.len() {
+        return Err(RuntimeError::BadArgument(format!(
+            "expected {} arguments, got {}",
+            ck.model.args.len(),
+            args.len()
+        )));
     }
+    scalars.clear();
+    for (model_arg, arg) in ck.model.args.iter().zip(args) {
+        match (model_arg, arg) {
+            (ArgModel::Scalar { .. }, LaunchArg::Scalar(v)) => {
+                scalars.push(v.as_i64().unwrap_or(0));
+            }
+            (ArgModel::Array { .. }, LaunchArg::Buf(_)) => {}
+            (m, a) => {
+                return Err(RuntimeError::BadArgument(format!(
+                    "argument {:?} does not match parameter {}",
+                    a,
+                    m.name()
+                )))
+            }
+        }
+    }
+    // Check array sizes against extents.
+    for (model_arg, arg) in ck.model.args.iter().zip(args) {
+        if let (ArgModel::Array { elem, extents, .. }, LaunchArg::Buf(b)) = (model_arg, arg) {
+            // Liveness *and* namespace check: a handle minted by
+            // another tenant's runtime must not reach this one's
+            // buffer table, even if its local index is in range.
+            crate::vbuf::check_live(buffers, namespace, *b)?;
+            let bad_extent = || {
+                RuntimeError::BadArgument(format!(
+                    "extents of array {} are negative, overflow or name no scalar",
+                    model_arg.name()
+                ))
+            };
+            let mut expected = elem.size_bytes();
+            for e in extents {
+                let extent = match e {
+                    Extent::Const(c) => Some(*c),
+                    Extent::Param(p) => ck
+                        .model
+                        .scalar_params
+                        .iter()
+                        .position(|n| n == p)
+                        .map(|idx| scalars[idx]),
+                };
+                expected = extent
+                    .and_then(|v| usize::try_from(v).ok())
+                    .and_then(|v| expected.checked_mul(v))
+                    .ok_or_else(bad_extent)?;
+            }
+            let got = buffers[b.index()].len;
+            if expected != got {
+                return Err(RuntimeError::SizeMismatch { expected, got });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vbuf::RuntimeConfig;
-    use mekong_analysis::SplitAxis;
     use mekong_gpusim::{Machine, MachineSpec};
     use mekong_kernel::builder::*;
     use mekong_kernel::Kernel;
+    use mekong_tuner::TuneKey;
 
     fn runtime(n: usize) -> MgpuRuntime {
         MgpuRuntime::new(Machine::new(MachineSpec::kepler_system(n), true))
@@ -2768,5 +2966,86 @@ mod tests {
         // takes the conservative flush and empties the window.
         rt.memcpy_d2h(src, &mut out).unwrap();
         assert_eq!(rt.pipeline_depth(), 0, "hot gather must flush");
+    }
+
+    /// `y[i] = alpha * x[i]` with a float `alpha`.
+    fn axpy_kernel() -> Kernel {
+        Kernel {
+            name: "axpy".into(),
+            params: vec![
+                scalar("n"),
+                scalar_f32("alpha"),
+                array_f32("x", &[ext("n")]),
+                array_f32("y", &[ext("n")]),
+            ],
+            body: vec![
+                let_("i", global_x()),
+                guard_return(v("i").ge(v("n"))),
+                store("y", vec![v("i")], v("alpha") * load("x", vec![v("i")])),
+            ],
+        }
+    }
+
+    /// A launch site is keyed like a tuner decision and lives exactly as
+    /// long as the decisions it caches: a drifting float scalar mints
+    /// plans, not sites; `set_config` and `set_plan_cache` drop every
+    /// site; and a kernel of the same name with other safety facts is
+    /// resolved afresh rather than handed the first one's verdict.
+    #[test]
+    fn sites_are_per_tune_key_and_follow_decision_changes() {
+        let ck = CompiledKernel::compile(&axpy_kernel()).unwrap();
+        let mut rt = runtime(4);
+        rt.set_config(RuntimeConfig {
+            capture_plans: true,
+            ..RuntimeConfig::default()
+        });
+        let n = 1024usize;
+        let x = rt.malloc(n * 4, 4).unwrap();
+        let y = rt.malloc(n * 4, 4).unwrap();
+        rt.memcpy_h2d(x, &vec![0u8; n * 4]).unwrap();
+        let launch = |rt: &mut MgpuRuntime, ck: &CompiledKernel, alpha: f32| {
+            rt.launch(
+                ck,
+                Dim3::new1(8),
+                Dim3::new1(128),
+                &[
+                    LaunchArg::Scalar(Value::I64(n as i64)),
+                    LaunchArg::Scalar(Value::F32(alpha)),
+                    LaunchArg::Buf(x),
+                    LaunchArg::Buf(y),
+                ],
+            )
+        };
+        for step in 0..6 {
+            launch(&mut rt, &ck, 1.0 + step as f32).unwrap();
+        }
+        assert_eq!(rt.sites.len(), 1, "a float scalar is 0 in the site key");
+        let c = rt.machine().counters();
+        // Every alpha is a plan key of its own.
+        assert_eq!((c.plan_hits, c.plan_misses), (0, 6));
+        launch(&mut rt, &ck, 6.0).unwrap();
+        assert_eq!(rt.machine().counters().plan_hits, 1, "same bits, same plan");
+
+        rt.set_plan_cache(Arc::new(crate::ShardedPlanCache::new(0)));
+        assert!(rt.sites.is_empty(), "set_plan_cache drops sites");
+        launch(&mut rt, &ck, 6.0).unwrap();
+        assert_eq!(rt.sites.len(), 1);
+        rt.set_config(RuntimeConfig {
+            capture_plans: true,
+            ..RuntimeConfig::default()
+        });
+        assert!(rt.sites.is_empty(), "set_config drops sites");
+        launch(&mut rt, &ck, 6.0).unwrap();
+
+        // Same name, no proven axis: the cached `Proven` must not apply.
+        let mut unproven = ck.clone();
+        unproven.safe_axes = mekong_check::AxisMask::none();
+        let rejected = rt.machine().counters().checked_rejected;
+        assert!(matches!(
+            launch(&mut rt, &unproven, 6.0),
+            Err(RuntimeError::NotPartitionable(_))
+        ));
+        assert_eq!(rt.machine().counters().checked_rejected, rejected + 1);
+        launch(&mut rt, &ck, 6.0).unwrap();
     }
 }

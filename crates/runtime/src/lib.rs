@@ -39,8 +39,8 @@ pub use compiled::CompiledKernel;
 pub use launch::LaunchArg;
 pub use mekong_tuner::{decode_strategy, Autotuner, Candidate, PartitionStrategy};
 pub use persist::{load_snapshot_json, snapshot_to_json, SNAPSHOT_VERSION};
-pub use plan::{ArgKey, LaunchPlan, PlanCopy, PlanKey, PlanLaunch, PlanUpdate};
-pub use tracker::{DeviceSet, Owner, Tracker, UpdateStats, Validity};
+pub use plan::{ArgKey, LaunchPlan, PlanCopy, PlanKey, PlanLaunch, PlanUpdate, PostStateMemo};
+pub use tracker::{DeviceSet, Owner, Tracker, TrackerState, UpdateStats, Validity};
 pub use vbuf::{MgpuRuntime, RuntimeConfig, TunerReport, VBufId};
 
 /// Errors from the runtime.

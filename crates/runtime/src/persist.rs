@@ -146,11 +146,11 @@ fn value_from_bits(tag: u8, bits: u64) -> Result<Value> {
 
 fn snap_key(k: &PlanKey) -> KeySnap {
     KeySnap {
-        kernel: k.kernel.clone(),
+        kernel: k.kernel.to_string(),
         strategy: k.strategy,
         grid: k.grid,
         block: k.block,
-        bounds: k.bounds.clone(),
+        bounds: k.bounds.to_vec(),
         args: k
             .args
             .iter()
@@ -170,11 +170,11 @@ fn snap_key(k: &PlanKey) -> KeySnap {
 
 fn unsnap_key(k: &KeySnap) -> PlanKey {
     PlanKey {
-        kernel: k.kernel.clone(),
+        kernel: k.kernel.as_str().into(),
         strategy: k.strategy,
         grid: k.grid,
         block: k.block,
-        bounds: k.bounds.clone(),
+        bounds: k.bounds.as_slice().into(),
         args: k
             .args
             .iter()
@@ -313,6 +313,8 @@ fn unsnap_plan(p: &PlanSnap) -> Result<LaunchPlan> {
         replica_saved_bytes: p.replica_saved_bytes,
         mayread_fetch_bytes: p.mayread_fetch_bytes,
         mayread_overfetch_bytes: p.mayread_overfetch_bytes,
+        // Derived on first replay, never persisted.
+        post: Default::default(),
     })
 }
 
@@ -420,7 +422,7 @@ mod tests {
                 strategy: 0,
                 grid: Dim3::new1(1),
                 block: Dim3::new1(1),
-                bounds: vec![],
+                bounds: [].into(),
                 args: vec![],
             },
             Arc::new(LaunchPlan::default()),
@@ -438,7 +440,7 @@ mod tests {
             strategy: 0,
             grid: Dim3::new1(1),
             block: Dim3::new1(1),
-            bounds: vec![],
+            bounds: [].into(),
             args: vec![],
         };
         // Generation 1: two plans captured live; both persist.
@@ -480,7 +482,7 @@ mod tests {
             strategy: 0,
             grid: Dim3::new1(1),
             block: Dim3::new1(1),
-            bounds: vec![],
+            bounds: [].into(),
             args: vec![],
         };
         let copy = |start, end, stride, count| PlanCopy {

@@ -47,21 +47,26 @@
 //! itself as an in-flight *reader* of its source instance, and a later
 //! kernel writing that buffer on the source device submits a
 //! [`mekong_gpusim::stream::StreamOp::WaitEvent`] first, so the copy's
-//! snapshot always precedes the overwrite. Waits only ever reference
-//! strictly-earlier submissions, so the wait graph stays a DAG.
+//! snapshot always precedes the overwrite. A flush drops the window but
+//! not that obligation: readers still outstanding become waits on their
+//! source devices' streams, ahead of whatever the flush made room for
+//! (an upload, a cold launch, a replay under another partitioning).
+//! Waits only ever reference strictly-earlier submissions, so the wait
+//! graph stays a DAG.
 
 use crate::plan::{LaunchPlan, PlanCopy};
 use crate::vbuf::{MgpuRuntime, VBufId};
 use mekong_gpusim::SimTime;
-use std::collections::{HashMap, VecDeque};
-
-/// Key of one whole-buffer × device dependency slot.
-type Slot = (usize, usize);
+use std::collections::VecDeque;
 
 /// In-flight window state of the launch-ahead scheduler. All times are
-/// simulated completion times.
-#[derive(Debug, Default)]
+/// simulated completion times. The whole-buffer × device dependency
+/// slots are dense tables indexed `buffer.index() * n_devices + device`,
+/// grown at `malloc`: an op reads and raises its slots by index, nothing
+/// is hashed. A slot nothing has raised reads 0.0, which orders nothing.
+#[derive(Debug)]
 pub(crate) struct Pipeline {
+    n_devices: usize,
     /// Completion time of each in-flight launch, oldest first. The
     /// window is depth-limited: exceeding `launch_ahead` joins the host
     /// clock to the oldest entry (the host blocks, as on a full CUDA
@@ -69,31 +74,57 @@ pub(crate) struct Pipeline {
     in_flight: VecDeque<SimTime>,
     /// When `(buffer, device)` last became fully valid (producer kernel
     /// or incoming halo copies) — read-after-write edges.
-    ready_at: HashMap<Slot, SimTime>,
+    ready_at: Vec<SimTime>,
     /// Until when `(buffer, device)` is being read (kernel reads, peer
     /// copies sourcing from it) — write-after-read edges.
-    read_until: HashMap<Slot, SimTime>,
+    read_until: Vec<SimTime>,
     /// In-flight functional readers of `(buffer, source device)`: the
     /// destination device and its stream event token after the copy was
     /// queued. A later kernel writing the buffer on the source device
     /// must cross-stream-wait on these.
-    readers: HashMap<Slot, Vec<(usize, u64)>>,
+    readers: Vec<Vec<(usize, u64)>>,
+    /// Per buffer: has an in-flight copy or launch written it since the
+    /// last drain?
+    written: Vec<bool>,
+    /// Has anything been recorded since the last drain?
+    dirty: bool,
 }
 
 impl Pipeline {
+    /// An empty window over a machine of `n_devices`.
+    pub(crate) fn new(n_devices: usize) -> Pipeline {
+        Pipeline {
+            n_devices,
+            in_flight: VecDeque::new(),
+            ready_at: Vec::new(),
+            read_until: Vec::new(),
+            readers: Vec::new(),
+            written: Vec::new(),
+            dirty: false,
+        }
+    }
+
+    /// Size the slot tables for `n_buffers` virtual buffers.
+    pub(crate) fn grow(&mut self, n_buffers: usize) {
+        let slots = n_buffers * self.n_devices;
+        self.ready_at.resize(slots, 0.0);
+        self.read_until.resize(slots, 0.0);
+        self.readers.resize_with(slots, Vec::new);
+        self.written.resize(n_buffers, false);
+    }
+
     /// Number of in-flight launches.
     pub(crate) fn depth(&self) -> usize {
         self.in_flight.len()
     }
 
-    fn edge(map: &HashMap<Slot, SimTime>, vb: VBufId, device: usize) -> SimTime {
-        map.get(&(vb.index(), device)).copied().unwrap_or(0.0)
+    fn slot(&self, vb: VBufId, device: usize) -> usize {
+        vb.index() * self.n_devices + device
     }
 
-    fn raise(map: &mut HashMap<Slot, SimTime>, vb: VBufId, device: usize, t: SimTime) {
-        let e = map.entry((vb.index(), device)).or_insert(0.0);
-        if t > *e {
-            *e = t;
+    fn raise(slot: &mut SimTime, t: SimTime) {
+        if t > *slot {
+            *slot = t;
         }
     }
 
@@ -102,8 +133,8 @@ impl Pipeline {
     /// destination's instance (WAR).
     pub(crate) fn copy_edges(&self, c: &PlanCopy) -> [SimTime; 2] {
         [
-            Self::edge(&self.ready_at, c.vb, c.src_dev),
-            Self::edge(&self.read_until, c.vb, c.dst_gpu),
+            self.ready_at[self.slot(c.vb, c.src_dev)],
+            self.read_until[self.slot(c.vb, c.dst_gpu)],
         ]
     }
 
@@ -112,54 +143,54 @@ impl Pipeline {
     /// byte effects are deferred to the streams: the copy is then an
     /// in-flight *reader* of its source instance.
     pub(crate) fn note_copy(&mut self, c: &PlanCopy, end: SimTime, token: Option<u64>) {
-        Self::raise(&mut self.ready_at, c.vb, c.dst_gpu, end);
-        Self::raise(&mut self.read_until, c.vb, c.src_dev, end);
+        let (src, dst) = (self.slot(c.vb, c.src_dev), self.slot(c.vb, c.dst_gpu));
+        Self::raise(&mut self.ready_at[dst], end);
+        Self::raise(&mut self.read_until[src], end);
+        self.written[c.vb.index()] = true;
+        self.dirty = true;
         if let Some(token) = token {
-            self.readers
-                .entry((c.vb.index(), c.src_dev))
-                .or_default()
-                .push((c.dst_gpu, token));
+            self.readers[src].push((c.dst_gpu, token));
         }
     }
 
     /// Event edges of a partition launch on `gpu`, into `deps`: the
     /// incoming copies of every buffer it reads and in-flight readers of
-    /// every buffer it writes. Returns the in-flight functional readers
-    /// of its write buffers' instances on `gpu`, as `(reader device,
-    /// event token)` — the launch must cross-stream-wait on each so the
-    /// copy's snapshot precedes the overwrite.
+    /// every buffer it writes. Into `waits` go the in-flight functional
+    /// readers of its write buffers' instances on `gpu`, as `(reader
+    /// device, event token)` — the launch must cross-stream-wait on each
+    /// so the copy's snapshot precedes the overwrite. Both are the
+    /// caller's scratch, cleared first.
     pub(crate) fn launch_edges(
         &mut self,
         plan: &LaunchPlan,
         gpu: usize,
         deps: &mut Vec<SimTime>,
-    ) -> Vec<(usize, u64)> {
+        waits: &mut Vec<(usize, u64)>,
+    ) {
         deps.clear();
-        deps.extend(
-            plan.read_bufs
-                .iter()
-                .map(|b| Self::edge(&self.ready_at, *b, gpu)),
-        );
-        let mut waits = Vec::new();
-        for b in &plan.write_bufs {
-            deps.push(Self::edge(&self.read_until, *b, gpu));
-            // Readers are only ever recorded on streamed functional
-            // machines; everywhere else this skips the hashing.
-            if !self.readers.is_empty() {
-                waits.extend(self.readers.remove(&(b.index(), gpu)).unwrap_or_default());
-            }
+        waits.clear();
+        for b in &plan.read_bufs {
+            deps.push(self.ready_at[self.slot(*b, gpu)]);
         }
-        waits
+        for b in &plan.write_bufs {
+            let slot = self.slot(*b, gpu);
+            deps.push(self.read_until[slot]);
+            waits.append(&mut self.readers[slot]);
+        }
     }
 
     /// Record a partition launch of `plan` on `gpu` finishing at `end`.
     pub(crate) fn note_launch(&mut self, plan: &LaunchPlan, gpu: usize, end: SimTime) {
         for b in &plan.write_bufs {
-            Self::raise(&mut self.ready_at, *b, gpu, end);
+            let slot = self.slot(*b, gpu);
+            Self::raise(&mut self.ready_at[slot], end);
+            self.written[b.index()] = true;
         }
         for b in &plan.read_bufs {
-            Self::raise(&mut self.read_until, *b, gpu, end);
+            let slot = self.slot(*b, gpu);
+            Self::raise(&mut self.read_until[slot], end);
         }
+        self.dirty = true;
     }
 
     /// Add the replayed `plan`, whose last partition launch finishes at
@@ -176,7 +207,7 @@ impl Pipeline {
             // Copies with no kernel after them must still be covered by
             // the window join.
             let completion = plan.copies.iter().fold(launched, |t, c| {
-                t.max(Self::edge(&self.ready_at, c.vb, c.dst_gpu))
+                t.max(self.ready_at[self.slot(c.vb, c.dst_gpu)])
             });
             self.in_flight.push_back(completion);
         }
@@ -186,21 +217,33 @@ impl Pipeline {
 
     /// True when an in-flight operation may still be writing `vb` on
     /// some device — an incoming halo copy or a partition launch that
-    /// writes it. Buffers only *read* inside the window never enter
-    /// `ready_at`, so they stay cold. Conservative across retired
-    /// launches: entries persist until the next drain.
+    /// writes it. Buffers only *read* inside the window stay cold.
+    /// Conservative across retired launches: the marks persist until
+    /// the next drain.
     pub(crate) fn writes_in_flight(&self, vb: VBufId) -> bool {
-        !self.in_flight.is_empty() && self.ready_at.keys().any(|&(b, _)| b == vb.index())
+        !self.in_flight.is_empty() && self.written[vb.index()]
     }
 
     /// Drop all window state, returning the latest in-flight completion
-    /// time (if any) for the caller to join the host clock to.
-    fn drain(&mut self) -> Option<SimTime> {
+    /// time (if any) for the caller to join the host clock to. The
+    /// window is a statement about clocks; the byte effects it ordered
+    /// may still sit in the streams, so every functional reader still
+    /// outstanding goes to `wait(source device, reader device, token)`
+    /// — whatever the source device is handed next must not overtake it.
+    fn drain(&mut self, mut wait: impl FnMut(usize, usize, u64)) -> Option<SimTime> {
         let latest = self.in_flight.iter().copied().reduce(SimTime::max);
         self.in_flight.clear();
-        self.ready_at.clear();
-        self.read_until.clear();
-        self.readers.clear();
+        if self.dirty {
+            self.ready_at.fill(0.0);
+            self.read_until.fill(0.0);
+            self.written.fill(false);
+            for (slot, readers) in self.readers.iter_mut().enumerate() {
+                for (reader, token) in readers.drain(..) {
+                    wait(slot % self.n_devices, reader, token);
+                }
+            }
+            self.dirty = false;
+        }
         latest
     }
 }
@@ -212,8 +255,12 @@ impl MgpuRuntime {
     /// (D2H/H2D, uncaptured launches, synchronize, config changes,
     /// direct machine access). Cheap no-op when nothing is in flight.
     pub(crate) fn pipeline_flush(&mut self) {
-        if let Some(t) = self.pipeline.drain() {
-            self.machine.join_host(t);
+        let machine = &mut self.machine;
+        let latest = self
+            .pipeline
+            .drain(|source, reader, token| machine.stream_wait_cross(source, reader, token));
+        if let Some(t) = latest {
+            machine.join_host(t);
         }
     }
 
@@ -222,5 +269,51 @@ impl MgpuRuntime {
     /// [`MgpuRuntime::machine_mut`], observing the depth does not flush.
     pub fn pipeline_depth(&self) -> usize {
         self.pipeline.depth()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn copy(vb: usize, src_dev: usize, dst_gpu: usize) -> PlanCopy {
+        PlanCopy {
+            vb: VBufId(vb),
+            dst_gpu,
+            src_dev,
+            start: 0,
+            end: 8,
+            stride: 8,
+            count: 1,
+        }
+    }
+
+    /// A flush forgets the window's clocks but hands every functional
+    /// reader nobody waited on yet to the caller, keyed by the device it
+    /// reads from — dropping them is how a later writer overtook an
+    /// in-flight halo copy.
+    #[test]
+    fn drain_hands_outstanding_readers_to_their_source_devices() {
+        let mut p = Pipeline::new(3);
+        p.grow(2);
+        p.note_copy(&copy(1, 2, 0), 5.0, Some(7));
+        p.note_copy(&copy(1, 2, 1), 6.0, Some(9));
+        p.note_copy(&copy(0, 1, 2), 4.0, None);
+        assert!(!p.writes_in_flight(VBufId(1)), "nothing in the window yet");
+        let plan = LaunchPlan {
+            copies: vec![copy(1, 2, 0)],
+            ..LaunchPlan::default()
+        };
+        assert_eq!(p.push(&plan, 0.0, 2).count(), 0);
+        assert!(p.writes_in_flight(VBufId(1)));
+
+        let mut waits = Vec::new();
+        let latest = p.drain(|source, reader, token| waits.push((source, reader, token)));
+        assert_eq!(latest, Some(5.0));
+        assert_eq!(waits, vec![(2, 0, 7), (2, 1, 9)]);
+        assert_eq!(p.copy_edges(&copy(1, 2, 0)), [0.0, 0.0]);
+        assert!(!p.writes_in_flight(VBufId(1)));
+        // Drained means drained: a second flush has nothing to hand on.
+        assert_eq!(p.drain(|_, _, _| panic!("no reader is left")), None);
     }
 }

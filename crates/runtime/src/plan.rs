@@ -16,9 +16,11 @@
 //! write update, a `memcpy_h2d` re-distribution) changes the signature
 //! and the next launch simply misses and re-captures.
 
+use crate::tracker::TrackerState;
 use crate::vbuf::VBufId;
 use mekong_gpusim::SimArg;
 use mekong_kernel::{Dim3, Value};
+use std::sync::{Arc, OnceLock};
 
 /// One launch argument reduced to its cache-key form.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -54,9 +56,14 @@ impl ArgKey {
 /// partition bounds pin the autotuner's decision: when online refinement
 /// switches strategies, the next launch misses and re-captures instead
 /// of replaying a plan built for the old grid slicing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// `kernel` and `bounds` are shared with the launch site that resolved
+/// them (see [`crate::launch`]): the runtime refills one key per launch
+/// — two pointer copies and the `args` — and only a miss's insert
+/// clones it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanKey {
-    pub kernel: String,
+    pub kernel: Arc<str>,
     /// The launch's partitioning strategy
     /// ([`mekong_tuner::PartitionStrategy::encode`]): axes, device
     /// factors, and the weighted/tiled bits. Distinguishes a 2-D
@@ -66,7 +73,7 @@ pub struct PlanKey {
     pub grid: Dim3,
     pub block: Dim3,
     /// Flattened `lo`/`hi` bounds of every partition the launch runs.
-    pub bounds: Vec<i64>,
+    pub bounds: Arc<[i64]>,
     pub args: Vec<ArgKey>,
 }
 
@@ -113,6 +120,68 @@ pub struct PlanUpdate {
     pub end: u64,
 }
 
+/// Hashes what varies between the keys that meet in one cache shard —
+/// the strategy encoding, the geometry and the per-launch `args`. The
+/// kernel name already picked the shard, and `bounds` follow from
+/// strategy and grid (a hundred words at sixteen devices); both are
+/// still compared by `Eq`, so leaving them out costs a longer probe at
+/// worst, never a false hit.
+impl std::hash::Hash for PlanKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.strategy.hash(state);
+        self.grid.hash(state);
+        self.block.hash(state);
+        self.args.hash(state);
+    }
+}
+
+/// Where a plan's tracker ops lead from the state its key pins, for one
+/// buffer they touch.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PostBuffer {
+    /// Namespace-local buffer id, as in the plan's ops.
+    pub vb: VBufId,
+    /// The buffer's tracker after the plan's holder additions and
+    /// write-updates.
+    pub tracker: TrackerState,
+    /// Peer-copy bytes the plan's copies deliver into the buffer.
+    pub d2d_in_bytes: u64,
+    /// Does a write-update of the plan target the buffer?
+    pub written: bool,
+}
+
+/// The tracker effect of one plan as a transition between two pinned
+/// states. The key pins every argument buffer's pre-state signature, and
+/// the holder additions of `copies` and the writes of `updates` are
+/// deterministic functions of it, so the first replay records where they
+/// lead and every later replay installs that — a pointer swap per
+/// buffer, independent of segment count (see
+/// `MgpuRuntime::replay_plan`).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PostState {
+    /// [`crate::RuntimeConfig::replica_coherence`] of the recording
+    /// replay: holder additions only happen under it, so a runtime
+    /// configured the other way applies the ops instead.
+    pub replica_coherence: bool,
+    pub buffers: Vec<PostBuffer>,
+    /// Replica copies the plan's write-updates evict.
+    pub replica_invalidations: u64,
+}
+
+/// A plan's lazily recorded post-state: where its tracker ops lead from
+/// the state its key pins. Filled on first *replay*, not at capture: a
+/// plan that is never replayed (a drifting scalar mints one per launch)
+/// never pays for a post-state. Derived data — it compares equal to any
+/// other memo and is not persisted.
+#[derive(Debug, Clone, Default)]
+pub struct PostStateMemo(pub(crate) OnceLock<PostState>);
+
+impl PartialEq for PostStateMemo {
+    fn eq(&self, _: &PostStateMemo) -> bool {
+        true
+    }
+}
+
 /// The complete captured command sequence of one partitioned launch,
 /// in issue order: copies (synchronize-reads), launches, tracker
 /// updates. Replay applies them directly and charges a single flat
@@ -148,6 +217,9 @@ pub struct LaunchPlan {
     /// The portion of those bytes beyond the whole-grid (single-device)
     /// box of the same launch.
     pub mayread_overfetch_bytes: u64,
+    /// Where `copies` and `updates` take the trackers, once a replay has
+    /// recorded it.
+    pub post: PostStateMemo,
 }
 
 #[cfg(test)]

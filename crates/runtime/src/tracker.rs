@@ -19,6 +19,10 @@
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// start → segment; segments tile `[0, len)`.
+type Segments = BTreeMap<u64, Seg>;
 
 /// Who holds the freshest copy of a byte range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,11 +192,88 @@ pub struct UpdateStats {
     pub invalidated: usize,
 }
 
+/// One segment as the tree stores it: its end and its [`Validity`] with
+/// the owner folded into a byte, 24 bytes where `(u64, Validity)` takes
+/// 32. Every replayed plan keeps segment lists ([`TrackerState`]), so
+/// the entry size is what a plan's post-state costs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Seg {
+    end: u64,
+    holders: DeviceSet,
+    /// A device index below [`DeviceSet::CAPACITY`] (a device-fresh
+    /// segment's writer is always a holder), or one of the two codes.
+    freshest: u8,
+}
+
+impl Seg {
+    const HOST: u8 = DeviceSet::CAPACITY as u8;
+    const UNINIT: u8 = Seg::HOST + 1;
+
+    fn new(end: u64, v: Validity) -> Seg {
+        let freshest = match v.freshest {
+            Owner::Device(d) => {
+                debug_assert!(v.holders.contains(d));
+                d as u8
+            }
+            Owner::Host => Seg::HOST,
+            Owner::Uninit => Seg::UNINIT,
+        };
+        Seg {
+            end,
+            holders: v.holders,
+            freshest,
+        }
+    }
+
+    fn validity(self) -> Validity {
+        let freshest = match self.freshest {
+            Seg::HOST => Owner::Host,
+            Seg::UNINIT => Owner::Uninit,
+            d => Owner::Device(d as usize),
+        };
+        Validity {
+            freshest,
+            holders: self.holders,
+        }
+    }
+
+    /// Same validity, other end.
+    fn until(self, end: u64) -> Seg {
+        Seg { end, ..self }
+    }
+
+    fn same_validity(self, other: Seg) -> bool {
+        (self.holders, self.freshest) == (other.holders, other.freshest)
+    }
+}
+
+/// A tracker's segment list pinned together with its signature: what
+/// [`Tracker::share`] hands out and [`Tracker::install`] puts back. The
+/// segments sit behind an `Arc`, so holding or installing a state costs
+/// a pointer, whatever the segment count — a replayed launch plan keeps
+/// the state its tracker ops lead to and installs it on every later
+/// replay instead of re-applying the ops.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TrackerState {
+    len: u64,
+    segments: Arc<Segments>,
+    signature: u64,
+}
+
+impl TrackerState {
+    /// The [`Tracker::signature`] of the pinned segment list.
+    pub fn signature(&self) -> u64 {
+        self.signature
+    }
+}
+
 /// Non-overlapping, fully covering segment list over `[0, len)`.
 pub struct Tracker {
     len: u64,
-    /// start → (end, validity); segments tile `[0, len)`.
-    segments: BTreeMap<u64, (u64, Validity)>,
+    /// Shared with clones and with every [`TrackerState`] taken from
+    /// this tracker; the mutating paths go through `Arc::make_mut`,
+    /// which copies only while somebody else still holds the list.
+    segments: Arc<Segments>,
     /// Mutation counter: bumped by every [`Tracker::update`] that covers
     /// at least one byte and by every [`Tracker::add_holder`] that
     /// changes at least one segment. Lets callers detect "nothing
@@ -230,11 +311,11 @@ impl Tracker {
     pub fn new(len: u64) -> Tracker {
         let mut segments = BTreeMap::new();
         if len > 0 {
-            segments.insert(0, (len, Validity::uninit()));
+            segments.insert(0, Seg::new(len, Validity::uninit()));
         }
         Tracker {
             len,
-            segments,
+            segments: Arc::new(segments),
             epoch: 0,
             sig_memo: Mutex::new(None),
         }
@@ -272,9 +353,10 @@ impl Tracker {
             h = h.wrapping_mul(FNV_PRIME);
         };
         mix(self.len);
-        for (&s, &(e, v)) in &self.segments {
+        for (&s, seg) in self.segments.iter() {
+            let v = seg.validity();
             mix(s);
-            mix(e);
+            mix(seg.end);
             mix(match v.freshest {
                 Owner::Uninit => u64::MAX,
                 Owner::Host => u64::MAX - 1,
@@ -367,47 +449,86 @@ impl Tracker {
     /// boundary segments and re-merging neighbours. Callers own the
     /// epoch bump and any clipping.
     fn set_range(&mut self, start: u64, end: u64, v: Validity) {
+        let new = Seg::new(end, v);
+        // A range lying inside one segment of the same validity — the
+        // steady-state rewrite of a partition's own rows — changes
+        // nothing: leave the (possibly shared) list alone.
+        if let Some((_, &o)) = self.segments.range(..=start).next_back() {
+            if end <= o.end && o.same_validity(new) {
+                return;
+            }
+        }
+        let segments = Arc::make_mut(&mut self.segments);
         // Split the segment containing `start` if it begins earlier.
-        if let Some((&s, &(e, o))) = self.segments.range(..=start).next_back() {
-            if s < start && start < e {
-                self.segments.insert(s, (start, o));
-                self.segments.insert(start, (e, o));
+        if let Some((&s, &o)) = segments.range(..=start).next_back() {
+            if s < start && start < o.end {
+                segments.insert(s, o.until(start));
+                segments.insert(start, o);
             }
         }
         // Split the segment containing `end` if it extends past it.
-        if let Some((&s, &(e, o))) = self.segments.range(..end).next_back() {
-            if s < end && end < e {
-                self.segments.insert(s, (end, o));
-                self.segments.insert(end, (e, o));
+        if let Some((&s, &o)) = segments.range(..end).next_back() {
+            if s < end && end < o.end {
+                segments.insert(s, o.until(end));
+                segments.insert(end, o);
             }
         }
         // Remove all segments now fully inside [start, end).
-        let inside: Vec<u64> = self.segments.range(start..end).map(|(&s, _)| s).collect();
+        let inside: Vec<u64> = segments.range(start..end).map(|(&s, _)| s).collect();
         for s in inside {
-            self.segments.remove(&s);
+            segments.remove(&s);
         }
-        self.segments.insert(start, (end, v));
+        segments.insert(start, new);
         // Merge with neighbors of identical validity.
-        self.merge_around(start);
+        Self::merge_around(segments, start);
     }
 
-    fn merge_around(&mut self, start: u64) {
-        let (end, v) = self.segments[&start];
+    fn merge_around(segments: &mut Segments, start: u64) {
+        let seg = segments[&start];
         // Merge right.
-        if let Some((&rs, &(re, rv))) = self.segments.range(end..).next() {
-            if rs == end && rv == v {
-                self.segments.remove(&rs);
-                self.segments.insert(start, (re, v));
+        if let Some((&rs, &r)) = segments.range(seg.end..).next() {
+            if rs == seg.end && r.same_validity(seg) {
+                segments.remove(&rs);
+                segments.insert(start, r);
             }
         }
         // Merge left.
-        let (end, v) = self.segments[&start];
-        if let Some((&ls, &(le, lv))) = self.segments.range(..start).next_back() {
-            if le == start && lv == v {
-                self.segments.remove(&start);
-                self.segments.insert(ls, (end, v));
+        let seg = segments[&start];
+        if let Some((&ls, &l)) = segments.range(..start).next_back() {
+            if l.end == start && l.same_validity(seg) {
+                segments.remove(&start);
+                segments.insert(ls, seg);
             }
         }
+    }
+
+    /// The current segment list and its signature, shared rather than
+    /// copied. The tracker keeps working on the same list until its next
+    /// mutation, which then copies it once.
+    ///
+    /// A shared list lives as long as whoever keeps the state, so a list
+    /// nobody else holds yet is first rebuilt in order: B-tree nodes
+    /// grown by in-place splits sit about half full, nodes built from a
+    /// sorted run are full.
+    pub fn share(&mut self) -> TrackerState {
+        if let Some(segments) = Arc::get_mut(&mut self.segments) {
+            *segments = std::mem::take(segments).into_iter().collect();
+        }
+        TrackerState {
+            len: self.len,
+            segments: Arc::clone(&self.segments),
+            signature: self.signature(),
+        }
+    }
+
+    /// Replace the segment list by a state taken from a tracker of the
+    /// same length: one pointer swap and a signature memo, independent
+    /// of the segment count. Counts as one mutation.
+    pub fn install(&mut self, state: &TrackerState) {
+        assert_eq!(state.len, self.len, "installed state has another length");
+        self.segments = Arc::clone(&state.segments);
+        self.epoch += 1;
+        *self.sig_memo.get_mut() = Some((self.epoch, state.signature));
     }
 
     /// Visit the segments overlapping `[start, end)`, clipped to it.
@@ -423,11 +544,11 @@ impl Tracker {
             .next_back()
             .map(|(&s, _)| s)
             .unwrap_or(start);
-        for (&s, &(e, v)) in self.segments.range(first..end) {
+        for (&s, seg) in self.segments.range(first..end) {
             let cs = s.max(start);
-            let ce = e.min(end);
+            let ce = seg.end.min(end);
             if cs < ce {
-                f(cs, ce, v);
+                f(cs, ce, seg.validity());
             }
         }
     }
@@ -491,7 +612,8 @@ impl Tracker {
         }
         let mut expect = 0u64;
         let mut prev: Option<Validity> = None;
-        for (&s, &(e, v)) in &self.segments {
+        for (&s, seg) in self.segments.iter() {
+            let (e, v) = (seg.end, seg.validity());
             if s != expect || e <= s {
                 return false;
             }

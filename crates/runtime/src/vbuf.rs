@@ -1,11 +1,13 @@
 //! Virtual buffers and the CUDA-replacement runtime object.
 
 use crate::cache::ShardedPlanCache;
+use crate::launch::LaunchSite;
+use crate::plan::PlanKey;
 use crate::tracker::{Owner, Tracker, Validity};
 use crate::{Result, RuntimeError};
-use mekong_gpusim::{Backend, DevBuf, TimeCat};
+use mekong_gpusim::{Backend, DevBuf, SimArg, SimTime, TimeCat};
 use mekong_kernel::Dim3;
-use mekong_tuner::{Autotuner, PartitionStrategy};
+use mekong_tuner::{Autotuner, PartitionStrategy, TuneKey};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -195,6 +197,16 @@ pub struct TunerReport {
     pub switches: u32,
 }
 
+/// Buffers a plan replay refills per partition launch instead of
+/// allocating: the launch's event edges, the functional readers it must
+/// wait on, and its machine-level argument vector.
+#[derive(Debug, Default)]
+pub(crate) struct ReplayScratch {
+    pub deps: Vec<SimTime>,
+    pub waits: Vec<(usize, u64)>,
+    pub sim_args: Vec<SimArg>,
+}
+
 /// The multi-GPU runtime: owns the machine and all virtual buffers, and
 /// provides the CUDA Runtime API replacements (§8.4).
 pub struct MgpuRuntime {
@@ -227,6 +239,38 @@ pub struct MgpuRuntime {
     /// Launch-ahead window state (see [`crate::pipeline`]): in-flight
     /// replayed launches and their event-edge dependency times.
     pub(crate) pipeline: crate::pipeline::Pipeline,
+    /// Resolved launch sites (see [`LaunchSite`]), keyed like the
+    /// tuner's decisions. Dropped by whatever changes a decision.
+    pub(crate) sites: HashMap<TuneKey, Arc<LaunchSite>>,
+    /// The current launch's site key — also its tuner key — refilled in
+    /// place per launch.
+    pub(crate) site_key: TuneKey,
+    /// The current launch's plan-cache key, refilled in place per launch
+    /// and cloned only into a miss's insert.
+    pub(crate) plan_key: PlanKey,
+    /// Per-launch buffers of a replay, reused across hits.
+    pub(crate) replay_scratch: ReplayScratch,
+}
+
+/// Is `b` a live buffer of the runtime that owns `buffers` under
+/// `namespace`?
+pub(crate) fn check_live(buffers: &[VirtualBuffer], namespace: u32, b: VBufId) -> Result<()> {
+    // A handle from another namespace is *someone else's* buffer —
+    // its index may well be in range here, which is exactly the
+    // cross-tenant aliasing this check exists to refuse.
+    if b.namespace() != namespace {
+        return Err(RuntimeError::BadArgument(format!(
+            "buffer {b:?} belongs to namespace {}, not {namespace}",
+            b.namespace(),
+        )));
+    }
+    match buffers.get(b.index()) {
+        Some(vb) if !vb.freed => Ok(()),
+        Some(_) => Err(RuntimeError::BadArgument(format!(
+            "use of freed buffer {b:?}"
+        ))),
+        None => Err(RuntimeError::BadArgument(format!("unknown buffer {b:?}"))),
+    }
 }
 
 impl MgpuRuntime {
@@ -240,7 +284,9 @@ impl MgpuRuntime {
     /// pick the executor at runtime (e.g. the cross-backend
     /// differential tests).
     pub fn from_boxed(machine: Box<dyn Backend>) -> MgpuRuntime {
+        let empty = Dim3::new1(0);
         MgpuRuntime {
+            pipeline: crate::pipeline::Pipeline::new(machine.n_devices()),
             machine,
             buffers: Vec::new(),
             config: RuntimeConfig::default(),
@@ -251,7 +297,22 @@ impl MgpuRuntime {
             namespace: 0,
             tuner: Autotuner::new(),
             forced: HashMap::new(),
-            pipeline: crate::pipeline::Pipeline::default(),
+            sites: HashMap::new(),
+            site_key: TuneKey {
+                kernel: String::new(),
+                grid: empty,
+                block: empty,
+                scalars: Vec::new(),
+            },
+            plan_key: PlanKey {
+                kernel: "".into(),
+                strategy: 0,
+                grid: empty,
+                block: empty,
+                bounds: [].into(),
+                args: Vec::new(),
+            },
+            replay_scratch: ReplayScratch::default(),
         }
     }
 
@@ -272,6 +333,7 @@ impl MgpuRuntime {
         // runtime's private cache.)
         self.plan_cache.clear();
         self.plan_cache.set_capacity(cfg.plan_cache_capacity);
+        self.sites.clear();
     }
 
     /// Launch-plan cache size (captured plans currently held).
@@ -294,6 +356,7 @@ impl MgpuRuntime {
     pub fn set_plan_cache(&mut self, cache: Arc<ShardedPlanCache>) {
         self.pipeline_flush();
         self.plan_cache = cache;
+        self.sites.clear();
     }
 
     /// Assign this runtime's virtual-buffer namespace. Every handle
@@ -327,6 +390,7 @@ impl MgpuRuntime {
         self.pipeline_flush();
         self.forced.insert(kernel.to_string(), strategy);
         self.plan_cache.clear();
+        self.sites.clear();
         self.tuner.reset_windows(kernel);
     }
 
@@ -337,6 +401,7 @@ impl MgpuRuntime {
         self.pipeline_flush();
         self.forced.remove(kernel);
         self.plan_cache.clear();
+        self.sites.clear();
         self.tuner.reset_windows(kernel);
     }
 
@@ -407,6 +472,7 @@ impl MgpuRuntime {
             kernel_written: false,
             d2d_in_bytes: 0,
         });
+        self.pipeline.grow(self.buffers.len());
         Ok(VBufId::with_namespace(
             self.namespace,
             self.buffers.len() - 1,
@@ -438,23 +504,7 @@ impl MgpuRuntime {
     }
 
     pub(crate) fn check_live(&self, b: VBufId) -> Result<()> {
-        // A handle from another namespace is *someone else's* buffer —
-        // its index may well be in range here, which is exactly the
-        // cross-tenant aliasing this check exists to refuse.
-        if b.namespace() != self.namespace {
-            return Err(RuntimeError::BadArgument(format!(
-                "buffer {b:?} belongs to namespace {}, not {}",
-                b.namespace(),
-                self.namespace
-            )));
-        }
-        match self.buffers.get(b.index()) {
-            Some(vb) if !vb.freed => Ok(()),
-            Some(_) => Err(RuntimeError::BadArgument(format!(
-                "use of freed buffer {b:?}"
-            ))),
-            None => Err(RuntimeError::BadArgument(format!("unknown buffer {b:?}"))),
-        }
+        check_live(&self.buffers, self.namespace, b)
     }
 
     /// `cudaMemcpy(…, HostToDevice)` replacement: a 1:n movement. The
@@ -617,7 +667,19 @@ impl MgpuRuntime {
 
     /// Tracker segment count of a buffer (fragmentation metric).
     pub fn segment_count(&self, b: VBufId) -> usize {
-        self.buffers[b.index()].tracker.segment_count()
+        self.tracker(b).segment_count()
+    }
+
+    /// A buffer's coherence tracker, read-only — segment list and
+    /// signature for tests that compare runtimes step by step.
+    pub fn tracker(&self, b: VBufId) -> &Tracker {
+        &self.buffers[b.index()].tracker
+    }
+
+    /// Has a kernel launch written the buffer since its last upload?
+    /// (The provenance bit the tuner's cost model reads.)
+    pub fn kernel_written(&self, b: VBufId) -> bool {
+        self.buffers[b.index()].kernel_written
     }
 
     /// Total peer-copy bytes ever received by a buffer's device

@@ -50,11 +50,11 @@ fn plan_key_strategy() -> impl Strategy<Value = PlanKey> {
         proptest::collection::vec(arg_key_strategy(), 0..8),
     )
         .prop_map(|(kernel, strategy, grid, block, bounds, args)| PlanKey {
-            kernel,
+            kernel: kernel.into(),
             strategy,
             grid,
             block,
-            bounds,
+            bounds: bounds.into(),
             args,
         })
 }
@@ -163,6 +163,7 @@ fn plan_strategy() -> impl Strategy<Value = LaunchPlan> {
                     replica_saved_bytes,
                     mayread_fetch_bytes,
                     mayread_overfetch_bytes,
+                    post: Default::default(),
                 }
             },
         )

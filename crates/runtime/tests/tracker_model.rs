@@ -246,4 +246,78 @@ proptest! {
             prop_assert!(t.signature() != before_sig, "segment change kept the hash");
         }
     }
+
+    /// Segment lists are shared, never aliased: a clone and a taken
+    /// [`TrackerState`] share the tracker's list, and whatever the
+    /// tracker does next — including the steady-state rewrite of a range
+    /// with the validity it already has — changes neither.
+    #[test]
+    fn mutation_never_reaches_a_sharing_clone(ops in arb_ops(), later in arb_ops()) {
+        let mut t = Tracker::new(LEN);
+        let mut naive = vec![Validity::uninit(); LEN as usize];
+        for op in ops {
+            apply(&mut t, &mut naive, op);
+        }
+        let clone = t.clone();
+        let state = t.share();
+        let (frozen, frozen_sig) = (bytes_of(&t), t.signature());
+        prop_assert_eq!(state.signature(), frozen_sig);
+        for op in later {
+            apply(&mut t, &mut naive, op);
+            prop_assert_eq!(&bytes_of(&clone), &frozen, "clone changed under {op:?}");
+        }
+        prop_assert_eq!(&bytes_of(&t), &naive);
+        prop_assert_eq!(clone.signature(), frozen_sig);
+        // Installing the state over whatever the tracker became brings
+        // back exactly the shared list.
+        t.install(&state);
+        prop_assert_eq!(&bytes_of(&t), &frozen);
+        prop_assert!(t.check_invariants());
+    }
+
+    /// An installed state carries its signature as a memo; it must be
+    /// the hash a tracker computes from scratch over the same segments,
+    /// and mutating on from an installed state must track the naive
+    /// model like any other tracker.
+    #[test]
+    fn installed_signature_equals_recomputation(
+        ops in arb_ops(),
+        detour in arb_ops(),
+        later in arb_ops(),
+    ) {
+        let mut source = Tracker::new(LEN);
+        let mut naive = vec![Validity::uninit(); LEN as usize];
+        for op in ops {
+            apply(&mut source, &mut naive, op);
+        }
+        let state = source.share();
+        // The installing tracker arrives from somewhere else.
+        let mut t = Tracker::new(LEN);
+        let mut elsewhere = vec![Validity::uninit(); LEN as usize];
+        for op in detour {
+            apply(&mut t, &mut elsewhere, op);
+        }
+        let epoch = t.epoch();
+        t.install(&state);
+        prop_assert!(t.epoch() > epoch, "an install is a mutation");
+        prop_assert_eq!(&bytes_of(&t), &naive);
+        // From scratch: the same segments written into a fresh tracker,
+        // whose signature nothing has memoised yet.
+        let mut fresh = Tracker::new(LEN);
+        for (s, e, v) in t.segments_in(0, LEN) {
+            if v.freshest != Owner::Uninit {
+                fresh.update(s, e, v.freshest);
+                for d in v.holders.iter() {
+                    fresh.add_holder(s, e, d);
+                }
+            }
+        }
+        prop_assert_eq!(t.signature(), fresh.signature());
+        for op in later {
+            apply(&mut t, &mut naive, op);
+            prop_assert!(t.check_invariants(), "invariants broken after {op:?}");
+        }
+        prop_assert_eq!(&bytes_of(&t), &naive);
+        prop_assert_eq!(&bytes_of(&source), &bytes_of(&fresh), "the source moved");
+    }
 }

@@ -7,7 +7,7 @@
 //!   device's buffers, so coherence bugs in the runtime become functional
 //!   failures, not just timing artifacts.
 //! * **Functional kernel execution** — the lowered kernel executor from
-//!   `mekong-kernel`, fanned out over blocks with rayon. Cross-block
+//!   `mekong-kernel`, fanned out over blocks on scoped threads. Cross-block
 //!   isolation is enforced with shadow write-buffers: every block reads
 //!   the pre-launch state and its own writes, exactly the coherence that
 //!   CUDA guarantees between thread blocks (§2.1).

@@ -807,7 +807,8 @@ impl Backend for Machine {
         Ok(end)
     }
 
-    /// Functional machines execute the grid (rayon-parallel over blocks);
+    /// Functional machines execute the grid (blocks fanned out over
+    /// scoped threads);
     /// all machines charge the roofline time model, calibrated by sampling
     /// threads in counting mode.
     ///

@@ -11,7 +11,6 @@
 
 use mekong_kernel::interp::{ExecMode, KernelArg};
 use mekong_kernel::{Dim3, ExecStats, Kernel, MemAccess, Program, ScalarTy, Value};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// Byte-addressable multi-buffer memory (device memory).
@@ -170,19 +169,37 @@ pub(crate) fn run_program(
         })
         .collect();
 
-    let results: Vec<BlockRecording> = blocks
-        .par_iter()
-        .map(|&block_idx| {
-            let mut shadow = ShadowMem {
-                base: mem,
-                writes: Overlay::new(),
-                reads: record_reads.then(|| std::cell::RefCell::new(Vec::new())),
-            };
-            let stats = launch.frame().run_block(block_idx, &mut shadow)?;
-            let reads = shadow.reads.map(|c| c.into_inner()).unwrap_or_default();
-            Ok((stats, shadow.writes, reads))
+    let run = |&block_idx: &Dim3| -> BlockRecording {
+        let mut shadow = ShadowMem {
+            base: mem,
+            writes: Overlay::new(),
+            reads: record_reads.then(|| std::cell::RefCell::new(Vec::new())),
+        };
+        let stats = launch.frame().run_block(block_idx, &mut shadow)?;
+        let reads = shadow.reads.map(|c| c.into_inner()).unwrap_or_default();
+        Ok((stats, shadow.writes, reads))
+    };
+    // Blocks are isolated, so they fan out over scoped threads, one
+    // contiguous chunk each, and their recordings come back in block
+    // order. One worker runs them inline.
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(blocks.len())
+        .min(16);
+    let results: Vec<BlockRecording> = if workers <= 1 {
+        blocks.iter().map(run).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let chunks: Vec<_> = blocks
+                .chunks(blocks.len().div_ceil(workers))
+                .map(|chunk| scope.spawn(|| chunk.iter().map(run).collect::<Vec<_>>()))
+                .collect();
+            chunks
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         })
-        .collect();
+    };
 
     let mut total = ExecStats::default();
     let mut observed: ObservedWrites = HashMap::new();

@@ -4,22 +4,30 @@
 //! 2. synchronize all buffers that are read from,
 //! 3. launch each partition of the kernel on its device,
 //! 4. update the buffer trackers for all writes.
+//!
+//! Every launch is a [`LaunchPlan`] of that sequence run by one executor,
+//! `MgpuRuntime::run_plan`; the entry points only build the plan. A
+//! plan-cache hit replays a captured plan, a miss or an uncaptured launch
+//! walks the trackers into a fresh one, and the single-device fallback
+//! and the instrumented launch plan whole-buffer syncs.
 
 use crate::compiled::CompiledKernel;
 use crate::plan::{ArgKey, LaunchPlan, PlanCopy, PlanLaunch, PlanUpdate, PostBuffer, PostState};
-use crate::tracker::{Owner, Validity};
+use crate::tracker::{Owner, Tracker, Validity};
 use crate::vbuf::{MgpuRuntime, VBufId, VirtualBuffer};
 use crate::{Result, RuntimeError};
 use mekong_analysis::{ArgModel, SplitAxis};
 use mekong_check::AxisMask;
 use mekong_enumgen::AccessEnumerator;
-use mekong_gpusim::{sample_kernel_profile, CopyRuns, SimArg, SimTime, TimeCat};
-use mekong_kernel::{Dim3, Extent, KernelArg, Value};
+use mekong_gpusim::{sample_kernel_profile, CopyRuns, ObservedWriteSets, SimArg, SimTime, TimeCat};
+use mekong_kernel::{Dim3, Extent, Kernel, KernelArg, Value};
 use mekong_partition::{partition_grid, Partition};
 use mekong_tuner::{
     rank_candidates_masked, strided_groups, Candidate, OwnedSegment, Ownership, PartitionStrategy,
     ReadModel, TunerInput, WriteModel,
 };
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// An argument of a rewritten kernel launch.
@@ -79,10 +87,17 @@ impl TransferPlan {
         }
     }
 
-    /// Break-even gap for a machine: bytes whose copy time equals one
+    /// A plan onto `gpu` under `rt`'s configuration. Coalescing bridges
+    /// gaps up to the break-even size: bytes whose copy time equals one
     /// link latency.
-    fn break_even_gap(machine: &dyn mekong_gpusim::Backend) -> u64 {
-        (machine.spec().link.latency * machine.spec().link.bandwidth) as u64
+    fn onto(rt: &MgpuRuntime, gpu: usize) -> TransferPlan {
+        let link = &rt.machine.spec().link;
+        let max_gap = if rt.config.coalesce_transfers {
+            (link.latency * link.bandwidth) as u64
+        } else {
+            0
+        };
+        TransferPlan::new(gpu, max_gap, rt.config.replica_coherence)
     }
 
     fn visit(&mut self, s: u64, e: u64, v: Validity) {
@@ -148,27 +163,6 @@ impl TransferPlan {
     }
 }
 
-/// The precomputed synchronization of one `(gpu, read-argument)` pair:
-/// the enumerator walk and tracker query reduced to cost terms plus the
-/// coalesced D2D copy list. Planning is a read-only function of the
-/// buffer state: every pair is planned before the first plan is applied
-/// (costs charged, copies issued), in the §5 order.
-struct SyncPlan {
-    vb: VBufId,
-    gpu: usize,
-    n_ranges: usize,
-    n_segments: usize,
-    /// `(source device, start, end)` in bytes.
-    copies: Vec<(usize, u64, u64)>,
-    /// Remote-fresh segment runs served by a local replica (no copy).
-    replica_hits: u64,
-    /// Bytes those replica hits avoided re-fetching.
-    saved_bytes: u64,
-    /// Bytes of this partition's read footprint when the enumerator is
-    /// an *inexact* interval box (bounded may-read); 0 for exact maps.
-    fetch_bytes: u64,
-}
-
 /// Total length in bytes of a set of possibly-overlapping ranges.
 fn merged_len(ranges: &[(u64, u64)]) -> u64 {
     let mut sorted = ranges.to_vec();
@@ -190,70 +184,6 @@ fn merged_len(ranges: &[(u64, u64)]) -> u64 {
         total += ce - cs;
     }
     total
-}
-
-/// Plan the synchronization of `vb` for one partition (§8.3): enumerate
-/// the partition's read set, query the tracker for each range, and turn
-/// remote-owned segments into a minimal copy list. Mutates nothing.
-#[allow(clippy::too_many_arguments)]
-fn plan_sync(
-    vb: &VirtualBuffer,
-    vb_id: VBufId,
-    renum: &AccessEnumerator,
-    part: &Partition,
-    block: Dim3,
-    grid: Dim3,
-    scalar_names: &[String],
-    scalars: &[i64],
-    gpu: usize,
-    max_gap: u64,
-    coalesce: bool,
-    replica: bool,
-) -> SyncPlan {
-    let elem = vb.elem_size as u64;
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
-    renum.for_each_range(part, block, grid, scalar_names, scalars, &mut |r| {
-        ranges.push((r.start * elem, r.end * elem));
-    });
-    let n_ranges = ranges.len();
-    // Inexact enumerators are interval boxes from the abstract
-    // interpreter: everything they enumerate is may-read over-fetch
-    // territory, so meter it (the whole-grid baseline is subtracted by
-    // the caller).
-    let fetch_bytes = if renum.is_exact() {
-        0
-    } else {
-        merged_len(&ranges)
-    };
-    let mut plan = TransferPlan::new(gpu, max_gap, replica);
-    let n_segments = if coalesce {
-        // Merge adjacent/overlapping read ranges (e.g. consecutive rows
-        // of a 2-D halo) so each validity run costs one segment — and one
-        // D2D copy — instead of one per row.
-        let (_, emitted) = vb
-            .tracker
-            .query_coalesced(&ranges, &mut |s, e, v| plan.visit(s, e, v));
-        emitted
-    } else {
-        let mut emitted = 0usize;
-        for &(s, e) in &ranges {
-            vb.tracker.query(s, e, &mut |s, e, v| {
-                emitted += 1;
-                plan.visit(s, e, v);
-            });
-        }
-        emitted
-    };
-    SyncPlan {
-        vb: vb_id,
-        gpu,
-        n_ranges,
-        n_segments,
-        copies: plan.copies,
-        replica_hits: plan.replica_hits,
-        saved_bytes: plan.saved_bytes,
-        fetch_bytes,
-    }
 }
 
 /// Find a pair of *different* devices whose observed write ranges
@@ -410,15 +340,57 @@ pub(crate) struct LaunchSite {
 /// Resolved launch sites a runtime keeps before it starts over.
 const MAX_SITES: usize = 1024;
 
+/// What walking the trackers cost while a plan was built, in the groups
+/// the walk charges it — the pattern work a replay of the same plan pays
+/// one flat `host_per_replay` for. Only the plan is ever cached.
+#[derive(Debug, Default)]
+struct Walk {
+    /// Per read-sync group, in copy order: its host charge and the end of
+    /// its copies in `plan.copies`.
+    syncs: Vec<(SimTime, usize)>,
+    /// Ends of the write-update groups in `plan.updates`. Each group is
+    /// charged `per_range` per update plus `per_segment` per tracker
+    /// segment it touched.
+    updates: Vec<usize>,
+    per_range: SimTime,
+    per_segment: SimTime,
+    /// Figure 4's barrier between the copies and the launches. γ on a
+    /// performance machine resolves nothing and goes without.
+    barrier: bool,
+}
+
+/// How [`MgpuRuntime::run_plan`] pays for a plan's pattern work.
+#[derive(Clone, Copy)]
+enum Pay<'a> {
+    /// A plan-cache hit: one flat `host_per_replay`, and the trackers
+    /// advance through the plan's post-state memo.
+    Replay,
+    /// The walk that built the plan, charged group by group: each
+    /// read-sync group right before its copies (host time gates copy
+    /// starts), each update group after the launches. It never fills the
+    /// plan's post-state memo, so a plan nobody replays costs no memory.
+    Walk(&'a Walk),
+}
+
+/// How [`MgpuRuntime::run_plan`] runs a plan's partition launches.
+#[derive(Clone, Copy)]
+enum Exec<'a> {
+    /// Timed launches of this kernel: `ck.partitioned`, or `ck.original`
+    /// for an unpartitioned launch.
+    Launch(&'a Kernel),
+    /// Write-recording launches of `ck.partitioned`: the observed write
+    /// sets become the walk's update groups ([`observed_updates`]).
+    Record(&'a CompiledKernel),
+}
+
 impl MgpuRuntime {
     /// The kernel-launch replacement: run `ck` over `grid × block` across
     /// all devices (Figure 4). Errors if the kernel failed the §4 checks.
     ///
-    /// With [`crate::RuntimeConfig::capture_plans`] on, the complete
-    /// command sequence is captured into the plan cache on a miss and
-    /// replayed directly on a hit (see [`crate::plan`]). A hit is: find
-    /// the site, fill the plan key in place, one cache probe, then
-    /// the replay.
+    /// With [`crate::RuntimeConfig::capture_plans`] on, the plan a miss
+    /// walks is captured into the plan cache and replayed directly on a
+    /// hit (see [`crate::plan`]). A hit is: find the site, fill the plan
+    /// key in place, one cache probe, then the replay.
     pub fn launch(
         &mut self,
         ck: &CompiledKernel,
@@ -465,7 +437,8 @@ impl MgpuRuntime {
             }
         }
         let d2d_before = site.measure.then(|| self.machine.counters().d2d_bytes);
-        if self.config.capture_plans && self.resolve_dependencies {
+        let capture = self.config.capture_plans && self.resolve_dependencies;
+        let hit = if capture {
             // The content-addressed cache key of this launch: the site's
             // prefix plus, per argument, scalar bits or `(id, tracker
             // signature)`. Any tracker mutation since capture changes a
@@ -492,35 +465,42 @@ impl MgpuRuntime {
                     sig: self.buffers[b.index()].tracker.signature(),
                 },
             }));
-            if let Some((plan, captured_by)) = self.plan_cache.get(&self.plan_key) {
+            self.plan_cache.get(&self.plan_key)
+        } else {
+            None
+        };
+        let partitioned = Exec::Launch(&ck.partitioned);
+        match hit {
+            Some((plan, captured_by)) => {
+                let c = self.machine.counters_mut();
+                c.plan_hits += 1;
                 if captured_by != self.namespace {
                     // Another tenant (or a loaded snapshot) captured this
                     // plan — the cross-tenant sharing the serving layer
                     // exists for.
-                    self.machine.counters_mut().plan_shared_hits += 1;
+                    c.plan_shared_hits += 1;
                 }
-                self.replay_plan(ck, block, args, &plan)?;
-            } else {
-                // A cold launch walks trackers and observes device
-                // clocks directly: drain the launch-ahead window first.
+                self.run_plan(&plan, partitioned, block, args, Pay::Replay)?;
+            }
+            None => {
+                // A miss or an uncaptured launch walks trackers and
+                // observes device clocks directly: drain the launch-ahead
+                // window first.
                 self.pipeline_flush();
-                self.machine.counters_mut().plan_misses += 1;
-                let scalars = self.site_key.scalars.clone();
-                let plan = self.launch_full(ck, grid, block, args, &scalars, &site.parts, true)?;
-                let evicted = self.plan_cache.insert(
-                    self.plan_key.clone(),
-                    Arc::new(plan.expect("capturing launch returns a plan")),
-                    self.namespace,
-                );
-                self.machine.counters_mut().plan_evictions += evicted;
+                if self.resolve_dependencies {
+                    self.machine.counters_mut().plan_misses += 1;
+                }
+                let (plan, walk) = self.plan_walk(ck, grid, block, args, &site.parts);
+                self.run_plan(&plan, partitioned, block, args, Pay::Walk(&walk))?;
+                if capture {
+                    let evicted = self.plan_cache.insert(
+                        self.plan_key.clone(),
+                        Arc::new(plan),
+                        self.namespace,
+                    );
+                    self.machine.counters_mut().plan_evictions += evicted;
+                }
             }
-        } else {
-            self.pipeline_flush();
-            if self.resolve_dependencies {
-                self.machine.counters_mut().plan_misses += 1;
-            }
-            let scalars = self.site_key.scalars.clone();
-            self.launch_full(ck, grid, block, args, &scalars, &site.parts, false)?;
         }
         if let Some(before) = d2d_before {
             let moved = self.machine.counters().d2d_bytes - before;
@@ -790,44 +770,6 @@ impl MgpuRuntime {
         sim_args
     }
 
-    /// Issue one read-sync transaction on the machine — the single place
-    /// a peer copy leaves the runtime: move `c`'s runs between the two
-    /// instances. `deps` as in [`mekong_gpusim::Backend::copy_d2d`];
-    /// returns the completion time.
-    fn machine_copy(&mut self, c: &PlanCopy, deps: Option<&[SimTime]>) -> Result<SimTime> {
-        let len = c.end.checked_sub(c.start).ok_or(RuntimeError::Overflow {
-            what: "copy length",
-            value: c.end,
-        })?;
-        let runs = CopyRuns::strided(
-            crate::to_usize(c.start, "copy offset")?,
-            crate::to_usize(len, "copy length")?,
-            crate::to_usize(c.stride, "copy stride")?,
-            crate::to_usize(c.count, "copy count")?,
-        );
-        let vb = &self.buffers[c.vb.index()];
-        Ok(self
-            .machine
-            .copy_d2d(vb.instances[c.src_dev], vb.instances[c.dst_gpu], runs, deps)?)
-    }
-
-    /// A read-sync transaction outside replay: the machine copy, then
-    /// its effect on the destination buffer ([`land_copy`]).
-    fn issue_copy(&mut self, c: &PlanCopy) -> Result<()> {
-        self.machine_copy(c, None)?;
-        land_copy(&mut self.buffers, c, self.config.replica_coherence);
-        Ok(())
-    }
-
-    /// Commit tracker write-updates — the single place kernel writes
-    /// reach the trackers ([`apply_updates`]); evicted replicas are
-    /// counted. Returns the tracker segments the updates touched.
-    fn commit_updates(&mut self, updates: &[PlanUpdate]) -> usize {
-        let (touched, invalidated) = apply_updates(&mut self.buffers, updates);
-        self.machine.counters_mut().replica_invalidations += invalidated;
-        touched
-    }
-
     /// The tracker effect of `plan`, op by op: every copy lands
     /// ([`land_copy`]), then every write-update commits
     /// ([`apply_updates`]) — in the captured order. This is the one
@@ -923,66 +865,82 @@ impl MgpuRuntime {
         self.machine.counters_mut().replica_invalidations += invalidated;
     }
 
-    /// Replay a captured launch: enqueue the recorded copies and
-    /// launches, advance the trackers by the recorded effect. The
-    /// tracker state matches the capture byte for byte (the key embeds
-    /// its signature), so the sequence is exact — only the pattern cost
-    /// differs: one flat `host_per_replay` instead of the
-    /// per-range/per-segment walk. The clock arithmetic runs op by op in
-    /// the captured order, so every simulated time is the sum the
-    /// capture-free path computes.
+    /// The one launch body: run `plan` in the Figure 4 order — copies,
+    /// then the barrier or the launch-ahead window, then the partition
+    /// launches of `exec`, then the tracker step. A plan-cache hit runs
+    /// here with [`Pay::Replay`], every plan a launch builds with the
+    /// [`Walk`] that built it.
     ///
-    /// With [`crate::RuntimeConfig::launch_ahead`] > 0 the replay joins
-    /// the launch-ahead window (see [`crate::pipeline`]): copies go to
-    /// the copy-engine clocks behind event edges and each launch waits
-    /// only on *its* incoming data, where `launch_ahead == 0` keeps the
-    /// Figure 4 barrier between the two phases. Counters, tracker
-    /// updates and host charges are identical either way — only the
-    /// device-clock schedule differs.
+    /// Only a replay joins the launch-ahead window
+    /// ([`crate::RuntimeConfig::launch_ahead`] > 0, see
+    /// [`crate::pipeline`]): its copies then go to the copy-engine clocks
+    /// behind event edges and each launch waits only on *its* incoming
+    /// data. Counters, tracker updates and host charges are identical
+    /// either way — only the device-clock schedule differs. The clock
+    /// arithmetic runs op by op in plan order, so a replay computes every
+    /// simulated time its walk computed.
     ///
     /// Buffer references inside the plan are namespace-local ids; the
     /// live `args` re-resolve them against *this* runtime's instances
     /// (see [`resolve_sim_args`]), so a plan captured by another tenant
     /// — or loaded from a snapshot taken in another process — replays
     /// correctly here.
-    fn replay_plan(
+    fn run_plan(
         &mut self,
-        ck: &CompiledKernel,
+        plan: &LaunchPlan,
+        exec: Exec<'_>,
         block: Dim3,
         args: &[LaunchArg],
-        plan: &LaunchPlan,
+        pay: Pay<'_>,
     ) -> Result<()> {
-        // Replay skips the planning walk that detects replica-served
-        // reads and meters bounded may-read boxes; re-note what the
-        // capture observed.
+        // What the planning walk observed of replica-served reads and
+        // bounded may-read boxes, noted on every run: a replay skips it.
         let c = self.machine.counters_mut();
-        c.plan_hits += 1;
         c.replica_hits += plan.replica_hits;
         c.refetch_bytes_saved += plan.replica_saved_bytes;
         c.mayread_fetch_bytes += plan.mayread_fetch_bytes;
         c.mayread_overfetch_bytes += plan.mayread_overfetch_bytes;
-        let cost = self.machine.spec().host_per_replay;
-        self.machine.charge_host(cost, TimeCat::Pattern);
-        let pipelined = self.config.launch_ahead > 0;
+        let replay = [(self.machine.spec().host_per_replay, plan.copies.len())];
+        let (syncs, barrier) = match pay {
+            Pay::Replay => (&replay[..], true),
+            Pay::Walk(walk) => (&walk.syncs[..], walk.barrier),
+        };
+        // A walk observes device clocks directly; only a replay joins
+        // the window.
+        let pipelined = matches!(pay, Pay::Replay) && self.config.launch_ahead > 0;
         // Functional WAR ordering only matters when byte effects are
         // deferred to the streams; serial/perf machines need no tokens.
         let track_events = pipelined && self.machine.is_functional() && self.machine.is_streamed();
 
-        for c in &plan.copies {
-            if pipelined {
-                let end = self.machine_copy(c, Some(&self.pipeline.copy_edges(c)))?;
-                let token = track_events.then(|| self.machine.stream_mark(c.dst_gpu));
-                self.pipeline.note_copy(c, end, token);
-            } else {
-                self.machine_copy(c, None)?;
+        // ---- (2) synchronize read buffers --------------------------------
+        let mut first = 0;
+        for &(cost, end) in syncs {
+            self.machine.charge_host(cost, TimeCat::Pattern);
+            for c in &plan.copies[first..end] {
+                let deps = pipelined.then(|| self.pipeline.copy_edges(c));
+                let vb = &self.buffers[c.vb.index()];
+                let done = self.machine.copy_d2d(
+                    vb.instances[c.src_dev],
+                    vb.instances[c.dst_gpu],
+                    copy_runs(c)?,
+                    deps.as_ref().map(|d| &d[..]),
+                )?;
+                if pipelined {
+                    let token = track_events.then(|| self.machine.stream_mark(c.dst_gpu));
+                    self.pipeline.note_copy(c, done, token);
+                }
             }
+            first = end;
         }
-        if !pipelined {
-            // Figure 4, line 8 — same barrier as the captured run.
+        if barrier && !pipelined {
+            // Figure 4, line 8: all_devs_synchronize().
             self.machine.sync_all();
         }
+
+        // ---- (3) launch the partitions ------------------------------------
         let mut launched: SimTime = 0.0;
-        let scratch = &mut self.replay_scratch;
+        let mut observed = Vec::new();
+        let scratch = &mut self.launch_scratch;
         scratch.deps.clear();
         for l in &plan.launches {
             if pipelined {
@@ -993,22 +951,65 @@ impl MgpuRuntime {
                 }
             }
             resolve_sim_args(&self.buffers, l, args, &mut scratch.sim_args);
-            let end = self.machine.launch(
-                l.gpu,
-                &ck.partitioned,
-                &scratch.sim_args,
-                l.grid,
-                block,
-                Some(l.traffic),
-                &scratch.deps,
-            )?;
-            if pipelined {
-                self.pipeline.note_launch(plan, l.gpu, end);
-                launched = launched.max(end);
+            match exec {
+                Exec::Launch(kernel) => {
+                    let end = self.machine.launch(
+                        l.gpu,
+                        kernel,
+                        &scratch.sim_args,
+                        l.grid,
+                        block,
+                        Some(l.traffic),
+                        &scratch.deps,
+                    )?;
+                    if pipelined {
+                        self.pipeline.note_launch(plan, l.gpu, end);
+                        launched = launched.max(end);
+                    }
+                }
+                Exec::Record(ck) => observed.push((
+                    l.gpu,
+                    self.machine.launch_recording(
+                        l.gpu,
+                        &ck.partitioned,
+                        &scratch.sim_args,
+                        l.grid,
+                        block,
+                    )?,
+                )),
             }
         }
-        // Trackers advance at submit, in both modes.
-        self.advance_trackers(plan);
+
+        // ---- (4) update trackers (at submit, concurrent to the kernels) ---
+        match pay {
+            Pay::Replay => self.advance_trackers(plan),
+            Pay::Walk(walk) => {
+                let recorded;
+                let (updates, ends) = match exec {
+                    Exec::Record(ck) => {
+                        recorded = observed_updates(ck, &self.buffers, args, &observed)?;
+                        (&recorded.0[..], &recorded.1[..])
+                    }
+                    Exec::Launch(_) => (&plan.updates[..], &walk.updates[..]),
+                };
+                for c in &plan.copies {
+                    land_copy(&mut self.buffers, c, self.config.replica_coherence);
+                }
+                let mut first = 0;
+                for &end in ends {
+                    let group = &updates[first..end];
+                    let (touched, invalidated) = apply_updates(&mut self.buffers, group);
+                    self.machine.counters_mut().replica_invalidations += invalidated;
+                    // Segment maintenance costs what the update actually
+                    // walked, same accounting as the read path's query —
+                    // not one flat segment per range.
+                    let cost =
+                        walk.per_range * group.len() as f64 + walk.per_segment * touched as f64;
+                    self.machine.charge_host(cost, TimeCat::Pattern);
+                    first = end;
+                }
+            }
+        }
         if pipelined {
             let depth = self.config.launch_ahead as usize;
             for t in self.pipeline.push(plan, launched, depth) {
@@ -1018,133 +1019,120 @@ impl MgpuRuntime {
         Ok(())
     }
 
-    /// The full Figure 4 sequence: synchronize reads, launch partitions,
-    /// update trackers. With `capture` set, additionally records every
-    /// issued command into the returned [`LaunchPlan`].
-    #[allow(clippy::too_many_arguments)]
-    fn launch_full(
-        &mut self,
+    /// Plan a partitioned launch by walking its trackers (§5): the
+    /// read-sync copies of every `(gpu, read-argument)` pair, the
+    /// partition launches and the write-updates, with the [`Walk`] that
+    /// charges them. Mutates nothing, so every pair is planned against
+    /// the state before any copy lands. A miss caches the plan, an
+    /// uncaptured launch drops it after its run. γ on a performance
+    /// machine resolves nothing: its plan holds only the launches.
+    fn plan_walk(
+        &self,
         ck: &CompiledKernel,
         grid: Dim3,
         block: Dim3,
         args: &[LaunchArg],
-        scalars: &[i64],
         parts: &[Partition],
-        capture: bool,
-    ) -> Result<Option<LaunchPlan>> {
-        let mut captured = capture.then(LaunchPlan::default);
-        if let Some(cap) = &mut captured {
-            // Whole-buffer read/write sets for the launch-ahead
-            // pipeline's event edges (deduplicated; an argument bound to
-            // two parameters appears once).
-            // Captured buffer ids are namespace-stripped (local indices)
-            // so the plan is portable across tenants and processes;
-            // replay paths index buffers by `.index()`, which agrees.
-            for (arg_idx, _) in &ck.enums.reads {
-                if let LaunchArg::Buf(b) = args[*arg_idx] {
-                    if !cap.read_bufs.contains(&b.local()) {
-                        cap.read_bufs.push(b.local());
-                    }
-                }
-            }
-            for (arg_idx, _) in &ck.enums.writes {
-                if let LaunchArg::Buf(b) = args[*arg_idx] {
-                    if !cap.write_bufs.contains(&b.local()) {
-                        cap.write_bufs.push(b.local());
-                    }
+    ) -> (LaunchPlan, Walk) {
+        let spec = self.machine.spec();
+        let scalars = &self.site_key.scalars;
+        let names = &ck.enums.scalar_names;
+        let mut plan = LaunchPlan::default();
+        let mut walk = Walk {
+            per_range: spec.host_per_range,
+            per_segment: spec.host_per_segment,
+            barrier: self.resolve_dependencies,
+            ..Walk::default()
+        };
+        let buf = |arg_idx: usize| match args[arg_idx] {
+            LaunchArg::Buf(b) => b,
+            _ => unreachable!("validated"),
+        };
+        let live = || parts.iter().enumerate().filter(|(_, p)| !p.is_empty());
+        // The byte ranges `renum` enumerates over `part` of buffer `vb`.
+        let byte_ranges = |renum: &AccessEnumerator, part: &Partition, vb: VBufId| {
+            let elem = self.buffers[vb.index()].elem_size as u64;
+            let mut ranges: Vec<(u64, u64)> = Vec::new();
+            renum.for_each_range(part, block, grid, names, scalars, &mut |r| {
+                ranges.push((r.start * elem, r.end * elem));
+            });
+            ranges
+        };
+        // Whole-buffer read/write sets for the launch-ahead pipeline's
+        // event edges (deduplicated; an argument bound to two parameters
+        // appears once). Buffer ids are namespace-stripped (local
+        // indices) so the plan is portable across tenants and processes;
+        // runs index buffers by `.index()`, which agrees.
+        for (bufs, enums) in [
+            (&mut plan.read_bufs, &ck.enums.reads),
+            (&mut plan.write_bufs, &ck.enums.writes),
+        ] {
+            for (arg_idx, _) in enums {
+                let b = buf(*arg_idx).local();
+                if !bufs.contains(&b) {
+                    bufs.push(b);
                 }
             }
         }
 
-        // ---- (2) synchronize read buffers --------------------------------
+        // ---- (2) synchronize read buffers (§8.3) --------------------------
         if self.resolve_dependencies {
-            let mut tasks: Vec<(usize, &Partition, usize, &AccessEnumerator)> = Vec::new();
-            for (gpu, part) in parts.iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                for (arg_idx, renum) in &ck.enums.reads {
-                    tasks.push((gpu, part, *arg_idx, renum));
-                }
-            }
-            let coalesce = self.config.coalesce_transfers;
-            let replica = self.config.replica_coherence;
-            let max_gap = if coalesce {
-                TransferPlan::break_even_gap(&*self.machine)
-            } else {
-                0
-            };
-            let buffers = &self.buffers;
-            let names = &ck.enums.scalar_names;
-            let sync_plans: Vec<SyncPlan> = tasks
-                .iter()
-                .map(|&(gpu, part, arg_idx, renum)| {
-                    let vb_id = match args[arg_idx] {
-                        LaunchArg::Buf(b) => b,
-                        _ => unreachable!("validated"),
-                    };
-                    plan_sync(
-                        &buffers[vb_id.index()],
-                        vb_id,
-                        renum,
-                        part,
-                        block,
-                        grid,
-                        names,
-                        scalars,
-                        gpu,
-                        max_gap,
-                        coalesce,
-                        replica,
-                    )
-                })
-                .collect();
             let mut mayread_fetch = 0u64;
-            for p in sync_plans {
-                mayread_fetch += p.fetch_bytes;
-                // Host time gates copy starts: charge each pair's walk
-                // before its copies are issued.
-                let cost = self.machine.spec().host_per_range * p.n_ranges as f64
-                    + self.machine.spec().host_per_segment * p.n_segments as f64;
-                self.machine.charge_host(cost, TimeCat::Pattern);
-                let c = self.machine.counters_mut();
-                c.replica_hits += p.replica_hits;
-                c.refetch_bytes_saved += p.saved_bytes;
-                if let Some(cap) = &mut captured {
-                    cap.replica_hits += p.replica_hits;
-                    cap.replica_saved_bytes += p.saved_bytes;
-                }
-                // Group consecutive same-source copies into strided
-                // transactions (the column-halo shape of a rectangular
-                // tiling): equal-length runs at a constant stride move
-                // as one cudaMemcpy2D-style DMA, matching the cost
-                // model's transaction pricing. 1-D slab halos are
-                // single runs and pass through unchanged.
-                let mut i = 0usize;
-                while i < p.copies.len() {
-                    let d = p.copies[i].0;
-                    let mut j = i;
-                    while j < p.copies.len() && p.copies[j].0 == d {
-                        j += 1;
+            for (gpu, part) in live() {
+                for (arg_idx, renum) in &ck.enums.reads {
+                    let vb = buf(*arg_idx);
+                    let tracker = &self.buffers[vb.index()].tracker;
+                    let ranges = byte_ranges(renum, part, vb);
+                    // Inexact enumerators are interval boxes from the
+                    // abstract interpreter: everything they enumerate is
+                    // may-read over-fetch territory, so meter it.
+                    if !renum.is_exact() {
+                        mayread_fetch += merged_len(&ranges);
                     }
-                    let segs: Vec<(u64, u64)> =
-                        p.copies[i..j].iter().map(|&(_, s, e)| (s, e)).collect();
-                    for g in strided_groups(&segs) {
-                        let copy = PlanCopy {
-                            vb: p.vb.local(),
-                            dst_gpu: p.gpu,
-                            src_dev: d,
-                            start: g.start,
-                            end: g.start + g.run,
-                            stride: g.stride,
-                            count: g.count,
-                        };
-                        self.issue_copy(&copy)?;
-                        if let Some(cap) = &mut captured {
-                            cap.copies.push(copy);
+                    let mut tp = TransferPlan::onto(self, gpu);
+                    let n_segments = if self.config.coalesce_transfers {
+                        // Merge adjacent/overlapping read ranges (e.g.
+                        // consecutive rows of a 2-D halo) so each validity
+                        // run costs one segment — and one D2D copy —
+                        // instead of one per row.
+                        tracker
+                            .query_coalesced(&ranges, &mut |s, e, v| tp.visit(s, e, v))
+                            .1
+                    } else {
+                        let mut emitted = 0usize;
+                        for &(s, e) in &ranges {
+                            tracker.query(s, e, &mut |s, e, v| {
+                                emitted += 1;
+                                tp.visit(s, e, v);
+                            });
                         }
+                        emitted
+                    };
+                    plan.replica_hits += tp.replica_hits;
+                    plan.replica_saved_bytes += tp.saved_bytes;
+                    // Group consecutive same-source copies into strided
+                    // transactions (the column-halo shape of a rectangular
+                    // tiling): equal-length runs at a constant stride move
+                    // as one cudaMemcpy2D-style DMA, matching the cost
+                    // model's transaction pricing. 1-D slab halos are
+                    // single runs and pass through unchanged.
+                    for same_source in tp.copies.chunk_by(|a, b| a.0 == b.0) {
+                        let segs: Vec<(u64, u64)> =
+                            same_source.iter().map(|&(_, s, e)| (s, e)).collect();
+                        plan.copies
+                            .extend(strided_groups(&segs).into_iter().map(|g| PlanCopy {
+                                vb: vb.local(),
+                                dst_gpu: gpu,
+                                src_dev: same_source[0].0,
+                                start: g.start,
+                                end: g.start + g.run,
+                                stride: g.stride,
+                                count: g.count,
+                            }));
                     }
-                    i = j;
+                    let cost = spec.host_per_range * ranges.len() as f64
+                        + spec.host_per_segment * n_segments as f64;
+                    walk.syncs.push((cost, plan.copies.len()));
                 }
             }
             if mayread_fetch > 0 {
@@ -1153,105 +1141,100 @@ impl MgpuRuntime {
                 // (the whole-grid box). With one partition the two sums
                 // coincide and the over-fetch is zero by construction.
                 let whole = Partition::whole(grid);
-                let mut baseline = 0u64;
-                for (arg_idx, renum) in &ck.enums.reads {
-                    if renum.is_exact() {
-                        continue;
-                    }
-                    let vb_id = match args[*arg_idx] {
-                        LaunchArg::Buf(b) => b,
-                        _ => unreachable!("validated"),
-                    };
-                    let elem = self.buffers[vb_id.index()].elem_size as u64;
-                    let mut ranges: Vec<(u64, u64)> = Vec::new();
-                    renum.for_each_range(&whole, block, grid, names, scalars, &mut |r| {
-                        ranges.push((r.start * elem, r.end * elem));
-                    });
-                    baseline += merged_len(&ranges);
-                }
-                let over = mayread_fetch.saturating_sub(baseline);
-                let c = self.machine.counters_mut();
-                c.mayread_fetch_bytes += mayread_fetch;
-                c.mayread_overfetch_bytes += over;
-                if let Some(cap) = &mut captured {
-                    cap.mayread_fetch_bytes = mayread_fetch;
-                    cap.mayread_overfetch_bytes = over;
-                }
+                let baseline: u64 = ck
+                    .enums
+                    .reads
+                    .iter()
+                    .filter(|(_, renum)| !renum.is_exact())
+                    .map(|(arg_idx, renum)| merged_len(&byte_ranges(renum, &whole, buf(*arg_idx))))
+                    .sum();
+                plan.mayread_fetch_bytes = mayread_fetch;
+                plan.mayread_overfetch_bytes = mayread_fetch.saturating_sub(baseline);
             }
-            // Figure 4, line 8: all_devs_synchronize().
-            self.machine.sync_all();
         }
 
         // ---- (3) launch the partitions ------------------------------------
-        for (gpu, part) in parts.iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            let sim_args = self.sim_args(args, gpu, Some(part));
-            let traffic = ck.footprint_bytes(part, block, grid, scalars);
-            self.machine.launch(
+        for (gpu, part) in live() {
+            plan.launches.push(PlanLaunch {
                 gpu,
-                &ck.partitioned,
-                &sim_args,
-                part.launch_grid(),
-                block,
-                Some(traffic),
-                &[],
-            )?;
-            if let Some(cap) = &mut captured {
-                cap.launches.push(PlanLaunch {
-                    gpu,
-                    sim_args,
-                    grid: part.launch_grid(),
-                    traffic,
-                });
-            }
+                sim_args: self.sim_args(args, gpu, Some(part)),
+                grid: part.launch_grid(),
+                traffic: ck.footprint_bytes(part, block, grid, scalars),
+            });
         }
 
-        // ---- (4) update trackers (concurrent to the async kernels) --------
+        // ---- (4) update trackers: one group per (gpu, write-arg) pair ----
         if self.resolve_dependencies {
-            // One scratch Vec for every (gpu, write-arg) pair.
-            let mut updates: Vec<PlanUpdate> = Vec::new();
-            for (gpu, part) in parts.iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
+            for (gpu, part) in live() {
                 for (arg_idx, wenum) in &ck.enums.writes {
-                    let vb_id = match args[*arg_idx] {
-                        LaunchArg::Buf(b) => b,
-                        _ => unreachable!("validated"),
-                    };
-                    let elem = self.buffers[vb_id.index()].elem_size as u64;
-                    updates.clear();
-                    wenum.for_each_range(
-                        part,
-                        block,
-                        grid,
-                        &ck.enums.scalar_names,
-                        scalars,
-                        &mut |r| {
-                            updates.push(PlanUpdate {
-                                vb: vb_id.local(),
-                                gpu,
-                                start: r.start * elem,
-                                end: r.end * elem,
-                            });
-                        },
-                    );
-                    // Segment maintenance costs what the update actually
-                    // walked, same accounting as the read path's query —
-                    // not one flat segment per range.
-                    let touched = self.commit_updates(&updates);
-                    let cost = self.machine.spec().host_per_range * updates.len() as f64
-                        + self.machine.spec().host_per_segment * touched as f64;
-                    self.machine.charge_host(cost, TimeCat::Pattern);
-                    if let Some(cap) = &mut captured {
-                        cap.updates.extend_from_slice(&updates);
-                    }
+                    let vb = buf(*arg_idx);
+                    let elem = self.buffers[vb.index()].elem_size as u64;
+                    wenum.for_each_range(part, block, grid, names, scalars, &mut |r| {
+                        plan.updates.push(PlanUpdate {
+                            vb: vb.local(),
+                            gpu,
+                            start: r.start * elem,
+                            end: r.end * elem,
+                        });
+                    });
+                    walk.updates.push(plan.updates.len());
                 }
             }
         }
-        Ok(captured)
+        (plan, walk)
+    }
+
+    /// Plan pulling every argument buffer whole onto each of `gpus`, in
+    /// argument order and device by device: the read syncs of a launch
+    /// whose read sets are unknown (instrumented) or unsplit (the
+    /// fallback). A full-range query emits maximal same-owner segments
+    /// already; the transfer plan additionally bridges same-source copies
+    /// across small Uninit gaps, which collapses fragmented trackers.
+    ///
+    /// Unlike the partitioned walk, each sync is planned against the
+    /// holders the previous syncs of the same launch add — a buffer
+    /// pulled onto device 1 may come from the copy just planned onto
+    /// device 0 — so the planner keeps its own copy of each tracker.
+    fn plan_whole_syncs(&self, args: &[LaunchArg], gpus: Range<usize>) -> (LaunchPlan, Walk) {
+        let mut plan = LaunchPlan::default();
+        let mut walk = Walk {
+            barrier: true,
+            ..Walk::default()
+        };
+        let mut trackers: HashMap<VBufId, Tracker> = HashMap::new();
+        for &a in args {
+            let LaunchArg::Buf(b) = a else { continue };
+            let tracker = trackers
+                .entry(b)
+                .or_insert_with(|| self.buffers[b.index()].tracker.clone());
+            for gpu in gpus.clone() {
+                let mut tp = TransferPlan::onto(self, gpu);
+                let mut n_segments = 0u64;
+                tracker.query(0, tracker.len(), &mut |s, e, v| {
+                    n_segments += 1;
+                    tp.visit(s, e, v);
+                });
+                plan.replica_hits += tp.replica_hits;
+                plan.replica_saved_bytes += tp.saved_bytes;
+                for (src_dev, start, end) in tp.copies {
+                    if tp.replica {
+                        tracker.add_holder(start, end, gpu);
+                    }
+                    plan.copies.push(PlanCopy {
+                        vb: b.local(),
+                        dst_gpu: gpu,
+                        src_dev,
+                        start,
+                        end,
+                        stride: end - start,
+                        count: 1,
+                    });
+                }
+                let cost = self.machine.spec().host_per_segment * n_segments as f64;
+                walk.syncs.push((cost, plan.copies.len()));
+            }
+        }
+        (plan, walk)
     }
 
     /// Single-device fallback path for kernels that failed the §4 checks
@@ -1268,43 +1251,42 @@ impl MgpuRuntime {
     ) -> Result<()> {
         let mut scalars = Vec::new();
         validate_args(&self.buffers, self.namespace, ck, args, &mut scalars)?;
-        // Uncaptured path: walks trackers and device clocks directly.
+        if device >= self.n_devices() {
+            return Err(RuntimeError::BadArgument(format!(
+                "device {device} does not exist: the machine has {}",
+                self.n_devices()
+            )));
+        }
+        // A walk observes device clocks directly.
         self.pipeline_flush();
-        // Pull every array argument fully local.
-        for a in args {
-            if let LaunchArg::Buf(b) = a {
-                self.sync_whole_buffer(*b, device)?;
-            }
-        }
-        self.machine.sync_all();
-        let sim_args = self.sim_args(args, device, None);
-        let whole = Partition::whole(grid);
-        let traffic = ck.footprint_bytes(&whole, block, grid, &scalars);
-        self.machine.launch(
-            device,
-            &ck.original,
-            &sim_args,
+        let (mut plan, mut walk) = self.plan_whole_syncs(args, device..device + 1);
+        plan.launches.push(PlanLaunch {
+            gpu: device,
+            sim_args: self.sim_args(args, device, None),
             grid,
-            block,
-            Some(traffic),
-            &[],
-        )?;
-        // Claim written buffers: after the full sync above, `device` holds
-        // the freshest copy of everything it did not overwrite, so a full
-        // claim is sound.
-        for (idx, arg_model) in ck.model.args.iter().enumerate() {
-            if arg_model.is_written_array() {
-                if let LaunchArg::Buf(b) = args[idx] {
-                    self.commit_updates(&[PlanUpdate {
-                        vb: b,
-                        gpu: device,
-                        start: 0,
-                        end: self.buffers[b.index()].len as u64,
-                    }]);
-                }
+            traffic: ck.footprint_bytes(&Partition::whole(grid), block, grid, &scalars),
+        });
+        // Claim written buffers, free of charge: after the full sync,
+        // `device` holds the freshest copy of everything it did not
+        // overwrite, so a full claim is sound.
+        for (arg_model, arg) in ck.model.args.iter().zip(args) {
+            if let (true, LaunchArg::Buf(b)) = (arg_model.is_written_array(), arg) {
+                plan.updates.push(PlanUpdate {
+                    vb: b.local(),
+                    gpu: device,
+                    start: 0,
+                    end: self.buffers[b.index()].len as u64,
+                });
             }
         }
-        Ok(())
+        walk.updates.push(plan.updates.len());
+        self.run_plan(
+            &plan,
+            Exec::Launch(&ck.original),
+            block,
+            args,
+            Pay::Walk(&walk),
+        )
     }
 
     /// Multi-device launch for kernels whose **write patterns cannot be
@@ -1330,116 +1312,81 @@ impl MgpuRuntime {
                 "instrumented launches need a functional machine",
             ));
         }
-        // Uncaptured path: walks trackers and device clocks directly.
+        // A walk observes device clocks directly.
         self.pipeline_flush();
-        let parts = partition_grid(grid, self.n_devices(), ck.model.partitioning);
-
-        // (1) Reads unknown: synchronize every argument buffer fully.
-        for a in args {
-            if let LaunchArg::Buf(b) = a {
-                for gpu in 0..self.n_devices() {
-                    self.sync_whole_buffer(*b, gpu)?;
-                }
-            }
-        }
-        self.machine.sync_all();
-
-        // (2) Launch each partition with write recording.
-        let mut observed_per_gpu: Vec<mekong_gpusim::ObservedWriteSets> = Vec::new();
-        for (gpu, part) in parts.iter().enumerate() {
-            if part.is_empty() {
-                observed_per_gpu.push(Default::default());
-                continue;
-            }
-            let sim_args = self.sim_args(args, gpu, Some(part));
-            let obs = self.machine.launch_recording(
+        let n = self.n_devices();
+        let (mut plan, mut walk) = self.plan_whole_syncs(args, 0..n);
+        let parts = partition_grid(grid, n, ck.model.partitioning);
+        for (gpu, part) in parts.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
+            plan.launches.push(PlanLaunch {
                 gpu,
-                &ck.partitioned,
-                &sim_args,
-                part.launch_grid(),
-                block,
-            )?;
-            observed_per_gpu.push(obs);
+                sim_args: self.sim_args(args, gpu, Some(part)),
+                grid: part.launch_grid(),
+                // A recording launch prices no traffic hint.
+                traffic: 0,
+            });
         }
-
-        // (3) Check cross-partition write disjointness, then update
-        // trackers from the observed ranges.
-        for (idx, a) in args.iter().enumerate() {
-            let b = match a {
-                LaunchArg::Buf(b) => *b,
-                _ => continue,
-            };
-            let elem = self.buffers[b.index()].elem_size as u64;
-            // Collect (gpu, range) pairs for this buffer.
-            let mut claims: Vec<(usize, u64, u64)> = Vec::new();
-            for (gpu, obs) in observed_per_gpu.iter().enumerate() {
-                let handle = self.buffers[b.index()].instances[gpu].handle;
-                if let Some(ranges) = obs.get(&handle) {
-                    for &(s, e) in ranges {
-                        claims.push((gpu, s * elem, e * elem));
-                    }
-                }
-            }
-            if let Some((g0, g1)) = cross_device_overlap(&mut claims) {
-                return Err(RuntimeError::NotPartitionable(format!(
-                    "instrumentation observed a cross-partition write collision \
-                     on argument {} (devices {g0} and {g1})",
-                    ck.model.args[idx].name()
-                )));
-            }
-            let updates: Vec<PlanUpdate> = claims
-                .iter()
-                .map(|&(gpu, start, end)| PlanUpdate {
-                    vb: b,
-                    gpu,
-                    start,
-                    end,
-                })
-                .collect();
-            self.commit_updates(&updates);
-            let cost = (self.machine.spec().host_per_range + self.machine.spec().host_per_segment)
-                * updates.len() as f64;
-            self.machine.charge_host(cost, TimeCat::Pattern);
-        }
-        Ok(())
+        // Every observed range is charged as one tracker range and one
+        // segment.
+        let spec = self.machine.spec();
+        walk.per_range = spec.host_per_range + spec.host_per_segment;
+        self.run_plan(&plan, Exec::Record(ck), block, args, Pay::Walk(&walk))
     }
+}
 
-    /// Pull every stale byte of one buffer onto `gpu`. A full-range
-    /// query emits maximal same-owner segments already; the transfer
-    /// plan additionally bridges same-source copies across small Uninit
-    /// gaps, which collapses fragmented trackers.
-    fn sync_whole_buffer(&mut self, b: VBufId, gpu: usize) -> Result<()> {
-        let vb = &self.buffers[b.index()];
-        let max_gap = if self.config.coalesce_transfers {
-            TransferPlan::break_even_gap(&*self.machine)
-        } else {
-            0
-        };
-        let mut plan = TransferPlan::new(gpu, max_gap, self.config.replica_coherence);
-        let mut n_segments = 0u64;
-        vb.tracker.query(0, vb.len as u64, &mut |s, e, v| {
-            n_segments += 1;
-            plan.visit(s, e, v);
-        });
-        let cost = self.machine.spec().host_per_segment * n_segments as f64;
-        self.machine.charge_host(cost, TimeCat::Pattern);
-        let c = self.machine.counters_mut();
-        c.replica_hits += plan.replica_hits;
-        c.refetch_bytes_saved += plan.saved_bytes;
-        for (src_dev, start, end) in plan.copies {
-            let copy = PlanCopy {
-                vb: b,
-                dst_gpu: gpu,
-                src_dev,
-                start,
-                end,
-                stride: end - start,
-                count: 1,
-            };
-            self.issue_copy(&copy)?;
+/// The write-updates a recording run observed: one group per buffer
+/// argument, in argument order, of every device's written ranges —
+/// unless two devices wrote the same bytes, a cross-partition WAW hazard
+/// the launch can only report after the fact.
+fn observed_updates(
+    ck: &CompiledKernel,
+    buffers: &[VirtualBuffer],
+    args: &[LaunchArg],
+    observed: &[(usize, ObservedWriteSets)],
+) -> Result<(Vec<PlanUpdate>, Vec<usize>)> {
+    let (mut updates, mut groups) = (Vec::new(), Vec::new());
+    let mut claims: Vec<(usize, u64, u64)> = Vec::new();
+    for (idx, a) in args.iter().enumerate() {
+        let LaunchArg::Buf(b) = *a else { continue };
+        let vb = &buffers[b.index()];
+        let elem = vb.elem_size as u64;
+        claims.clear();
+        for (gpu, obs) in observed {
+            if let Some(ranges) = obs.get(&vb.instances[*gpu].handle) {
+                claims.extend(ranges.iter().map(|&(s, e)| (*gpu, s * elem, e * elem)));
+            }
         }
-        Ok(())
+        if let Some((g0, g1)) = cross_device_overlap(&mut claims) {
+            return Err(RuntimeError::NotPartitionable(format!(
+                "instrumentation observed a cross-partition write collision \
+                 on argument {} (devices {g0} and {g1})",
+                ck.model.args[idx].name()
+            )));
+        }
+        updates.extend(claims.iter().map(|&(gpu, start, end)| PlanUpdate {
+            vb: b.local(),
+            gpu,
+            start,
+            end,
+        }));
+        groups.push(updates.len());
     }
+    Ok((updates, groups))
+}
+
+/// The runs of one planned copy in machine form. Offsets and lengths may
+/// come verbatim from a plan snapshot, so every conversion is checked.
+fn copy_runs(c: &PlanCopy) -> Result<CopyRuns> {
+    let len = c.end.checked_sub(c.start).ok_or(RuntimeError::Overflow {
+        what: "copy length",
+        value: c.end,
+    })?;
+    Ok(CopyRuns::strided(
+        crate::to_usize(c.start, "copy offset")?,
+        crate::to_usize(len, "copy length")?,
+        crate::to_usize(c.stride, "copy stride")?,
+        crate::to_usize(c.count, "copy count")?,
+    ))
 }
 
 /// Validate launch arguments against the model — arity, kinds, buffer
@@ -2767,8 +2714,8 @@ mod tests {
         assert_eq!(rt.segment_count(b), 4);
     }
 
-    /// Regression guard for the replica-awareness of `sync_whole_buffer`
-    /// (suspected to predate replica coherence; it does not — it runs
+    /// Regression guard for the replica-awareness of whole-buffer syncs
+    /// (suspected to predate replica coherence; they do not — they run
     /// through the same replica-aware [`TransferPlan`] as the read-sync
     /// path). Held segments must be skipped and counted as hits, not
     /// re-copied from `freshest`.
@@ -2790,26 +2737,97 @@ mod tests {
             .unwrap();
         rt.machine.sync_all();
         rt.buffers[b.index()].tracker.add_holder(200, 400, 0);
-        let before = rt.machine().counters();
-        let hits_before = before.replica_hits;
-        let copies_before = before.d2d_copies;
         // Device 0 already holds everything: a full sync must move no
         // bytes and count the remote-fresh half as a replica hit.
-        rt.sync_whole_buffer(b, 0).unwrap();
-        let after = rt.machine().counters();
-        assert_eq!(
-            after.d2d_copies, copies_before,
+        let (plan, walk) = rt.plan_whole_syncs(&[LaunchArg::Buf(b)], 0..1);
+        assert!(
+            plan.copies.is_empty(),
             "held segments must not be re-copied"
         );
-        assert_eq!(after.replica_hits, hits_before + 1);
-        assert_eq!(after.refetch_bytes_saved - before.refetch_bytes_saved, 200);
+        assert_eq!((plan.replica_hits, plan.replica_saved_bytes), (1, 200));
+        assert_eq!(walk.syncs.len(), 1, "the walk still pays for the query");
         // And with replica coherence off, the same sync re-fetches.
         rt.set_config(RuntimeConfig {
             replica_coherence: false,
             ..RuntimeConfig::default()
         });
-        rt.sync_whole_buffer(b, 0).unwrap();
-        assert_eq!(rt.machine().counters().d2d_copies, copies_before + 1);
+        let (plan, _) = rt.plan_whole_syncs(&[LaunchArg::Buf(b)], 0..1);
+        assert_eq!(plan.copies.len(), 1);
+        assert_eq!(plan.replica_hits, 0);
+    }
+
+    /// Whole-buffer syncs are planned against the holders the previous
+    /// syncs of the same launch add, the way they would land one by one.
+    /// Device 1 pulls the third from its board partner 0, which just
+    /// received it, instead of from device 2; device 2 then pulls the
+    /// first two thirds as one copy from device 0; and a second binding
+    /// of the same buffer finds everything held.
+    #[test]
+    fn whole_buffer_syncs_see_the_holders_of_earlier_syncs() {
+        let mut rt = runtime(3);
+        let b = rt.malloc(48, 4).unwrap();
+        rt.memcpy_h2d(b, &[0u8; 48]).unwrap();
+        let before = rt.tracker(b).signature();
+        let (plan, walk) = rt.plan_whole_syncs(&[LaunchArg::Buf(b)], 0..3);
+        let copies: Vec<_> = plan
+            .copies
+            .iter()
+            .map(|c| (c.src_dev, c.dst_gpu, c.start, c.end))
+            .collect();
+        assert_eq!(
+            copies,
+            [
+                (1, 0, 16, 32),
+                (2, 0, 32, 48),
+                (0, 1, 0, 16),
+                (0, 1, 32, 48),
+                (0, 2, 0, 32)
+            ]
+        );
+        assert_eq!(walk.syncs.len(), 3);
+        assert_eq!(
+            rt.tracker(b).signature(),
+            before,
+            "planning mutates nothing"
+        );
+        let (plan, _) = rt.plan_whole_syncs(&[LaunchArg::Buf(b), LaunchArg::Buf(b)], 0..3);
+        assert_eq!(plan.copies.len(), 5, "the second binding copies nothing");
+        assert_eq!(plan.replica_hits, 6, "two remote-fresh thirds per device");
+    }
+
+    /// A fallback launch onto a device the machine does not have is a
+    /// typed error raised before any flush, copy or charge — for fresh
+    /// buffers and for uploaded ones, which would need copies.
+    #[test]
+    fn fallback_onto_a_missing_device_is_refused_untouched() {
+        let ck = CompiledKernel::compile(&scale_kernel()).unwrap();
+        let mut rt = runtime(2);
+        let n = 64usize;
+        let a = rt.malloc(n * 4, 4).unwrap();
+        let b = rt.malloc(n * 4, 4).unwrap();
+        let args = [
+            LaunchArg::Scalar(Value::I64(n as i64)),
+            LaunchArg::Buf(a),
+            LaunchArg::Buf(b),
+        ];
+        let state = |rt: &MgpuRuntime| {
+            (
+                rt.elapsed().to_bits(),
+                rt.machine().counters(),
+                [a, b].map(|x| rt.tracker(x).segments_in(0, (n * 4) as u64)),
+            )
+        };
+        for upload in [false, true] {
+            if upload {
+                rt.memcpy_h2d(a, &vec![0u8; n * 4]).unwrap();
+            }
+            let before = state(&rt);
+            let err = rt
+                .launch_unpartitioned(&ck, Dim3::new1(1), Dim3::new1(64), &args, 2)
+                .unwrap_err();
+            assert!(matches!(err, RuntimeError::BadArgument(_)), "{err}");
+            assert_eq!(state(&rt), before, "uploaded: {upload}");
+        }
     }
 
     /// Forced-strategy launches must not feed the autotuner's measurement

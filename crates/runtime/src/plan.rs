@@ -156,7 +156,7 @@ pub(crate) struct PostBuffer {
 /// deterministic functions of it, so the first replay records where they
 /// lead and every later replay installs that — a pointer swap per
 /// buffer, independent of segment count (see
-/// `MgpuRuntime::replay_plan`).
+/// `MgpuRuntime::advance_trackers`).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PostState {
     /// [`crate::RuntimeConfig::replica_coherence`] of the recording

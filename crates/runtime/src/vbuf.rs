@@ -197,11 +197,11 @@ pub struct TunerReport {
     pub switches: u32,
 }
 
-/// Buffers a plan replay refills per partition launch instead of
+/// Buffers a plan run refills per partition launch instead of
 /// allocating: the launch's event edges, the functional readers it must
 /// wait on, and its machine-level argument vector.
 #[derive(Debug, Default)]
-pub(crate) struct ReplayScratch {
+pub(crate) struct LaunchScratch {
     pub deps: Vec<SimTime>,
     pub waits: Vec<(usize, u64)>,
     pub sim_args: Vec<SimArg>,
@@ -248,8 +248,8 @@ pub struct MgpuRuntime {
     /// The current launch's plan-cache key, refilled in place per launch
     /// and cloned only into a miss's insert.
     pub(crate) plan_key: PlanKey,
-    /// Per-launch buffers of a replay, reused across hits.
-    pub(crate) replay_scratch: ReplayScratch,
+    /// Per-launch buffers of a plan run, reused across launches.
+    pub(crate) launch_scratch: LaunchScratch,
 }
 
 /// Is `b` a live buffer of the runtime that owns `buffers` under
@@ -312,7 +312,7 @@ impl MgpuRuntime {
                 bounds: [].into(),
                 args: Vec::new(),
             },
-            replay_scratch: ReplayScratch::default(),
+            launch_scratch: LaunchScratch::default(),
         }
     }
 

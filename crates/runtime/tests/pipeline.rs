@@ -16,7 +16,8 @@
 //! `capture_plans: false`, compared after **every** step — trackers,
 //! per-buffer provenance and the counters a replay re-notes. The
 //! capture-off path is the oracle for the post-state a replayed plan
-//! installs instead of re-applying its tracker ops.
+//! installs instead of re-applying its tracker ops. Single-device
+//! fallback launches land between the replays, while the window is full.
 
 use mekong_analysis::SplitAxis;
 use mekong_gpusim::{Machine, MachineSpec};
@@ -368,6 +369,10 @@ enum Walk {
     Tile,
     /// Back to the compiler's split.
     Untile,
+    /// Scale src into dst on one device (`launch_unpartitioned` on
+    /// device `% N_DEV`): a fallback launch between replays, landing in a
+    /// full launch-ahead window.
+    Fallback(usize),
 }
 
 fn arb_walk() -> impl Strategy<Value = Vec<Walk>> {
@@ -381,6 +386,7 @@ fn arb_walk() -> impl Strategy<Value = Vec<Walk>> {
         (0u32..8).prop_map(Walk::Upload),
         Just(Walk::Tile),
         Just(Walk::Untile),
+        (0usize..8).prop_map(Walk::Fallback),
     ];
     proptest::collection::vec(step, 1..32)
 }
@@ -439,18 +445,14 @@ impl Tenant {
     /// Apply one step; a read-back returns the gathered bytes.
     fn step(&mut self, kernels: &[CompiledKernel; 2], step: Walk) -> Option<Vec<u8>> {
         let (src, dst) = (self.bufs[self.src], self.bufs[1 - self.src]);
+        let (grid, block) = (Dim3::new2((W / 8) as u32, (W / 8) as u32), Dim3::new2(8, 8));
+        let args = [
+            LaunchArg::Scalar(Value::I64(W as i64)),
+            LaunchArg::Buf(src),
+            LaunchArg::Buf(dst),
+        ];
         let launch = |rt: &mut MgpuRuntime, ck: &CompiledKernel| {
-            rt.launch(
-                ck,
-                Dim3::new2((W / 8) as u32, (W / 8) as u32),
-                Dim3::new2(8, 8),
-                &[
-                    LaunchArg::Scalar(Value::I64(W as i64)),
-                    LaunchArg::Buf(src),
-                    LaunchArg::Buf(dst),
-                ],
-            )
-            .unwrap();
+            rt.launch(ck, grid, block, &args).unwrap();
         };
         match step {
             Walk::Stencil => {
@@ -477,6 +479,10 @@ impl Tenant {
                     self.rt.clear_forced_strategy(&ck.model.kernel_name);
                 }
             }
+            Walk::Fallback(device) => self
+                .rt
+                .launch_unpartitioned(&kernels[1], grid, block, &args, device % N_DEV)
+                .unwrap(),
         }
         None
     }

@@ -1,19 +1,11 @@
-//! Ablation A5: execution engine and transfer coalescing.
+//! Ablation A5: transfer coalescing.
 //!
 //! **Part A** runs the separable blur pipeline on a functional 4-GPU
-//! machine (§5, Figure 4) under three engines:
-//!
-//! 1. **serial** — byte effects applied on the host thread at submission
-//!    (the pre-stream engine);
-//! 2. **streamed** — per-device command streams drain on worker threads,
-//!    so partition kernels and peer copies overlap in wall-clock time;
-//! 3. **streamed + coalesced** — read ranges are merged before the
-//!    tracker query and same-source transfers bridge small Uninit gaps.
-//!
-//! Invariants demonstrated: all three produce identical output bytes,
-//! and streaming leaves the *simulated* clock and counters untouched
-//! (timing is charged at enqueue). Blur's trackers are regular — one
-//! maximal segment per halo — so coalescing is neutral here.
+//! machine (§5, Figure 4) with and without coalescing (read ranges
+//! merged before the tracker query, same-source transfers bridging
+//! small Uninit gaps). Both produce identical output bytes; blur's
+//! trackers are regular — one maximal segment per halo — so coalescing
+//! is neutral here.
 //!
 //! **Part B** shows where coalescing pays: an instrumented strided
 //! scatter leaves its output tracker as thousands of single-element
@@ -37,9 +29,8 @@ struct Run {
     output: Vec<u8>,
 }
 
-fn run_engine(label: &'static str, streamed: bool, coalesce: bool) -> Run {
-    let mut machine = Machine::new(MachineSpec::kepler_system(4), true);
-    machine.set_streamed(streamed);
+fn run_blur(label: &'static str, coalesce: bool) -> Run {
+    let machine = Machine::new(MachineSpec::kepler_system(4), true);
     let cfg = RuntimeConfig {
         coalesce_transfers: coalesce,
         ..RuntimeConfig::alpha()
@@ -147,16 +138,12 @@ fn run_fragmented(coalesce: bool) -> GateResult<(u64, f64)> {
 }
 
 pub fn run(_args: &BenchArgs) -> GateResult {
-    println!("Ablation A5a: execution engine (blur 512x512, 3 iters, 4 functional GPUs)");
+    println!("Ablation A5a: transfer coalescing (blur 512x512, 3 iters, 4 functional GPUs)");
     println!();
-    let runs = [
-        run_engine("serial", false, false),
-        run_engine("streamed", true, false),
-        run_engine("streamed+coalesced", true, true),
-    ];
+    let runs = [run_blur("uncoalesced", false), run_blur("coalesced", true)];
     println!(
         "{:>20} {:>12} {:>14} {:>10} {:>10}",
-        "engine", "wall [ms]", "sim [ms]", "d2d", "launches"
+        "transfers", "wall [ms]", "sim [ms]", "d2d", "launches"
     );
     for r in &runs {
         println!(
@@ -168,40 +155,21 @@ pub fn run(_args: &BenchArgs) -> GateResult {
             r.counters.launches
         );
     }
-    let [serial, streamed, coalesced] = &runs;
-    gate!(
-        "a5a.streaming-keeps-output",
-        serial.output == streamed.output,
-        "streaming must not change results"
-    );
+    let [plain, coalesced] = &runs;
     gate!(
         "a5a.coalescing-keeps-output",
-        serial.output == coalesced.output,
+        plain.output == coalesced.output,
         "coalescing must not change results"
-    );
-    gate_eq!(
-        "a5a.streaming-keeps-sim-clock",
-        serial.elapsed,
-        streamed.elapsed,
-        "timing is charged at enqueue: streams must not move the simulated clock"
-    );
-    gate_eq!(
-        "a5a.streaming-keeps-counters",
-        serial.counters,
-        streamed.counters,
-        "streams must not change any counter"
     );
     gate!(
         "a5a.coalescing-not-slower",
-        coalesced.elapsed <= serial.elapsed,
+        coalesced.elapsed <= plain.elapsed,
         "coalescing can only remove latency terms: {} vs {}",
         coalesced.elapsed,
-        serial.elapsed
+        plain.elapsed
     );
     println!();
-    println!("blur's halos are already maximal segments: coalescing is neutral,");
-    println!("streaming changes wall-clock scheduling only.");
-
+    println!("blur's halos are already maximal segments: coalescing is neutral.");
     println!();
     println!("Ablation A5b: fragmented-tracker gather (strided scatter, n=8192, 4 GPUs)");
     println!();

@@ -37,7 +37,7 @@ const REGISTRY: &[Artifact] = &[
     Artifact { name: "ablation_tracker", paper: "A2 — tracker fragmentation vs sync cost", run: ablation_tracker::run },
     Artifact { name: "ablation_split_dim", paper: "A3 — partition axis choice", run: ablation_split_dim::run },
     Artifact { name: "ablation_interconnect", paper: "A4 — PCIe-tree vs NVLink-class fabric", run: ablation_interconnect::run },
-    Artifact { name: "ablation_streams", paper: "A5 — execution engine, transfer coalescing", run: ablation_streams::run },
+    Artifact { name: "ablation_streams", paper: "A5 — transfer coalescing", run: ablation_streams::run },
     Artifact { name: "ablation_replay", paper: "A6 — launch-plan capture & replay (BENCH_replay.json)", run: ablation_replay::run },
     Artifact { name: "ablation_tuner", paper: "A7 — cost-model-driven autotuner (BENCH_tuner.json)", run: ablation_tuner::run },
     Artifact { name: "ablation_replica", paper: "A8 — replica-aware coherence (BENCH_replica.json)", run: ablation_replica::run },

@@ -23,10 +23,9 @@ use mekong_analysis::{AnalysisSpace, ArgModel, KernelModel, N_MAP_IN};
 use mekong_kernel::{Dim3, Extent};
 use mekong_partition::Partition;
 use mekong_poly::{Constraint, Enumerator, LinExpr, Map, PolyError, Set, Space};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of partition-box parameters appended to the map parameters.
 pub const N_PART_PARAMS: usize = 12;
@@ -60,6 +59,14 @@ struct RangeCacheInner {
     map: Mutex<HashMap<Vec<i64>, Arc<[ElemRange]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+impl RangeCacheInner {
+    /// The memo, recovering a poisoned lock: a lookup or insert is one
+    /// step, so a panicking holder cannot leave it half-updated.
+    fn memo(&self) -> MutexGuard<'_, HashMap<Vec<i64>, Arc<[ElemRange]>>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// One linearized element range `[start, end)` (in elements, not bytes).
@@ -285,14 +292,14 @@ impl AccessEnumerator {
         scalars: &[i64],
     ) -> Arc<[ElemRange]> {
         let params = self.params_vec(partition, block_dim, grid_dim, scalars);
-        if let Some(cached) = self.cache.map.lock().get(&params).cloned() {
+        if let Some(cached) = self.cache.memo().get(&params).cloned() {
             self.cache.hits.fetch_add(1, Ordering::Relaxed);
             return cached;
         }
         self.cache.misses.fetch_add(1, Ordering::Relaxed);
         let exts = self.concrete_extents(scalar_names, scalars);
         let merged: Arc<[ElemRange]> = self.scan_ranges(&params, &exts).into();
-        self.cache.map.lock().insert(params, merged.clone());
+        self.cache.memo().insert(params, merged.clone());
         merged
     }
 

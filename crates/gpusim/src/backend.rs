@@ -3,8 +3,8 @@
 //! `Backend` is the op surface the partitioning runtime drives:
 //! allocation, host↔device copies, **one** peer copy
 //! ([`Backend::copy_d2d`]), **one** timed launch ([`Backend::launch`])
-//! plus its write-recording variant, stream events, per-device clocks
-//! and the shared operation counters. Everything the runtime does above
+//! plus its write-recording variant, per-device clocks and the shared
+//! operation counters. Everything the runtime does above
 //! this line — trackers, validity sets, plan capture/replay, the tuner —
 //! is backend-agnostic: a "device" is any unit that owns memory and
 //! executes a grid range.
@@ -40,11 +40,6 @@ pub trait Backend {
     /// Does this backend materialize bytes (vs. timing-only)?
     fn is_functional(&self) -> bool;
 
-    /// Streamed (deferred-effect) execution of the functional byte
-    /// effects.
-    fn is_streamed(&self) -> bool;
-    /// Enable/disable streamed execution.
-    fn set_streamed(&mut self, on: bool);
     /// β configuration: charge (or zero) transfer time.
     fn set_transfer_timing(&mut self, on: bool);
     /// γ configuration: charge (or zero) pattern time.
@@ -141,20 +136,10 @@ pub trait Backend {
 
     /// Block host until device `d` is idle.
     fn sync_device(&mut self, d: usize) -> Result<()>;
-    /// Block host until all devices are idle; panics on deferred errors.
-    fn sync_all(&mut self) {
-        self.try_sync_all()
-            .expect("deferred stream error at sync_all");
-    }
-    /// [`Backend::sync_all`] surfacing deferred stream errors.
-    fn try_sync_all(&mut self) -> Result<()>;
+    /// Block host until all devices are idle.
+    fn sync_all(&mut self);
     /// Advance the host clock to `t` (no-op when already past).
     fn join_host(&mut self, t: SimTime);
-
-    /// Current event token of device `d`'s stream.
-    fn stream_mark(&self, d: usize) -> u64;
-    /// Queue a cross-stream event wait.
-    fn stream_wait_cross(&mut self, waiter: usize, source: usize, event: u64);
 
     /// Read back a whole device buffer (functional backends only; test
     /// helper that bypasses the clock).

@@ -10,14 +10,18 @@
 //!   `mekong-kernel`, fanned out over blocks on scoped threads. Cross-block
 //!   isolation is enforced with shadow write-buffers: every block reads
 //!   the pre-launch state and its own writes, exactly the coherence that
-//!   CUDA guarantees between thread blocks (§2.1).
+//!   CUDA guarantees between thread blocks (§2.1). Every byte effect —
+//!   an H2D payload, a peer copy, a kernel grid — lands on the host
+//!   thread when its op is submitted, in program order, so a failing
+//!   kernel is an error of the launch that ran it.
 //! * **A calibrated timing model** — simulated clocks per device plus a
 //!   host clock. Kernels cost a roofline time
 //!   `max(flops/F, bytes/B, intops/I)` measured by sampling threads in
 //!   counting mode; transfers cost `latency + bytes/bandwidth` on the
 //!   PCIe link; host-side metadata work is charged explicitly by the
-//!   runtime. Asynchronous semantics follow CUDA: launches and async
-//!   copies return immediately, `synchronize` joins the clocks.
+//!   runtime. Asynchronous semantics follow CUDA on the simulated
+//!   clocks: launches and async copies return immediately,
+//!   `synchronize` joins the clocks.
 //!
 //! Absolute times are *model* times; the reproduction targets the shape
 //! of the paper's results (who wins, where scaling saturates), not the
@@ -27,7 +31,6 @@ pub mod backend;
 pub mod machine;
 pub mod shadow;
 pub mod spec;
-pub mod stream;
 
 pub use backend::{Backend, CpuBackend, ObservedWriteSets};
 pub use machine::{

@@ -22,10 +22,9 @@
 //!   recency clock is a single atomic tick bumped on every touch.
 
 use crate::plan::{LaunchPlan, PlanKey};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of shards. A power of two so the hash folds evenly; small
 /// enough that the exact-LRU eviction scan stays trivial.
@@ -57,6 +56,13 @@ struct Entry {
 #[derive(Default)]
 struct Shard {
     map: HashMap<PlanKey, Entry>,
+}
+
+/// Lock one shard, recovering a poisoned lock: every mutation under it
+/// is a single insert or removal, so a tenant that panicked while
+/// holding it cannot wedge the shared cache.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The sharded LRU plan cache. All methods take `&self` (interior
@@ -93,7 +99,7 @@ impl ShardedPlanCache {
     /// and the namespace that captured it (so callers can tell a
     /// cross-tenant hit from their own).
     pub fn get(&self, key: &PlanKey) -> Option<(Arc<LaunchPlan>, u32)> {
-        let mut shard = self.shards[shard_of(&key.kernel)].lock();
+        let mut shard = lock(&self.shards[shard_of(&key.kernel)]);
         let tick = self.bump();
         shard.map.get_mut(key).map(|e| {
             e.last_used = tick;
@@ -120,7 +126,7 @@ impl ShardedPlanCache {
             loaded,
             hits: 0,
         };
-        let mut shard = self.shards[shard_of(&key.kernel)].lock();
+        let mut shard = lock(&self.shards[shard_of(&key.kernel)]);
         if shard.map.insert(key, entry).is_none() {
             self.len.fetch_add(1, Ordering::Relaxed);
         }
@@ -144,13 +150,13 @@ impl ShardedPlanCache {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, shard)| {
-                    let shard = shard.lock();
+                    let shard = lock(shard);
                     let tick = shard.map.values().map(|e| e.last_used).min()?;
                     Some((tick, i))
                 })
                 .min();
             let Some((tick, i)) = oldest else { break };
-            let mut shard = self.shards[i].lock();
+            let mut shard = lock(&self.shards[i]);
             let taken = shard.map.extract_if(|_, e| e.last_used == tick).next();
             if taken.is_none() {
                 break; // touched or raced away since the scan
@@ -174,7 +180,7 @@ impl ShardedPlanCache {
     /// Drop every cached plan.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
+            let mut shard = lock(shard);
             self.len.fetch_sub(shard.map.len(), Ordering::Relaxed);
             shard.map.clear();
         }
@@ -197,7 +203,7 @@ impl ShardedPlanCache {
     pub fn export(&self) -> Vec<(PlanKey, Arc<LaunchPlan>, u32)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock();
+            let shard = lock(shard);
             for (k, e) in &shard.map {
                 out.push((k.clone(), e.plan.clone(), e.namespace));
             }
@@ -214,7 +220,7 @@ impl ShardedPlanCache {
     pub fn export_live(&self) -> Vec<(PlanKey, Arc<LaunchPlan>, u32)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock();
+            let shard = lock(shard);
             for (k, e) in &shard.map {
                 if !e.loaded || e.hits > 0 {
                     out.push((k.clone(), e.plan.clone(), e.namespace));

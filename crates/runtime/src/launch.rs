@@ -908,9 +908,6 @@ impl MgpuRuntime {
         // A walk observes device clocks directly; only a replay joins
         // the window.
         let pipelined = matches!(pay, Pay::Replay) && self.config.launch_ahead > 0;
-        // Functional WAR ordering only matters when byte effects are
-        // deferred to the streams; serial/perf machines need no tokens.
-        let track_events = pipelined && self.machine.is_functional() && self.machine.is_streamed();
 
         // ---- (2) synchronize read buffers --------------------------------
         let mut first = 0;
@@ -926,8 +923,7 @@ impl MgpuRuntime {
                     deps.as_ref().map(|d| &d[..]),
                 )?;
                 if pipelined {
-                    let token = track_events.then(|| self.machine.stream_mark(c.dst_gpu));
-                    self.pipeline.note_copy(c, done, token);
+                    self.pipeline.note_copy(c, done);
                 }
             }
             first = end;
@@ -944,11 +940,7 @@ impl MgpuRuntime {
         scratch.deps.clear();
         for l in &plan.launches {
             if pipelined {
-                self.pipeline
-                    .launch_edges(plan, l.gpu, &mut scratch.deps, &mut scratch.waits);
-                for &(reader, token) in &scratch.waits {
-                    self.machine.stream_wait_cross(l.gpu, reader, token);
-                }
+                self.pipeline.launch_edges(plan, l.gpu, &mut scratch.deps);
             }
             resolve_sim_args(&self.buffers, l, args, &mut scratch.sim_args);
             match exec {
@@ -1466,9 +1458,9 @@ fn validate_args(
 mod tests {
     use super::*;
     use crate::vbuf::RuntimeConfig;
-    use mekong_gpusim::{Machine, MachineSpec};
+    use mekong_gpusim::{Machine, MachineSpec, SimError};
     use mekong_kernel::builder::*;
-    use mekong_kernel::Kernel;
+    use mekong_kernel::{Kernel, KernelError};
     use mekong_tuner::TuneKey;
 
     fn runtime(n: usize) -> MgpuRuntime {
@@ -2828,6 +2820,39 @@ mod tests {
             assert!(matches!(err, RuntimeError::BadArgument(_)), "{err}");
             assert_eq!(state(&rt), before, "uploaded: {upload}");
         }
+    }
+
+    /// A functional kernel that fails is a typed error of the launch
+    /// that ran it: the download still works and `synchronize`
+    /// afterwards has nothing left to raise.
+    #[test]
+    fn functional_kernel_failure_is_an_error_of_its_launch() {
+        let oob = Kernel {
+            name: "oob".into(),
+            params: vec![scalar("n"), array_f32("y", &[ext("n")])],
+            body: vec![store("y", vec![i(1 << 20)], f(1.0))],
+        };
+        let ck = CompiledKernel::compile(&oob).unwrap();
+        let mut rt = runtime(2);
+        let n = 64usize;
+        let y = rt.malloc(n * 4, 4).unwrap();
+        rt.memcpy_h2d(y, &vec![7u8; n * 4]).unwrap();
+        let args = [LaunchArg::Scalar(Value::I64(n as i64)), LaunchArg::Buf(y)];
+        let err = rt
+            .launch_unpartitioned(&ck, Dim3::new1(1), Dim3::new1(1), &args, 0)
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                RuntimeError::Sim(SimError::Kernel(KernelError::OutOfBounds { array, .. }))
+                    if array == "y"
+            ),
+            "{err}"
+        );
+        let mut out = vec![0u8; n * 4];
+        rt.memcpy_d2h(y, &mut out).unwrap();
+        assert_eq!(out, vec![7u8; n * 4], "the failed grid landed no byte");
+        rt.synchronize();
     }
 
     /// Forced-strategy launches must not feed the autotuner's measurement

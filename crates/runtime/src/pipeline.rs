@@ -42,17 +42,9 @@
 //! `Pipeline::writes_in_flight`) skips the flush, so periodic
 //! result downloads of a spectator buffer do not stall the window.
 //!
-//! Functional ordering across streams is handled with the same event
-//! tokens the streamed engine already uses: each pipelined copy records
-//! itself as an in-flight *reader* of its source instance, and a later
-//! kernel writing that buffer on the source device submits a
-//! [`mekong_gpusim::stream::StreamOp::WaitEvent`] first, so the copy's
-//! snapshot always precedes the overwrite. A flush drops the window but
-//! not that obligation: readers still outstanding become waits on their
-//! source devices' streams, ahead of whatever the flush made room for
-//! (an upload, a cold launch, a replay under another partitioning).
-//! Waits only ever reference strictly-earlier submissions, so the wait
-//! graph stays a DAG.
+//! The window is purely a statement about simulated clocks: the
+//! machine lands every byte effect when its op is submitted, in program
+//! order, so a copy's snapshot always precedes a later overwrite.
 
 use crate::plan::{LaunchPlan, PlanCopy};
 use crate::vbuf::{MgpuRuntime, VBufId};
@@ -78,11 +70,6 @@ pub(crate) struct Pipeline {
     /// Until when `(buffer, device)` is being read (kernel reads, peer
     /// copies sourcing from it) — write-after-read edges.
     read_until: Vec<SimTime>,
-    /// In-flight functional readers of `(buffer, source device)`: the
-    /// destination device and its stream event token after the copy was
-    /// queued. A later kernel writing the buffer on the source device
-    /// must cross-stream-wait on these.
-    readers: Vec<Vec<(usize, u64)>>,
     /// Per buffer: has an in-flight copy or launch written it since the
     /// last drain?
     written: Vec<bool>,
@@ -98,7 +85,6 @@ impl Pipeline {
             in_flight: VecDeque::new(),
             ready_at: Vec::new(),
             read_until: Vec::new(),
-            readers: Vec::new(),
             written: Vec::new(),
             dirty: false,
         }
@@ -109,7 +95,6 @@ impl Pipeline {
         let slots = n_buffers * self.n_devices;
         self.ready_at.resize(slots, 0.0);
         self.read_until.resize(slots, 0.0);
-        self.readers.resize_with(slots, Vec::new);
         self.written.resize(n_buffers, false);
     }
 
@@ -138,44 +123,25 @@ impl Pipeline {
         ]
     }
 
-    /// Record copy `c` completing at `end`. `token` is the destination
-    /// stream's event token after the copy was queued, when functional
-    /// byte effects are deferred to the streams: the copy is then an
-    /// in-flight *reader* of its source instance.
-    pub(crate) fn note_copy(&mut self, c: &PlanCopy, end: SimTime, token: Option<u64>) {
+    /// Record copy `c` completing at `end`.
+    pub(crate) fn note_copy(&mut self, c: &PlanCopy, end: SimTime) {
         let (src, dst) = (self.slot(c.vb, c.src_dev), self.slot(c.vb, c.dst_gpu));
         Self::raise(&mut self.ready_at[dst], end);
         Self::raise(&mut self.read_until[src], end);
         self.written[c.vb.index()] = true;
         self.dirty = true;
-        if let Some(token) = token {
-            self.readers[src].push((c.dst_gpu, token));
-        }
     }
 
-    /// Event edges of a partition launch on `gpu`, into `deps`: the
-    /// incoming copies of every buffer it reads and in-flight readers of
-    /// every buffer it writes. Into `waits` go the in-flight functional
-    /// readers of its write buffers' instances on `gpu`, as `(reader
-    /// device, event token)` — the launch must cross-stream-wait on each
-    /// so the copy's snapshot precedes the overwrite. Both are the
-    /// caller's scratch, cleared first.
-    pub(crate) fn launch_edges(
-        &mut self,
-        plan: &LaunchPlan,
-        gpu: usize,
-        deps: &mut Vec<SimTime>,
-        waits: &mut Vec<(usize, u64)>,
-    ) {
+    /// Event edges of a partition launch on `gpu`, into `deps` (the
+    /// caller's scratch, cleared first): the incoming copies of every
+    /// buffer it reads and in-flight readers of every buffer it writes.
+    pub(crate) fn launch_edges(&self, plan: &LaunchPlan, gpu: usize, deps: &mut Vec<SimTime>) {
         deps.clear();
-        waits.clear();
         for b in &plan.read_bufs {
             deps.push(self.ready_at[self.slot(*b, gpu)]);
         }
         for b in &plan.write_bufs {
-            let slot = self.slot(*b, gpu);
-            deps.push(self.read_until[slot]);
-            waits.append(&mut self.readers[slot]);
+            deps.push(self.read_until[self.slot(*b, gpu)]);
         }
     }
 
@@ -225,23 +191,14 @@ impl Pipeline {
     }
 
     /// Drop all window state, returning the latest in-flight completion
-    /// time (if any) for the caller to join the host clock to. The
-    /// window is a statement about clocks; the byte effects it ordered
-    /// may still sit in the streams, so every functional reader still
-    /// outstanding goes to `wait(source device, reader device, token)`
-    /// — whatever the source device is handed next must not overtake it.
-    fn drain(&mut self, mut wait: impl FnMut(usize, usize, u64)) -> Option<SimTime> {
+    /// time (if any) for the caller to join the host clock to.
+    fn drain(&mut self) -> Option<SimTime> {
         let latest = self.in_flight.iter().copied().reduce(SimTime::max);
         self.in_flight.clear();
         if self.dirty {
             self.ready_at.fill(0.0);
             self.read_until.fill(0.0);
             self.written.fill(false);
-            for (slot, readers) in self.readers.iter_mut().enumerate() {
-                for (reader, token) in readers.drain(..) {
-                    wait(slot % self.n_devices, reader, token);
-                }
-            }
             self.dirty = false;
         }
         latest
@@ -255,12 +212,8 @@ impl MgpuRuntime {
     /// (D2H/H2D, uncaptured launches, synchronize, config changes,
     /// direct machine access). Cheap no-op when nothing is in flight.
     pub(crate) fn pipeline_flush(&mut self) {
-        let machine = &mut self.machine;
-        let latest = self
-            .pipeline
-            .drain(|source, reader, token| machine.stream_wait_cross(source, reader, token));
-        if let Some(t) = latest {
-            machine.join_host(t);
+        if let Some(t) = self.pipeline.drain() {
+            self.machine.join_host(t);
         }
     }
 
@@ -288,32 +241,32 @@ mod tests {
         }
     }
 
-    /// A flush forgets the window's clocks but hands every functional
-    /// reader nobody waited on yet to the caller, keyed by the device it
-    /// reads from — dropping them is how a later writer overtook an
-    /// in-flight halo copy.
+    /// A flush returns the latest in-flight completion and forgets every
+    /// event edge and write mark of the window.
     #[test]
-    fn drain_hands_outstanding_readers_to_their_source_devices() {
+    fn drain_returns_latest_completion_and_clears_the_window() {
         let mut p = Pipeline::new(3);
         p.grow(2);
-        p.note_copy(&copy(1, 2, 0), 5.0, Some(7));
-        p.note_copy(&copy(1, 2, 1), 6.0, Some(9));
-        p.note_copy(&copy(0, 1, 2), 4.0, None);
+        p.note_copy(&copy(1, 2, 0), 5.0);
+        p.note_copy(&copy(1, 2, 1), 6.0);
+        p.note_copy(&copy(0, 1, 2), 4.0);
         assert!(!p.writes_in_flight(VBufId(1)), "nothing in the window yet");
         let plan = LaunchPlan {
             copies: vec![copy(1, 2, 0)],
             ..LaunchPlan::default()
         };
         assert_eq!(p.push(&plan, 0.0, 2).count(), 0);
-        assert!(p.writes_in_flight(VBufId(1)));
+        assert!(p.writes_in_flight(VBufId(0)) && p.writes_in_flight(VBufId(1)));
+        assert_eq!(p.copy_edges(&copy(1, 1, 2)), [6.0, 6.0]);
 
-        let mut waits = Vec::new();
-        let latest = p.drain(|source, reader, token| waits.push((source, reader, token)));
-        assert_eq!(latest, Some(5.0));
-        assert_eq!(waits, vec![(2, 0, 7), (2, 1, 9)]);
-        assert_eq!(p.copy_edges(&copy(1, 2, 0)), [0.0, 0.0]);
-        assert!(!p.writes_in_flight(VBufId(1)));
-        // Drained means drained: a second flush has nothing to hand on.
-        assert_eq!(p.drain(|_, _, _| panic!("no reader is left")), None);
+        assert_eq!(p.drain(), Some(5.0));
+        for c in [copy(1, 1, 2), copy(1, 0, 2), copy(0, 2, 1)] {
+            assert_eq!(p.copy_edges(&c), [0.0, 0.0]);
+        }
+        assert_eq!(p.push(&plan, 0.0, 2).count(), 0);
+        assert!(!p.writes_in_flight(VBufId(0)) && !p.writes_in_flight(VBufId(1)));
+        // Drained means drained: a second flush has nothing to join.
+        assert_eq!(p.drain(), Some(0.0));
+        assert_eq!(p.drain(), None);
     }
 }

@@ -17,9 +17,8 @@
 //! arrays then cost nothing after the first launch: every reader is
 //! already a valid holder.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// start → segment; segments tile `[0, len)`.
 type Segments = BTreeMap<u64, Seg>;
@@ -291,7 +290,7 @@ impl Clone for Tracker {
             len: self.len,
             segments: self.segments.clone(),
             epoch: self.epoch,
-            sig_memo: Mutex::new(*self.sig_memo.lock()),
+            sig_memo: Mutex::new(*self.sig_memo.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
 }
@@ -339,7 +338,7 @@ impl Tracker {
     /// launch path pays one hash-map-sized walk only after an actual
     /// mutation.
     pub fn signature(&self) -> u64 {
-        let mut memo = self.sig_memo.lock();
+        let mut memo = self.sig_memo.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some((epoch, hash)) = *memo {
             if epoch == self.epoch {
                 return hash;
@@ -528,7 +527,7 @@ impl Tracker {
         assert_eq!(state.len, self.len, "installed state has another length");
         self.segments = Arc::clone(&state.segments);
         self.epoch += 1;
-        *self.sig_memo.get_mut() = Some((self.epoch, state.signature));
+        self.sig_memo = Mutex::new(Some((self.epoch, state.signature)));
     }
 
     /// Visit the segments overlapping `[start, end)`, clipped to it.

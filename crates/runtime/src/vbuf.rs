@@ -198,12 +198,11 @@ pub struct TunerReport {
 }
 
 /// Buffers a plan run refills per partition launch instead of
-/// allocating: the launch's event edges, the functional readers it must
-/// wait on, and its machine-level argument vector.
+/// allocating: the launch's event edges and its machine-level argument
+/// vector.
 #[derive(Debug, Default)]
 pub(crate) struct LaunchScratch {
     pub deps: Vec<SimTime>,
-    pub waits: Vec<(usize, u64)>,
     pub sim_args: Vec<SimArg>,
 }
 
@@ -598,7 +597,7 @@ impl MgpuRuntime {
         // A gather of a buffer no in-flight launch or halo copy still
         // writes need not drain the launch-ahead window: trackers
         // advance at submit (so the gather plan is current) and the
-        // simulator drains deferred byte effects on every D2H read.
+        // machine lands every byte effect when its op is submitted.
         // Only a *hot* buffer forces the conservative full flush.
         if self.pipeline.writes_in_flight(src) {
             self.pipeline_flush();

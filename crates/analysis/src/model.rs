@@ -123,22 +123,6 @@ impl KernelModel {
         self.args.iter().find(|a| a.name() == name)
     }
 
-    /// Array arguments the kernel reads.
-    pub fn read_arrays(&self) -> impl Iterator<Item = (usize, &ArgModel)> {
-        self.args
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.is_read_array())
-    }
-
-    /// Array arguments the kernel writes.
-    pub fn written_arrays(&self) -> impl Iterator<Item = (usize, &ArgModel)> {
-        self.args
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.is_written_array())
-    }
-
     /// Do the access maps have the shape this record declares? The checker
     /// and the enumerator generator index map dimensions and parameters by
     /// that shape, so a record from outside must pass before they see it.

@@ -27,15 +27,6 @@ impl SplitAxis {
             SplitAxis::X => 2,
         }
     }
-
-    /// Convert to the kernel IR axis type.
-    pub fn to_axis(self) -> mekong_kernel::Axis {
-        match self {
-            SplitAxis::X => mekong_kernel::Axis::X,
-            SplitAxis::Y => mekong_kernel::Axis::Y,
-            SplitAxis::Z => mekong_kernel::Axis::Z,
-        }
-    }
 }
 
 impl std::fmt::Display for SplitAxis {

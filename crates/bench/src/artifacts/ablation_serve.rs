@@ -290,7 +290,7 @@ pub fn run(args: &BenchArgs) -> GateResult {
     );
     println!(
         "warm start: {} plans loaded ({} KiB snapshot), 0 captures, identical outputs",
-        server.plan_cache().len(),
+        server.plan_cache().borrow().len(),
         snapshot.len() / 1024,
     );
 
@@ -298,7 +298,7 @@ pub fn run(args: &BenchArgs) -> GateResult {
         gpus: 4,
         tenants,
         fleet_shared_hits: fleet_shared,
-        plan_cache_entries: server.plan_cache().len(),
+        plan_cache_entries: server.plan_cache().borrow().len(),
         snapshot_bytes: snapshot.len(),
         sequential_outputs_identical: true,
         warm_start_plan_misses: warm_misses,

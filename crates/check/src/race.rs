@@ -36,12 +36,7 @@ pub enum AxisProof {
     Unproven,
 }
 
-impl AxisProof {
-    /// Is this a positive disjointness proof?
-    pub fn is_disjoint(&self) -> bool {
-        matches!(self, AxisProof::Disjoint)
-    }
-}
+impl AxisProof {}
 
 /// Prove or refute write-disjointness of `map` across partitions along
 /// `axis`. Conservative: anything short of a proof is not `Disjoint`.

@@ -146,10 +146,8 @@ fn partitioned_write_logs(
         }
         let mut args = vec![KernelArg::Scalar(Value::I64(n)), KernelArg::Array(out)];
         args.extend(
-            part.lo
-                .iter()
-                .chain(part.hi.iter())
-                .map(|&b| KernelArg::Scalar(Value::I64(b))),
+            part.clone_args(grid)
+                .map(|b| KernelArg::Scalar(Value::I64(b))),
         );
         match run_grid_recording(&pk, &args, part.launch_grid(), block, &mut mem) {
             Ok((_, observed)) => run

@@ -62,6 +62,12 @@ pub mod prelude {
 #[derive(Debug)]
 pub enum MekongError {
     Parse(mekong_frontend::ParseError),
+    /// A parsed kernel that does not lower, e.g. one that uses
+    /// `__syncthreads()` ([`mekong_kernel::Unsupported::SyncThreads`]).
+    Kernel {
+        kernel: String,
+        error: mekong_kernel::KernelError,
+    },
     Runtime(mekong_runtime::RuntimeError),
     Analysis(mekong_analysis::AnalysisError),
 }
@@ -88,6 +94,7 @@ impl std::fmt::Display for MekongError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MekongError::Parse(e) => write!(f, "parse: {e}"),
+            MekongError::Kernel { kernel, error } => write!(f, "kernel {kernel}: {error}"),
             MekongError::Runtime(e) => write!(f, "runtime: {e}"),
             MekongError::Analysis(e) => write!(f, "analysis: {e}"),
         }

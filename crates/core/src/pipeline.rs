@@ -83,8 +83,10 @@ pub fn compile_source(src: &str) -> Result<CompiledProgram> {
     // Baseline: what a plain compiler does (parse + validate).
     let t0 = Instant::now();
     for k in &parse_program(src)?.kernels {
-        k.validate()
-            .map_err(|e| parse_error(format!("kernel {}: {e}", k.name)))?;
+        k.validate().map_err(|error| MekongError::Kernel {
+            kernel: k.name.clone(),
+            error,
+        })?;
     }
     let single_pass_baseline = t0.elapsed();
 

@@ -30,10 +30,6 @@ impl BufStore {
         self.buffers.len() - 1
     }
 
-    pub fn len_of(&self, handle: usize) -> Option<usize> {
-        self.buffers.get(handle).map(|b| b.len())
-    }
-
     pub fn bytes(&self, handle: usize) -> &[u8] {
         &self.buffers[handle]
     }

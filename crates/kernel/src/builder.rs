@@ -205,15 +205,6 @@ pub fn array_f32(name: &str, extents: &[Extent]) -> KernelParam {
     }
 }
 
-/// `double` array parameter.
-pub fn array_f64(name: &str, extents: &[Extent]) -> KernelParam {
-    KernelParam::Array {
-        name: name.to_string(),
-        elem: ScalarTy::F64,
-        extents: extents.to_vec(),
-    }
-}
-
 /// Extent referencing a scalar parameter.
 pub fn ext(name: &str) -> Extent {
     Extent::Param(name.to_string())
@@ -246,10 +237,6 @@ impl Expr {
     /// `self == other`
     pub fn eq_(self, other: Expr) -> Expr {
         Expr::bin(BinOp::EqEq, self, other)
-    }
-    /// `self != other`
-    pub fn ne_(self, other: Expr) -> Expr {
-        Expr::bin(BinOp::Ne, self, other)
     }
     /// `self && other`
     pub fn and(self, other: Expr) -> Expr {

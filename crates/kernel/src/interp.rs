@@ -125,7 +125,7 @@ pub struct ExecStats {
     /// Integer ALU operations.
     pub int_ops: u64,
     /// Floating-point operations (transcendental ops count more, see
-    /// [`UnOp`] handling).
+    /// [`crate::UnOp`] handling).
     pub flops: u64,
     /// Number of array loads.
     pub loads: u64,

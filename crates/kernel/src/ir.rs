@@ -215,8 +215,8 @@ pub enum Stmt {
     },
     /// Early exit from the kernel (the `if (i >= n) return;` guard idiom).
     Return,
-    /// `__syncthreads()` — a no-op for our block-sequential interpreter,
-    /// kept so source can round-trip.
+    /// `__syncthreads()` — parsed so source can round-trip, refused by
+    /// lowering ([`crate::Unsupported::SyncThreads`]).
     SyncThreads,
 }
 
@@ -368,17 +368,6 @@ impl Kernel {
             .iter()
             .filter_map(|p| match p {
                 KernelParam::Scalar { name, .. } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Names of the array parameters, in order.
-    pub fn array_params(&self) -> Vec<&str> {
-        self.params
-            .iter()
-            .filter_map(|p| match p {
-                KernelParam::Array { name, .. } => Some(name.as_str()),
                 _ => None,
             })
             .collect()

@@ -60,6 +60,17 @@ pub enum KernelError {
     IterationBudget { var: String },
     /// Kernel argument count/type mismatch at launch.
     BadArguments { expected: usize, got: usize },
+    /// A construct the executor cannot run with its CUDA meaning.
+    Unsupported(Unsupported),
+}
+
+/// Constructs that lowering refuses rather than run with another meaning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unsupported {
+    /// `__syncthreads()`: the executor runs each thread of a block to
+    /// completion before the next starts, so threads that communicate
+    /// through global memory across a barrier would read stale values.
+    SyncThreads,
 }
 
 impl std::fmt::Display for KernelError {
@@ -83,6 +94,10 @@ impl std::fmt::Display for KernelError {
             KernelError::BadArguments { expected, got } => {
                 write!(f, "kernel launch with {got} arguments, expected {expected}")
             }
+            KernelError::Unsupported(Unsupported::SyncThreads) => write!(
+                f,
+                "__syncthreads() is unsupported: blocks do not run thread-synchronously"
+            ),
         }
     }
 }

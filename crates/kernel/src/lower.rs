@@ -6,7 +6,7 @@
 //! every local the slot after them at its scope depth (the IR's scoping
 //! is a stack, so two live bindings never share a depth), every scalar
 //! parameter an argument index, every array an entry of
-//! [`Program::arrays`] with its extents as constants or argument
+//! the program's array table with its extents as constants or argument
 //! indices. Whatever cannot be resolved is an error here, which makes
 //! lowering the definition of a well-formed kernel: [`Kernel::validate`]
 //! is "lower and drop".
@@ -17,7 +17,7 @@
 
 use crate::ir::{BinOp, Expr, Extent, GridVar, Kernel, KernelParam, Stmt, UnOp};
 use crate::types::{ScalarTy, Value};
-use crate::{KernelError, Result};
+use crate::{KernelError, Result, Unsupported};
 
 /// A lowered kernel: resolved once, run by every thread of a launch.
 #[derive(Debug)]
@@ -101,7 +101,7 @@ pub(crate) struct Access {
 }
 
 /// A resolved statement. `Let` and `Assign` are both a slot write;
-/// `SyncThreads` (a no-op under block-sequential execution) is dropped.
+/// `SyncThreads` never lowers ([`crate::Unsupported::SyncThreads`]).
 #[derive(Debug)]
 pub(crate) enum Op {
     Set {
@@ -146,8 +146,9 @@ impl Program {
     /// array, an access whose rank differs from its array's, a
     /// non-positive loop step, an assignment to anything but a local
     /// (scalar parameters are launch constants: extents name them and
-    /// the analysis relies on it), and an extent naming no scalar
-    /// parameter.
+    /// the analysis relies on it), an extent naming no scalar
+    /// parameter, and a `__syncthreads()`, which block-sequential
+    /// execution cannot honour ([`Unsupported::SyncThreads`]).
     pub fn lower(kernel: &Kernel) -> Result<Program> {
         let mut arrays = Vec::new();
         for (arg, p) in kernel.params.iter().enumerate() {
@@ -274,7 +275,9 @@ impl<'k> Lowerer<'k> {
                     });
                 }
                 Stmt::Return => ops.push(Op::Return),
-                Stmt::SyncThreads => {}
+                Stmt::SyncThreads => {
+                    return Err(KernelError::Unsupported(Unsupported::SyncThreads))
+                }
             }
         }
         self.scope.truncate(depth);

@@ -7,13 +7,17 @@
 //!
 //! ```text
 //! blockIdx.w  →  partition.min_w + blockIdx.w        (eq. 8)
-//! gridDim.w   →  partition.max_w                     (eq. 9)
+//! gridDim.w   →  grid_w  (the whole launch grid; eq. 9 says max_w)
 //! gridConf.w  =  partition.max_w − partition.min_w   (eq. 10)
 //! ```
 //!
-//! The transform clones the kernel, appends six scalar parameters for the
-//! partition bounds, and applies the two substitution rules. The launch
-//! side (runtime) must size the grid per eq. 10.
+//! The transform clones the kernel, appends six scalar parameters — the
+//! partition's lower bounds and the whole grid's extents
+//! ([`Partition::clone_args`]) — and applies the two substitution
+//! rules. The launch side (runtime) must size the grid per eq. 10.
+//! `gridDim` keeps meaning the whole grid, as it does in the §4 access
+//! model, the checker and the enumerators; eq. 9's `max_w` would make
+//! every partition's last block look like the grid's last block.
 
 pub mod split;
 pub mod transform;

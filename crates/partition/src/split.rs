@@ -45,6 +45,14 @@ impl Partition {
         ])
     }
 
+    /// The six trailing scalars a launch of this partition passes to the
+    /// §7 clone ([`crate::PART_PARAMS`]): the lower block indices, then
+    /// the extents of the whole launch `grid`, each `[z, y, x]`.
+    pub fn clone_args(&self, grid: Dim3) -> [i64; 6] {
+        let g = grid.zyx();
+        [self.lo[0], self.lo[1], self.lo[2], g[0], g[1], g[2]]
+    }
+
     /// Block-offset bounds `[lo, hi)` per axis (zyx), given the block
     /// dims: `blockOff = blockIdx · blockDim` (paper eq. 6).
     pub fn block_off_bounds(&self, block_dim: Dim3) -> ([i64; 3], [i64; 3]) {

@@ -4,21 +4,22 @@ use mekong_kernel::builder::scalar;
 use mekong_kernel::{Axis, Expr, GridVar, Kernel};
 
 /// Names of the six appended partition parameters, in declaration order:
-/// mins then maxs, each `z, y, x`.
+/// the partition's lower block indices, then the whole launch grid's
+/// extents, each `z, y, x` ([`crate::Partition::clone_args`]).
 pub const PART_PARAMS: [&str; 6] = [
     "__part_min_z",
     "__part_min_y",
     "__part_min_x",
-    "__part_max_z",
-    "__part_max_y",
-    "__part_max_x",
+    "__grid_z",
+    "__grid_y",
+    "__grid_x",
 ];
 
 fn min_param(a: Axis) -> &'static str {
     PART_PARAMS[a.zyx_index()]
 }
 
-fn max_param(a: Axis) -> &'static str {
+fn grid_param(a: Axis) -> &'static str {
     PART_PARAMS[3 + a.zyx_index()]
 }
 
@@ -26,10 +27,11 @@ fn max_param(a: Axis) -> &'static str {
 ///
 /// 1. append the six partition parameters,
 /// 2. rewrite `blockIdx.w → __part_min_w + blockIdx.w` (eq. 8),
-/// 3. rewrite `gridDim.w → __part_max_w` (eq. 9).
+/// 3. rewrite `gridDim.w → __grid_w`, the whole grid's extent (eq. 9
+///    binds the partition's `max_w` instead; see the crate docs).
 ///
 /// The caller must launch the clone with `grid = max − min` (eq. 10) and
-/// pass the partition bounds as the trailing scalar arguments.
+/// pass [`crate::Partition::clone_args`] as the trailing scalar arguments.
 pub fn partition_kernel(kernel: &Kernel) -> Kernel {
     let mut params = kernel.params.clone();
     for name in PART_PARAMS {
@@ -45,7 +47,7 @@ pub fn partition_kernel(kernel: &Kernel) -> Kernel {
                     Expr::Var(min_param(a).to_string()),
                     Expr::Grid(GridVar::BlockIdx(a)),
                 ),
-                Expr::Grid(GridVar::GridDim(a)) => Expr::Var(max_param(a).to_string()),
+                Expr::Grid(GridVar::GridDim(a)) => Expr::Var(grid_param(a).to_string()),
                 other => other,
             })
         })
@@ -86,11 +88,10 @@ mod tests {
         }
     }
 
-    fn part_args(p: &Partition) -> Vec<KernelArg> {
-        p.lo.iter()
-            .chain(p.hi.iter())
-            .map(|&v| KernelArg::Scalar(Value::I64(v)))
-            .collect()
+    fn part_args(p: &Partition, grid: Dim3) -> Vec<KernelArg> {
+        p.clone_args(grid)
+            .map(|v| KernelArg::Scalar(Value::I64(v)))
+            .to_vec()
     }
 
     #[test]
@@ -154,7 +155,7 @@ mod tests {
                 KernelArg::Array(b),
                 KernelArg::Array(c),
             ];
-            args.extend(part_args(&p));
+            args.extend(part_args(&p, grid));
             execute_grid(
                 &pk,
                 &args,
@@ -189,7 +190,7 @@ mod tests {
             KernelArg::Array(b),
             KernelArg::Array(c),
         ];
-        args.extend(part_args(&parts[1]));
+        args.extend(part_args(&parts[1], grid));
         execute_grid(
             &pk,
             &args,
@@ -210,9 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn griddim_reads_partition_max_per_eq9() {
-        // Eq. (9) replaces gridDim.w with partition.max_w. Record the value
-        // each block observes and check it equals its partition's max.
+    fn griddim_reads_the_whole_grid() {
+        // The clone's gridDim.w is the whole launch grid in every
+        // partition (eq. 9 would bind partition.max_w). Record the value
+        // each block observes.
         let k = Kernel {
             name: "observe".into(),
             params: vec![scalar("n"), array_f32("out", &[ext("n")])],
@@ -235,7 +237,7 @@ mod tests {
                 KernelArg::Scalar(Value::I64(n as i64)),
                 KernelArg::Array(out),
             ];
-            args.extend(part_args(p));
+            args.extend(part_args(p, grid));
             execute_grid(
                 &pk,
                 &args,
@@ -247,9 +249,7 @@ mod tests {
             .unwrap();
         }
         let vals = mem.read_all(out, ScalarTy::F32);
-        // Elements 0..16 written by partition 0 (max = 2), 16..32 by
-        // partition 1 (max = 4).
-        assert!(vals[..16].iter().all(|v| *v == Value::F32(2.0)));
-        assert!(vals[16..].iter().all(|v| *v == Value::F32(4.0)));
+        // Partitions [0,2) and [2,4) both see the grid's 4 blocks.
+        assert!(vals.iter().all(|v| *v == Value::F32(4.0)), "{vals:?}");
     }
 }

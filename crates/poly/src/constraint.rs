@@ -1,6 +1,6 @@
 //! Equality and inequality constraints.
 
-use crate::expr::{gcd_u64, LinExpr};
+use crate::expr::LinExpr;
 use serde::{Deserialize, Serialize};
 
 /// Kind of a [`Constraint`].
@@ -145,12 +145,6 @@ impl Constraint {
             }
             other => other,
         }
-    }
-
-    /// Coefficient content including the constant (for equality gcd tests).
-    pub fn gcd_with_konst(&self) -> i64 {
-        let g = self.expr.coeff_content().unsigned_abs();
-        gcd_u64(g, self.expr.konst.unsigned_abs()) as i64
     }
 
     /// Render with names.

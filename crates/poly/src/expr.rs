@@ -68,11 +68,6 @@ impl LinExpr {
         self.coeffs.iter().all(|&c| c == 0)
     }
 
-    /// True if the expression is identically zero.
-    pub fn is_zero(&self) -> bool {
-        self.konst == 0 && self.is_constant()
-    }
-
     /// Pointwise sum. Errors on width mismatch or overflow.
     pub fn add(&self, other: &LinExpr) -> Result<LinExpr> {
         self.combine(other, 1, 1)
@@ -132,16 +127,6 @@ impl LinExpr {
         debug_assert_eq!(values.len(), self.width());
         let mut acc = self.konst as i128;
         for (c, v) in self.coeffs.iter().zip(values) {
-            acc += (*c as i128) * (*v as i128);
-        }
-        acc
-    }
-
-    /// Evaluate with dims and params given separately.
-    pub fn eval_split(&self, dims: &[i64], params: &[i64]) -> i128 {
-        debug_assert_eq!(dims.len() + params.len(), self.width());
-        let mut acc = self.konst as i128;
-        for (c, v) in self.coeffs.iter().zip(dims.iter().chain(params)) {
             acc += (*c as i128) * (*v as i128);
         }
         acc

@@ -1,6 +1,6 @@
 //! Integer maps (relations) `Z^n_in → Z^n_out`.
 
-use crate::constraint::{Constraint, ConstraintKind};
+use crate::constraint::Constraint;
 use crate::expr::LinExpr;
 use crate::polyhedron::Polyhedron;
 use crate::set::Set;
@@ -259,18 +259,6 @@ fn remap_piece(c: &Constraint, n: usize, d: usize, np: usize, primed: bool) -> C
             konst: c.expr.konst,
         },
     }
-}
-
-/// Shorthand: the identity-like constraint `out == affine(in, params)`,
-/// useful for building access maps programmatically. `width` is the full
-/// relation width (n_in + n_out + n_params); `out_dim` indexes the output
-/// block (so the constrained variable is `n_in + out_dim`).
-pub fn output_eq(width: usize, n_in: usize, out_dim: usize, rhs: &LinExpr) -> Result<Constraint> {
-    let v = LinExpr::var(width, n_in + out_dim);
-    Ok(Constraint {
-        kind: ConstraintKind::Eq,
-        expr: v.sub(rhs)?,
-    })
 }
 
 #[cfg(test)]

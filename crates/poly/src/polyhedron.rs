@@ -186,11 +186,6 @@ impl Polyhedron {
         Ok((p, exact))
     }
 
-    /// Keep only dimensions `0..keep`, eliminating the rest.
-    pub fn project_onto_prefix(&self, keep: usize) -> Result<(Polyhedron, bool)> {
-        self.project_out_dims(keep..self.n_dims)
-    }
-
     /// Insert `count` fresh unconstrained dimensions at position `at`.
     pub fn insert_dims(&self, at: usize, count: usize) -> Polyhedron {
         assert!(at <= self.n_dims);

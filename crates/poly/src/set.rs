@@ -2,7 +2,7 @@
 
 use crate::polyhedron::Polyhedron;
 use crate::space::Space;
-use crate::{Constraint, LinExpr, PolyError, Result};
+use crate::{Constraint, PolyError, Result};
 use serde::{Deserialize, Serialize};
 
 /// A (possibly non-convex) integer set: the union of convex
@@ -106,12 +106,6 @@ impl Set {
     /// Mark the set as over-approximate.
     pub fn set_inexact(&mut self) {
         self.exact = false;
-    }
-
-    /// Syntactic emptiness (no pieces). See also
-    /// [`Set::is_empty_concrete`].
-    pub fn is_trivially_empty(&self) -> bool {
-        self.pieces.is_empty()
     }
 
     fn check_space(&self, other: &Set) -> Result<()> {
@@ -326,17 +320,6 @@ impl std::fmt::Display for Set {
         }
         write!(f, " }}")
     }
-}
-
-/// Convenience: build `lo <= dim < hi` interval constraints for a space.
-pub fn box_constraints(
-    width: usize,
-    dim: usize,
-    lo: &LinExpr,
-    hi: &LinExpr,
-) -> Result<[Constraint; 2]> {
-    let v = LinExpr::var(width, dim);
-    Ok([Constraint::ge(&v, lo)?, Constraint::lt(&v, hi)?])
 }
 
 #[cfg(test)]

@@ -115,14 +115,6 @@ impl Space {
         Space::from_names(dims, self.params.clone())
     }
 
-    /// Keep only the dimensions in `range`, preserving parameters.
-    pub fn select_dims(&self, range: std::ops::Range<usize>) -> Space {
-        Space {
-            dims: self.dims[range].to_vec(),
-            params: self.params.clone(),
-        }
-    }
-
     /// Structural compatibility: same dim/param *counts* (names are
     /// documentation; operations only require matching shape).
     pub fn compatible(&self, other: &Space) -> bool {

@@ -1,4 +1,4 @@
-//! Sharded, shareable launch-plan cache.
+//! Shareable launch-plan cache.
 //!
 //! PR 2's plan cache was a private `HashMap` inside one `MgpuRuntime` —
 //! fine for a single app, wrong for a serving fleet where dozens of
@@ -8,240 +8,222 @@
 //! indices), so identical workloads from different tenants produce
 //! identical keys; this cache makes the storage shareable:
 //!
-//! * **Sharded** by an FNV-1a hash of the kernel name, so concurrent
-//!   tenants replaying different kernels never contend on one lock, and
-//!   every plan of one kernel lives in one shard (a kernel's working set
-//!   is scanned together during eviction and persistence).
-//! * **Shared** via `Arc`: [`crate::MgpuRuntime::set_plan_cache`] points
-//!   any number of runtimes at one cache. Each entry remembers the
-//!   namespace that captured it, so a hit from a *different* namespace is
-//!   observable as a cross-tenant hit
+//! * **Shared** via `Rc<RefCell<_>>`: [`crate::MgpuRuntime::set_plan_cache`]
+//!   points any number of runtimes at one cache. Runtimes are
+//!   single-threaded (a fleet drains its tenants round-robin on one
+//!   thread), so the cache takes `&mut self` and holds no lock. Each
+//!   entry remembers the namespace that captured it, so a hit from a
+//!   *different* namespace is observable as a cross-tenant hit
 //!   ([`mekong_gpusim::OpCounters::plan_shared_hits`]).
 //! * **Bounded**: a capacity (plans, not bytes; `0` = unbounded) with
-//!   exact global LRU eviction — tenant churn must not leak memory. The
-//!   recency clock is a single atomic tick bumped on every touch.
+//!   exact LRU eviction — tenant churn must not leak memory. Entries sit
+//!   in a dense slab threaded by an intrusive recency list, so a touch
+//!   moves one slot to the front and an eviction drops the back one:
+//!   both O(1), neither allocates. A churning workload that evicts on
+//!   nearly every capture pays no scan for it.
 
 use crate::plan::{LaunchPlan, PlanKey};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-/// Number of shards. A power of two so the hash folds evenly; small
-/// enough that the exact-LRU eviction scan stays trivial.
-pub const PLAN_CACHE_SHARDS: usize = 8;
+/// The end of the recency list.
+const NIL: usize = usize::MAX;
 
-/// FNV-1a over the kernel name — the shard selector. Deliberately *not*
-/// the full `PlanKey` hash: all plans of one kernel share a shard.
-fn shard_of(kernel: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in kernel.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) % PLAN_CACHE_SHARDS
-}
-
-struct Entry {
+struct Slot {
+    /// Shared with the index, which needs the key to drop an evicted
+    /// slot and to re-point a moved one.
+    key: Arc<PlanKey>,
     plan: Arc<LaunchPlan>,
     /// Namespace of the runtime that captured (or loaded) this plan.
     namespace: u32,
-    /// Recency tick of the last touch (insert or hit).
-    last_used: u64,
     /// Installed from a snapshot (true) vs captured live (false).
     loaded: bool,
     /// Lookup hits since the entry was installed or captured.
     hits: u64,
+    /// Neighbours in the recency list: `prev` is more recently used.
+    prev: usize,
+    next: usize,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<PlanKey, Entry>,
-}
-
-/// Lock one shard, recovering a poisoned lock: every mutation under it
-/// is a single insert or removal, so a tenant that panicked while
-/// holding it cannot wedge the shared cache.
-fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The sharded LRU plan cache. All methods take `&self` (interior
-/// mutability) so the cache can be shared behind an `Arc` without an
-/// outer lock.
-pub struct ShardedPlanCache {
-    shards: Vec<Mutex<Shard>>,
+/// The LRU plan cache.
+pub struct PlanCache {
+    /// Key → slot index.
+    index: HashMap<Arc<PlanKey>, usize>,
+    /// Every cached entry, densely packed: an eviction moves the last
+    /// slot into the hole.
+    slots: Vec<Slot>,
+    /// Most and least recently used slots (`NIL` when empty).
+    head: usize,
+    tail: usize,
     /// Maximum number of cached plans; `0` = unbounded.
-    capacity: AtomicUsize,
-    /// Monotonic recency clock: every touch takes its own tick, so no
-    /// two entries ever share a `last_used`.
-    tick: AtomicU64,
-    /// Total cached plans, kept beside the shards so the capacity check
-    /// takes no lock.
-    len: AtomicUsize,
+    capacity: usize,
 }
 
-impl ShardedPlanCache {
+impl PlanCache {
     /// An empty cache holding at most `capacity` plans (`0` = unbounded).
-    pub fn new(capacity: usize) -> ShardedPlanCache {
-        ShardedPlanCache {
-            shards: (0..PLAN_CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            capacity: AtomicUsize::new(capacity),
-            tick: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
+    pub fn new(capacity: usize) -> PlanCache {
+        PlanCache {
+            index: HashMap::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            capacity,
         }
-    }
-
-    fn bump(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Look up a plan; a hit refreshes its LRU position. Returns the plan
     /// and the namespace that captured it (so callers can tell a
     /// cross-tenant hit from their own).
-    pub fn get(&self, key: &PlanKey) -> Option<(Arc<LaunchPlan>, u32)> {
-        let mut shard = lock(&self.shards[shard_of(&key.kernel)]);
-        let tick = self.bump();
-        shard.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.hits += 1;
-            (e.plan.clone(), e.namespace)
-        })
+    pub fn get(&mut self, key: &PlanKey) -> Option<(Arc<LaunchPlan>, u32)> {
+        let i = *self.index.get(key)?;
+        self.touch(i);
+        let s = &mut self.slots[i];
+        s.hits += 1;
+        Some((s.plan.clone(), s.namespace))
     }
 
     /// Insert a freshly captured plan under `namespace`. Returns how many
     /// plans the capacity bound evicted to make room (0 when unbounded or
     /// not yet full).
-    pub fn insert(&self, key: PlanKey, plan: Arc<LaunchPlan>, namespace: u32) -> u64 {
+    pub fn insert(&mut self, key: PlanKey, plan: Arc<LaunchPlan>, namespace: u32) -> u64 {
         self.install(key, plan, namespace, false);
         self.enforce_capacity()
     }
 
     /// Put one entry in as most-recently-used, replacing any entry under
     /// the same key.
-    fn install(&self, key: PlanKey, plan: Arc<LaunchPlan>, namespace: u32, loaded: bool) {
-        let entry = Entry {
+    fn install(&mut self, key: PlanKey, plan: Arc<LaunchPlan>, namespace: u32, loaded: bool) {
+        if let Some(&i) = self.index.get(&key) {
+            let s = &mut self.slots[i];
+            (s.plan, s.namespace, s.loaded, s.hits) = (plan, namespace, loaded, 0);
+            self.touch(i);
+            return;
+        }
+        let key = Arc::new(key);
+        let i = self.slots.len();
+        self.index.insert(Arc::clone(&key), i);
+        self.slots.push(Slot {
+            key,
             plan,
             namespace,
-            last_used: self.bump(),
             loaded,
             hits: 0,
-        };
-        let mut shard = lock(&self.shards[shard_of(&key.kernel)]);
-        if shard.map.insert(key, entry).is_none() {
-            self.len.fetch_add(1, Ordering::Relaxed);
+            prev: NIL,
+            next: NIL,
+        });
+        self.push_front(i);
+    }
+
+    /// Make slot `i` the most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
         }
     }
 
+    fn unlink(&mut self, i: usize) {
+        let Slot { prev, next, .. } = self.slots[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: usize) {
+        let head = self.head;
+        (self.slots[i].prev, self.slots[i].next) = (NIL, head);
+        match head {
+            NIL => self.tail = i,
+            h => self.slots[h].prev = i,
+        }
+        self.head = i;
+    }
+
     /// Evict least-recently-used entries until the capacity holds.
-    /// Exact global LRU: scan every shard for the minimum recency tick —
-    /// by reference, no key is cloned — then take the entry carrying it
-    /// out of its shard, under that shard's lock. Caches are small
-    /// (thousands of plans at most) and eviction only runs past the
-    /// bound.
-    fn enforce_capacity(&self) -> u64 {
-        let cap = self.capacity.load(Ordering::Relaxed);
-        if cap == 0 {
+    fn enforce_capacity(&mut self) -> u64 {
+        if self.capacity == 0 {
             return 0;
         }
         let mut evicted = 0u64;
-        while self.len() > cap {
-            let oldest = self
-                .shards
-                .iter()
-                .enumerate()
-                .filter_map(|(i, shard)| {
-                    let shard = lock(shard);
-                    let tick = shard.map.values().map(|e| e.last_used).min()?;
-                    Some((tick, i))
-                })
-                .min();
-            let Some((tick, i)) = oldest else { break };
-            let mut shard = lock(&self.shards[i]);
-            let taken = shard.map.extract_if(|_, e| e.last_used == tick).next();
-            if taken.is_none() {
-                break; // touched or raced away since the scan
-            }
-            self.len.fetch_sub(1, Ordering::Relaxed);
+        while self.slots.len() > self.capacity {
+            self.remove(self.tail);
             evicted += 1;
         }
         evicted
     }
 
-    /// Total cached plans across all shards.
+    /// Drop slot `i`, moving the last slot into its place.
+    fn remove(&mut self, i: usize) {
+        self.unlink(i);
+        let gone = self.slots.swap_remove(i);
+        self.index.remove(&*gone.key);
+        if i < self.slots.len() {
+            let Slot { prev, next, .. } = self.slots[i];
+            match prev {
+                NIL => self.head = i,
+                p => self.slots[p].next = i,
+            }
+            match next {
+                NIL => self.tail = i,
+                n => self.slots[n].prev = i,
+            }
+            *self
+                .index
+                .get_mut(&*self.slots[i].key)
+                .expect("every slot is indexed") = i;
+        }
+    }
+
+    /// Total cached plans.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.slots.len()
     }
 
     /// True when no plan is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.slots.is_empty()
     }
 
     /// Drop every cached plan.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = lock(shard);
-            self.len.fetch_sub(shard.map.len(), Ordering::Relaxed);
-            shard.map.clear();
-        }
+    pub fn clear(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        (self.head, self.tail) = (NIL, NIL);
     }
 
     /// Change the capacity bound (`0` = unbounded) and immediately
     /// enforce it. Returns the evictions that took.
-    pub fn set_capacity(&self, capacity: usize) -> u64 {
-        self.capacity.store(capacity, Ordering::Relaxed);
+    pub fn set_capacity(&mut self, capacity: usize) -> u64 {
+        self.capacity = capacity;
         self.enforce_capacity()
     }
 
-    /// The current capacity bound (`0` = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Every entry as `(key, plan, namespace)` — the persistence
-    /// snapshot's raw material.
-    pub fn export(&self) -> Vec<(PlanKey, Arc<LaunchPlan>, u32)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = lock(shard);
-            for (k, e) in &shard.map {
-                out.push((k.clone(), e.plan.clone(), e.namespace));
-            }
-        }
-        out
-    }
-
-    /// [`ShardedPlanCache::export`] minus the dead weight: every entry
-    /// captured live in this process survives, but an entry *loaded*
-    /// from a snapshot survives only if it was hit at least once since
-    /// loading. Snapshotting through this method is the cache's
-    /// generational compaction — plans nobody replayed any more would
-    /// otherwise ride every snapshot/restore cycle forever.
+    /// Every entry worth persisting, as `(key, plan, namespace)` — the
+    /// snapshot's raw material. Every entry captured live in this
+    /// process survives, but an entry *loaded* from a snapshot survives
+    /// only if it was hit at least once since loading. Snapshotting
+    /// through this method is the cache's generational compaction —
+    /// plans nobody replayed any more would otherwise ride every
+    /// snapshot/restore cycle forever.
     pub fn export_live(&self) -> Vec<(PlanKey, Arc<LaunchPlan>, u32)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = lock(shard);
-            for (k, e) in &shard.map {
-                if !e.loaded || e.hits > 0 {
-                    out.push((k.clone(), e.plan.clone(), e.namespace));
-                }
-            }
-        }
-        out
+        self.slots
+            .iter()
+            .filter(|s| !s.loaded || s.hits > 0)
+            .map(|s| ((*s.key).clone(), s.plan.clone(), s.namespace))
+            .collect()
     }
 
-    /// Number of loaded-but-never-hit entries a compacting snapshot
-    /// would drop right now.
-    pub fn compactable(&self) -> usize {
-        self.len() - self.export_live().len()
-    }
-
-    /// Install entries (from a snapshot) as most-recently-used, then
-    /// enforce the capacity bound. Existing entries with the same key are
-    /// replaced. Imported entries are marked *loaded* with zero hits:
-    /// they must prove their worth before the next compacting snapshot
-    /// carries them forward (see [`ShardedPlanCache::export_live`]).
-    pub fn import(&self, entries: Vec<(PlanKey, Arc<LaunchPlan>, u32)>) -> u64 {
+    /// Install entries (from a snapshot) as most-recently-used, in
+    /// order, then enforce the capacity bound. Existing entries with the
+    /// same key are replaced. Imported entries are marked *loaded* with
+    /// zero hits: they must prove their worth before the next compacting
+    /// snapshot carries them forward (see [`PlanCache::export_live`]).
+    pub fn import(&mut self, entries: Vec<(PlanKey, Arc<LaunchPlan>, u32)>) -> u64 {
         for (key, plan, namespace) in entries {
             self.install(key, plan, namespace, true);
         }
@@ -253,6 +235,7 @@ impl ShardedPlanCache {
 mod tests {
     use super::*;
     use mekong_kernel::Dim3;
+    use proptest::prelude::*;
 
     fn key(kernel: &str, n: i64) -> PlanKey {
         PlanKey {
@@ -271,7 +254,7 @@ mod tests {
 
     #[test]
     fn get_returns_capturing_namespace() {
-        let c = ShardedPlanCache::new(0);
+        let mut c = PlanCache::new(0);
         assert_eq!(c.insert(key("k", 0), plan(), 7), 0);
         let (_, ns) = c.get(&key("k", 0)).unwrap();
         assert_eq!(ns, 7);
@@ -279,10 +262,8 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_oldest_across_shards() {
-        let c = ShardedPlanCache::new(2);
-        // Different kernel names land in different shards; eviction must
-        // still find the global oldest.
+    fn lru_evicts_oldest_across_kernels() {
+        let mut c = PlanCache::new(2);
         c.insert(key("a", 0), plan(), 0);
         c.insert(key("b", 0), plan(), 0);
         // Touch "a" so "b" is the LRU entry.
@@ -297,7 +278,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_unbounded() {
-        let c = ShardedPlanCache::new(0);
+        let mut c = PlanCache::new(0);
         for i in 0..100 {
             assert_eq!(c.insert(key("k", i), plan(), 0), 0);
         }
@@ -306,7 +287,7 @@ mod tests {
 
     #[test]
     fn shrinking_capacity_evicts_immediately() {
-        let c = ShardedPlanCache::new(0);
+        let mut c = PlanCache::new(0);
         for i in 0..10 {
             c.insert(key("k", i), plan(), 0);
         }
@@ -320,7 +301,7 @@ mod tests {
 
     #[test]
     fn export_live_drops_only_unhit_loaded_entries() {
-        let c = ShardedPlanCache::new(0);
+        let mut c = PlanCache::new(0);
         c.insert(key("captured", 0), plan(), 1);
         c.import(vec![
             (key("hit", 0), plan(), 2),
@@ -328,29 +309,181 @@ mod tests {
         ]);
         // One loaded entry proves its worth, the other never replays.
         assert!(c.get(&key("hit", 0)).is_some());
-        assert_eq!(c.compactable(), 1);
         let live = c.export_live();
         let kernels: Vec<&str> = live.iter().map(|(k, _, _)| &*k.kernel).collect();
         assert!(kernels.contains(&"captured"));
         assert!(kernels.contains(&"hit"));
         assert!(!kernels.contains(&"cold"), "{kernels:?}");
-        // The full export still sees everything.
-        assert_eq!(c.export().len(), 3);
         // A live capture is kept even with zero hits.
         assert_eq!(live.len(), 2);
+        assert_eq!(c.len(), 3);
     }
 
     #[test]
     fn export_import_round_trips() {
-        let c = ShardedPlanCache::new(0);
+        let mut c = PlanCache::new(0);
         c.insert(key("a", 1), plan(), 1);
         c.insert(key("b", 2), plan(), 2);
-        let entries = c.export();
+        let entries = c.export_live();
         assert_eq!(entries.len(), 2);
-        let c2 = ShardedPlanCache::new(0);
+        let mut c2 = PlanCache::new(0);
         c2.import(entries);
         assert_eq!(c2.len(), 2);
         assert_eq!(c2.get(&key("a", 1)).unwrap().1, 1);
         assert_eq!(c2.get(&key("b", 2)).unwrap().1, 2);
+    }
+
+    /// The semantics the cache must keep: a list of entries, each with a
+    /// unique last-touch tick from one monotonic clock, evicting the
+    /// minimum tick while over capacity.
+    #[derive(Default)]
+    struct Oracle {
+        entries: Vec<OracleEntry>,
+        capacity: usize,
+        tick: u64,
+    }
+
+    struct OracleEntry {
+        key: PlanKey,
+        plan: Arc<LaunchPlan>,
+        namespace: u32,
+        last_used: u64,
+        loaded: bool,
+        hits: u64,
+    }
+
+    impl Oracle {
+        fn bump(&mut self) -> u64 {
+            self.tick += 1;
+            self.tick
+        }
+
+        fn get(&mut self, key: &PlanKey) -> Option<(Arc<LaunchPlan>, u32)> {
+            let tick = self.bump();
+            let e = self.entries.iter_mut().find(|e| e.key == *key)?;
+            e.last_used = tick;
+            e.hits += 1;
+            Some((e.plan.clone(), e.namespace))
+        }
+
+        fn install(&mut self, key: PlanKey, plan: Arc<LaunchPlan>, namespace: u32, loaded: bool) {
+            self.entries.retain(|e| e.key != key);
+            let last_used = self.bump();
+            self.entries.push(OracleEntry {
+                key,
+                plan,
+                namespace,
+                last_used,
+                loaded,
+                hits: 0,
+            });
+        }
+
+        fn enforce(&mut self) -> u64 {
+            let mut evicted = 0;
+            while self.capacity > 0 && self.entries.len() > self.capacity {
+                let oldest = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].last_used)
+                    .unwrap();
+                self.entries.remove(oldest);
+                evicted += 1;
+            }
+            evicted
+        }
+
+        fn live_keys(&self) -> Vec<PlanKey> {
+            let mut keys: Vec<PlanKey> = self
+                .entries
+                .iter()
+                .filter(|e| !e.loaded || e.hits > 0)
+                .map(|e| e.key.clone())
+                .collect();
+            keys.sort_by_key(|k| (k.kernel.clone(), k.bounds.to_vec()));
+            keys
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Get(u8),
+        Insert(u8, u32),
+        Import(Vec<(u8, u32)>),
+        Clear,
+        SetCapacity(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // `prop_oneof!` picks uniformly: gets and inserts are listed
+        // twice to dominate.
+        prop_oneof![
+            (0u8..12).prop_map(Op::Get),
+            (0u8..12).prop_map(Op::Get),
+            (0u8..12, 0u32..3).prop_map(|(k, ns)| Op::Insert(k, ns)),
+            (0u8..12, 0u32..3).prop_map(|(k, ns)| Op::Insert(k, ns)),
+            proptest::collection::vec((0u8..12, 0u32..3), 0..5).prop_map(Op::Import),
+            Just(Op::Clear),
+            (0usize..6).prop_map(Op::SetCapacity),
+        ]
+    }
+
+    /// Keys over three kernel names, so entries of different kernels
+    /// interleave in recency.
+    fn nth_key(k: u8) -> PlanKey {
+        key(["a", "b", "c"][usize::from(k % 3)], i64::from(k))
+    }
+
+    proptest! {
+        #[test]
+        fn matches_min_tick_oracle(
+            capacity in 0usize..6,
+            ops in proptest::collection::vec(op(), 1..80),
+        ) {
+            let mut cache = PlanCache::new(capacity);
+            let mut oracle = Oracle { capacity, ..Oracle::default() };
+            for op in ops {
+                let (evicted, want) = match op {
+                    Op::Get(k) => {
+                        let got = cache.get(&nth_key(k));
+                        let want = oracle.get(&nth_key(k));
+                        prop_assert_eq!(got.is_some(), want.is_some());
+                        if let (Some((p, ns)), Some((q, nt))) = (got, want) {
+                            prop_assert!(Arc::ptr_eq(&p, &q), "hit returned another plan");
+                            prop_assert_eq!(ns, nt);
+                        }
+                        (0, 0)
+                    }
+                    Op::Insert(k, ns) => {
+                        let p = plan();
+                        oracle.install(nth_key(k), p.clone(), ns, false);
+                        (cache.insert(nth_key(k), p, ns), oracle.enforce())
+                    }
+                    Op::Import(entries) => {
+                        let entries: Vec<_> = entries
+                            .into_iter()
+                            .map(|(k, ns)| (nth_key(k), plan(), ns))
+                            .collect();
+                        for (k, p, ns) in &entries {
+                            oracle.install(k.clone(), p.clone(), *ns, true);
+                        }
+                        (cache.import(entries), oracle.enforce())
+                    }
+                    Op::Clear => {
+                        cache.clear();
+                        oracle.entries.clear();
+                        (0, 0)
+                    }
+                    Op::SetCapacity(c) => {
+                        oracle.capacity = c;
+                        (cache.set_capacity(c), oracle.enforce())
+                    }
+                };
+                prop_assert_eq!(evicted, want);
+                prop_assert_eq!(cache.len(), oracle.entries.len());
+                let mut live: Vec<PlanKey> =
+                    cache.export_live().into_iter().map(|(k, _, _)| k).collect();
+                live.sort_by_key(|k| (k.kernel.clone(), k.bounds.to_vec()));
+                prop_assert_eq!(live, oracle.live_keys());
+            }
+        }
     }
 }

@@ -23,7 +23,7 @@ use mekong_gpusim::{sample_kernel_profile, CopyRuns, ObservedWriteSets, SimArg, 
 use mekong_kernel::{Dim3, Extent, Kernel, KernelArg, Value};
 use mekong_partition::{partition_grid, Partition};
 use mekong_tuner::{
-    rank_candidates_masked, strided_groups, Candidate, OwnedSegment, Ownership, PartitionStrategy,
+    rank_candidates, strided_groups, Candidate, OwnedSegment, Ownership, PartitionStrategy,
     ReadModel, TunerInput, WriteModel,
 };
 use std::collections::HashMap;
@@ -465,7 +465,7 @@ impl MgpuRuntime {
                     sig: self.buffers[b.index()].tracker.signature(),
                 },
             }));
-            self.plan_cache.get(&self.plan_key)
+            self.plan_cache.borrow_mut().get(&self.plan_key)
         } else {
             None
         };
@@ -493,7 +493,7 @@ impl MgpuRuntime {
                 let (plan, walk) = self.plan_walk(ck, grid, block, args, &site.parts);
                 self.run_plan(&plan, partitioned, block, args, Pay::Walk(&walk))?;
                 if capture {
-                    let evicted = self.plan_cache.insert(
+                    let evicted = self.plan_cache.borrow_mut().insert(
                         self.plan_key.clone(),
                         Arc::new(plan),
                         self.namespace,
@@ -735,7 +735,7 @@ impl MgpuRuntime {
         // Candidates along axes without a disjointness proof are never
         // enumerated — the tuner cannot pick an unsound strategy, and a
         // rectangular tiling needs proofs on *both* of its axes.
-        Ok(rank_candidates_masked(&input, ck.safe_axes))
+        Ok(rank_candidates(&input, ck.safe_axes))
     }
 
     /// Rank the tuner's candidate strategies for a launch site without
@@ -755,17 +755,21 @@ impl MgpuRuntime {
 
     /// The machine-level argument vector of a launch on `gpu`: scalars
     /// verbatim, buffers as their instances on `gpu`, followed — for a
-    /// partition of the rewritten kernel — by the six partition-bound
-    /// scalars.
-    fn sim_args(&self, args: &[LaunchArg], gpu: usize, part: Option<&Partition>) -> Vec<SimArg> {
+    /// partition of the rewritten kernel's launch over `grid` — by the
+    /// six scalars of [`Partition::clone_args`].
+    fn sim_args(
+        &self,
+        args: &[LaunchArg],
+        gpu: usize,
+        part: Option<(&Partition, Dim3)>,
+    ) -> Vec<SimArg> {
         let mut sim_args = Vec::with_capacity(args.len() + 6);
         sim_args.extend(args.iter().map(|a| match a {
             LaunchArg::Scalar(v) => SimArg::Scalar(*v),
             LaunchArg::Buf(b) => SimArg::Buf(self.buffers[b.index()].instances[gpu]),
         }));
-        if let Some(p) = part {
-            let bounds = p.lo.iter().chain(p.hi.iter());
-            sim_args.extend(bounds.map(|&m| SimArg::Scalar(Value::I64(m))));
+        if let Some((p, grid)) = part {
+            sim_args.extend(p.clone_args(grid).map(|m| SimArg::Scalar(Value::I64(m))));
         }
         sim_args
     }
@@ -1149,7 +1153,7 @@ impl MgpuRuntime {
         for (gpu, part) in live() {
             plan.launches.push(PlanLaunch {
                 gpu,
-                sim_args: self.sim_args(args, gpu, Some(part)),
+                sim_args: self.sim_args(args, gpu, Some((part, grid))),
                 grid: part.launch_grid(),
                 traffic: ck.footprint_bytes(part, block, grid, scalars),
             });
@@ -1312,7 +1316,7 @@ impl MgpuRuntime {
         for (gpu, part) in parts.iter().enumerate().filter(|(_, p)| !p.is_empty()) {
             plan.launches.push(PlanLaunch {
                 gpu,
-                sim_args: self.sim_args(args, gpu, Some(part)),
+                sim_args: self.sim_args(args, gpu, Some((part, grid))),
                 grid: part.launch_grid(),
                 // A recording launch prices no traffic hint.
                 traffic: 0,
@@ -1572,7 +1576,7 @@ mod tests {
         assert!(ck.safe_axes.allows(SplitAxis::X));
         assert!(!ck.safe_axes.allows(SplitAxis::Y));
         // Enumeration side: the checker mask reaches the tuner.
-        let strategies = mekong_tuner::enumerate_strategies_masked(
+        let strategies = mekong_tuner::enumerate_strategies(
             &MachineSpec::kepler_system(4),
             Dim3::new2(4, 4),
             mekong_gpusim::ThreadProfile::default(),
@@ -3069,7 +3073,9 @@ mod tests {
         launch(&mut rt, &ck, 6.0).unwrap();
         assert_eq!(rt.machine().counters().plan_hits, 1, "same bits, same plan");
 
-        rt.set_plan_cache(Arc::new(crate::ShardedPlanCache::new(0)));
+        rt.set_plan_cache(std::rc::Rc::new(std::cell::RefCell::new(
+            crate::PlanCache::new(0),
+        )));
         assert!(rt.sites.is_empty(), "set_plan_cache drops sites");
         launch(&mut rt, &ck, 6.0).unwrap();
         assert_eq!(rt.sites.len(), 1);

@@ -34,7 +34,7 @@ pub mod plan;
 pub mod tracker;
 pub mod vbuf;
 
-pub use cache::ShardedPlanCache;
+pub use cache::PlanCache;
 pub use compiled::CompiledKernel;
 pub use launch::LaunchArg;
 pub use mekong_tuner::{decode_strategy, Autotuner, Candidate, PartitionStrategy};

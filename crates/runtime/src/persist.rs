@@ -26,7 +26,7 @@
 //! mirror types with named fields; floats round-trip through their bit
 //! patterns (same convention as [`ArgKey::scalar`]).
 
-use crate::cache::ShardedPlanCache;
+use crate::cache::PlanCache;
 use crate::plan::{ArgKey, LaunchPlan, PlanCopy, PlanKey, PlanLaunch, PlanUpdate};
 use crate::vbuf::VBufId;
 use crate::{Result, RuntimeError};
@@ -37,9 +37,11 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Current snapshot format version. Bump on any incompatible change to
-/// the mirror types below; old snapshots are then rejected (and
-/// re-captured), never misread.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// the mirror types below, or to what a captured value means; old
+/// snapshots are then rejected (and re-captured), never misread.
+/// Version 3: a partition launch's last three `sim_args` are the whole
+/// grid's extents (`__grid_w`), no longer the partition's upper bounds.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SnapshotFile {
@@ -340,10 +342,10 @@ pub fn round_trip_entry(key: &PlanKey, plan: &LaunchPlan) -> Result<(PlanKey, La
 ///
 /// The snapshot **compacts**: entries that were themselves loaded from
 /// a snapshot and never hit since are dropped
-/// ([`ShardedPlanCache::export_live`]), so stale plans age out across
+/// ([`PlanCache::export_live`]), so stale plans age out across
 /// snapshot/restore generations instead of accreting forever. Entries
 /// captured live are always persisted.
-pub fn snapshot_to_json(cache: &ShardedPlanCache) -> String {
+pub fn snapshot_to_json(cache: &PlanCache) -> String {
     let mut entries: Vec<EntrySnap> = cache
         .export_live()
         .into_iter()
@@ -372,7 +374,7 @@ pub fn snapshot_to_json(cache: &ShardedPlanCache) -> String {
 /// most-recently-used. All-or-nothing: a version mismatch or malformed
 /// entry returns [`RuntimeError::Snapshot`] without touching the cache.
 /// Returns the number of plans loaded.
-pub fn load_snapshot_json(cache: &ShardedPlanCache, json: &str) -> Result<usize> {
+pub fn load_snapshot_json(cache: &mut PlanCache, json: &str) -> Result<usize> {
     let file: SnapshotFile = serde_json::from_str(json)
         .map_err(|e| RuntimeError::Snapshot(format!("malformed snapshot: {e}")))?;
     if file.version != SNAPSHOT_VERSION {
@@ -401,21 +403,21 @@ mod tests {
 
     #[test]
     fn empty_cache_snapshot_round_trips() {
-        let c = ShardedPlanCache::new(0);
+        let c = PlanCache::new(0);
         let json = snapshot_to_json(&c);
-        let c2 = ShardedPlanCache::new(0);
-        assert_eq!(load_snapshot_json(&c2, &json).unwrap(), 0);
+        let mut c2 = PlanCache::new(0);
+        assert_eq!(load_snapshot_json(&mut c2, &json).unwrap(), 0);
         assert!(c2.is_empty());
     }
 
     #[test]
     fn version_mismatch_rejected_without_loading() {
-        let c = ShardedPlanCache::new(0);
+        let c = PlanCache::new(0);
         let json = snapshot_to_json(&c).replace(
             &format!("\"version\": {SNAPSHOT_VERSION}"),
             "\"version\": 999",
         );
-        let c2 = ShardedPlanCache::new(0);
+        let mut c2 = PlanCache::new(0);
         c2.insert(
             PlanKey {
                 kernel: "keep".into(),
@@ -428,7 +430,7 @@ mod tests {
             Arc::new(LaunchPlan::default()),
             0,
         );
-        let err = load_snapshot_json(&c2, &json).unwrap_err();
+        let err = load_snapshot_json(&mut c2, &json).unwrap_err();
         assert!(matches!(err, RuntimeError::Snapshot(_)), "{err:?}");
         assert_eq!(c2.len(), 1, "cache untouched on rejection");
     }
@@ -444,37 +446,37 @@ mod tests {
             args: vec![],
         };
         // Generation 1: two plans captured live; both persist.
-        let g1 = ShardedPlanCache::new(0);
+        let mut g1 = PlanCache::new(0);
         g1.insert(mk("used"), Arc::new(LaunchPlan::default()), 1);
         g1.insert(mk("stale"), Arc::new(LaunchPlan::default()), 1);
         let snap1 = snapshot_to_json(&g1);
 
         // Generation 2: warm-start, but only "used" replays.
-        let g2 = ShardedPlanCache::new(0);
-        assert_eq!(load_snapshot_json(&g2, &snap1).unwrap(), 2);
+        let mut g2 = PlanCache::new(0);
+        assert_eq!(load_snapshot_json(&mut g2, &snap1).unwrap(), 2);
         assert!(g2.get(&mk("used")).is_some());
         let snap2 = snapshot_to_json(&g2);
 
         // Generation 3 carries the hit entry and sheds the stale one —
         // and the compacted snapshot loads cleanly.
-        let g3 = ShardedPlanCache::new(0);
-        assert_eq!(load_snapshot_json(&g3, &snap2).unwrap(), 1);
+        let mut g3 = PlanCache::new(0);
+        assert_eq!(load_snapshot_json(&mut g3, &snap2).unwrap(), 1);
         assert!(g3.get(&mk("used")).is_some());
         assert!(g3.get(&mk("stale")).is_none());
 
         // An all-hit warm start round-trips byte-identically: nothing
         // to compact means the snapshot is reproduced exactly.
-        let g4 = ShardedPlanCache::new(0);
-        load_snapshot_json(&g4, &snap2).unwrap();
+        let mut g4 = PlanCache::new(0);
+        load_snapshot_json(&mut g4, &snap2).unwrap();
         assert!(g4.get(&mk("used")).is_some());
         assert_eq!(snapshot_to_json(&g4), snap2);
     }
 
     #[test]
     fn garbage_rejected() {
-        let c = ShardedPlanCache::new(0);
-        assert!(load_snapshot_json(&c, "not json").is_err());
-        assert!(load_snapshot_json(&c, "{\"version\": 1}").is_err());
+        let mut c = PlanCache::new(0);
+        assert!(load_snapshot_json(&mut c, "not json").is_err());
+        assert!(load_snapshot_json(&mut c, "{\"version\": 1}").is_err());
         // Well-formed JSON whose copy shapes no capture can produce:
         // reversed bounds, no runs, overlapping runs.
         let key = PlanKey {
@@ -494,23 +496,23 @@ mod tests {
             stride,
             count,
         };
-        let load = |copy: PlanCopy| {
-            let src = ShardedPlanCache::new(0);
+        let load = |c: &mut PlanCache, copy: PlanCopy| {
+            let mut src = PlanCache::new(0);
             let plan = LaunchPlan {
                 copies: vec![copy],
                 ..LaunchPlan::default()
             };
             src.insert(key.clone(), Arc::new(plan), 0);
-            load_snapshot_json(&c, &snapshot_to_json(&src))
+            load_snapshot_json(c, &snapshot_to_json(&src))
         };
         for bad in [copy(8, 4, 4, 1), copy(0, 4, 4, 0), copy(0, 8, 4, 2)] {
-            let err = load(bad).unwrap_err();
+            let err = load(&mut c, bad).unwrap_err();
             assert!(matches!(err, RuntimeError::Snapshot(_)), "{bad:?}: {err:?}");
         }
         assert!(c.is_empty(), "rejections leave the cache untouched");
         // The boundary shapes stay loadable: a single run ignores its
         // stride, and back-to-back runs (stride == run) are legal.
-        assert_eq!(load(copy(0, 8, 0, 1)).unwrap(), 1);
-        assert_eq!(load(copy(0, 8, 8, 2)).unwrap(), 1);
+        assert_eq!(load(&mut c, copy(0, 8, 0, 1)).unwrap(), 1);
+        assert_eq!(load(&mut c, copy(0, 8, 8, 2)).unwrap(), 1);
     }
 }

@@ -120,14 +120,12 @@ pub struct PlanUpdate {
     pub end: u64,
 }
 
-/// Hashes what varies between the keys that meet in one cache shard —
-/// the strategy encoding, the geometry and the per-launch `args`. The
-/// kernel name already picked the shard, and `bounds` follow from
-/// strategy and grid (a hundred words at sixteen devices); both are
-/// still compared by `Eq`, so leaving them out costs a longer probe at
-/// worst, never a false hit.
+/// Hashes everything but `bounds`, which follow from strategy and grid
+/// (a hundred words at sixteen devices); `Eq` still compares them, so
+/// leaving them out costs a longer probe at worst, never a false hit.
 impl std::hash::Hash for PlanKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.kernel.hash(state);
         self.strategy.hash(state);
         self.grid.hash(state);
         self.block.hash(state);

@@ -17,8 +17,9 @@
 //! arrays then cost nothing after the first launch: every reader is
 //! already a valid holder.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// start → segment; segments tile `[0, len)`.
 type Segments = BTreeMap<u64, Seg>;
@@ -171,11 +172,6 @@ impl Validity {
             holders,
         }
     }
-
-    /// Does `device` hold a valid copy of these bytes?
-    pub fn valid_on(self, device: usize) -> bool {
-        self.holders.contains(device)
-    }
 }
 
 /// Metadata-work accounting returned by [`Tracker::update`].
@@ -267,6 +263,7 @@ impl TrackerState {
 }
 
 /// Non-overlapping, fully covering segment list over `[0, len)`.
+#[derive(Clone)]
 pub struct Tracker {
     len: u64,
     /// Shared with clones and with every [`TrackerState`] taken from
@@ -281,18 +278,7 @@ pub struct Tracker {
     /// Memoized `(epoch, structural hash)` pair backing
     /// [`Tracker::signature`]; interior mutability so read-only consumers
     /// (the launch-plan cache key) can fill it.
-    sig_memo: Mutex<Option<(u64, u64)>>,
-}
-
-impl Clone for Tracker {
-    fn clone(&self) -> Tracker {
-        Tracker {
-            len: self.len,
-            segments: self.segments.clone(),
-            epoch: self.epoch,
-            sig_memo: Mutex::new(*self.sig_memo.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
+    sig_memo: Cell<Option<(u64, u64)>>,
 }
 
 impl std::fmt::Debug for Tracker {
@@ -316,7 +302,7 @@ impl Tracker {
             len,
             segments: Arc::new(segments),
             epoch: 0,
-            sig_memo: Mutex::new(None),
+            sig_memo: Cell::new(None),
         }
     }
 
@@ -338,8 +324,7 @@ impl Tracker {
     /// launch path pays one hash-map-sized walk only after an actual
     /// mutation.
     pub fn signature(&self) -> u64 {
-        let mut memo = self.sig_memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((epoch, hash)) = *memo {
+        if let Some((epoch, hash)) = self.sig_memo.get() {
             if epoch == self.epoch {
                 return hash;
             }
@@ -363,7 +348,7 @@ impl Tracker {
             });
             mix(v.holders.bits());
         }
-        *memo = Some((self.epoch, h));
+        self.sig_memo.set(Some((self.epoch, h)));
         h
     }
 
@@ -527,7 +512,7 @@ impl Tracker {
         assert_eq!(state.len, self.len, "installed state has another length");
         self.segments = Arc::clone(&state.segments);
         self.epoch += 1;
-        self.sig_memo = Mutex::new(Some((self.epoch, state.signature)));
+        self.sig_memo.set(Some((self.epoch, state.signature)));
     }
 
     /// Visit the segments overlapping `[start, end)`, clipped to it.

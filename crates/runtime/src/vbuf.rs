@@ -1,6 +1,6 @@
 //! Virtual buffers and the CUDA-replacement runtime object.
 
-use crate::cache::ShardedPlanCache;
+use crate::cache::PlanCache;
 use crate::launch::LaunchSite;
 use crate::plan::PlanKey;
 use crate::tracker::{Owner, Tracker, Validity};
@@ -9,7 +9,9 @@ use mekong_gpusim::{Backend, DevBuf, SimArg, SimTime, TimeCat};
 use mekong_kernel::Dim3;
 use mekong_tuner::{Autotuner, PartitionStrategy, TuneKey};
 use serde::Serialize;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Handle to a virtual buffer — the value the rewritten application holds
@@ -221,11 +223,11 @@ pub struct MgpuRuntime {
     /// entirely (they depend on resolution), like the paper's γ run.
     pub(crate) resolve_dependencies: bool,
     /// Captured launch plans, keyed by the content-addressed
-    /// [`crate::PlanKey`] (see [`crate::plan`]). Sharded and behind an
-    /// `Arc` so a serving fleet can point many tenant runtimes at one
-    /// cache ([`MgpuRuntime::set_plan_cache`]); a standalone runtime
-    /// simply owns the only handle.
-    pub(crate) plan_cache: Arc<ShardedPlanCache>,
+    /// [`crate::PlanKey`] (see [`crate::plan`]). Behind an `Rc` so a
+    /// serving fleet can point many tenant runtimes at one cache
+    /// ([`MgpuRuntime::set_plan_cache`]); a standalone runtime simply
+    /// owns the only handle.
+    pub(crate) plan_cache: Rc<RefCell<PlanCache>>,
     /// Namespace prefix stamped into every [`VBufId`] this runtime hands
     /// out (0 = standalone). See [`VBufId::namespace`].
     pub(crate) namespace: u32,
@@ -290,9 +292,9 @@ impl MgpuRuntime {
             buffers: Vec::new(),
             config: RuntimeConfig::default(),
             resolve_dependencies: true,
-            plan_cache: Arc::new(ShardedPlanCache::new(
+            plan_cache: Rc::new(RefCell::new(PlanCache::new(
                 RuntimeConfig::default().plan_cache_capacity,
-            )),
+            ))),
             namespace: 0,
             tuner: Autotuner::new(),
             forced: HashMap::new(),
@@ -330,21 +332,15 @@ impl MgpuRuntime {
         // (Serving fleets share one config across tenants and attach the
         // shared cache *after* configuring, so this only ever clears the
         // runtime's private cache.)
-        self.plan_cache.clear();
-        self.plan_cache.set_capacity(cfg.plan_cache_capacity);
+        let mut cache = self.plan_cache.borrow_mut();
+        cache.clear();
+        cache.set_capacity(cfg.plan_cache_capacity);
         self.sites.clear();
     }
 
     /// Launch-plan cache size (captured plans currently held).
     pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.len()
-    }
-
-    /// A handle to the plan cache — share it with another runtime via
-    /// [`MgpuRuntime::set_plan_cache`], or snapshot it with
-    /// [`crate::persist::snapshot_to_json`].
-    pub fn plan_cache_handle(&self) -> Arc<ShardedPlanCache> {
-        self.plan_cache.clone()
+        self.plan_cache.borrow().len()
     }
 
     /// Attach a (possibly shared) plan cache. Plan keys strip the buffer
@@ -352,7 +348,7 @@ impl MgpuRuntime {
     /// captured plans; replay re-resolves buffer arguments against this
     /// runtime's own instances. Call *after* [`MgpuRuntime::set_config`]
     /// — configuring clears the attached cache.
-    pub fn set_plan_cache(&mut self, cache: Arc<ShardedPlanCache>) {
+    pub fn set_plan_cache(&mut self, cache: Rc<RefCell<PlanCache>>) {
         self.pipeline_flush();
         self.plan_cache = cache;
         self.sites.clear();
@@ -388,7 +384,7 @@ impl MgpuRuntime {
     pub fn force_strategy(&mut self, kernel: &str, strategy: PartitionStrategy) {
         self.pipeline_flush();
         self.forced.insert(kernel.to_string(), strategy);
-        self.plan_cache.clear();
+        self.plan_cache.borrow_mut().clear();
         self.sites.clear();
         self.tuner.reset_windows(kernel);
     }
@@ -399,7 +395,7 @@ impl MgpuRuntime {
     pub fn clear_forced_strategy(&mut self, kernel: &str) {
         self.pipeline_flush();
         self.forced.remove(kernel);
-        self.plan_cache.clear();
+        self.plan_cache.borrow_mut().clear();
         self.sites.clear();
         self.tuner.reset_windows(kernel);
     }

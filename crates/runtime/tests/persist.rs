@@ -10,8 +10,8 @@ use mekong_gpusim::{DevBuf, SimArg};
 use mekong_kernel::{Dim3, Value};
 use mekong_runtime::persist::round_trip_entry;
 use mekong_runtime::{
-    load_snapshot_json, snapshot_to_json, ArgKey, LaunchPlan, PlanCopy, PlanKey, PlanLaunch,
-    PlanUpdate, ShardedPlanCache, VBufId, SNAPSHOT_VERSION,
+    load_snapshot_json, snapshot_to_json, ArgKey, LaunchPlan, PlanCache, PlanCopy, PlanKey,
+    PlanLaunch, PlanUpdate, VBufId, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -187,24 +187,24 @@ proptest! {
         entries in proptest::collection::vec(
             (plan_key_strategy(), plan_strategy(), 0u32..4), 0..6),
     ) {
-        let cache = ShardedPlanCache::new(0);
+        let mut cache = PlanCache::new(0);
         for (key, plan, ns) in &entries {
             cache.insert(key.clone(), Arc::new(plan.clone()), *ns);
         }
         let json = snapshot_to_json(&cache);
 
-        let restored = ShardedPlanCache::new(0);
-        let loaded = load_snapshot_json(&restored, &json).expect("load");
+        let mut restored = PlanCache::new(0);
+        let loaded = load_snapshot_json(&mut restored, &json).expect("load");
         prop_assert_eq!(loaded, cache.len());
         // Loaded entries must prove their worth: before any hit, a
         // compacting snapshot of the restored cache drops all of them.
-        prop_assert_eq!(restored.compactable(), restored.len());
+        prop_assert_eq!(restored.export_live().len(), 0);
         // Replay every entry once; re-rendering then reproduces the
         // snapshot byte for byte, regardless of insertion order.
         for (key, _, _) in &entries {
             prop_assert!(restored.get(key).is_some());
         }
-        prop_assert_eq!(restored.compactable(), 0);
+        prop_assert_eq!(restored.export_live().len(), restored.len());
         prop_assert_eq!(snapshot_to_json(&restored), json);
     }
 
@@ -213,7 +213,7 @@ proptest! {
         key in plan_key_strategy(),
         plan in plan_strategy(),
     ) {
-        let cache = ShardedPlanCache::new(0);
+        let mut cache = PlanCache::new(0);
         cache.insert(key, Arc::new(plan), 0);
         let good = snapshot_to_json(&cache);
         let bumped = good.replacen(
@@ -223,10 +223,10 @@ proptest! {
         );
         prop_assert!(bumped != good, "snapshot must carry its version");
 
-        let target = ShardedPlanCache::new(0);
-        prop_assert!(load_snapshot_json(&target, &bumped).is_err());
+        let mut target = PlanCache::new(0);
+        prop_assert!(load_snapshot_json(&mut target, &bumped).is_err());
         prop_assert_eq!(target.len(), 0, "rejected snapshot must not half-load");
         // The genuine snapshot still loads afterwards.
-        prop_assert_eq!(load_snapshot_json(&target, &good).expect("load"), 1);
+        prop_assert_eq!(load_snapshot_json(&mut target, &good).expect("load"), 1);
     }
 }

@@ -24,11 +24,13 @@ use mekong_gpusim::{Machine, MachineSpec};
 use mekong_kernel::builder::*;
 use mekong_kernel::{Dim3, Kernel, Value};
 use mekong_runtime::{
-    CompiledKernel, LaunchArg, MgpuRuntime, PartitionStrategy, RuntimeConfig, ShardedPlanCache,
-    VBufId, Validity,
+    CompiledKernel, LaunchArg, MgpuRuntime, PartitionStrategy, PlanCache, RuntimeConfig, VBufId,
+    Validity,
 };
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 const N: usize = 256;
 const N_DEV: usize = 4;
@@ -421,7 +423,7 @@ impl Tenant {
     fn new(
         capture_plans: bool,
         namespace: u32,
-        cache: Option<&Arc<ShardedPlanCache>>,
+        cache: Option<&Rc<RefCell<PlanCache>>>,
         init: &[u8],
     ) -> Tenant {
         let mut rt = MgpuRuntime::new(Machine::new(MachineSpec::kepler_system(N_DEV), true));
@@ -431,7 +433,7 @@ impl Tenant {
             ..RuntimeConfig::default()
         });
         if let Some(cache) = cache {
-            rt.set_plan_cache(Arc::clone(cache));
+            rt.set_plan_cache(Rc::clone(cache));
         }
         let bufs = [
             rt.malloc(W * W * 4, 4).unwrap(),
@@ -545,7 +547,7 @@ proptest! {
     ) {
         let kernels = walk_kernels();
         let init = image_from_seed(seed);
-        let shared = Arc::new(ShardedPlanCache::new(0));
+        let shared = Rc::new(RefCell::new(PlanCache::new(0)));
         let mut walk = Tenant::new(false, 0, None, &init);
         let mut tenants = [
             Tenant::new(true, 1, Some(&shared), &init),

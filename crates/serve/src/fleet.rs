@@ -1,14 +1,15 @@
 //! The fleet server: tenant registration with tuner-ranked placement,
 //! the round-robin executor, and the shared persistent plan cache.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mekong_core::prelude::{
     compile_source, Dim3, LaunchArg, Machine, MachineSpec, MgpuRuntime, RuntimeConfig, VBufId,
     Value,
 };
-use mekong_runtime::{load_snapshot_json, snapshot_to_json, ShardedPlanCache};
+use mekong_runtime::{load_snapshot_json, snapshot_to_json, PlanCache};
 use mekong_tuner::preferred_devices;
 
 use crate::tenant::{Tenant, TenantId, TenantOp, TenantStats, Ticket};
@@ -42,14 +43,6 @@ impl FleetConfig {
             max_devices_per_tenant: 0,
         }
     }
-
-    /// The performance-mode twin of [`FleetConfig::functional_fleet`].
-    pub fn performance_fleet(n: usize) -> FleetConfig {
-        FleetConfig {
-            functional: false,
-            ..FleetConfig::functional_fleet(n)
-        }
-    }
 }
 
 /// Declarative description of a tenant's steady-state launch, used once
@@ -77,13 +70,13 @@ pub enum ProbeArg {
 /// program and get a namespace-isolated runtime over a placed device
 /// subset; ops are submitted asynchronously into per-tenant FIFOs and
 /// executed by [`FleetServer::step`] / [`FleetServer::drain`]. All
-/// tenant runtimes share one sharded plan cache, so identical workloads
+/// tenant runtimes share one plan cache, so identical workloads
 /// from different tenants replay each other's captured plans, and the
 /// cache can be snapshotted/restored across server processes
 /// ([`FleetServer::snapshot_plans`] / [`FleetServer::load_plans`]).
 pub struct FleetServer {
     cfg: FleetConfig,
-    cache: Arc<ShardedPlanCache>,
+    cache: Rc<RefCell<PlanCache>>,
     /// Tenant slots in registration order. A removed tenant leaves a
     /// `None` tombstone so every other tenant's [`TenantId`] (and its
     /// namespace, which is the slot index + 1) stays valid for the
@@ -95,7 +88,9 @@ pub struct FleetServer {
 
 impl FleetServer {
     pub fn new(cfg: FleetConfig) -> FleetServer {
-        let cache = Arc::new(ShardedPlanCache::new(cfg.runtime.plan_cache_capacity));
+        let cache = Rc::new(RefCell::new(PlanCache::new(
+            cfg.runtime.plan_cache_capacity,
+        )));
         let load = vec![0; cfg.spec.n_devices];
         FleetServer {
             cfg,
@@ -365,20 +360,20 @@ impl FleetServer {
     }
 
     /// Handle to the shared plan cache (e.g. to inspect `len`).
-    pub fn plan_cache(&self) -> &Arc<ShardedPlanCache> {
+    pub fn plan_cache(&self) -> &Rc<RefCell<PlanCache>> {
         &self.cache
     }
 
     /// Serialize the shared plan cache to a versioned JSON snapshot
     /// (deterministic: independent of capture order).
     pub fn snapshot_plans(&self) -> String {
-        snapshot_to_json(&self.cache)
+        snapshot_to_json(&self.cache.borrow())
     }
 
     /// Load a snapshot into the shared plan cache (all-or-nothing;
     /// entries keep the namespace that captured them, so warm-start hits
     /// count as shared). Returns the number of plans loaded.
     pub fn load_plans(&self, json: &str) -> Result<usize> {
-        Ok(load_snapshot_json(&self.cache, json)?)
+        Ok(load_snapshot_json(&mut self.cache.borrow_mut(), json)?)
     }
 }

@@ -17,18 +17,20 @@
 //!    subset of the size the cheapest candidate wants, carved from the
 //!    least-loaded physical devices ([`mekong_gpusim::MachineSpec::subset`]).
 //! 3. **Shared persistent plan cache** — every tenant runtime points at
-//!    one [`mekong_runtime::ShardedPlanCache`]; captured plans are keyed
-//!    and stored namespace-free, so identical workloads from different
-//!    tenants replay each other's plans
+//!    one [`mekong_runtime::PlanCache`] through an `Rc<RefCell<_>>`;
+//!    captured plans are keyed and stored namespace-free, so identical
+//!    workloads from different tenants replay each other's plans
 //!    ([`mekong_gpusim::OpCounters::plan_shared_hits`]). The cache
 //!    snapshots to versioned JSON and restores in a fresh process for a
 //!    zero-capture warm start ([`FleetServer::snapshot_plans`] /
 //!    [`FleetServer::load_plans`]).
 //!
 //! The executor ([`FleetServer::drain`]) is a deterministic round-robin
-//! over the tenant FIFOs; [`FleetServer::step`] exposes single-op
-//! granularity so tests can drive arbitrary interleavings and check
-//! tenants are isolated byte-for-byte.
+//! over the tenant FIFOs on the calling thread — tenants interleave,
+//! they never run concurrently, so the shared cache needs no lock;
+//! [`FleetServer::step`] exposes single-op granularity so tests can
+//! drive arbitrary interleavings and check tenants are isolated
+//! byte-for-byte.
 
 pub mod fleet;
 pub mod tenant;

@@ -473,39 +473,21 @@ pub fn proportional_shares(spec: &MachineSpec, profile: ThreadProfile, k: usize)
 
 /// Enumerate the candidate strategies for a machine and grid: every axis
 /// with more than one block × every device count × even and (on
-/// heterogeneous machines) proportional shares. The single-device
-/// candidate appears once — axis is meaningless for one slice.
+/// heterogeneous machines) proportional shares, then the 2-D rectangular
+/// tilings.
+///
+/// Only split axes in `allowed` — those the static checker proved
+/// write-disjoint — are enumerated ([`AxisMask::all`] for none
+/// rejected): a strategy along a rejected axis is never even a
+/// candidate, and a rectangular tiling is enumerable only when *both* of
+/// its axes are proven. The single-device candidate appears once and
+/// survives any mask — one slice runs unpartitioned, so its axis is
+/// meaningless.
 pub fn enumerate_strategies(
     spec: &MachineSpec,
     grid: Dim3,
     profile: ThreadProfile,
-) -> Vec<PartitionStrategy> {
-    enumerate_strategies_masked(spec, grid, profile, AxisMask::all())
-}
-
-/// [`enumerate_strategies`] restricted to split axes the static checker
-/// proved write-disjoint: a strategy along a rejected axis is never even
-/// a candidate, and a rectangular tiling is enumerable only when *both*
-/// of its axes are proven. The single-device strategy survives any mask
-/// — one slice runs unpartitioned, so its axis is meaningless.
-pub fn enumerate_strategies_masked(
-    spec: &MachineSpec,
-    grid: Dim3,
-    profile: ThreadProfile,
     allowed: AxisMask,
-) -> Vec<PartitionStrategy> {
-    enumerate_strategies_opts(spec, grid, profile, allowed, true)
-}
-
-/// [`enumerate_strategies_masked`] with the 2-D tiling candidates made
-/// optional (`tilings = false` reproduces the 1-D slab-only search
-/// space; the runtime exposes this as a config knob for ablations).
-pub fn enumerate_strategies_opts(
-    spec: &MachineSpec,
-    grid: Dim3,
-    profile: ThreadProfile,
-    allowed: AxisMask,
-    tilings: bool,
 ) -> Vec<PartitionStrategy> {
     let gz = grid.zyx();
     let mut axes: Vec<SplitAxis> = [SplitAxis::Z, SplitAxis::Y, SplitAxis::X]
@@ -530,37 +512,35 @@ pub fn enumerate_strategies_opts(
             }
         }
     }
-    if tilings {
-        // Rectangular tilings: every ordered pair of distinct proven
-        // axes (order fixes which axis varies fastest in the device
-        // layout) × every factorization ka·kb ≤ n_devices with both
-        // factors ≥ 2 (a factor of 1 degenerates to a slab split, which
-        // the 1-D loop already enumerated). Bounded by
-        // |axes|² · d(n_devices) — single digits for real machines.
-        for &a in &axes {
-            for &b in &axes {
-                if a == b {
-                    continue;
-                }
-                for ka in 2..=spec.n_devices / 2 {
-                    for kb in 2..=spec.n_devices / ka {
-                        out.push(PartitionStrategy::tiled(a, ka, b, kb));
-                        if !spec.is_homogeneous() {
-                            // Weighted lattice: tile (i, j) runs on
-                            // device i·kb + j, so the per-axis shares
-                            // are the marginals of the per-device
-                            // proportional weights over the lattice.
-                            let w = proportional_shares(spec, profile, ka * kb);
-                            let shares_a: Vec<f64> = (0..ka)
-                                .map(|i| w[i * kb..(i + 1) * kb].iter().sum())
-                                .collect();
-                            let shares_b: Vec<f64> = (0..kb)
-                                .map(|j| (0..ka).map(|i| w[i * kb + j]).sum())
-                                .collect();
-                            let prop = PartitionStrategy::tiled_weighted(a, shares_a, b, shares_b);
-                            if prop.is_weighted() {
-                                out.push(prop);
-                            }
+    // Rectangular tilings: every ordered pair of distinct proven
+    // axes (order fixes which axis varies fastest in the device
+    // layout) × every factorization ka·kb ≤ n_devices with both
+    // factors ≥ 2 (a factor of 1 degenerates to a slab split, which
+    // the 1-D loop already enumerated). Bounded by
+    // |axes|² · d(n_devices) — single digits for real machines.
+    for &a in &axes {
+        for &b in &axes {
+            if a == b {
+                continue;
+            }
+            for ka in 2..=spec.n_devices / 2 {
+                for kb in 2..=spec.n_devices / ka {
+                    out.push(PartitionStrategy::tiled(a, ka, b, kb));
+                    if !spec.is_homogeneous() {
+                        // Weighted lattice: tile (i, j) runs on
+                        // device i·kb + j, so the per-axis shares
+                        // are the marginals of the per-device
+                        // proportional weights over the lattice.
+                        let w = proportional_shares(spec, profile, ka * kb);
+                        let shares_a: Vec<f64> = (0..ka)
+                            .map(|i| w[i * kb..(i + 1) * kb].iter().sum())
+                            .collect();
+                        let shares_b: Vec<f64> = (0..kb)
+                            .map(|j| (0..ka).map(|i| w[i * kb + j]).sum())
+                            .collect();
+                        let prop = PartitionStrategy::tiled_weighted(a, shares_a, b, shares_b);
+                        if prop.is_weighted() {
+                            out.push(prop);
                         }
                     }
                 }
@@ -570,29 +550,12 @@ pub fn enumerate_strategies_opts(
     out
 }
 
-/// Evaluate every enumerated strategy and rank by predicted time
-/// (deterministic tie-breaks: fewer transfer bytes, fewer copies, then
-/// encoding order).
-pub fn rank_candidates(input: &TunerInput<'_>) -> Vec<Candidate> {
-    rank_candidates_masked(input, AxisMask::all())
-}
-
-/// [`rank_candidates`] over the checker-restricted candidate set: only
-/// strategies along axes in `allowed` (plus the single-device fallback)
-/// are evaluated and ranked.
-pub fn rank_candidates_masked(input: &TunerInput<'_>, allowed: AxisMask) -> Vec<Candidate> {
-    rank_candidates_opts(input, allowed, true)
-}
-
-/// [`rank_candidates_masked`] with the 2-D tiling candidates made
-/// optional (see [`enumerate_strategies_opts`]).
-pub fn rank_candidates_opts(
-    input: &TunerInput<'_>,
-    allowed: AxisMask,
-    tilings: bool,
-) -> Vec<Candidate> {
+/// Evaluate every strategy [`enumerate_strategies`] yields for
+/// `allowed` and rank by predicted time (deterministic tie-breaks: fewer
+/// transfer bytes, fewer copies, then encoding order).
+pub fn rank_candidates(input: &TunerInput<'_>, allowed: AxisMask) -> Vec<Candidate> {
     let mut out: Vec<Candidate> =
-        enumerate_strategies_opts(input.spec, input.grid, input.profile, allowed, tilings)
+        enumerate_strategies(input.spec, input.grid, input.profile, allowed)
             .into_iter()
             .map(|strategy| Candidate {
                 predict: evaluate(input, &strategy),
@@ -806,7 +769,7 @@ mod tests {
             shares[0] > shares[1],
             "fast device must get more: {shares:?}"
         );
-        let ranked = rank_candidates(&input);
+        let ranked = rank_candidates(&input, AxisMask::all());
         let best = &ranked[0];
         assert_eq!(best.strategy.n_parts(), 2);
         assert!(
@@ -865,7 +828,7 @@ mod tests {
         assert!(shares[2] > 0.0);
         // A weighted 3-part candidate — a genuinely mixed CPU+GPU share
         // vector — is enumerated...
-        let cands = enumerate_strategies(&spec, input.grid, input.profile);
+        let cands = enumerate_strategies(&spec, input.grid, input.profile, AxisMask::all());
         assert!(
             cands.iter().any(|s| s.n_parts() == 3 && s.is_weighted()),
             "no mixed-class weighted candidate in {:?}",
@@ -874,7 +837,7 @@ mod tests {
         // ...and ranked with a finite prediction; among the 3-part
         // candidates the weighted shares beat the even split (the even
         // split stalls every launch on the slow socket).
-        let ranked = rank_candidates(&input);
+        let ranked = rank_candidates(&input, AxisMask::all());
         let weighted3 = ranked
             .iter()
             .find(|c| c.strategy.n_parts() == 3 && c.strategy.is_weighted())
@@ -890,11 +853,21 @@ mod tests {
     #[test]
     fn enumeration_skips_degenerate_axes() {
         let spec = MachineSpec::kepler_system(4);
-        let strategies = enumerate_strategies(&spec, Dim3::new1(32), ThreadProfile::default());
+        let strategies = enumerate_strategies(
+            &spec,
+            Dim3::new1(32),
+            ThreadProfile::default(),
+            AxisMask::all(),
+        );
         // 1-D grid: only x splits, one k=1 candidate.
         assert!(strategies.iter().all(|s| s.axis == SplitAxis::X));
         assert_eq!(strategies.len(), 4); // k = 1, 2, 3, 4
-        let strategies = enumerate_strategies(&spec, Dim3::new2(32, 32), ThreadProfile::default());
+        let strategies = enumerate_strategies(
+            &spec,
+            Dim3::new2(32, 32),
+            ThreadProfile::default(),
+            AxisMask::all(),
+        );
         // 2-D: y and x slabs (k = 2..4 each), the single k=1, plus the
         // two 2×2 rectangular tilings (y×x and x×y orders).
         assert_eq!(strategies.len(), 1 + 2 * 3 + 2);
@@ -904,16 +877,9 @@ mod tests {
             assert_eq!(s.n_parts(), 4);
             assert!(s.shares.len() >= 2 && s.shares2.len() >= 2);
         }
-        // Slab-only mode reproduces the legacy search space.
-        let slabs = enumerate_strategies_opts(
-            &spec,
-            Dim3::new2(32, 32),
-            ThreadProfile::default(),
-            AxisMask::all(),
-            false,
-        );
-        assert_eq!(slabs.len(), 1 + 2 * 3);
-        assert!(slabs.iter().all(|s| !s.is_tiled()));
+        // The 1-D slab candidates come first, the tilings after them.
+        let slabs = strategies.iter().take_while(|s| !s.is_tiled()).count();
+        assert_eq!(slabs, 1 + 2 * 3);
     }
 
     #[test]
@@ -924,7 +890,7 @@ mod tests {
         let mask = AxisMask {
             zyx: [false, false, true],
         };
-        let strategies = enumerate_strategies_masked(&spec, grid, ThreadProfile::default(), mask);
+        let strategies = enumerate_strategies(&spec, grid, ThreadProfile::default(), mask);
         assert!(strategies
             .iter()
             .all(|s| s.n_parts() == 1 || s.axis == SplitAxis::X));
@@ -934,16 +900,9 @@ mod tests {
         assert_eq!(strategies.len(), 1 + 3); // k=1 plus x × k=2..4
                                              // Nothing proven: only the single-device fallback remains.
         let strategies =
-            enumerate_strategies_masked(&spec, grid, ThreadProfile::default(), AxisMask::none());
+            enumerate_strategies(&spec, grid, ThreadProfile::default(), AxisMask::none());
         assert_eq!(strategies.len(), 1);
         assert_eq!(strategies[0].n_parts(), 1);
-        // The unrestricted mask reproduces the legacy enumeration.
-        let all =
-            enumerate_strategies_masked(&spec, grid, ThreadProfile::default(), AxisMask::all());
-        assert_eq!(
-            all,
-            enumerate_strategies(&spec, grid, ThreadProfile::default())
-        );
     }
 
     #[test]
@@ -955,7 +914,7 @@ mod tests {
         let mask = AxisMask {
             zyx: [false, true, true],
         };
-        let strategies = enumerate_strategies_masked(&spec, grid, ThreadProfile::default(), mask);
+        let strategies = enumerate_strategies(&spec, grid, ThreadProfile::default(), mask);
         let tiled: Vec<_> = strategies.iter().filter(|s| s.is_tiled()).collect();
         assert_eq!(tiled.len(), 2);
         for s in &tiled {
@@ -1161,7 +1120,7 @@ mod tests {
             intops_per_thread: 0.0,
             bytes_per_thread: 12.0,
         };
-        let ranked = rank_candidates(&input);
+        let ranked = rank_candidates(&input, AxisMask::all());
         let best = &ranked[0];
         assert!(
             best.strategy.is_tiled() && best.strategy.n_parts() == 4,
@@ -1175,9 +1134,8 @@ mod tests {
         // The y×x and x×y orders cost the same on a square grid; the
         // encoding-order tie-break picks x-first deterministically.
         assert_eq!(best.strategy.describe(), "x:2×y:2");
-        // With tilings disabled the same input falls back to a slab.
-        let slab_only = rank_candidates_opts(&input, AxisMask::all(), false);
-        assert!(!slab_only[0].strategy.is_tiled());
-        assert!(slab_only[0].predict.total_time() >= best.predict.total_time());
+        // Among slabs only, the same input falls back to a slab.
+        let slab = ranked.iter().find(|c| !c.strategy.is_tiled()).unwrap();
+        assert!(slab.predict.total_time() >= best.predict.total_time());
     }
 }

@@ -11,7 +11,9 @@
 //! 1. **Candidate enumeration** ([`enumerate_strategies`]) — every grid
 //!    axis with more than one block × every device count `1..=n` × even
 //!    and throughput-proportional shares (the latter only on
-//!    heterogeneous machines, where it differs from even).
+//!    heterogeneous machines, where it differs from even), then the 2-D
+//!    rectangular tilings; only axes the static checker proved
+//!    write-disjoint ([`AxisMask`]) are split.
 //! 2. **Static cost model** ([`evaluate`]) — per candidate, the predicted
 //!    inter-device transfer volume is computed *exactly* from the
 //!    polyhedral access maps: each partition's read footprint is
@@ -39,10 +41,9 @@ pub mod strategy;
 
 pub use autotune::{Autotuner, RecordOutcome, TuneEntry, TuneKey};
 pub use cost::{
-    best_candidate_within, enumerate_strategies, enumerate_strategies_masked,
-    enumerate_strategies_opts, evaluate, preferred_devices, proportional_shares, rank_candidates,
-    rank_candidates_masked, rank_candidates_opts, strided_groups, thread_time, Candidate,
-    CostEstimate, OwnedSegment, Ownership, ReadModel, StridedGroup, TunerInput, WriteModel,
+    best_candidate_within, enumerate_strategies, evaluate, preferred_devices, proportional_shares,
+    rank_candidates, strided_groups, thread_time, Candidate, CostEstimate, OwnedSegment, Ownership,
+    ReadModel, StridedGroup, TunerInput, WriteModel,
 };
 pub use mekong_check::AxisMask;
 pub use strategy::{decode_strategy, PartitionStrategy};

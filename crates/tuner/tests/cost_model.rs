@@ -16,7 +16,8 @@ use mekong_gpusim::{MachineSpec, ThreadProfile};
 use mekong_kernel::{Dim3, Extent};
 use mekong_poly::Map;
 use mekong_tuner::{
-    evaluate, rank_candidates, Ownership, PartitionStrategy, ReadModel, TunerInput, WriteModel,
+    evaluate, rank_candidates, AxisMask, Ownership, PartitionStrategy, ReadModel, TunerInput,
+    WriteModel,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -202,7 +203,7 @@ proptest! {
             profile: ThreadProfile::default(),
             pattern_amortized: false,
         };
-        let ranked = rank_candidates(&input);
+        let ranked = rank_candidates(&input, AxisMask::all());
         prop_assert!(!ranked.is_empty());
         let best = ranked[0].predict.transfer_bytes;
         for c in &ranked[1..] {

@@ -7,7 +7,7 @@ use mekong_analysis::AppModel;
 use mekong_check::{check_app, codes, AxisMask, Severity};
 use mekong_core::prelude::*;
 use mekong_gpusim::ThreadProfile;
-use mekong_tuner::enumerate_strategies_masked;
+use mekong_tuner::enumerate_strategies;
 use mekong_workloads::{benchmarks, extra_benchmarks};
 
 /// Every kernel in every shipped workload must carry a write-disjointness
@@ -108,7 +108,7 @@ fn racy_fixture_reports_cross_partition_race_with_witness() {
     let ck = prog.kernel("smear").expect("compiled kernel");
     assert_eq!(ck.safe_axes, AxisMask::none());
     let spec = MachineSpec::kepler_system(4);
-    let cands = enumerate_strategies_masked(
+    let cands = enumerate_strategies(
         &spec,
         Dim3::new1(64),
         ThreadProfile::default(),

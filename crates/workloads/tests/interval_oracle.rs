@@ -64,10 +64,8 @@ fn assert_reads_inside_static_boxes(
             args.push(KernelArg::Array(h.expect("array slot without a buffer")));
         }
         args.extend(
-            part.lo
-                .iter()
-                .chain(part.hi.iter())
-                .map(|&b| KernelArg::Scalar(Value::I64(b))),
+            part.clone_args(grid)
+                .map(|b| KernelArg::Scalar(Value::I64(b))),
         );
         let (_, _, reads) =
             run_grid_recording_rw(&ck.partitioned, &args, part.launch_grid(), block, mem, true)

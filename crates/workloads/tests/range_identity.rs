@@ -12,7 +12,7 @@ use mekong_core::prelude::*;
 use mekong_enumgen::ElemRange;
 use mekong_gpusim::sample_kernel_profile;
 use mekong_kernel::KernelArg;
-use mekong_tuner::{enumerate_strategies, PartitionStrategy};
+use mekong_tuner::{enumerate_strategies, AxisMask, PartitionStrategy};
 use mekong_workloads::app::Arg;
 use mekong_workloads::{benchmarks, extra_benchmarks, hotspot};
 
@@ -87,7 +87,7 @@ fn ranges_equal_the_interpreter_on_every_workload_strategy_and_partition() {
             // Strategies of different machines share most partitions.
             let mut parts: Vec<Partition> = Vec::new();
             for spec in &machines {
-                for strategy in enumerate_strategies(spec, l.grid, profile) {
+                for strategy in enumerate_strategies(spec, l.grid, profile, AxisMask::all()) {
                     for part in strategy.partitions(l.grid) {
                         if !parts.contains(&part) {
                             parts.push(part);

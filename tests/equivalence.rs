@@ -4,6 +4,7 @@
 //! correctness claim.
 
 use mekong_core::prelude::*;
+use mekong_runtime::PartitionStrategy;
 use proptest::prelude::*;
 
 /// A randomly parameterized 1-D kernel: reads a window `[i-left, i+right]`
@@ -158,5 +159,118 @@ __global__ void step(int n, float a[n], float b[n]) {
             out
         };
         prop_assert_eq!(run_iters(1), run_iters(gpus));
+    }
+}
+
+/// `gridDim` in the partitioned clone means the whole grid, as it does
+/// in the access model: a kernel that singles out the grid's last block,
+/// and one that reads mirrored through `gridDim`, produce the
+/// single-device bytes on every device count, captured or not.
+#[test]
+fn griddim_kernels_match_one_device() {
+    let src = r#"
+__global__ void last(int n, float a[n], float b[n]) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i >= n) return;
+    b[i] = a[i];
+    if (blockIdx.x == gridDim.x - 1) b[i] = 100.0f;
+}
+
+__global__ void mir(int n, float a[n], float b[n]) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i >= n) return;
+    b[i] = a[gridDim.x - 1 - blockIdx.x] + 1.0f;
+}
+"#;
+    let program = compile_source(src).unwrap();
+    let n = 64;
+    let run = |kernel: &str, gpus: usize, capture_plans: bool| -> Vec<u8> {
+        let ck = program.kernel(kernel).unwrap();
+        assert!(ck.is_partitionable(), "{kernel}: {:?}", ck.model.verdict);
+        let mut rt = MgpuRuntime::new(Machine::new(MachineSpec::kepler_system(gpus), true));
+        rt.set_config(RuntimeConfig {
+            capture_plans,
+            ..RuntimeConfig::default()
+        });
+        let a = rt.malloc(n * 4, 4).unwrap();
+        let b = rt.malloc(n * 4, 4).unwrap();
+        let init: Vec<u8> = (0..n).flat_map(|i| (i as f32).to_le_bytes()).collect();
+        rt.memcpy_h2d(a, &init).unwrap();
+        let args = [
+            LaunchArg::Scalar(Value::I64(n as i64)),
+            LaunchArg::Buf(a),
+            LaunchArg::Buf(b),
+        ];
+        for _ in 0..2 {
+            rt.launch(ck, Dim3::new1(8), Dim3::new1(8), &args).unwrap();
+        }
+        rt.synchronize();
+        let mut out = vec![0u8; n * 4];
+        rt.memcpy_d2h(b, &mut out).unwrap();
+        out
+    };
+    for kernel in ["last", "mir"] {
+        let single = run(kernel, 1, false);
+        for gpus in 1..=5 {
+            for capture_plans in [false, true] {
+                assert_eq!(
+                    run(kernel, gpus, capture_plans),
+                    single,
+                    "{kernel} on {gpus} GPUs (capture {capture_plans})"
+                );
+            }
+        }
+    }
+}
+
+/// The 2-D form of the `gridDim` idioms on a y:2×x:2 tiling, where
+/// every partition is bounded on both axes.
+#[test]
+fn griddim_kernel_matches_one_device_on_a_tiling() {
+    let src = r#"
+__global__ void corner(int n, float a[n][n], float b[n][n]) {
+    int x = blockIdx.x * blockDim.x + threadIdx.x;
+    int y = blockIdx.y * blockDim.y + threadIdx.y;
+    if (x >= n) return;
+    if (y >= n) return;
+    b[y][x] = a[gridDim.y - 1 - blockIdx.y][gridDim.x - 1 - blockIdx.x] + 1.0f;
+    if (blockIdx.y == gridDim.y - 1) b[y][x] = 100.0f;
+    if (blockIdx.x == gridDim.x - 1) b[y][x] = 200.0f;
+}
+"#;
+    let program = compile_source(src).unwrap();
+    let ck = program.kernel("corner").unwrap();
+    assert!(ck.is_partitionable(), "{:?}", ck.model.verdict);
+    let n = 16;
+    let run = |gpus: usize, tiled: bool| -> Vec<u8> {
+        let mut rt = MgpuRuntime::new(Machine::new(MachineSpec::kepler_system(gpus), true));
+        if tiled {
+            rt.force_strategy(
+                "corner",
+                PartitionStrategy::tiled(SplitAxis::Y, 2, SplitAxis::X, 2),
+            );
+        }
+        let a = rt.malloc(n * n * 4, 4).unwrap();
+        let b = rt.malloc(n * n * 4, 4).unwrap();
+        let init: Vec<u8> = (0..n * n).flat_map(|i| (i as f32).to_le_bytes()).collect();
+        rt.memcpy_h2d(a, &init).unwrap();
+        let args = [
+            LaunchArg::Scalar(Value::I64(n as i64)),
+            LaunchArg::Buf(a),
+            LaunchArg::Buf(b),
+        ];
+        for _ in 0..2 {
+            rt.launch(ck, Dim3::new2(4, 4), Dim3::new2(4, 4), &args)
+                .unwrap();
+        }
+        rt.synchronize();
+        let mut out = vec![0u8; n * n * 4];
+        rt.memcpy_d2h(b, &mut out).unwrap();
+        out
+    };
+    let single = run(1, false);
+    assert_eq!(run(4, true), single, "y:2×x:2 tiling");
+    for gpus in 2..=5 {
+        assert_eq!(run(gpus, false), single, "{gpus} GPUs");
     }
 }

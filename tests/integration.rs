@@ -471,3 +471,32 @@ fn compile_stats_are_populated() {
     assert!(program.stats.pass2.as_nanos() > 0);
     assert!(program.stats.total() > program.stats.pass1);
 }
+
+/// Threads that talk through global memory across `__syncthreads()`
+/// need block-synchronous execution, which the executor does not have:
+/// the toolchain refuses the kernel instead of computing
+/// `[0,0,0,0,0,0,0,4]` where CUDA gives `[1,2,3,0,5,6,7,4]`.
+#[test]
+fn syncthreads_is_refused_not_dropped() {
+    let shift = r#"
+__global__ void shift(int n, float a[n], float b[n]) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    a[i] = i;
+    __syncthreads();
+    b[i] = a[blockIdx.x * blockDim.x + (threadIdx.x + 1) % blockDim.x];
+}
+"#;
+    match compile_source(shift) {
+        Err(mekong_core::MekongError::Kernel { kernel, error }) => {
+            assert_eq!(kernel, "shift");
+            assert_eq!(
+                error,
+                mekong_kernel::KernelError::Unsupported(mekong_kernel::Unsupported::SyncThreads)
+            );
+        }
+        other => panic!("expected the barrier to be refused, got {:?}", other.err()),
+    }
+    // Without the barrier the same kernel compiles: the barrier is what
+    // is refused.
+    assert!(compile_source(&shift.replace("__syncthreads();", "")).is_ok());
+}

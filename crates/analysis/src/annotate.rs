@@ -270,7 +270,7 @@ pub fn value_ranges(annotations: &[Annotation]) -> Result<HashMap<String, ValueR
 /// Parse one side of a range template into a kernel [`Expr`]. Grammar:
 /// integer literals, identifiers (scalar params), `$k` placeholders,
 /// unary minus, `+ - * / %` with the usual precedence, parentheses.
-pub fn parse_range_expr(text: &str) -> Result<Expr, String> {
+pub(crate) fn parse_range_expr(text: &str) -> Result<Expr, String> {
     let toks = lex_range(text)?;
     let mut p = RangeParser { toks, pos: 0 };
     let e = p.expr()?;

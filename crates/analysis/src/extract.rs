@@ -204,9 +204,11 @@ impl<'k> Extractor<'k> {
                 // |x| ≥ 0 always; constant bounds give the magnitude cap.
                 let v = self.abs_eval_at(a, depth + 1);
                 let hi = match (v.lo_bound(), v.hi_bound()) {
-                    (Some(l), Some(h)) if l.is_constant() && h.is_constant() => {
-                        Some(LinExpr::constant(w, l.konst.abs().max(h.konst.abs())))
-                    }
+                    (Some(l), Some(h)) if l.is_constant() && h.is_constant() => l
+                        .konst
+                        .checked_abs()
+                        .zip(h.konst.checked_abs())
+                        .map(|(l, h)| LinExpr::constant(w, l.max(h))),
                     _ => None,
                 };
                 AbsVal::interval(Some(LinExpr::constant(w, 0)), hi)
@@ -320,46 +322,12 @@ impl<'k> Extractor<'k> {
         };
         match e {
             Expr::Binary(op, a, b) if op.is_comparison() => {
-                let (av, bv) = (self.eval(a), self.eval(b));
-                let (av, bv) = match (av, bv) {
-                    (Some(x), Some(y)) => (x, y),
-                    _ => return none(),
+                let (Some(av), Some(bv)) = (self.eval(a), self.eval(b)) else {
+                    return none();
                 };
-                let one = |k: Constraint| -> Option<Vec<Vec<Constraint>>> { Some(vec![vec![k]]) };
-                match op {
-                    BinOp::Lt => CondSets {
-                        then_c: one(Constraint::lt(&av, &bv).unwrap()),
-                        else_c: one(Constraint::ge(&av, &bv).unwrap()),
-                    },
-                    BinOp::Le => CondSets {
-                        then_c: one(Constraint::le(&av, &bv).unwrap()),
-                        else_c: one(Constraint::lt(&bv, &av).unwrap()),
-                    },
-                    BinOp::Gt => CondSets {
-                        then_c: one(Constraint::lt(&bv, &av).unwrap()),
-                        else_c: one(Constraint::le(&av, &bv).unwrap()),
-                    },
-                    BinOp::Ge => CondSets {
-                        then_c: one(Constraint::ge(&av, &bv).unwrap()),
-                        else_c: one(Constraint::lt(&av, &bv).unwrap()),
-                    },
-                    BinOp::EqEq => CondSets {
-                        then_c: one(Constraint::eq(av.sub(&bv).unwrap())),
-                        // a != b  ≡  a < b  ∨  a > b
-                        else_c: Some(vec![
-                            vec![Constraint::lt(&av, &bv).unwrap()],
-                            vec![Constraint::lt(&bv, &av).unwrap()],
-                        ]),
-                    },
-                    BinOp::Ne => CondSets {
-                        then_c: Some(vec![
-                            vec![Constraint::lt(&av, &bv).unwrap()],
-                            vec![Constraint::lt(&bv, &av).unwrap()],
-                        ]),
-                        else_c: one(Constraint::eq(av.sub(&bv).unwrap())),
-                    },
-                    _ => unreachable!(),
-                }
+                // A comparison whose constraint overflows i64 is no more
+                // affinely representable than a non-affine one.
+                comparison(*op, &av, &bv).unwrap_or_else(|_| none())
             }
             Expr::Binary(BinOp::And, a, b) => {
                 let ca = self.eval_cond(a);
@@ -457,12 +425,15 @@ impl<'k> Extractor<'k> {
                     // *before* the body walk records any access through
                     // them (a first-iteration value would be unsound).
                     let widened = self.widen_loop_head(var, &lo_av, &hi_av, body);
-                    match (lo_av.affine.clone(), hi_av.affine.clone()) {
-                        (Some(lo_e), Some(hi_e)) => {
-                            self.enter_loop(var, &lo_e, &hi_e, *step, body)?;
-                        }
-                        _ => {
-                            // Non-affine bounds: iterate abstractly, with
+                    let head = match (&lo_av.affine, &hi_av.affine) {
+                        (Some(lo_e), Some(hi_e)) => loop_head(self.n_dims, lo_e, hi_e, *step),
+                        _ => None,
+                    };
+                    match head {
+                        Some((bounds, value)) => self.enter_loop(var, bounds, value, body)?,
+                        None => {
+                            // Non-affine bounds (or affine ones whose
+                            // constraints overflow): iterate abstractly, with
                             // the iterator bounded by the interval the
                             // bounds expressions admit.
                             let a = self.approx;
@@ -682,14 +653,13 @@ impl<'k> Extractor<'k> {
         }
     }
 
-    /// Append a fresh loop dimension, widen all live state, add bounds,
-    /// walk the body, and narrow back.
+    /// Append a fresh loop dimension, widen all live state, add the
+    /// [`loop_head`] bounds, walk the body, and narrow back.
     fn enter_loop(
         &mut self,
         var: &str,
-        lo: &LinExpr,
-        hi: &LinExpr,
-        step: i64,
+        bounds: [Constraint; 2],
+        value: LinExpr,
         body: &[Stmt],
     ) -> Result<()> {
         let at = self.n_dims;
@@ -701,22 +671,8 @@ impl<'k> Extractor<'k> {
             c.expr = c.expr.insert_vars(at, 1);
         }
         self.n_dims += 1;
-        let lo_w = lo.insert_vars(at, 1);
-        let hi_w = hi.insert_vars(at, 1);
-        let k = LinExpr::var(self.width(), at);
         let dom_depth = self.domain.len();
-        let value = if step == 1 {
-            // lo <= k < hi, var = k
-            self.domain.push(Constraint::ge(&k, &lo_w).unwrap());
-            self.domain.push(Constraint::lt(&k, &hi_w).unwrap());
-            k.clone()
-        } else {
-            // var = lo + step*k, k >= 0, var < hi
-            let val = lo_w.add(&k.scale(step).unwrap()).unwrap();
-            self.domain.push(Constraint::ge0(k.clone()));
-            self.domain.push(Constraint::lt(&val, &hi_w).unwrap());
-            val
-        };
+        self.domain.extend(bounds);
         self.vars.push((var.to_string(), AbsVal::affine(value)));
         self.walk_block(body)?;
         self.vars.pop();
@@ -761,7 +717,54 @@ impl<'k> Extractor<'k> {
             Some(KernelParam::Array { extents, .. }) => extents.clone(),
             _ => Vec::new(),
         };
-        let all_affine = idx_abs.iter().all(|v| v.affine.is_some());
+        let d = idx_abs.len();
+        let n = self.n_dims;
+        let np = self.space.n_params();
+        let width = n + d + np;
+        // Relation dims: [current dims | out dims]. Each out dim is pinned
+        // by its affine index or boxed by whichever bounds are known. An
+        // index whose constraint overflows i64 degrades like a non-affine
+        // one, and an overflowing bound is dropped (a wider box).
+        let mut all_affine = true;
+        let mut any_top = false;
+        let mut out_cons = Vec::with_capacity(d);
+        for (j, v) in idx_abs.iter().enumerate() {
+            let out = LinExpr::var(width, n + j);
+            let pinned = v
+                .affine
+                .as_ref()
+                .and_then(|idx| out.sub(&idx.insert_vars(n, d)).ok());
+            if let Some(e) = pinned {
+                out_cons.push(Constraint::eq(e));
+                continue;
+            }
+            all_affine = false;
+            let n_bounds = out_cons.len();
+            if let Some(lo) = v.lo_bound() {
+                out_cons.extend(Constraint::ge(&out, &lo.insert_vars(n, d)).ok());
+            }
+            if let Some(hi) = v.hi_bound() {
+                out_cons.extend(Constraint::le(&out, &hi.insert_vars(n, d)).ok());
+            }
+            // Nothing known at all about this index.
+            any_top |= out_cons.len() == n_bounds;
+            // Clipped to the array extent (mirroring the enumerator clip)
+            // so the declared footprint is always in bounds.
+            if let Some(ext) = extents.get(j) {
+                let hi = match ext {
+                    Extent::Const(c) => LinExpr::constant(width, *c),
+                    Extent::Param(name) => {
+                        let idx = self
+                            .space
+                            .scalar_param_index(name)
+                            .expect("extent param must be a scalar kernel param");
+                        LinExpr::var(width, n + d + idx)
+                    }
+                };
+                out_cons.push(Constraint::ge0(out.clone()));
+                out_cons.extend(Constraint::lt(&out, &hi).ok());
+            }
+        }
         let rec = self.accesses.entry(array.to_string()).or_default();
         match kind {
             AccessKind::Read => rec.has_read = true,
@@ -777,8 +780,7 @@ impl<'k> Extractor<'k> {
                     rec.read_interval = true;
                 }
                 AccessKind::Write => {
-                    if idx_abs.iter().any(|v| v.is_top()) {
-                        // Nothing known at all about some index.
+                    if any_top {
                         rec.write_unmodeled = true;
                         return Ok(());
                     }
@@ -801,11 +803,6 @@ impl<'k> Extractor<'k> {
                 }
             }
         }
-        let d = idx_abs.len();
-        let n = self.n_dims;
-        let np = self.space.n_params();
-        let width = n + d + np;
-        // Relation dims: [current dims | out dims]; widen everything.
         let mut piece = Polyhedron::universe(n + d, np);
         for c in &self.domain {
             piece.add_constraint(Constraint {
@@ -813,38 +810,8 @@ impl<'k> Extractor<'k> {
                 expr: c.expr.insert_vars(n, d),
             });
         }
-        for (j, v) in idx_abs.iter().enumerate() {
-            let out = LinExpr::var(width, n + j);
-            if let Some(idx) = &v.affine {
-                let rhs = idx.insert_vars(n, d);
-                piece.add_constraint(Constraint::eq(out.sub(&rhs).unwrap()));
-                continue;
-            }
-            // Interval box: whichever bounds are known...
-            if let Some(lo) = v.lo_bound() {
-                let lo = lo.insert_vars(n, d);
-                piece.add_constraint(Constraint::ge(&out, &lo).unwrap());
-            }
-            if let Some(hi) = v.hi_bound() {
-                let hi = hi.insert_vars(n, d);
-                piece.add_constraint(Constraint::le(&out, &hi).unwrap());
-            }
-            // ...clipped to the array extent (mirroring the enumerator
-            // clip) so the declared footprint is always in bounds.
-            if let Some(ext) = extents.get(j) {
-                let hi = match ext {
-                    Extent::Const(c) => LinExpr::constant(width, *c),
-                    Extent::Param(name) => {
-                        let idx = self
-                            .space
-                            .scalar_param_index(name)
-                            .expect("extent param must be a scalar kernel param");
-                        LinExpr::var(width, n + d + idx)
-                    }
-                };
-                piece.add_constraint(Constraint::ge0(out.clone()));
-                piece.add_constraint(Constraint::lt(&out, &hi).unwrap());
-            }
+        for c in out_cons {
+            piece.add_constraint(c);
         }
         // Project out loop dims and threadIdx dims: keep [bo bi | outs].
         let (projected, exact) = piece.project_out_dims(N_MAP_IN..n)?;
@@ -1028,11 +995,76 @@ impl<'k> Extractor<'k> {
     }
 }
 
+/// The then/else constraint sets of the comparison `av op bv`.
+fn comparison(op: BinOp, av: &LinExpr, bv: &LinExpr) -> mekong_poly::Result<CondSets> {
+    let one = |k: Constraint| -> Dnf { Some(vec![vec![k]]) };
+    // a != b  ≡  a < b  ∨  a > b
+    let ne = || -> mekong_poly::Result<Dnf> {
+        Ok(Some(vec![
+            vec![Constraint::lt(av, bv)?],
+            vec![Constraint::lt(bv, av)?],
+        ]))
+    };
+    let eq = || -> mekong_poly::Result<Dnf> { Ok(one(Constraint::eq(av.sub(bv)?))) };
+    Ok(match op {
+        BinOp::Lt => CondSets {
+            then_c: one(Constraint::lt(av, bv)?),
+            else_c: one(Constraint::ge(av, bv)?),
+        },
+        BinOp::Le => CondSets {
+            then_c: one(Constraint::le(av, bv)?),
+            else_c: one(Constraint::lt(bv, av)?),
+        },
+        BinOp::Gt => CondSets {
+            then_c: one(Constraint::lt(bv, av)?),
+            else_c: one(Constraint::le(av, bv)?),
+        },
+        BinOp::Ge => CondSets {
+            then_c: one(Constraint::ge(av, bv)?),
+            else_c: one(Constraint::lt(av, bv)?),
+        },
+        BinOp::EqEq => CondSets {
+            then_c: eq()?,
+            else_c: ne()?,
+        },
+        BinOp::Ne => CondSets {
+            then_c: ne()?,
+            else_c: eq()?,
+        },
+        _ => unreachable!("not a comparison"),
+    })
+}
+
+/// The domain bounds and iterator value of a loop `for (var = lo; var <
+/// hi; var += step)` whose new dimension `k` is appended at `at`: `lo <=
+/// k < hi, var = k` for a unit step, else `k >= 0, var = lo + step*k <
+/// hi`. `None` when the constraint arithmetic overflows i64.
+fn loop_head(
+    at: usize,
+    lo: &LinExpr,
+    hi: &LinExpr,
+    step: i64,
+) -> Option<([Constraint; 2], LinExpr)> {
+    let lo = lo.insert_vars(at, 1);
+    let hi = hi.insert_vars(at, 1);
+    let k = LinExpr::var(lo.width(), at);
+    if step == 1 {
+        let bounds = [Constraint::ge(&k, &lo).ok()?, Constraint::lt(&k, &hi).ok()?];
+        Some((bounds, k))
+    } else {
+        let value = lo.add(&k.scale(step).ok()?).ok()?;
+        let bounds = [Constraint::ge0(k), Constraint::lt(&value, &hi).ok()?];
+        Some((bounds, value))
+    }
+}
+
 /// The abstract value of a loop iterator with non-affine bounds:
 /// `lo ≤ var ≤ hi − 1` from whichever bound expressions are known
 /// (sound for any positive step).
 fn loop_var_interval(lo_av: &AbsVal, hi_av: &AbsVal) -> AbsVal {
-    let hi = hi_av.hi_bound().map(|h| h.clone().with_konst(h.konst - 1));
+    let hi = hi_av
+        .hi_bound()
+        .and_then(|h| h.sub(&LinExpr::constant(h.width(), 1)).ok());
     AbsVal::interval(lo_av.lo_bound().cloned(), hi)
 }
 

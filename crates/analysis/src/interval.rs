@@ -78,18 +78,13 @@ impl AbsVal {
         AbsVal::affine(LinExpr::constant(width, k))
     }
 
-    /// Nothing is known about the value.
-    pub fn is_top(&self) -> bool {
-        self.affine.is_none() && self.lo.is_none() && self.hi.is_none()
-    }
-
     /// Effective inclusive lower bound (the affine value when exact).
-    pub fn lo_bound(&self) -> Option<&LinExpr> {
+    pub(crate) fn lo_bound(&self) -> Option<&LinExpr> {
         self.affine.as_ref().or(self.lo.as_ref())
     }
 
     /// Effective inclusive upper bound (the affine value when exact).
-    pub fn hi_bound(&self) -> Option<&LinExpr> {
+    pub(crate) fn hi_bound(&self) -> Option<&LinExpr> {
         self.affine.as_ref().or(self.hi.as_ref())
     }
 
@@ -130,12 +125,14 @@ impl AbsVal {
         self.add(&other.neg())
     }
 
-    /// Negation: the interval flips.
+    /// Negation: the interval flips. A component with an `i64::MIN`
+    /// term has no negation and becomes unknown.
     pub fn neg(&self) -> AbsVal {
+        let neg = |e: &LinExpr| e.scale(-1).ok();
         AbsVal {
-            affine: self.affine.as_ref().map(|e| e.neg()),
-            lo: self.hi.as_ref().map(|e| e.neg()),
-            hi: self.lo.as_ref().map(|e| e.neg()),
+            affine: self.affine.as_ref().and_then(neg),
+            lo: self.hi.as_ref().and_then(neg),
+            hi: self.lo.as_ref().and_then(neg),
         }
     }
 
@@ -241,10 +238,9 @@ impl AbsVal {
         let Some(c) = other.affine.as_ref().filter(|e| e.is_constant()) else {
             return AbsVal::top();
         };
-        let m = c.konst.abs();
-        if m == 0 {
+        let Some(m) = c.konst.checked_abs().filter(|&m| m != 0) else {
             return AbsVal::top();
-        }
+        };
         let w = c.width();
         let nonneg = self
             .lo_bound()
@@ -497,7 +493,7 @@ mod tests {
     fn join_takes_hull() {
         assert_eq!(bounds(&c(1).join(&c(5))), (1, 5));
         let j = c(1).join(&AbsVal::top());
-        assert!(j.is_top());
+        assert_eq!(j, AbsVal::top());
         // Symbolic equal bounds survive the join.
         let x = AbsVal::affine(LinExpr::var(3, 1));
         let j = x.join(&x.clone());

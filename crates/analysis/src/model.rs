@@ -69,11 +69,6 @@ impl ArgModel {
         }
     }
 
-    /// Is this argument an array that the kernel reads?
-    pub fn is_read_array(&self) -> bool {
-        matches!(self, ArgModel::Array { read: Some(_), .. })
-    }
-
     /// Is this argument an array that the kernel writes?
     pub fn is_written_array(&self) -> bool {
         matches!(self, ArgModel::Array { write: Some(_), .. })
@@ -280,7 +275,10 @@ mod tests {
         assert_eq!(back, m);
         let k = back.kernel("vadd").unwrap();
         assert!(k.verdict.is_partitionable());
-        assert!(k.arg("a").unwrap().is_read_array());
+        assert!(matches!(
+            k.arg("a").unwrap(),
+            ArgModel::Array { read: Some(_), .. }
+        ));
         assert!(!k.arg("a").unwrap().is_written_array());
     }
 

@@ -59,27 +59,27 @@ impl AnalysisSpace {
     }
 
     /// Dim index of `blockOff.w` in the extraction space.
-    pub fn bo_dim(&self, axis: Axis) -> usize {
+    pub(crate) fn bo_dim(&self, axis: Axis) -> usize {
         axis.zyx_index()
     }
 
     /// Dim index of `blockIdx.w`.
-    pub fn bi_dim(&self, axis: Axis) -> usize {
+    pub(crate) fn bi_dim(&self, axis: Axis) -> usize {
         3 + axis.zyx_index()
     }
 
     /// Dim index of `threadIdx.w`.
-    pub fn ti_dim(&self, axis: Axis) -> usize {
+    pub(crate) fn ti_dim(&self, axis: Axis) -> usize {
         6 + axis.zyx_index()
     }
 
     /// Parameter index of `blockDim.w`.
-    pub fn bd_param(&self, axis: Axis) -> usize {
+    pub(crate) fn bd_param(&self, axis: Axis) -> usize {
         BD_OFF + axis.zyx_index()
     }
 
     /// Parameter index of `gridDim.w`.
-    pub fn gd_param(&self, axis: Axis) -> usize {
+    pub(crate) fn gd_param(&self, axis: Axis) -> usize {
         GD_OFF + axis.zyx_index()
     }
 
@@ -96,7 +96,7 @@ impl AnalysisSpace {
 
     /// Base domain constraints of the extraction space (width for
     /// `n_dims` dims): `0 ≤ bi < gd`, `0 ≤ ti < bd`, `bo ≥ 0`.
-    pub fn base_domain(&self, n_dims: usize) -> Vec<Constraint> {
+    pub(crate) fn base_domain(&self, n_dims: usize) -> Vec<Constraint> {
         let mut cs = Vec::new();
         for axis in Axis::ALL {
             let bo = self.var(n_dims, self.bo_dim(axis));
@@ -127,7 +127,7 @@ impl AnalysisSpace {
     }
 
     /// Human-readable names of the map input dims (paper order).
-    pub fn map_in_names() -> [&'static str; N_MAP_IN] {
+    pub(crate) fn map_in_names() -> [&'static str; N_MAP_IN] {
         ["boz", "boy", "box", "biz", "biy", "bix"]
     }
 

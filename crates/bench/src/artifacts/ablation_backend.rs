@@ -163,7 +163,7 @@ fn row(executor: &str, o: &RunOutcome, shares: &[f64]) -> ExecRow {
 pub fn run(args: &BenchArgs) -> GateResult {
     let (gpus, cpus) = (2usize, 1usize);
 
-    println!("Ablation A13: Backend trait — GPU-only vs CPU-only vs mixed CPU+GPU");
+    println!("Ablation A13: device classes — GPU-only vs CPU-only vs mixed CPU+GPU");
     let mut workloads = Vec::new();
     for Bench {
         case: bench,
@@ -182,7 +182,7 @@ pub fn run(args: &BenchArgs) -> GateResult {
             MachineSpec::cpu_system(gpus + cpus),
             MachineSpec::hybrid_system(gpus, cpus),
         ]
-        .map(|spec| w.verify_output(Box::new(Machine::new(spec, true))));
+        .map(|spec| w.verify_output(Machine::new(spec, true)));
         let byte_identical = gpu_out == cpu_out && gpu_out == mixed_out;
         gate!(
             "a13.backends-byte-identical",

@@ -49,7 +49,7 @@ fn run_sampled(app: App, gpus: usize, replica: bool, sampled: usize, iters: usiz
         ..capturing(RuntimeConfig::beta())
     };
     let machine = Machine::new(MachineSpec::kepler_system(gpus), true);
-    let mut p = app.prepare(Box::new(machine), cfg);
+    let mut p = app.prepare(machine, cfg);
     let sampled = p.buffer(sampled);
     let mut refetch = Vec::with_capacity(iters);
     let mut last = p.rt.d2d_bytes_into(sampled);

@@ -35,7 +35,7 @@ fn run_blur(label: &'static str, coalesce: bool) -> Run {
         coalesce_transfers: coalesce,
         ..RuntimeConfig::alpha()
     };
-    let mut p = Blur.describe(512).prepare(Box::new(machine), cfg);
+    let mut p = Blur.describe(512).prepare(machine, cfg);
     let t0 = Instant::now();
     let output = p.run(3).concat();
     Run {

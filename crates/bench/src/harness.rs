@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 /// A named acceptance check of an artifact that did not hold.
 #[derive(Debug)]
-pub struct GateFailure {
+pub(crate) struct GateFailure {
     pub gate: &'static str,
     pub detail: String,
 }
@@ -109,7 +109,7 @@ impl BenchArgs {
 
     /// Iteration count for a benchmark, scaled (minimum 1). Table 1's
     /// non-iterative entry has nothing to scale: always its one launch.
-    pub fn iters_for(&self, b: &dyn Benchmark) -> usize {
+    pub(crate) fn iters_for(&self, b: &dyn Benchmark) -> usize {
         if b.iterations() == 1 {
             return 1;
         }
@@ -142,7 +142,7 @@ impl<T: Serialize> Serialize for Tagged<'_, T> {
 /// Write `report` as `BENCH_<name>.json`: full runs into the working
 /// directory (the committed baselines live in the repo root), `--quick`
 /// smoke runs under `target/bench/` so they never overwrite one.
-pub fn write_report<T: Serialize>(args: &BenchArgs, name: &str, report: &T) -> GateResult {
+pub(crate) fn write_report<T: Serialize>(args: &BenchArgs, name: &str, report: &T) -> GateResult {
     let dir = PathBuf::from(args.pick("", "target/bench"));
     let path = dir.join(format!("BENCH_{name}.json"));
     let json =
@@ -209,13 +209,12 @@ pub fn prepare(
     functional: bool,
     cfg: RuntimeConfig,
 ) -> Prepared {
-    b.describe(n)
-        .prepare(Box::new(Machine::new(spec, functional)), cfg)
+    b.describe(n).prepare(Machine::new(spec, functional), cfg)
 }
 
 /// Pin `strategy` on every kernel of the workload, bypassing heuristic
 /// and tuner.
-pub fn force_all(p: &mut Prepared, strategy: &PartitionStrategy) {
+pub(crate) fn force_all(p: &mut Prepared, strategy: &PartitionStrategy) {
     for site in &p.sites {
         p.rt.force_strategy(&site.ck.original.name, strategy.clone());
     }
@@ -223,7 +222,7 @@ pub fn force_all(p: &mut Prepared, strategy: &PartitionStrategy) {
 
 /// The paper's §9.2 measurement triple on `gpus` Kepler devices:
 /// simulated seconds under α, β and γ.
-pub fn alpha_beta_gamma(b: &dyn Benchmark, n: usize, iters: usize, gpus: usize) -> [f64; 3] {
+pub(crate) fn alpha_beta_gamma(b: &dyn Benchmark, n: usize, iters: usize, gpus: usize) -> [f64; 3] {
     [
         RuntimeConfig::alpha(),
         RuntimeConfig::beta(),

@@ -35,7 +35,7 @@ pub mod codes {
     /// Two distinct partitions write the same element (witness attached).
     pub const CROSS_PARTITION_RACE: &str = "cross-partition-race";
     /// Disjointness could not be proven along an axis (no witness found).
-    pub const AXIS_UNPROVEN: &str = "axis-unproven";
+    pub(crate) const AXIS_UNPROVEN: &str = "axis-unproven";
     /// A write map lost exactness under Fourier–Motzkin projection.
     pub const INEXACT_WRITE: &str = "inexact-write-map";
     /// A write access is a `may` access — it cannot drive coherence.
@@ -44,14 +44,14 @@ pub mod codes {
     pub const WRITE_OOB: &str = "write-out-of-bounds";
     /// A read image escapes the declared array extents (reads are
     /// clipped by the enumerators, so this is a warning, not an error).
-    pub const READ_OOB: &str = "read-out-of-bounds";
+    pub(crate) const READ_OOB: &str = "read-out-of-bounds";
     /// An array argument is neither read nor written.
     pub const DEAD_ARRAY: &str = "dead-array-arg";
     /// The compiled enumerator misses an element of the true image.
-    pub const COVERAGE_GAP: &str = "enumerator-coverage-gap";
+    pub(crate) const COVERAGE_GAP: &str = "enumerator-coverage-gap";
     /// An access could not be modeled at all; the kernel falls back to
     /// single-device execution.
-    pub const UNMODELED: &str = "unmodeled-array";
+    pub(crate) const UNMODELED: &str = "unmodeled-array";
     /// A read footprint is a bounded interval box from the abstract
     /// interpreter — sound but over-approximated; the runtime fetches
     /// the whole box.
@@ -196,11 +196,6 @@ impl KernelCheck {
         AxisMask {
             zyx: self.proven_axes,
         }
-    }
-
-    /// Highest severity among the diagnostics, if any.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
     }
 }
 

@@ -111,7 +111,7 @@ pub struct MayReadBox {
 impl MayReadBox {
     /// Tightness of the box: touched / volume, in (0, 1]. 1.0 means the
     /// box is exact; small values mean heavy over-fetch.
-    pub fn tightness(&self) -> f64 {
+    pub(crate) fn tightness(&self) -> f64 {
         self.touched as f64 / (self.volume as f64).max(1.0)
     }
 }

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use mekong_analysis::{analyze_kernel, AppModel, KernelModel, SplitAxis, Verdict};
     pub use mekong_enumgen::{AccessEnumerator, KernelEnumerators};
     pub use mekong_frontend::parse_program;
-    pub use mekong_gpusim::{Backend, DeviceClass, Machine, MachineSpec, SimArg, TimeCat};
+    pub use mekong_gpusim::{DeviceClass, Machine, MachineSpec, SimArg, TimeCat};
     pub use mekong_kernel::builder;
     pub use mekong_kernel::{Dim3, Kernel, ScalarTy, Value};
     pub use mekong_partition::{partition_grid, partition_kernel, Partition};

@@ -4,7 +4,7 @@
 //! with plain allocations and copies: no virtual buffers, no tracker, no
 //! enumerators. Speedups in Figure 6 are measured against this.
 
-use mekong_gpusim::{Backend, DevBuf, Machine, MachineSpec, SimArg};
+use mekong_gpusim::{DevBuf, Machine, MachineSpec, SimArg};
 use mekong_kernel::{Dim3, Kernel, Value};
 
 /// A minimal single-device runner.
@@ -27,14 +27,14 @@ impl SingleGpuRunner {
         }
     }
 
-    /// The underlying machine, through the same op surface
-    /// `MgpuRuntime::machine` hands out.
-    pub fn machine(&self) -> &dyn Backend {
+    /// The underlying machine, the same type `MgpuRuntime::machine`
+    /// hands out.
+    pub fn machine(&self) -> &Machine {
         &self.machine
     }
 
     /// Mutable access (timing-only copies, clock resets etc.).
-    pub fn machine_mut(&mut self) -> &mut dyn Backend {
+    pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
     }
 

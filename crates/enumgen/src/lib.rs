@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of partition-box parameters appended to the map parameters.
-pub const N_PART_PARAMS: usize = 12;
+pub(crate) const N_PART_PARAMS: usize = 12;
 
 /// A compiled enumerator for one (kernel, argument, read|write) triple.
 #[derive(Debug, Clone)]
@@ -273,7 +273,7 @@ impl AccessEnumerator {
 
     /// `(hits, misses)` of this enumerator's range memo, accumulated over
     /// every clone sharing the cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
+    pub(crate) fn cache_stats(&self) -> (u64, u64) {
         (
             self.cache.hits.load(Ordering::Relaxed),
             self.cache.misses.load(Ordering::Relaxed),

@@ -23,6 +23,10 @@
 //!   clocks: launches and async copies return immediately,
 //!   `synchronize` joins the clocks.
 //!
+//! The op surface the runtime drives is [`Machine`]'s inherent methods,
+//! statically dispatched; there is no executor trait. [`backend`] only
+//! keeps the names the frozen `benchmark/` package still spells.
+//!
 //! Absolute times are *model* times; the reproduction targets the shape
 //! of the paper's results (who wins, where scaling saturates), not the
 //! testbed's absolute numbers.
@@ -32,10 +36,10 @@ pub mod machine;
 pub mod shadow;
 pub mod spec;
 
-pub use backend::{Backend, CpuBackend, ObservedWriteSets};
+pub use backend::{Backend, CpuBackend};
 pub use machine::{
-    sample_kernel_profile, CopyRuns, DevBuf, Machine, OpCounters, SimArg, SimTime, ThreadProfile,
-    TimeBreakdown, TimeCat,
+    sample_kernel_profile, CopyRuns, DevBuf, Machine, ObservedWriteSets, OpCounters, SimArg,
+    SimTime, ThreadProfile, TimeBreakdown, TimeCat,
 };
 pub use spec::{DeviceClass, DeviceSpec, LinkSpec, MachineSpec};
 

@@ -1,14 +1,17 @@
 //! The simulated multi-GPU machine: device memories + clocks.
 
-use crate::backend::{Backend, ObservedWriteSets};
 use crate::shadow::{run_program, BufStore};
 use crate::spec::MachineSpec;
 use crate::{Result, SimError};
 use mekong_kernel::interp::{ExecMode, KernelArg};
 use mekong_kernel::{Dim3, ExecStats, Kernel, Program, Value};
+use std::collections::HashMap;
 
 /// Simulated time, in seconds.
 pub type SimTime = f64;
+
+/// Element ranges observed per buffer handle by a recording launch.
+pub type ObservedWriteSets = HashMap<usize, Vec<(u64, u64)>>;
 
 /// What a charged time interval was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +137,7 @@ impl Device {
 
 /// Operation counters (inspected by tests and the benchmark harness).
 /// The machine ticks the launch and copy fields itself; the rest is
-/// reported by the runtime through [`Backend::counters_mut`].
+/// reported by the runtime through [`Machine::counters_mut`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
     pub launches: u64,
@@ -204,8 +207,13 @@ pub enum SimArg {
     Buf(DevBuf),
 }
 
-/// The simulated machine. Its ops are the [`Backend`] implementation
-/// below — bring the trait into scope to drive a `Machine` directly.
+/// The simulated machine: the op surface the partitioning runtime
+/// drives — allocation, host↔device copies, **one** peer copy
+/// ([`Machine::copy_d2d`]), **one** timed launch ([`Machine::launch`])
+/// plus its write-recording variant, per-device clocks and the shared
+/// operation counters. Its device slots are simulated GPUs, host CPU
+/// sockets, or both ([`MachineSpec::kepler_system`] / `cpu_system` /
+/// `hybrid_system`), and every copy is priced by its endpoints' classes.
 pub struct Machine {
     spec: MachineSpec,
     functional: bool,
@@ -226,7 +234,7 @@ pub struct Machine {
     /// Buckets by [`KernelTimeView::hash`]; within a bucket keys compare
     /// field by field, so a launch probes through a borrowed view and
     /// only an insert builds the owned key.
-    kernel_time_cache: std::collections::HashMap<u64, Vec<(KernelTimeKey, SimTime)>>,
+    kernel_time_cache: HashMap<u64, Vec<(KernelTimeKey, SimTime)>>,
 }
 
 /// Cache key for the roofline estimate.
@@ -334,7 +342,7 @@ impl Machine {
             transfer_timing: true,
             pattern_timing: true,
             link_busy_until: 0.0,
-            kernel_time_cache: std::collections::HashMap::new(),
+            kernel_time_cache: HashMap::new(),
         }
     }
 
@@ -505,47 +513,59 @@ impl Machine {
             .max(bytes / spec.mem_bw);
         Ok(t)
     }
-}
 
-impl Backend for Machine {
-    fn spec(&self) -> &MachineSpec {
+    /// The machine specification (devices, links, host-cost constants).
+    pub fn spec(&self) -> &MachineSpec {
         &self.spec
     }
 
-    fn is_functional(&self) -> bool {
+    /// Number of devices.
+    pub fn n_devices(&self) -> usize {
+        self.spec.n_devices
+    }
+
+    /// Does this machine materialize bytes (vs. timing-only)?
+    pub fn is_functional(&self) -> bool {
         self.functional
     }
 
     /// Disable/enable transfer timing (the paper's β measurement: "execution
     /// with disabled transfers, but dependency resolution and tracker
     /// updates are performed").
-    fn set_transfer_timing(&mut self, on: bool) {
+    pub fn set_transfer_timing(&mut self, on: bool) {
         self.transfer_timing = on;
     }
 
     /// Disable/enable pattern timing (γ: "disabled dependency resolution
     /// and tracker updates").
-    fn set_pattern_timing(&mut self, on: bool) {
+    pub fn set_pattern_timing(&mut self, on: bool) {
         self.pattern_timing = on;
     }
 
-    fn now(&self) -> SimTime {
+    /// Current host clock.
+    pub fn now(&self) -> SimTime {
         self.host_now
     }
 
-    fn breakdown(&self) -> TimeBreakdown {
+    /// Informational time breakdown.
+    pub fn breakdown(&self) -> TimeBreakdown {
         self.breakdown
     }
 
-    fn counters(&self) -> OpCounters {
+    /// Operation counters.
+    pub fn counters(&self) -> OpCounters {
         self.counters
     }
 
-    fn counters_mut(&mut self) -> &mut OpCounters {
+    /// The counters, for the runtime to report what only it can see
+    /// (plan-cache hits, tuner decisions, replica statistics — see the
+    /// [`OpCounters`] fields).
+    pub fn counters_mut(&mut self) -> &mut OpCounters {
         &mut self.counters
     }
 
-    fn reset_clock(&mut self) {
+    /// Reset clocks, breakdown and counters (memory contents stay).
+    pub fn reset_clock(&mut self) {
         self.host_now = 0.0;
         self.breakdown = TimeBreakdown::default();
         self.counters = OpCounters::default();
@@ -556,7 +576,8 @@ impl Backend for Machine {
         }
     }
 
-    fn alloc(&mut self, d: usize, bytes: usize) -> Result<DevBuf> {
+    /// Allocate `bytes` on device `d`.
+    pub fn alloc(&mut self, d: usize, bytes: usize) -> Result<DevBuf> {
         let dev = self.device(d)?;
         let handle = match &mut dev.mem {
             DeviceMem::Real(store) => store.alloc(bytes),
@@ -572,7 +593,9 @@ impl Backend for Machine {
         })
     }
 
-    fn charge_host(&mut self, seconds: SimTime, cat: TimeCat) {
+    /// Charge host-side work (advances the host clock; devices keep
+    /// running).
+    pub fn charge_host(&mut self, seconds: SimTime, cat: TimeCat) {
         let seconds = match cat {
             TimeCat::Pattern if !self.pattern_timing => 0.0,
             TimeCat::Transfer if !self.transfer_timing => 0.0,
@@ -586,11 +609,19 @@ impl Backend for Machine {
         }
     }
 
-    fn copy_h2d(&mut self, src: &[u8], dst: DevBuf, dst_offset: usize, async_: bool) -> Result<()> {
+    /// Host → device copy. Synchronous unless `async_`.
+    pub fn copy_h2d(
+        &mut self,
+        src: &[u8],
+        dst: DevBuf,
+        dst_offset: usize,
+        async_: bool,
+    ) -> Result<()> {
         self.h2d(Some(src), dst, dst_offset, src.len(), async_)
     }
 
-    fn copy_d2h(
+    /// Device → host copy. Synchronous unless `async_`.
+    pub fn copy_d2h(
         &mut self,
         src: DevBuf,
         src_offset: usize,
@@ -600,8 +631,10 @@ impl Backend for Machine {
         self.d2h(src, src_offset, dst.len(), Some(dst), async_)
     }
 
+    /// Host → device copy without host data (timing + counters only).
+    ///
     /// For performance-mode harnesses where no host payload exists.
-    fn copy_h2d_timed(
+    pub fn copy_h2d_timed(
         &mut self,
         dst: DevBuf,
         dst_offset: usize,
@@ -611,7 +644,8 @@ impl Backend for Machine {
         self.h2d(None, dst, dst_offset, len, async_)
     }
 
-    fn copy_d2h_timed(
+    /// Device → host copy without a host destination (timing + counters).
+    pub fn copy_d2h_timed(
         &mut self,
         src: DevBuf,
         src_offset: usize,
@@ -621,6 +655,15 @@ impl Backend for Machine {
         self.d2h(src, src_offset, len, None, async_)
     }
 
+    /// Peer copy of `runs` from `src` to `dst` as **one** link
+    /// transaction (asynchronous; returns the completion time).
+    ///
+    /// `deps: None` is the Figure 4 copy: charged to the endpoints'
+    /// compute clocks. `Some(edges)` is the launch-ahead copy: charged
+    /// to their copy-engine clocks, and it cannot start before any of
+    /// the event `edges`. Both serialise on the staging engine when the
+    /// pair is host-staged.
+    ///
     /// On a host-staged interconnect the bytes cross PCIe twice. The
     /// runtime's buffer sync issues these in bulk (paper §8.3); with
     /// `deps` they stream on the copy engines while the SMs compute, and
@@ -630,7 +673,7 @@ impl Backend for Machine {
     /// A single run always counts as a transaction, even of zero bytes;
     /// no runs, or several empty ones, move nothing, tick nothing and
     /// return the current host time.
-    fn copy_d2d(
+    pub fn copy_d2d(
         &mut self,
         src: DevBuf,
         dst: DevBuf,
@@ -688,10 +731,13 @@ impl Backend for Machine {
         Ok(end)
     }
 
+    /// Launch a kernel asynchronously on device `d`; returns the
+    /// completion time. The kernel additionally waits for the `deps`
+    /// event edges.
+    ///
     /// Functional machines execute the grid (blocks fanned out over
-    /// scoped threads);
-    /// all machines charge the roofline time model, calibrated by sampling
-    /// threads in counting mode.
+    /// scoped threads); all machines charge the roofline time model,
+    /// calibrated by sampling threads in counting mode.
     ///
     /// `traffic` is the number of unique bytes the launch touches — for
     /// partitioned kernels the **polyhedral footprint** of the partition
@@ -700,7 +746,8 @@ impl Backend for Machine {
     /// wildly overestimating traffic for broadcast patterns (N-Body) and
     /// tiled reuse (Matmul). Without a hint the sampled per-thread bytes
     /// are used (no-reuse worst case).
-    fn launch(
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch(
         &mut self,
         d: usize,
         kernel: &Kernel,
@@ -767,12 +814,15 @@ impl Backend for Machine {
         Ok(start + t)
     }
 
+    /// Launch recording the observed write set per buffer (functional
+    /// machines only; instrumentation-penalized).
+    ///
     /// The paper's §11 instrumentation path for statically unmodelable
     /// write patterns: element ranges per buffer handle, merged. The
     /// recorded launch is charged an instrumentation penalty on top of
     /// the roofline time (the paper's related work reports "significant
     /// runtime overhead" for this technique, cf. VAST).
-    fn launch_recording(
+    pub fn launch_recording(
         &mut self,
         d: usize,
         kernel: &Kernel,
@@ -805,36 +855,41 @@ impl Backend for Machine {
         Ok(observed)
     }
 
-    /// cudaStreamSynchronize-like.
-    fn sync_device(&mut self, d: usize) -> Result<()> {
+    /// Block host until device `d` is idle (cudaStreamSynchronize-like).
+    pub fn sync_device(&mut self, d: usize) -> Result<()> {
         let dev = self.device(d)?;
         let busy = dev.busy_until.max(dev.copy_busy_until);
         self.host_now = self.host_now.max(busy);
         Ok(())
     }
 
-    /// cudaDeviceSynchronize over every device — the runtime's
-    /// replacement semantics, §8.4.
-    fn sync_all(&mut self) {
+    /// Block host until all devices are idle: cudaDeviceSynchronize over
+    /// every device — the runtime's replacement semantics, §8.4.
+    pub fn sync_all(&mut self) {
         for dev in &self.devices {
             self.host_now = self.host_now.max(dev.busy_until).max(dev.copy_busy_until);
         }
     }
 
+    /// Advance the host clock to `t` (no-op when already past).
+    ///
     /// The launch-ahead pipeline uses this to model the host blocking on
     /// an in-flight launch when the window is full or flushed.
-    fn join_host(&mut self, t: SimTime) {
+    pub fn join_host(&mut self, t: SimTime) {
         self.host_now = self.host_now.max(t);
     }
 
-    fn debug_read(&self, buf: DevBuf) -> Option<Vec<u8>> {
+    /// Read back a whole device buffer (functional machines only; test
+    /// helper that bypasses the clock).
+    pub fn debug_read(&self, buf: DevBuf) -> Option<Vec<u8>> {
         match &self.devices[buf.device].mem {
             DeviceMem::Real(store) => Some(store.bytes(buf.handle).to_vec()),
             DeviceMem::Virtual(_) => None,
         }
     }
 
-    fn debug_write(&mut self, buf: DevBuf, data: &[u8]) {
+    /// Write a whole device buffer directly (functional test helper).
+    pub fn debug_write(&mut self, buf: DevBuf, data: &[u8]) {
         if let DeviceMem::Real(store) = &mut self.devices[buf.device].mem {
             store.bytes_mut(buf.handle)[..data.len()].copy_from_slice(data);
         }

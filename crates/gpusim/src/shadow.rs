@@ -111,11 +111,11 @@ pub fn run_grid_parallel(
 /// conclusion proposes for kernels whose write patterns cannot be modeled
 /// statically (§11: "using instrumentation to collect write patterns").
 /// Observed written byte ranges, keyed by buffer argument index.
-pub type ObservedWrites = HashMap<usize, Vec<(u64, u64)>>;
+pub(crate) type ObservedWrites = HashMap<usize, Vec<(u64, u64)>>;
 
 /// Observed read element ranges, keyed by buffer argument index — the
 /// dynamic ground truth that every static may-read box must contain.
-pub type ObservedReads = HashMap<usize, Vec<(u64, u64)>>;
+pub(crate) type ObservedReads = HashMap<usize, Vec<(u64, u64)>>;
 
 /// One block's functional result plus its shadow access logs.
 type BlockRecording = mekong_kernel::Result<(ExecStats, Overlay, Vec<(usize, usize)>)>;

@@ -124,7 +124,7 @@ impl MachineSpec {
     }
 
     /// Host memcpy bandwidth with the pre-class-era fallback.
-    pub fn host_copy_bw(&self) -> f64 {
+    pub(crate) fn host_copy_bw(&self) -> f64 {
         if self.host_copy_bandwidth > 0.0 {
             self.host_copy_bandwidth
         } else {
@@ -133,7 +133,7 @@ impl MachineSpec {
     }
 
     /// Host memcpy latency with the pre-class-era fallback.
-    pub fn host_copy_lat(&self) -> f64 {
+    pub(crate) fn host_copy_lat(&self) -> f64 {
         if self.host_copy_latency > 0.0 {
             self.host_copy_latency
         } else {
@@ -165,7 +165,7 @@ impl MachineSpec {
 
     /// `(latency, bandwidth)` of a host↔device transfer involving device
     /// `d`: PCIe constants for a GPU, a memcpy for a CPU socket.
-    pub fn host_link_params(&self, d: usize) -> (f64, f64) {
+    pub(crate) fn host_link_params(&self, d: usize) -> (f64, f64) {
         match self.device_class(d) {
             DeviceClass::SimGpu => (self.h2d_latency, self.h2d_bandwidth),
             DeviceClass::HostCpu => (self.host_copy_lat(), self.host_copy_bw()),
@@ -267,7 +267,7 @@ impl MachineSpec {
     /// FMA throughput against one socket's DDR channels. Effective (not
     /// peak) rates, like the K80 constants: ~12 GFLOP/s and ~20 Gop/s
     /// per core sustained, 60 GB/s per socket.
-    pub fn host_cpu_device(cores: usize) -> DeviceSpec {
+    pub(crate) fn host_cpu_device(cores: usize) -> DeviceSpec {
         DeviceSpec {
             name: format!("host-cpu-{cores}c"),
             class: DeviceClass::HostCpu,

@@ -27,7 +27,7 @@ impl Axis {
     pub const ALL: [Axis; 3] = [Axis::X, Axis::Y, Axis::Z];
 
     /// Index in `x, y, z` order (CUDA component order).
-    pub fn xyz_index(self) -> usize {
+    pub(crate) fn xyz_index(self) -> usize {
         match self {
             Axis::X => 0,
             Axis::Y => 1,
@@ -45,7 +45,7 @@ impl Axis {
     }
 
     /// Lowercase letter.
-    pub fn letter(self) -> char {
+    pub(crate) fn letter(self) -> char {
         match self {
             Axis::X => 'x',
             Axis::Y => 'y',
@@ -338,7 +338,7 @@ impl KernelParam {
     }
 
     /// Is this an array parameter?
-    pub fn is_array(&self) -> bool {
+    pub(crate) fn is_array(&self) -> bool {
         matches!(self, KernelParam::Array { .. })
     }
 }

@@ -40,7 +40,7 @@ fn indent(level: usize, out: &mut String) {
 }
 
 /// Render one statement (with indentation) into `out`.
-pub fn stmt_to_string(s: &Stmt, level: usize, out: &mut String) {
+pub(crate) fn stmt_to_string(s: &Stmt, level: usize, out: &mut String) {
     match s {
         Stmt::Let { var, value } => {
             indent(level, out);
@@ -137,7 +137,7 @@ fn binop_str(op: BinOp) -> &'static str {
 }
 
 /// Render an expression.
-pub fn expr_to_string(e: &Expr) -> String {
+pub(crate) fn expr_to_string(e: &Expr) -> String {
     match e {
         Expr::Int(v) => v.to_string(),
         Expr::Float(v) => {

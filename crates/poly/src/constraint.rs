@@ -61,7 +61,7 @@ impl Constraint {
     /// `lhs < rhs` as `rhs - lhs - 1 >= 0` (integer strictness).
     pub fn lt(lhs: &LinExpr, rhs: &LinExpr) -> crate::Result<Self> {
         let mut e = rhs.sub(lhs)?;
-        e.konst = e.konst.checked_sub(1).ok_or(crate::PolyError::Overflow)?;
+        e.konst = crate::expr::term(e.konst as i128 - 1)?;
         Ok(Constraint::ge0(e))
     }
 
@@ -81,7 +81,7 @@ impl Constraint {
     /// For an equality `g·e + k == 0` with `g = gcd(coeffs)`: if `g` does
     /// not divide `k` the constraint (and hence the polyhedron) has no
     /// integer solutions.
-    pub fn normalize(&self) -> Normalized {
+    pub(crate) fn normalize(&self) -> Normalized {
         let g = self.expr.coeff_content();
         if g == 0 {
             // Constant constraint.
@@ -148,13 +148,13 @@ impl Constraint {
     }
 
     /// Render with names.
-    pub fn display_with<'a>(&'a self, names: &'a [String]) -> DisplayConstraint<'a> {
+    pub(crate) fn display_with<'a>(&'a self, names: &'a [String]) -> DisplayConstraint<'a> {
         DisplayConstraint { c: self, names }
     }
 }
 
 /// Helper rendering `expr >= 0` / `expr == 0` with variable names.
-pub struct DisplayConstraint<'a> {
+pub(crate) struct DisplayConstraint<'a> {
     c: &'a Constraint,
     names: &'a [String],
 }

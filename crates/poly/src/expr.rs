@@ -7,7 +7,9 @@ use serde::{Deserialize, Serialize};
 /// parameters of a space (dimensions first, parameters after).
 ///
 /// Coefficients are `i64`; all combining arithmetic goes through `i128`
-/// and reports overflow instead of wrapping.
+/// and reports overflow instead of wrapping. Its results stay within
+/// `±i64::MAX` — `i64::MIN` counts as overflow too — so negating them
+/// never overflows.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LinExpr {
     /// One coefficient per dimension, then one per parameter.
@@ -52,7 +54,7 @@ impl LinExpr {
     }
 
     /// Set the coefficient of variable `i` (builder style).
-    pub fn with_coeff(mut self, i: usize, c: i64) -> Self {
+    pub(crate) fn with_coeff(mut self, i: usize, c: i64) -> Self {
         self.coeffs[i] = c;
         self
     }
@@ -86,10 +88,7 @@ impl LinExpr {
                 got: (other.width(), 0),
             });
         }
-        let comb = |x: i64, y: i64| -> Result<i64> {
-            let v = (a as i128) * (x as i128) + (b as i128) * (y as i128);
-            i64::try_from(v).map_err(|_| PolyError::Overflow)
-        };
+        let comb = |x: i64, y: i64| term((a as i128) * (x as i128) + (b as i128) * (y as i128));
         let coeffs = self
             .coeffs
             .iter()
@@ -104,9 +103,7 @@ impl LinExpr {
 
     /// Multiply by a scalar.
     pub fn scale(&self, s: i64) -> Result<LinExpr> {
-        let mul = |x: i64| -> Result<i64> {
-            i64::try_from((x as i128) * (s as i128)).map_err(|_| PolyError::Overflow)
-        };
+        let mul = |x: i64| term((x as i128) * (s as i128));
         Ok(LinExpr {
             coeffs: self.coeffs.iter().map(|&c| mul(c)).collect::<Result<_>>()?,
             konst: mul(self.konst)?,
@@ -178,7 +175,7 @@ impl LinExpr {
     }
 
     /// gcd of the coefficients only (ignoring the constant).
-    pub fn coeff_content(&self) -> i64 {
+    pub(crate) fn coeff_content(&self) -> i64 {
         let mut g = 0u64;
         for &c in &self.coeffs {
             g = gcd_u64(g, c.unsigned_abs());
@@ -187,13 +184,21 @@ impl LinExpr {
     }
 
     /// Render with the given names (dims then params).
-    pub fn display_with<'a>(&'a self, names: &'a [String]) -> DisplayLinExpr<'a> {
+    pub(crate) fn display_with<'a>(&'a self, names: &'a [String]) -> DisplayLinExpr<'a> {
         DisplayLinExpr { expr: self, names }
     }
 }
 
+/// `v` as a term of an expression: overflow outside `±i64::MAX`.
+pub(crate) fn term(v: i128) -> Result<i64> {
+    match i64::try_from(v) {
+        Ok(t) if t != i64::MIN => Ok(t),
+        _ => Err(PolyError::Overflow),
+    }
+}
+
 /// gcd on u64, `gcd(0, x) = x`.
-pub fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -215,7 +220,7 @@ pub fn cdiv(a: i128, b: i128) -> i128 {
 }
 
 /// Helper for rendering a [`LinExpr`] with variable names.
-pub struct DisplayLinExpr<'a> {
+pub(crate) struct DisplayLinExpr<'a> {
     expr: &'a LinExpr,
     names: &'a [String],
 }
@@ -290,6 +295,10 @@ mod tests {
         let a = LinExpr::constant(1, i64::MAX);
         assert_eq!(a.add(&a), Err(PolyError::Overflow));
         assert_eq!(a.scale(2), Err(PolyError::Overflow));
+        // i64::MIN has no negation, so no result may be i64::MIN.
+        let b = LinExpr::constant(1, -i64::MAX);
+        assert_eq!(b.sub(&LinExpr::constant(1, 1)), Err(PolyError::Overflow));
+        assert_eq!(b.scale(-1).unwrap().konst, i64::MAX);
     }
 
     #[test]

@@ -199,7 +199,7 @@ fn drop_redundant(constraints: &mut Vec<Constraint>) {
 
 /// Pick the variable whose elimination produces the fewest combined
 /// constraints (classic FM heuristic): minimize `lowers * uppers`.
-pub fn cheapest_var(constraints: &[Constraint], width: usize) -> usize {
+pub(crate) fn cheapest_var(constraints: &[Constraint], width: usize) -> usize {
     let mut best = 0usize;
     let mut best_cost = usize::MAX;
     for v in 0..width {

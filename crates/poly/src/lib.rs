@@ -1,7 +1,11 @@
 //! # mekong-poly — an integer set library for polyhedral compilation
 //!
 //! A from-scratch replacement for the subset of [isl] that the Mekong
-//! toolchain needs (see the paper, §2.4 and §6). It provides:
+//! toolchain needs (see the paper, §2.4 and §6): projection, emptiness,
+//! injectivity and row scans, plus the set operations that build their
+//! inputs. Nothing else of isl's surface is here — no subtraction,
+//! coalescing, composition or reversal — because nothing in the
+//! toolchain calls it. It provides:
 //!
 //! * [`LinExpr`] — affine expressions over named dimensions and parameters,
 //! * [`Constraint`] — equalities and inequalities in Presburger-style form,
@@ -46,7 +50,6 @@
 //!
 //! [isl]: https://libisl.sourceforge.io/
 
-pub mod algebra;
 pub mod codegen;
 pub mod constraint;
 pub mod expr;

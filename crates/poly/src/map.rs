@@ -98,7 +98,7 @@ impl Map {
     }
 
     /// Restrict the domain to `dom` (a set over the input space).
-    pub fn intersect_domain(&self, dom: &Set) -> Result<Map> {
+    pub(crate) fn intersect_domain(&self, dom: &Set) -> Result<Map> {
         if dom.n_dims() != self.n_in || dom.n_params() != self.n_params() {
             return Err(PolyError::SpaceMismatch {
                 expected: (self.n_in, self.n_params()),
@@ -121,35 +121,6 @@ impl Map {
     pub fn image(&self, set: &Set) -> Result<Set> {
         let restricted = self.intersect_domain(set)?;
         restricted.range()
-    }
-
-    /// Add a constraint over `[in ++ out ++ params]` coefficients.
-    pub fn constrain(&self, c: Constraint) -> Map {
-        Map {
-            n_in: self.n_in,
-            rel: self.rel.constrain(c),
-        }
-    }
-
-    /// Restrict the inputs to the half-open box `lo[i] <= in_i < hi[i]`,
-    /// where bounds are expressions over **parameters only**.
-    ///
-    /// This is how the paper constrains an access map to one grid
-    /// partition (§6): the partition box is given by parameters.
-    pub fn constrain_inputs_to_box(&self, lo: &[LinExpr], hi: &[LinExpr]) -> Result<Map> {
-        assert_eq!(lo.len(), self.n_in);
-        assert_eq!(hi.len(), self.n_in);
-        let width = self.rel.n_dims() + self.n_params();
-        let mut m = self.clone();
-        for i in 0..self.n_in {
-            // Bounds are param-only exprs of width n_params; widen them.
-            let lo_w = widen_param_expr(&lo[i], width, self.rel.n_dims());
-            let hi_w = widen_param_expr(&hi[i], width, self.rel.n_dims());
-            let v = LinExpr::var(width, i);
-            m = m.constrain(Constraint::ge(&v, &lo_w)?);
-            m = m.constrain(Constraint::lt(&v, &hi_w)?);
-        }
-        Ok(m)
     }
 
     /// Injectivity check: no two distinct inputs map to a common output.
@@ -209,14 +180,6 @@ impl Map {
         Ok(true)
     }
 
-    /// Enumerate `(input, output)` pairs for concrete params (test helper).
-    pub fn for_each_pair(&self, params: &[i64], f: &mut dyn FnMut(&[i64], &[i64])) -> Result<()> {
-        let n = self.n_in;
-        self.rel.for_each_point(params, &mut |pt| {
-            f(&pt[..n], &pt[n..]);
-        })
-    }
-
     /// Apply to a single concrete input: collect the outputs (test helper).
     pub fn apply_point(&self, input: &[i64], params: &[i64]) -> Result<Vec<Vec<i64>>> {
         assert_eq!(input.len(), self.n_in);
@@ -226,18 +189,6 @@ impl Map {
         }
         let outs = fixed.project_out_dims(0..self.n_in)?;
         Ok(outs.points_sorted(params))
-    }
-}
-
-/// Widen a parameter-only expression (width = n_params) to full relation
-/// width by prefixing zero dim coefficients.
-fn widen_param_expr(e: &LinExpr, full_width: usize, n_dims: usize) -> LinExpr {
-    debug_assert_eq!(e.width() + n_dims, full_width);
-    let mut coeffs = vec![0i64; full_width];
-    coeffs[n_dims..].copy_from_slice(&e.coeffs);
-    LinExpr {
-        coeffs,
-        konst: e.konst,
     }
 }
 
@@ -329,13 +280,11 @@ mod tests {
 
     #[test]
     fn constrain_inputs_to_box() {
-        // Identity over i, restricted to the "partition" [p0, p1).
+        // Identity over i, restricted to the "partition" [p0, p1) given
+        // by parameters, as the paper bounds a map to one partition (§6).
         let m = Map::parse("[p0, p1] -> { [i] -> [a] : a = i }").unwrap();
-        let np = 2;
-        let lo = LinExpr::var(np, 0);
-        let hi = LinExpr::var(np, 1);
-        let boxed = m.constrain_inputs_to_box(&[lo], &[hi]).unwrap();
-        let img = boxed.range().unwrap();
+        let part = Set::parse("[p0, p1] -> { [i] : p0 <= i and i < p1 }").unwrap();
+        let img = m.intersect_domain(&part).unwrap().range().unwrap();
         assert_eq!(
             img.points_sorted(&[10, 13]),
             vec![vec![10], vec![11], vec![12]]

@@ -358,7 +358,7 @@ fn parse_prefix(parser: &mut Parser) -> Result<Vec<String>> {
 }
 
 /// Parse a [`Set`] from isl-like notation.
-pub fn parse_set(text: &str) -> Result<Set> {
+pub(crate) fn parse_set(text: &str) -> Result<Set> {
     let toks = lex(text)?;
     let mut p = Parser {
         toks,
@@ -386,7 +386,7 @@ pub fn parse_set(text: &str) -> Result<Set> {
 }
 
 /// Parse a [`Map`] from isl-like notation.
-pub fn parse_map(text: &str) -> Result<Map> {
+pub(crate) fn parse_map(text: &str) -> Result<Map> {
     let toks = lex(text)?;
     let mut p = Parser {
         toks,

@@ -90,7 +90,7 @@ impl Polyhedron {
     }
 
     /// Builder-style [`Polyhedron::add_constraint`].
-    pub fn with_constraint(mut self, c: Constraint) -> Self {
+    pub(crate) fn with_constraint(mut self, c: Constraint) -> Self {
         self.add_constraint(c);
         self
     }
@@ -151,7 +151,7 @@ impl Polyhedron {
     /// Eliminate dimension `dim` (an index `< n_dims`) by Fourier–Motzkin.
     /// Returns the projected polyhedron (one dimension narrower) and a flag
     /// telling whether the projection is exact over the integers.
-    pub fn project_out_dim(&self, dim: usize) -> Result<(Polyhedron, bool)> {
+    pub(crate) fn project_out_dim(&self, dim: usize) -> Result<(Polyhedron, bool)> {
         if dim >= self.n_dims {
             return Err(PolyError::DimOutOfRange {
                 index: dim,
@@ -187,7 +187,7 @@ impl Polyhedron {
     }
 
     /// Insert `count` fresh unconstrained dimensions at position `at`.
-    pub fn insert_dims(&self, at: usize, count: usize) -> Polyhedron {
+    pub(crate) fn insert_dims(&self, at: usize, count: usize) -> Polyhedron {
         assert!(at <= self.n_dims);
         Polyhedron {
             n_dims: self.n_dims + count,
@@ -206,7 +206,7 @@ impl Polyhedron {
 
     /// Fix dimension `dim` to the affine expression `value` (which must not
     /// reference `dim`): adds the equality `dim == value`.
-    pub fn fix_dim_expr(&self, dim: usize, value: &LinExpr) -> Result<Polyhedron> {
+    pub(crate) fn fix_dim_expr(&self, dim: usize, value: &LinExpr) -> Result<Polyhedron> {
         let e = LinExpr::var(self.width(), dim).sub(value)?;
         let mut out = self.clone();
         out.add_constraint(Constraint::eq(e));
@@ -372,7 +372,7 @@ impl Polyhedron {
     }
 
     /// Render using the given variable names (dims then params).
-    pub fn display_with<'a>(&'a self, names: &'a [String]) -> DisplayPolyhedron<'a> {
+    pub(crate) fn display_with<'a>(&'a self, names: &'a [String]) -> DisplayPolyhedron<'a> {
         DisplayPolyhedron { p: self, names }
     }
 }
@@ -387,7 +387,7 @@ pub struct DimBounds {
 }
 
 /// Helper rendering a polyhedron in isl-like notation.
-pub struct DisplayPolyhedron<'a> {
+pub(crate) struct DisplayPolyhedron<'a> {
     p: &'a Polyhedron,
     names: &'a [String],
 }

@@ -2,7 +2,7 @@
 
 use crate::polyhedron::Polyhedron;
 use crate::space::Space;
-use crate::{Constraint, PolyError, Result};
+use crate::{PolyError, Result};
 use serde::{Deserialize, Serialize};
 
 /// A (possibly non-convex) integer set: the union of convex
@@ -149,22 +149,6 @@ impl Set {
         })
     }
 
-    /// Add a constraint to every piece.
-    pub fn constrain(&self, c: Constraint) -> Set {
-        let mut pieces = Vec::new();
-        for p in &self.pieces {
-            let q = p.clone().with_constraint(c.clone());
-            if !q.is_marked_empty() {
-                pieces.push(q);
-            }
-        }
-        Set {
-            space: self.space.clone(),
-            pieces,
-            exact: self.exact,
-        }
-    }
-
     /// Project out the dimensions in `range`, renaming the space
     /// accordingly. Exactness degrades if FM loses integer precision.
     pub fn project_out_dims(&self, range: std::ops::Range<usize>) -> Result<Set> {
@@ -187,7 +171,7 @@ impl Set {
     }
 
     /// Insert fresh unconstrained dimensions named `names` at `at`.
-    pub fn insert_dims(&self, at: usize, names: &[&str]) -> Set {
+    pub(crate) fn insert_dims(&self, at: usize, names: &[&str]) -> Set {
         let mut dims = self.space.dim_names().to_vec();
         for (i, n) in names.iter().enumerate() {
             dims.insert(at + i, n.to_string());
@@ -277,20 +261,8 @@ impl Set {
         pts
     }
 
-    /// Is `self` a subset of `other` for the given concrete params?
-    /// (Test helper; enumerates `self`.)
-    pub fn is_subset_concrete(&self, other: &Set, params: &[i64]) -> Result<bool> {
-        let mut ok = true;
-        self.for_each_point(params, &mut |p| {
-            if !other.contains(p, params) {
-                ok = false;
-            }
-        })?;
-        Ok(ok)
-    }
-
     /// Names for rendering (dims then params).
-    pub fn all_names(&self) -> Vec<String> {
+    pub(crate) fn all_names(&self) -> Vec<String> {
         let mut v = self.space.dim_names().to_vec();
         v.extend(self.space.param_names().iter().cloned());
         v
@@ -378,11 +350,19 @@ mod tests {
         assert_eq!(again.count_points(&[6]), s.count_points(&[6]));
     }
 
+    /// Is every point of `a` in `b`?
+    fn is_subset(a: &Set, b: &Set) -> bool {
+        let mut ok = true;
+        a.for_each_point(&[], &mut |p| ok &= b.contains(p, &[]))
+            .unwrap();
+        ok
+    }
+
     #[test]
     fn subset_check() {
         let small = Set::parse("{ [x] : 1 <= x and x <= 3 }").unwrap();
         let big = Set::parse("{ [x] : 0 <= x and x <= 9 }").unwrap();
-        assert!(small.is_subset_concrete(&big, &[]).unwrap());
-        assert!(!big.is_subset_concrete(&small, &[]).unwrap());
+        assert!(is_subset(&small, &big));
+        assert!(!is_subset(&big, &small));
     }
 }

@@ -83,21 +83,9 @@ impl Space {
         &self.params
     }
 
-    /// Index of the dimension called `name`, if any.
-    pub fn dim_index(&self, name: &str) -> Option<usize> {
-        self.dims.iter().position(|d| d == name)
-    }
-
     /// Index of the parameter called `name`, if any.
     pub fn param_index(&self, name: &str) -> Option<usize> {
         self.params.iter().position(|p| p == name)
-    }
-
-    /// Positional index into a coefficient vector for the dimension or
-    /// parameter called `name` (dims first, then params).
-    pub fn coeff_index(&self, name: &str) -> Option<usize> {
-        self.dim_index(name)
-            .or_else(|| self.param_index(name).map(|i| i + self.dims.len()))
     }
 
     /// The space of a map `[self] -> [other]`: dimensions concatenated,
@@ -141,10 +129,7 @@ mod tests {
         assert_eq!(s.n_dims(), 2);
         assert_eq!(s.n_params(), 2);
         assert_eq!(s.width(), 4);
-        assert_eq!(s.dim_index("x"), Some(1));
         assert_eq!(s.param_index("n"), Some(0));
-        assert_eq!(s.coeff_index("n"), Some(2));
-        assert_eq!(s.coeff_index("zz"), None);
     }
 
     #[test]

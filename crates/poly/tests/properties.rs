@@ -181,55 +181,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Subtraction is exact: A \ B contains exactly the points of A not
-    /// in B, and the pieces of the result are pairwise disjoint with B.
-    #[test]
-    fn subtraction_matches_pointwise(a in arb_set(2), b in arb_set(2)) {
-        let d = a.subtract(&b).unwrap();
-        let expected: Vec<Vec<i64>> = points(&a)
-            .into_iter()
-            .filter(|p| !b.contains(p, &[]))
-            .collect();
-        prop_assert_eq!(points(&d), expected);
-    }
-
-    /// (A \ B) ∪ (A ∩ B) == A.
-    #[test]
-    fn subtract_and_intersect_partition(a in arb_set(2), b in arb_set(2)) {
-        let d = a.subtract(&b).unwrap();
-        let i = a.intersect(&b).unwrap();
-        let u = d.union(&i).unwrap();
-        prop_assert_eq!(points(&u), points(&a));
-    }
-
-    /// Coalescing never changes the point set.
-    #[test]
-    fn coalesce_preserves_points(s in arb_set(2)) {
-        let ctx = Polyhedron::universe(0, 0);
-        let c = s.coalesce(&ctx).unwrap();
-        prop_assert!(c.pieces().len() <= s.pieces().len());
-        prop_assert_eq!(points(&c), points(&s));
-    }
-
-    /// reverse(reverse(m)) relates the same pairs as m.
-    #[test]
-    fn reverse_is_involutive(s in arb_set(2)) {
-        // Build a map from the set: { [x] -> [y] : (x, y) in s }.
-        let m = mekong_poly::Map::from_relation(1, s.clone());
-        let rr = m.reverse().reverse();
-        let mut pairs_a = Vec::new();
-        m.for_each_pair(&[], &mut |i, o| pairs_a.push((i.to_vec(), o.to_vec()))).unwrap();
-        let mut pairs_b = Vec::new();
-        rr.for_each_pair(&[], &mut |i, o| pairs_b.push((i.to_vec(), o.to_vec()))).unwrap();
-        pairs_a.sort();
-        pairs_b.sort();
-        prop_assert_eq!(pairs_a, pairs_b);
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Translating a set by (a, b) preserves its cardinality (Figure 1).

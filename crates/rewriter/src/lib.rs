@@ -20,7 +20,7 @@ use mekong_frontend::{ParseError, Result};
 /// The CUDA → Mekong identifier substitutions (§8.4: "The CUDA
 /// replacement functions have identical prototypes to their CUDA API
 /// counterparts").
-pub const API_RENAMES: &[(&str, &str)] = &[
+pub(crate) const API_RENAMES: &[(&str, &str)] = &[
     ("cudaMalloc", "mekongMalloc"),
     ("cudaFree", "mekongFree"),
     ("cudaMemcpyAsync", "mekongMemcpyAsync"),
@@ -31,7 +31,7 @@ pub const API_RENAMES: &[(&str, &str)] = &[
 ];
 
 /// The header block inserted at the top of every rewritten file.
-pub const HEADER: &str = "\
+pub(crate) const HEADER: &str = "\
 /* --- inserted by the mekong rewriter --- */
 #include \"mekong_runtime.h\"
 /* ---------------------------------------- */
@@ -95,7 +95,7 @@ fn end_after(src: &str, tokens: &[Token], idx: usize) -> usize {
 
 /// Substitute CUDA API identifiers in a raw text slice
 /// (identifier-boundary aware).
-pub fn rename_apis(text: &str) -> String {
+pub(crate) fn rename_apis(text: &str) -> String {
     let mut out = text.to_string();
     for (from, to) in API_RENAMES {
         let mut result = String::with_capacity(out.len());

@@ -198,7 +198,7 @@ impl PlanCache {
 
     /// Change the capacity bound (`0` = unbounded) and immediately
     /// enforce it. Returns the evictions that took.
-    pub fn set_capacity(&mut self, capacity: usize) -> u64 {
+    pub(crate) fn set_capacity(&mut self, capacity: usize) -> u64 {
         self.capacity = capacity;
         self.enforce_capacity()
     }
@@ -223,7 +223,7 @@ impl PlanCache {
     /// same key are replaced. Imported entries are marked *loaded* with
     /// zero hits: they must prove their worth before the next compacting
     /// snapshot carries them forward (see [`PlanCache::export_live`]).
-    pub fn import(&mut self, entries: Vec<(PlanKey, Arc<LaunchPlan>, u32)>) -> u64 {
+    pub(crate) fn import(&mut self, entries: Vec<(PlanKey, Arc<LaunchPlan>, u32)>) -> u64 {
         for (key, plan, namespace) in entries {
             self.install(key, plan, namespace, true);
         }

@@ -2495,10 +2495,14 @@ mod tests {
             rt.launch(&ck, Dim3::new1(8), Dim3::new1(128), &args)
                 .unwrap();
         }
-        assert!(rt.plan_cache_len() > 0);
+        assert!(!rt.plan_cache.borrow().is_empty());
         assert!(rt.machine().counters().plan_hits > 0);
         rt.set_config(RuntimeConfig::alpha());
-        assert_eq!(rt.plan_cache_len(), 0, "config change must flush plans");
+        assert_eq!(
+            rt.plan_cache.borrow().len(),
+            0,
+            "config change must flush plans"
+        );
     }
 
     /// `plan_cache_capacity` bounds the cache with LRU eviction: the
@@ -2537,7 +2541,8 @@ mod tests {
                 std::mem::swap(&mut src, &mut dst);
             }
             rt.synchronize();
-            (rt.machine().counters(), rt.plan_cache_len())
+            let len = rt.plan_cache.borrow().len();
+            (rt.machine().counters(), len)
         };
         let (tight, len_tight) = run(1);
         assert!(len_tight <= 1, "cache exceeded its capacity: {len_tight}");
@@ -2999,20 +3004,20 @@ mod tests {
             .unwrap();
             std::mem::swap(&mut src, &mut dst);
         }
-        let depth = rt.pipeline_depth();
+        let depth = rt.pipeline.depth();
         assert!(depth > 0, "steady-state replays must be in flight");
         let mut out = vec![0u8; n * 4];
         rt.memcpy_d2h(spectator, &mut out).unwrap();
         assert_eq!(out, marker, "cold gather must be byte-identical");
         assert_eq!(
-            rt.pipeline_depth(),
+            rt.pipeline.depth(),
             depth,
             "cold gather must not drain the window"
         );
         // Both ping-pong buffers have in-flight writers: gathering one
         // takes the conservative flush and empties the window.
         rt.memcpy_d2h(src, &mut out).unwrap();
-        assert_eq!(rt.pipeline_depth(), 0, "hot gather must flush");
+        assert_eq!(rt.pipeline.depth(), 0, "hot gather must flush");
     }
 
     /// `y[i] = alpha * x[i]` with a float `alpha`.

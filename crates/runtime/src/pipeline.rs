@@ -19,7 +19,7 @@
 //!   buffer it writes (`read_until[w,g]`).
 //!
 //! Copies are charged to per-device **copy-engine clocks**
-//! ([`mekong_gpusim::Backend::copy_d2d`] with `deps`), so iteration *i+1*'s
+//! ([`mekong_gpusim::Machine::copy_d2d`] with `deps`), so iteration *i+1*'s
 //! halo exchange streams while iteration *i*'s compute still occupies the
 //! SM clocks. There is deliberately **no write-after-write edge between a
 //! halo copy and the destination's own partition launch**: the partition
@@ -98,7 +98,9 @@ impl Pipeline {
         self.written.resize(n_buffers, false);
     }
 
-    /// Number of in-flight launches.
+    /// Number of in-flight launches (for tests: observing the window
+    /// must not flush it, as [`MgpuRuntime::machine_mut`] does).
+    #[cfg(test)]
     pub(crate) fn depth(&self) -> usize {
         self.in_flight.len()
     }
@@ -215,13 +217,6 @@ impl MgpuRuntime {
         if let Some(t) = self.pipeline.drain() {
             self.machine.join_host(t);
         }
-    }
-
-    /// Current launch-ahead window depth: how many replayed launches
-    /// are in flight right now. Read-only — unlike
-    /// [`MgpuRuntime::machine_mut`], observing the depth does not flush.
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline.depth()
     }
 }
 

@@ -83,7 +83,7 @@ pub struct PlanKey {
 /// bytes later (same offsets both sides). `count == 1` is a plain
 /// contiguous copy; `count > 1` is a `cudaMemcpy2D`-style strided DMA —
 /// the column-halo shape of a rectangular tiling — replayed as **one**
-/// link transaction ([`mekong_gpusim::Backend::copy_d2d`] with
+/// link transaction ([`mekong_gpusim::Machine::copy_d2d`] with
 /// [`mekong_gpusim::CopyRuns`] of `count` runs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCopy {

@@ -56,10 +56,10 @@ pub struct DeviceSet(u64);
 
 impl DeviceSet {
     /// The empty set.
-    pub const EMPTY: DeviceSet = DeviceSet(0);
+    pub(crate) const EMPTY: DeviceSet = DeviceSet(0);
 
     /// Maximum representable device index + 1.
-    pub const CAPACITY: usize = 64;
+    pub(crate) const CAPACITY: usize = 64;
 
     /// The singleton `{d}`.
     pub fn single(d: usize) -> DeviceSet {

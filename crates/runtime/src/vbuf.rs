@@ -5,7 +5,7 @@ use crate::launch::LaunchSite;
 use crate::plan::PlanKey;
 use crate::tracker::{Owner, Tracker, Validity};
 use crate::{Result, RuntimeError};
-use mekong_gpusim::{Backend, DevBuf, SimArg, SimTime, TimeCat};
+use mekong_gpusim::{Backend, DevBuf, Machine, SimArg, SimTime, TimeCat};
 use mekong_kernel::Dim3;
 use mekong_tuner::{Autotuner, PartitionStrategy, TuneKey};
 use serde::Serialize;
@@ -211,12 +211,11 @@ pub(crate) struct LaunchScratch {
 /// The multi-GPU runtime: owns the machine and all virtual buffers, and
 /// provides the CUDA Runtime API replacements (§8.4).
 pub struct MgpuRuntime {
-    /// The executor behind the runtime: the simulated machine (GPUs,
-    /// host sockets or both) or a [`Backend`] wrapped around it. Every
-    /// copy and launch — eager and pipelined — dispatches through the
-    /// trait; trackers, validity sets and plan capture/replay above this
-    /// line are backend-agnostic.
-    pub(crate) machine: Box<dyn Backend>,
+    /// The simulated machine (GPUs, host sockets or both). Every copy
+    /// and launch — eager and pipelined — is one of its methods;
+    /// trackers, validity sets and plan capture/replay above this line
+    /// only see device indices and buffer handles.
+    pub(crate) machine: Machine,
     pub(crate) buffers: Vec<VirtualBuffer>,
     pub(crate) config: RuntimeConfig,
     /// When γ disables dependency resolution, transfers are skipped
@@ -275,16 +274,9 @@ pub(crate) fn check_live(buffers: &[VirtualBuffer], namespace: u32, b: VBufId) -
 }
 
 impl MgpuRuntime {
-    /// Wrap a machine-level executor — [`mekong_gpusim::Machine`], whose
-    /// device slots are simulated GPUs, host CPU sockets or a mix.
-    pub fn new(machine: impl Backend + 'static) -> MgpuRuntime {
-        MgpuRuntime::from_boxed(Box::new(machine))
-    }
-
-    /// [`MgpuRuntime::new`] for an already-boxed backend — lets callers
-    /// pick the executor at runtime (e.g. the cross-backend
-    /// differential tests).
-    pub fn from_boxed(machine: Box<dyn Backend>) -> MgpuRuntime {
+    /// Wrap a [`Machine`], whose device slots are simulated GPUs, host
+    /// CPU sockets or a mix.
+    pub fn new(machine: Machine) -> MgpuRuntime {
         let empty = Dim3::new1(0);
         MgpuRuntime {
             pipeline: crate::pipeline::Pipeline::new(machine.n_devices()),
@@ -336,11 +328,6 @@ impl MgpuRuntime {
         cache.clear();
         cache.set_capacity(cfg.plan_cache_capacity);
         self.sites.clear();
-    }
-
-    /// Launch-plan cache size (captured plans currently held).
-    pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.borrow().len()
     }
 
     /// Attach a (possibly shared) plan cache. Plan keys strip the buffer
@@ -426,17 +413,24 @@ impl MgpuRuntime {
         out
     }
 
-    /// The wrapped backend.
-    pub fn machine(&self) -> &dyn Backend {
-        &*self.machine
+    /// [`MgpuRuntime::new`] for a machine boxed as the compatibility
+    /// [`Backend`] that the frozen `benchmark/` package still builds;
+    /// goes away with it at the next re-baseline (ROADMAP item 2).
+    pub fn from_boxed(machine: Box<dyn Backend>) -> MgpuRuntime {
+        MgpuRuntime::new(machine.into_machine())
     }
 
-    /// Mutable access to the backend (benchmarks reset clocks etc.).
+    /// The wrapped machine.
+    pub fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// Mutable access to the machine (benchmarks reset clocks etc.).
     /// Flushes the launch-ahead window first: direct machine access must
     /// not observe clocks mid-window.
-    pub fn machine_mut(&mut self) -> &mut dyn Backend {
+    pub fn machine_mut(&mut self) -> &mut Machine {
         self.pipeline_flush();
-        &mut *self.machine
+        &mut self.machine
     }
 
     /// Real device count.

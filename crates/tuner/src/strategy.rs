@@ -70,7 +70,7 @@ impl PartitionStrategy {
     /// each cut along `axis_b` by `shares_b`. [`PartitionStrategy::tiled`]
     /// is the equal-share special case; uneven shares let a lattice of
     /// mixed-speed devices take proportionally sized tiles.
-    pub fn tiled_weighted(
+    pub(crate) fn tiled_weighted(
         axis_a: SplitAxis,
         shares_a: Vec<f64>,
         axis_b: SplitAxis,
@@ -107,7 +107,7 @@ impl PartitionStrategy {
     }
 
     /// Do the shares differ from an even split (on either axis)?
-    pub fn is_weighted(&self) -> bool {
+    pub(crate) fn is_weighted(&self) -> bool {
         let uneven = |shares: &[f64]| {
             let first = shares[0];
             shares

@@ -29,7 +29,7 @@ pub struct Buffer {
 
 impl Buffer {
     /// `len` `f32` elements uploaded from `gen`.
-    pub fn f32_input(len: usize, gen: impl Fn() -> Vec<f32> + 'static) -> Buffer {
+    pub(crate) fn f32_input(len: usize, gen: impl Fn() -> Vec<f32> + 'static) -> Buffer {
         Buffer {
             bytes: len * 4,
             elem_size: 4,
@@ -38,7 +38,7 @@ impl Buffer {
     }
 
     /// `len` `i64` elements uploaded from `gen`.
-    pub fn i64_input(len: usize, gen: impl Fn() -> Vec<i64> + 'static) -> Buffer {
+    pub(crate) fn i64_input(len: usize, gen: impl Fn() -> Vec<i64> + 'static) -> Buffer {
         Buffer {
             bytes: len * 8,
             elem_size: 8,
@@ -202,10 +202,10 @@ impl App {
     /// Build the workload on the Mekong runtime over `machine`: compile,
     /// configure, allocate and upload. A functional machine gets the
     /// seeded payloads, a performance machine timing-only uploads.
-    pub fn prepare(self, machine: Box<dyn Backend>, cfg: RuntimeConfig) -> Prepared {
+    pub fn prepare(self, machine: Machine, cfg: RuntimeConfig) -> Prepared {
         let program = compile_source(self.source).expect("workload compiles");
         let functional = machine.is_functional();
-        let mut rt = MgpuRuntime::from_boxed(machine);
+        let mut rt = MgpuRuntime::new(machine);
         rt.set_config(cfg);
         let slots: Vec<VBufId> = self
             .buffers

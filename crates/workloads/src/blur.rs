@@ -204,7 +204,7 @@ mod tests {
         let mut rows_only = Blur.describe(2048);
         rows_only.launches[1].kernel = "blur_row";
         let machine = Machine::new(MachineSpec::kepler_system(4), false);
-        let mut p = rows_only.prepare(Box::new(machine), RuntimeConfig::default());
+        let mut p = rows_only.prepare(machine, RuntimeConfig::default());
         p.steps(3);
         p.rt.synchronize();
         // Row-pass reads are partition-local under a Y split: zero halo.

@@ -1,7 +1,7 @@
 //! Shared benchmark harness types.
 
 use crate::app::{App, Check};
-use mekong_gpusim::{Backend, Machine, MachineSpec, OpCounters, TimeBreakdown};
+use mekong_gpusim::{Machine, MachineSpec, OpCounters, TimeBreakdown};
 use mekong_runtime::{decode_strategy, MgpuRuntime, RuntimeConfig};
 
 /// Problem-size class (Table 1 columns).
@@ -93,52 +93,6 @@ impl RunOutcome {
         }
     }
 
-    /// One-line human-readable summary of the run, including the tuner's
-    /// decision when one was recorded.
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "elapsed {:.3} ms | {} launches | {:.2} MiB d2d | plan hit rate {:.0}%",
-            self.elapsed * 1e3,
-            self.counters.launches,
-            self.counters.d2d_bytes as f64 / (1024.0 * 1024.0),
-            self.plan_hit_rate() * 100.0,
-        );
-        if let Some(strategy) = &self.strategy_chosen {
-            s.push_str(&format!(
-                " | strategy {} (predict {} B/launch, measured {} B/launch)",
-                strategy, self.tuner_predict_bytes, self.tuner_measured_bytes
-            ));
-        }
-        if self.replica_hits > 0 {
-            s.push_str(&format!(
-                " | {} replica hits ({:.2} MiB refetch saved, {} invalidations)",
-                self.replica_hits,
-                self.refetch_bytes_saved as f64 / (1024.0 * 1024.0),
-                self.replica_invalidations
-            ));
-        }
-        if self.plan_shared_hits > 0 {
-            s.push_str(&format!(" | {} shared plan hits", self.plan_shared_hits));
-        }
-        if self.plan_evictions > 0 {
-            s.push_str(&format!(" | {} plan evictions", self.plan_evictions));
-        }
-        if self.mayread_fetch_bytes > 0 {
-            s.push_str(&format!(
-                " | may-read boxes {:.2} MiB fetched ({:.2} MiB over-fetch)",
-                self.mayread_fetch_bytes as f64 / (1024.0 * 1024.0),
-                self.mayread_overfetch_bytes as f64 / (1024.0 * 1024.0)
-            ));
-        }
-        let checked = self.counters.checked_safe + self.counters.checked_rejected;
-        if checked > 0 {
-            s.push_str(&format!(
-                " | safety checks {}/{} proven",
-                self.counters.checked_safe, checked
-            ));
-        }
-        s
-    }
     /// Launch-plan cache hit rate of the run: `hits / (hits + misses)`,
     /// or 0.0 when no partitioned launch resolved dependencies. With
     /// `capture_plans` off every resolving launch counts as a miss, so
@@ -195,9 +149,7 @@ pub trait Benchmark {
         iterations: usize,
         cfg: RuntimeConfig,
     ) -> RunOutcome {
-        let mut p = self
-            .describe(size)
-            .prepare(Box::new(Machine::new(spec, false)), cfg);
+        let mut p = self.describe(size).prepare(Machine::new(spec, false), cfg);
         p.run(iterations);
         RunOutcome::from_runtime(&p.rt)
     }
@@ -214,14 +166,14 @@ pub trait Benchmark {
         self.mgpu_run_spec(MachineSpec::kepler_system(gpus), size, iterations, cfg)
     }
 
-    /// Functional verification run on an arbitrary machine-level
-    /// backend at the scaled-down check size (fixed seeded inputs):
+    /// Functional verification run on an arbitrary machine at the
+    /// scaled-down check size (fixed seeded inputs):
     /// runs the workload through the Mekong runtime and returns the raw
-    /// little-endian output bytes. Every backend interprets kernels
+    /// little-endian output bytes. Every device class interprets kernels
     /// through the same block-parallel interpreter, so the bytes must
     /// be identical across sim-GPU, host-CPU and mixed machines — the
-    /// cross-backend differential tests assert exactly that.
-    fn verify_output(&self, machine: Box<dyn Backend>) -> Vec<u8> {
+    /// cross-device-class differential tests assert exactly that.
+    fn verify_output(&self, machine: Machine) -> Vec<u8> {
         let check = self.check();
         self.describe(check.n)
             .prepare(machine, RuntimeConfig::default())
@@ -234,10 +186,7 @@ pub trait Benchmark {
     /// workload's tolerance (exact bytes where it is 0).
     fn verify(&self, gpus: usize) -> bool {
         let check = self.check();
-        let out = self.verify_output(Box::new(Machine::new(
-            MachineSpec::kepler_system(gpus),
-            true,
-        )));
+        let out = self.verify_output(Machine::new(MachineSpec::kepler_system(gpus), true));
         check.accepts(&out, &self.reference_output(check.n, check.iters))
     }
 }

@@ -66,7 +66,7 @@ pub fn columns(n: usize) -> Vec<i64> {
 }
 
 /// Deterministic matrix values.
-pub fn matrix_values(n: usize) -> Vec<f32> {
+pub(crate) fn matrix_values(n: usize) -> Vec<f32> {
     (0..n * M).map(|i| ((i * 17) % 63) as f32 * 0.125).collect()
 }
 

@@ -18,7 +18,7 @@ fn all_workloads() -> Vec<Box<dyn Benchmark>> {
 }
 
 fn bytes_on(b: &dyn Benchmark, spec: MachineSpec) -> Vec<u8> {
-    b.verify_output(Box::new(Machine::new(spec, true)))
+    b.verify_output(Machine::new(spec, true))
 }
 
 /// The three machines under test for a `(gpus, cpus)` shape.

@@ -162,27 +162,16 @@ __global__ void step(int n, float a[n], float b[n]) {
     }
 }
 
+/// The `last`, `mir` and `corner` kernels.
+const GRIDDIM_KERNELS: &str = include_str!("fixtures/griddim.cu");
+
 /// `gridDim` in the partitioned clone means the whole grid, as it does
 /// in the access model: a kernel that singles out the grid's last block,
 /// and one that reads mirrored through `gridDim`, produce the
 /// single-device bytes on every device count, captured or not.
 #[test]
 fn griddim_kernels_match_one_device() {
-    let src = r#"
-__global__ void last(int n, float a[n], float b[n]) {
-    int i = blockIdx.x * blockDim.x + threadIdx.x;
-    if (i >= n) return;
-    b[i] = a[i];
-    if (blockIdx.x == gridDim.x - 1) b[i] = 100.0f;
-}
-
-__global__ void mir(int n, float a[n], float b[n]) {
-    int i = blockIdx.x * blockDim.x + threadIdx.x;
-    if (i >= n) return;
-    b[i] = a[gridDim.x - 1 - blockIdx.x] + 1.0f;
-}
-"#;
-    let program = compile_source(src).unwrap();
+    let program = compile_source(GRIDDIM_KERNELS).unwrap();
     let n = 64;
     let run = |kernel: &str, gpus: usize, capture_plans: bool| -> Vec<u8> {
         let ck = program.kernel(kernel).unwrap();
@@ -227,18 +216,7 @@ __global__ void mir(int n, float a[n], float b[n]) {
 /// every partition is bounded on both axes.
 #[test]
 fn griddim_kernel_matches_one_device_on_a_tiling() {
-    let src = r#"
-__global__ void corner(int n, float a[n][n], float b[n][n]) {
-    int x = blockIdx.x * blockDim.x + threadIdx.x;
-    int y = blockIdx.y * blockDim.y + threadIdx.y;
-    if (x >= n) return;
-    if (y >= n) return;
-    b[y][x] = a[gridDim.y - 1 - blockIdx.y][gridDim.x - 1 - blockIdx.x] + 1.0f;
-    if (blockIdx.y == gridDim.y - 1) b[y][x] = 100.0f;
-    if (blockIdx.x == gridDim.x - 1) b[y][x] = 200.0f;
-}
-"#;
-    let program = compile_source(src).unwrap();
+    let program = compile_source(GRIDDIM_KERNELS).unwrap();
     let ck = program.kernel("corner").unwrap();
     assert!(ck.is_partitionable(), "{:?}", ck.model.verdict);
     let n = 16;

@@ -500,3 +500,32 @@ __global__ void shift(int n, float a[n], float b[n]) {
     // is refused.
     assert!(compile_source(&shift.replace("__syncthreads();", "")).is_ok());
 }
+
+/// `k(int n, float a[n], float b[n])` with `body` after the global index.
+fn extreme_kernel(body: &str) -> String {
+    format!(
+        "__global__ void k(int n, float a[n], float b[n]) {{\n    \
+         int i = blockIdx.x * blockDim.x + threadIdx.x;\n    {body}\n}}\n"
+    )
+}
+
+/// An index whose constraint overflows i64 degrades like a non-affine
+/// one: a read becomes a may-read box clipped to the array, a write is
+/// unmodeled and keeps the kernel on one device. Never a panic.
+#[test]
+fn extreme_index_literals_degrade_instead_of_panicking() {
+    let read = compile_source(&extreme_kernel("b[i] = a[i - 9223372036854775807 - 1];")).unwrap();
+    assert!(read.kernel("k").unwrap().is_partitionable());
+    let write = compile_source(&extreme_kernel("b[i - 9223372036854775807 - 1] = a[i];")).unwrap();
+    assert!(!write.kernel("k").unwrap().is_partitionable());
+}
+
+/// A condition whose constraint overflows i64 is not affinely
+/// representable: the guarded write is approximate, so the kernel stays
+/// on one device.
+#[test]
+fn extreme_condition_literal_is_approximate() {
+    let src = extreme_kernel("if (i < -9223372036854775807 - 1) { b[i] = a[i]; }");
+    let program = compile_source(&src).unwrap();
+    assert!(!program.kernel("k").unwrap().is_partitionable());
+}

@@ -30,47 +30,11 @@ use mekong_poly::{Constraint, LinExpr, Map, Polyhedron};
 /// Check that the write map is injective across partitions along
 /// `split`. Conservative: `false` when emptiness cannot be proved.
 pub fn is_block_injective(map: &Map, space: &AnalysisSpace, split: SplitAxis) -> Result<bool> {
-    assert_eq!(map.n_in(), N_MAP_IN);
-    let d = map.n_out();
-    let np = map.n_params();
     let context = space.param_context();
-    let combined_dims = 2 * N_MAP_IN + d;
-    let width = combined_dims + np;
-    let s = split.zyx_index();
-
     for a in map.relation().pieces() {
         for b in map.relation().pieces() {
-            // Base: A over (t, y), B over (t', y) sharing outputs y.
-            let mut sys = Polyhedron::universe(combined_dims, np);
-            for c in a.constraints() {
-                sys.add_constraint(remap(c, false, d, np));
-            }
-            for c in b.constraints() {
-                sys.add_constraint(remap(c, true, d, np));
-            }
-            if sys.is_marked_empty() {
-                continue;
-            }
-            // The primed block lies strictly after the unprimed one along
-            // the split axis. (The mirrored case is covered because (a, b)
-            // ranges over ordered pairs.)
-            let bo = LinExpr::var(width, s);
-            let bi = LinExpr::var(width, 3 + s);
-            let bo2 = LinExpr::var(width, N_MAP_IN + s);
-            let bi2 = LinExpr::var(width, N_MAP_IN + 3 + s);
-            let bd = LinExpr::var(width, combined_dims + s);
-            let bo_next = bo.add(&bd).unwrap();
-            sys.add_constraint(Constraint::ge(&bo2, &bo_next).unwrap());
-            let bi_next = {
-                let mut e = bi.clone();
-                e.konst += 1;
-                e
-            };
-            sys.add_constraint(Constraint::ge(&bi2, &bi_next).unwrap());
-            if sys.is_marked_empty() {
-                continue;
-            }
-            if !sys.is_empty_symbolic(&context)? {
+            let sys = split_pair_system(map, a, b, split)?;
+            if !sys.is_marked_empty() && !sys.is_empty_symbolic(&context)? {
                 return Ok(false);
             }
         }
@@ -78,23 +42,30 @@ pub fn is_block_injective(map: &Map, space: &AnalysisSpace, split: SplitAxis) ->
     Ok(true)
 }
 
-/// Remap a constraint over `[t(6), y(d), params]` into
-/// `[t(6), t'(6), y(d), params]`; `primed` selects the `t'` block.
-fn remap(c: &Constraint, primed: bool, d: usize, np: usize) -> Constraint {
-    let src = &c.expr.coeffs;
-    debug_assert_eq!(src.len(), N_MAP_IN + d + np);
-    let mut coeffs = vec![0i64; 2 * N_MAP_IN + d + np];
-    let off = if primed { N_MAP_IN } else { 0 };
-    coeffs[off..off + N_MAP_IN].copy_from_slice(&src[..N_MAP_IN]);
-    coeffs[2 * N_MAP_IN..2 * N_MAP_IN + d].copy_from_slice(&src[N_MAP_IN..N_MAP_IN + d]);
-    coeffs[2 * N_MAP_IN + d..].copy_from_slice(&src[N_MAP_IN + d..]);
-    Constraint {
-        kind: c.kind,
-        expr: LinExpr {
-            coeffs,
-            konst: c.expr.konst,
-        },
-    }
+/// The system above for write pieces `a` and `b`: their pair system
+/// ([`Map::pair_system`], `A` over `(bo, bi, y)` and `B` over
+/// `(bo', bi', y)`) with the primed block strictly after the unprimed one
+/// along `split`. The mirrored case is covered because `(a, b)` ranges
+/// over ordered pairs.
+pub fn split_pair_system(
+    map: &Map,
+    a: &Polyhedron,
+    b: &Polyhedron,
+    split: SplitAxis,
+) -> Result<Polyhedron> {
+    assert_eq!(map.n_in(), N_MAP_IN);
+    let dims = 2 * N_MAP_IN + map.n_out();
+    let width = dims + map.n_params();
+    let s = split.zyx_index();
+    let mut sys = map.pair_system(a, b);
+    let bo = LinExpr::var(width, s);
+    let bi = LinExpr::var(width, 3 + s);
+    let bo2 = LinExpr::var(width, N_MAP_IN + s);
+    let bi2 = LinExpr::var(width, N_MAP_IN + 3 + s);
+    let bd = LinExpr::var(width, dims + s);
+    sys.add_constraint(Constraint::ge(&bo2, &bo.add(&bd)?)?);
+    sys.add_constraint(Constraint::ge(&bi2, &bi.with_konst(1))?);
+    Ok(sys)
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ pub mod strategy;
 
 pub use annotate::{apply_annotations, scan_annotations, value_ranges, Annotation, AnnotationKind};
 pub use extract::{analyze_kernel, analyze_kernel_boxed, analyze_kernel_with, ValueRanges};
-pub use injective::is_block_injective;
+pub use injective::{is_block_injective, split_pair_system};
 pub use interval::{widen, AbsVal};
 pub use model::{AccessKind, AppModel, ArgModel, ArrayAccess, KernelModel, ModelError, Verdict};
 pub use space::{AnalysisSpace, BD_OFF, GD_OFF, N_FIXED_PARAMS, N_GRID_DIMS, N_MAP_IN};

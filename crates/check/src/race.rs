@@ -11,14 +11,17 @@
 //!
 //! is empty for all parameters with `blockDim, gridDim ≥ 1` (emptiness
 //! via Fourier–Motzkin projection in `mekong_poly`). When the proof
-//! fails, this module *concretizes* the same system — binding small
+//! fails, this module *concretizes* the same system
+//! ([`mekong_analysis::split_pair_system`]) — binding small
 //! block/grid dims and scalar values, adding the now-affine coupling
 //! `blockOff = blockDim · blockIdx` and box constraints — and enumerates
 //! it for an actual `(block_a, block_b, element)` witness point.
 
 use crate::diag::Witness;
 use crate::Result;
-use mekong_analysis::{is_block_injective, AnalysisSpace, SplitAxis, GD_OFF, N_MAP_IN};
+use mekong_analysis::{
+    is_block_injective, split_pair_system, AnalysisSpace, SplitAxis, GD_OFF, N_MAP_IN,
+};
 use mekong_kernel::Extent;
 use mekong_partition::Partition;
 use mekong_poly::{Constraint, LinExpr, Map, Polyhedron};
@@ -35,8 +38,6 @@ pub enum AxisProof {
     /// or large-parameter-only races). Treated as unsafe.
     Unproven,
 }
-
-impl AxisProof {}
 
 /// Prove or refute write-disjointness of `map` across partitions along
 /// `axis`. Conservative: anything short of a proof is not `Disjoint`.
@@ -64,36 +65,10 @@ pub fn find_race_witness(
     space: &AnalysisSpace,
     axis: SplitAxis,
 ) -> Result<Option<Witness>> {
-    assert_eq!(map.n_in(), N_MAP_IN);
     let d = map.n_out();
-    let np = map.n_params();
-    let dims = 2 * N_MAP_IN + d;
-    let width = dims + np;
-    let s = axis.zyx_index();
-
     for a in map.relation().pieces() {
         for b in map.relation().pieces() {
-            let mut sys = Polyhedron::universe(dims, np);
-            for c in a.constraints() {
-                sys.add_constraint(embed(c, 0, 2, d, np));
-            }
-            for c in b.constraints() {
-                sys.add_constraint(embed(c, 1, 2, d, np));
-            }
-            // Orient: the primed block strictly after the unprimed one
-            // along the split axis (ordered piece pairs cover the mirror).
-            let bo = LinExpr::var(width, s);
-            let bi = LinExpr::var(width, 3 + s);
-            let bo2 = LinExpr::var(width, N_MAP_IN + s);
-            let bi2 = LinExpr::var(width, N_MAP_IN + 3 + s);
-            let bd = LinExpr::var(width, dims + s);
-            sys.add_constraint(Constraint::ge(&bo2, &bo.add(&bd)?)?);
-            let bi_next = {
-                let mut e = bi.clone();
-                e.konst += 1;
-                e
-            };
-            sys.add_constraint(Constraint::ge(&bi2, &bi_next)?);
+            let sys = split_pair_system(map, a, b, axis)?;
             if sys.is_marked_empty() {
                 continue;
             }
@@ -105,33 +80,6 @@ pub fn find_race_witness(
         }
     }
     Ok(None)
-}
-
-/// Embed a piece constraint over `[t(6), y(d), params]` into a system
-/// with `copies` input-space copies, `[t .. t^copies, y(d), params]`,
-/// selecting copy `which`.
-pub(crate) fn embed(
-    c: &Constraint,
-    which: usize,
-    copies: usize,
-    d: usize,
-    np: usize,
-) -> Constraint {
-    let src = &c.expr.coeffs;
-    debug_assert_eq!(src.len(), N_MAP_IN + d + np);
-    let mut coeffs = vec![0i64; copies * N_MAP_IN + d + np];
-    let off = which * N_MAP_IN;
-    coeffs[off..off + N_MAP_IN].copy_from_slice(&src[..N_MAP_IN]);
-    let y0 = copies * N_MAP_IN;
-    coeffs[y0..y0 + d].copy_from_slice(&src[N_MAP_IN..N_MAP_IN + d]);
-    coeffs[y0 + d..].copy_from_slice(&src[N_MAP_IN + d..]);
-    Constraint {
-        kind: c.kind,
-        expr: LinExpr {
-            coeffs,
-            konst: c.expr.konst,
-        },
-    }
 }
 
 /// Small concrete parameter bindings tried during witness search: cubic

@@ -1,6 +1,6 @@
 //! Equality and inequality constraints.
 
-use crate::expr::LinExpr;
+use crate::expr::{gcd_u64, LinExpr};
 use serde::{Deserialize, Serialize};
 
 /// Kind of a [`Constraint`].
@@ -29,6 +29,56 @@ pub enum Normalized {
     False,
     /// A canonical constraint.
     Constraint(Constraint),
+}
+
+/// What [`canonicalize`] made of a row.
+pub(crate) enum Canon {
+    True,
+    False,
+    /// The row is canonical now.
+    Kept,
+}
+
+/// Canonicalise `coeffs · x + konst (kind) 0` in place — the one row
+/// normalisation behind [`Constraint::canonical`] and the FM matrix: divide
+/// by the gcd of the coefficients (found by a scan that stops at the first
+/// unit), tighten an inequality's constant (`g·e + k >= 0` ⇔
+/// `e + floor(k/g) >= 0`), and give an equality a positive first nonzero
+/// coefficient.
+pub(crate) fn canonicalize(kind: ConstraintKind, coeffs: &mut [i64], konst: &mut i64) -> Canon {
+    let mut g = 0u64;
+    for &c in coeffs.iter() {
+        g = gcd_u64(g, c.unsigned_abs());
+        if g == 1 {
+            break;
+        }
+    }
+    let k = *konst;
+    if g == 0 {
+        let sat = match kind {
+            ConstraintKind::Eq => k == 0,
+            ConstraintKind::GeZero => k >= 0,
+        };
+        return if sat { Canon::True } else { Canon::False };
+    }
+    let g = g as i64;
+    if g != 1 {
+        *konst = match kind {
+            ConstraintKind::Eq if k % g != 0 => return Canon::False,
+            ConstraintKind::Eq => k / g,
+            ConstraintKind::GeZero => k.div_euclid(g),
+        };
+        for c in coeffs.iter_mut() {
+            *c /= g;
+        }
+    }
+    if kind == ConstraintKind::Eq && coeffs.iter().find(|&&c| c != 0).is_some_and(|&c| c < 0) {
+        for c in coeffs.iter_mut() {
+            *c = -*c;
+        }
+        *konst = -*konst;
+    }
+    Canon::Kept
 }
 
 impl Constraint {
@@ -74,76 +124,19 @@ impl Constraint {
         }
     }
 
-    /// Normalize: divide by the gcd of the coefficients, tighten the
-    /// constant for inequalities (exact over the integers), and detect
-    /// trivially true/false constraints.
+    /// Canonical form for deduplication: divided by the gcd of the
+    /// coefficients, the constant of an inequality tightened (exact over
+    /// the integers), an equality's first nonzero coefficient positive;
+    /// or trivially true/false.
     ///
     /// For an equality `g·e + k == 0` with `g = gcd(coeffs)`: if `g` does
     /// not divide `k` the constraint (and hence the polyhedron) has no
     /// integer solutions.
-    pub(crate) fn normalize(&self) -> Normalized {
-        let g = self.expr.coeff_content();
-        if g == 0 {
-            // Constant constraint.
-            let k = self.expr.konst;
-            let sat = match self.kind {
-                ConstraintKind::Eq => k == 0,
-                ConstraintKind::GeZero => k >= 0,
-            };
-            return if sat {
-                Normalized::True
-            } else {
-                Normalized::False
-            };
-        }
-        if g == 1 {
-            return Normalized::Constraint(self.clone());
-        }
-        let k = self.expr.konst;
-        match self.kind {
-            ConstraintKind::Eq => {
-                if k % g != 0 {
-                    return Normalized::False;
-                }
-                let mut e = self.expr.clone();
-                for c in &mut e.coeffs {
-                    *c /= g;
-                }
-                e.konst = k / g;
-                Normalized::Constraint(Constraint::eq(e))
-            }
-            ConstraintKind::GeZero => {
-                // g·e' + k >= 0  <=>  e' >= ceil(-k/g)  <=>  e' + floor(k/g) >= 0
-                let mut e = self.expr.clone();
-                for c in &mut e.coeffs {
-                    *c /= g;
-                }
-                e.konst = k.div_euclid(g);
-                Normalized::Constraint(Constraint::ge0(e))
-            }
-        }
-    }
-
-    /// Canonical form for deduplication: normalized and, for equalities,
-    /// sign-canonical (first nonzero coefficient positive).
-    pub fn canonical(&self) -> Normalized {
-        match self.normalize() {
-            Normalized::Constraint(mut c) => {
-                if c.kind == ConstraintKind::Eq {
-                    let lead = c
-                        .expr
-                        .coeffs
-                        .iter()
-                        .copied()
-                        .find(|&x| x != 0)
-                        .unwrap_or(c.expr.konst);
-                    if lead < 0 {
-                        c.expr = c.expr.neg();
-                    }
-                }
-                Normalized::Constraint(c)
-            }
-            other => other,
+    pub fn canonical(mut self) -> Normalized {
+        match canonicalize(self.kind, &mut self.expr.coeffs, &mut self.expr.konst) {
+            Canon::True => Normalized::True,
+            Canon::False => Normalized::False,
+            Canon::Kept => Normalized::Constraint(self),
         }
     }
 
@@ -180,23 +173,23 @@ mod tests {
     #[test]
     fn trivial_constraints() {
         assert_eq!(
-            Constraint::ge0(e(vec![0, 0], 3)).normalize(),
+            Constraint::ge0(e(vec![0, 0], 3)).canonical(),
             Normalized::True
         );
         assert_eq!(
-            Constraint::ge0(e(vec![0, 0], -1)).normalize(),
+            Constraint::ge0(e(vec![0, 0], -1)).canonical(),
             Normalized::False
         );
-        assert_eq!(Constraint::eq(e(vec![0], 0)).normalize(), Normalized::True);
-        assert_eq!(Constraint::eq(e(vec![0], 7)).normalize(), Normalized::False);
+        assert_eq!(Constraint::eq(e(vec![0], 0)).canonical(), Normalized::True);
+        assert_eq!(Constraint::eq(e(vec![0], 7)).canonical(), Normalized::False);
     }
 
     #[test]
     fn gcd_infeasible_equality() {
         // 2x + 1 == 0 has no integer solution.
-        assert_eq!(Constraint::eq(e(vec![2], 1)).normalize(), Normalized::False);
+        assert_eq!(Constraint::eq(e(vec![2], 1)).canonical(), Normalized::False);
         // 2x + 4 == 0 -> x + 2 == 0.
-        match Constraint::eq(e(vec![2], 4)).normalize() {
+        match Constraint::eq(e(vec![2], 4)).canonical() {
             Normalized::Constraint(c) => {
                 assert_eq!(c.expr.coeffs, vec![1]);
                 assert_eq!(c.expr.konst, 2);
@@ -208,7 +201,7 @@ mod tests {
     #[test]
     fn integer_tightening() {
         // 2x - 3 >= 0  <=>  x >= 3/2  <=>  x >= 2  <=>  x - 2 >= 0
-        match Constraint::ge0(e(vec![2], -3)).normalize() {
+        match Constraint::ge0(e(vec![2], -3)).canonical() {
             Normalized::Constraint(c) => {
                 assert_eq!(c.expr.coeffs, vec![1]);
                 assert_eq!(c.expr.konst, -2);

@@ -174,15 +174,6 @@ impl LinExpr {
         g as i64
     }
 
-    /// gcd of the coefficients only (ignoring the constant).
-    pub(crate) fn coeff_content(&self) -> i64 {
-        let mut g = 0u64;
-        for &c in &self.coeffs {
-            g = gcd_u64(g, c.unsigned_abs());
-        }
-        g as i64
-    }
-
     /// Render with the given names (dims then params).
     pub(crate) fn display_with<'a>(&'a self, names: &'a [String]) -> DisplayLinExpr<'a> {
         DisplayLinExpr { expr: self, names }
@@ -342,12 +333,10 @@ mod tests {
             konst: 10,
         };
         assert_eq!(e.content(), 2);
-        assert_eq!(e.coeff_content(), 2);
         let f = LinExpr {
             coeffs: vec![4, 6],
             konst: 3,
         };
         assert_eq!(f.content(), 1);
-        assert_eq!(f.coeff_content(), 2);
     }
 }

@@ -15,222 +15,479 @@
 //!    (the *real shadow* equals the *dark shadow*, cf. Pugh's Omega test).
 //!
 //! Results are normalized; trivially false results mark the system empty.
+//!
+//! # The matrix
+//!
+//! Elimination runs on one `Matrix`: a row-major `Vec<i64>` with stride
+//! `width + 1` (a row's coefficients, then its constant) and one kind per
+//! row, kept with a hash of the row's coefficients. An elimination reads
+//! the rows and writes its result into a second pair of buffers; the two
+//! pairs swap afterwards and are reused, so a whole emptiness test
+//! allocates its buffers once, not once per constraint. Invariants:
+//!
+//! * **Dead columns are zero.** An eliminated column stays in place, zero
+//!   in every row; the matrix never changes shape. Only converting back to
+//!   [`Constraint`]s drops the dead columns.
+//! * **Written rows are canonical and distinct.** Every row an elimination
+//!   writes is canonical (gcd-divided, an inequality's constant tightened,
+//!   an equality's first nonzero coefficient positive) and unequal to every
+//!   row before it; inequalities implied by one with the same coefficients
+//!   and a smaller constant are dropped after pairing bounds. Rows loaded
+//!   raw are used as given.
+//! * **The output order is fixed.** Step 1 and 2 keep the other rows in
+//!   their order; step 3 writes the rows without `v` first, then every
+//!   lower bound × every upper bound, lower-major. The enumerator code
+//!   generator emits bounds and guards in this order, so enumerator ASTs,
+//!   model JSON and check witnesses depend on it.
 
-use crate::constraint::{Constraint, ConstraintKind, Normalized};
-use crate::Result;
+use crate::constraint::{canonicalize, Canon, Constraint, ConstraintKind};
+use crate::expr::{term, LinExpr};
+use crate::{PolyError, Result};
+use std::ops::Range;
+
+/// A row's kind and the hash of its coefficients; the hash lets
+/// deduplication and the redundancy filter skip most row compares.
+#[derive(Clone, Copy)]
+struct Meta {
+    kind: ConstraintKind,
+    hash: u64,
+}
+
+/// A conjunction of constraints as one flat row-major matrix (see the
+/// module docs for its layout and invariants).
+pub(crate) struct Matrix {
+    width: usize,
+    rows: Vec<i64>,
+    meta: Vec<Meta>,
+    next_rows: Vec<i64>,
+    next_meta: Vec<Meta>,
+    empty: bool,
+}
+
+impl Matrix {
+    /// An empty system of `width` columns with room for `capacity` rows
+    /// in each buffer pair.
+    fn new(width: usize, capacity: usize) -> Matrix {
+        let capacity = capacity.max(MIN_ROWS);
+        let cells = capacity * (width + 1);
+        Matrix {
+            width,
+            rows: Vec::with_capacity(cells),
+            meta: Vec::with_capacity(capacity),
+            next_rows: Vec::with_capacity(cells),
+            next_meta: Vec::with_capacity(capacity),
+            empty: false,
+        }
+    }
+
+    /// `constraints` (each of width `width`) loaded raw, in order.
+    pub(crate) fn from_constraints(width: usize, constraints: &[Constraint]) -> Matrix {
+        let mut m = Matrix::new(width, constraints.len());
+        for c in constraints {
+            m.push_raw(c.kind, &c.expr.coeffs, c.expr.konst);
+        }
+        m
+    }
+
+    fn stride(&self) -> usize {
+        self.width + 1
+    }
+
+    /// Was the system found to be empty?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.empty
+    }
+
+    /// Mark the system empty, dropping its rows.
+    fn set_empty(&mut self) {
+        self.rows.clear();
+        self.meta.clear();
+        self.empty = true;
+    }
+
+    /// Append a row as given.
+    fn push_raw(&mut self, kind: ConstraintKind, coeffs: &[i64], konst: i64) {
+        debug_assert_eq!(coeffs.len(), self.width, "constraint width mismatch");
+        self.rows.extend_from_slice(coeffs);
+        self.rows.push(konst);
+        self.meta.push(Meta {
+            kind,
+            hash: hash(coeffs),
+        });
+    }
+
+    /// Append a row the way [`crate::Polyhedron::add_constraint`] does:
+    /// `fill` writes its coefficients and constant into a zeroed row,
+    /// which is then canonicalised; a trivially true row or a copy of an
+    /// earlier one is dropped, a trivially false one empties the system.
+    pub(crate) fn add(&mut self, kind: ConstraintKind, fill: impl FnOnce(&mut [i64])) {
+        if self.empty {
+            return;
+        }
+        let start = self.rows.len();
+        self.rows.resize(start + self.stride(), 0);
+        fill(&mut self.rows[start..]);
+        if !keep_last(&mut self.rows, &mut self.meta, self.width, kind) {
+            self.set_empty();
+        }
+    }
+
+    /// Index of the first equality whose coefficient on `var` passes `pick`.
+    fn find_eq(&self, var: usize, pick: impl Fn(i64) -> bool) -> Option<usize> {
+        let s = self.stride();
+        (0..self.meta.len())
+            .find(|&i| self.meta[i].kind == ConstraintKind::Eq && pick(self.rows[i * s + var]))
+    }
+
+    /// Eliminate column `var`, which stays in place as zeros. Returns
+    /// whether the projection is integer-exact; [`Matrix::is_empty`] tells
+    /// whether it found the system empty.
+    pub(crate) fn eliminate(&mut self, var: usize) -> Result<bool> {
+        if self.empty {
+            return Ok(true);
+        }
+        debug_assert!(var < self.width);
+        self.next_rows.clear();
+        self.next_meta.clear();
+        let mut exact = true;
+        let feasible = if let Some(pos) = self.find_eq(var, |a| a == 1 || a == -1) {
+            self.substitute(var, pos)?
+        } else if let Some(pos) = self.find_eq(var, |a| a != 0) {
+            exact = false;
+            self.cancel(var, pos)?
+        } else {
+            self.pair_bounds(var, &mut exact)?
+        };
+        if feasible {
+            std::mem::swap(&mut self.rows, &mut self.next_rows);
+            std::mem::swap(&mut self.meta, &mut self.next_meta);
+        } else {
+            self.set_empty();
+        }
+        Ok(exact)
+    }
+
+    /// Step 1: substitute `var` through the unit equality at row `pos`
+    /// into every other row. `false` if a row turned trivially false.
+    fn substitute(&mut self, var: usize, pos: usize) -> Result<bool> {
+        let (width, s) = (self.width, self.stride());
+        let eq = &self.rows[pos * s..][..s];
+        let c = eq[var] as i128;
+        // var = -c·(eq without var). Building that replacement overflows
+        // on an i64::MIN entry, whether or not a row then needs it.
+        if eq
+            .iter()
+            .enumerate()
+            .any(|(j, &e)| j != var && e == i64::MIN)
+        {
+            return Err(PolyError::Overflow);
+        }
+        let n = self.meta.len();
+        self.next_rows.reserve((n - 1) * s);
+        self.next_meta.reserve(n - 1);
+        for (i, (row, meta)) in self.rows.chunks_exact(s).zip(&self.meta).enumerate() {
+            if i == pos {
+                continue;
+            }
+            let d = row[var] as i128;
+            if d == 0 {
+                self.next_rows.extend_from_slice(row);
+            } else {
+                for (j, (&x, &e)) in row.iter().zip(eq).enumerate() {
+                    let y = if j == var {
+                        0
+                    } else {
+                        term(x as i128 + term(-c * e as i128 * d)? as i128)?
+                    };
+                    self.next_rows.push(y);
+                }
+            }
+            if !keep_last(&mut self.next_rows, &mut self.next_meta, width, meta.kind) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Step 2: cancel `var` from every other row with the non-unit
+    /// equality at row `pos`. `false` if a row turned trivially false.
+    fn cancel(&mut self, var: usize, pos: usize) -> Result<bool> {
+        let (width, s) = (self.width, self.stride());
+        let eq = &self.rows[pos * s..][..s];
+        let c = eq[var];
+        let scale = c.abs() as i128;
+        let n = self.meta.len();
+        self.next_rows.reserve((n - 1) * s);
+        self.next_meta.reserve(n - 1);
+        for (i, (row, meta)) in self.rows.chunks_exact(s).zip(&self.meta).enumerate() {
+            if i == pos {
+                continue;
+            }
+            let d = row[var];
+            if d == 0 {
+                self.next_rows.extend_from_slice(row);
+            } else {
+                // |c|·row - sign(c)·d·eq cancels var.
+                let f = -(c.signum() * d) as i128;
+                for (&x, &e) in row.iter().zip(eq) {
+                    self.next_rows
+                        .push(term(scale * x as i128 + f * e as i128)?);
+                }
+                debug_assert_eq!(self.next_rows[self.next_rows.len() - s + var], 0);
+            }
+            if !keep_last(&mut self.next_rows, &mut self.next_meta, width, meta.kind) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Step 3: keep the rows without `var`, then pair every lower bound
+    /// with every upper bound. Clears `exact` at a pair with two non-unit
+    /// coefficients. `false` if a row turned trivially false.
+    fn pair_bounds(&mut self, var: usize, exact: &mut bool) -> Result<bool> {
+        let (width, s) = (self.width, self.stride());
+        let coeff = |row: &[i64]| row[var];
+        let (mut rest, mut lowers, mut uppers) = (0, 0, 0);
+        for row in self.rows.chunks_exact(s) {
+            match coeff(row) {
+                0 => rest += 1,
+                a if a > 0 => lowers += 1,
+                _ => uppers += 1,
+            }
+        }
+        let n_out = rest + lowers * uppers;
+        self.next_rows.reserve(n_out * s);
+        self.next_meta.reserve(n_out);
+        for (row, meta) in self.rows.chunks_exact(s).zip(&self.meta) {
+            if coeff(row) == 0 {
+                self.next_rows.extend_from_slice(row);
+                if !keep_last(&mut self.next_rows, &mut self.next_meta, width, meta.kind) {
+                    return Ok(false);
+                }
+            }
+        }
+        for lo in self.rows.chunks_exact(s).filter(|r| coeff(r) > 0) {
+            let a = coeff(lo);
+            for up in self.rows.chunks_exact(s).filter(|r| coeff(r) < 0) {
+                let b = -coeff(up);
+                if a != 1 && b != 1 {
+                    *exact = false;
+                }
+                // b·(a·v + l) + a·(-b·v + u) = b·l + a·u >= 0
+                for (&l, &u) in lo.iter().zip(up) {
+                    self.next_rows
+                        .push(term(b as i128 * l as i128 + a as i128 * u as i128)?);
+                }
+                debug_assert_eq!(self.next_rows[self.next_rows.len() - s + var], 0);
+                let kind = ConstraintKind::GeZero;
+                if !keep_last(&mut self.next_rows, &mut self.next_meta, width, kind) {
+                    return Ok(false);
+                }
+            }
+        }
+        drop_redundant(&mut self.next_rows, &mut self.next_meta, width);
+        Ok(true)
+    }
+
+    /// The live column whose elimination pairs the fewest bounds (the
+    /// classic FM heuristic): free if an equality mentions it, else
+    /// lowers × uppers. The first minimum wins.
+    fn cheapest_var(&self, live: &Live) -> usize {
+        let s = self.stride();
+        let mut best = 0;
+        let mut best_cost = usize::MAX;
+        for v in (0..self.width).filter(|&v| live.get(v)) {
+            let (mut lo, mut hi) = (0usize, 0usize);
+            let mut in_eq = false;
+            for (row, meta) in self.rows.chunks_exact(s).zip(&self.meta) {
+                let a = row[v];
+                if a == 0 {
+                    continue;
+                }
+                if meta.kind == ConstraintKind::Eq {
+                    in_eq = true;
+                    break;
+                }
+                if a > 0 {
+                    lo += 1;
+                } else {
+                    hi += 1;
+                }
+            }
+            let cost = if in_eq { 0 } else { lo * hi };
+            if cost < best_cost {
+                best_cost = cost;
+                best = v;
+                if cost == 0 {
+                    break;
+                }
+            }
+        }
+        best
+    }
+
+    /// Eliminate *all* columns, cheapest first, and report whether a
+    /// contradiction appeared: `true` means definitely empty (rationally
+    /// infeasible or an integer gcd contradiction), `false` "possibly
+    /// non-empty".
+    pub(crate) fn eliminate_all(mut self) -> Result<bool> {
+        let mut live = Live::all(self.width);
+        for _ in 0..self.width {
+            if self.empty {
+                break;
+            }
+            let var = self.cheapest_var(&live);
+            self.eliminate(var)?;
+            live.kill(var);
+        }
+        Ok(self.empty)
+    }
+
+    /// The rows as constraints, without the (dead) columns in `dead`.
+    pub(crate) fn to_constraints(&self, dead: Range<usize>) -> Vec<Constraint> {
+        let width = self.width;
+        self.rows
+            .chunks_exact(self.stride())
+            .zip(&self.meta)
+            .map(|(row, meta)| {
+                debug_assert!(row[dead.clone()].iter().all(|&c| c == 0));
+                let mut coeffs = Vec::with_capacity(width - dead.len());
+                coeffs.extend_from_slice(&row[..dead.start]);
+                coeffs.extend_from_slice(&row[dead.end..width]);
+                Constraint {
+                    kind: meta.kind,
+                    expr: LinExpr {
+                        coeffs,
+                        konst: row[width],
+                    },
+                }
+            })
+            .collect()
+    }
+}
+
+/// Rows each buffer has room for from the start: enough that an
+/// emptiness test on a two-copy pair system never grows a buffer.
+const MIN_ROWS: usize = 64;
+
+/// Canonicalise the row just written at the end of `rows` and keep it
+/// unless it is trivially true or equals an earlier row. `false` if it is
+/// trivially false.
+fn keep_last(
+    rows: &mut Vec<i64>,
+    meta: &mut Vec<Meta>,
+    width: usize,
+    kind: ConstraintKind,
+) -> bool {
+    let s = width + 1;
+    let start = rows.len() - s;
+    let (coeffs, konst) = rows[start..].split_at_mut(width);
+    match canonicalize(kind, coeffs, &mut konst[0]) {
+        Canon::False => return false,
+        Canon::True => {
+            rows.truncate(start);
+            return true;
+        }
+        Canon::Kept => {}
+    }
+    let (old, new) = rows.split_at(start);
+    let h = hash(&new[..width]);
+    let seen = old
+        .chunks_exact(s)
+        .zip(meta.iter())
+        .any(|(row, m)| m.hash == h && m.kind == kind && row == new);
+    if seen {
+        rows.truncate(start);
+    } else {
+        meta.push(Meta { kind, hash: h });
+    }
+    true
+}
+
+/// Drop every inequality implied by another with the same coefficients
+/// and a smaller constant, compacting in place. The smallest constant of
+/// such a group is always kept, so a row is implied iff a kept row before
+/// it or any row after it beats it.
+fn drop_redundant(rows: &mut Vec<i64>, meta: &mut Vec<Meta>, width: usize) {
+    let s = width + 1;
+    let n = meta.len();
+    let mut kept = 0;
+    for i in 0..n {
+        let m = meta[i];
+        let implied = m.kind == ConstraintKind::GeZero && {
+            let row = &rows[i * s..][..s];
+            (0..kept).chain(i + 1..n).any(|j| {
+                let other = &rows[j * s..][..s];
+                meta[j].kind == ConstraintKind::GeZero
+                    && meta[j].hash == m.hash
+                    && other[width] < row[width]
+                    && other[..width] == row[..width]
+            })
+        };
+        if !implied {
+            rows.copy_within(i * s..(i + 1) * s, kept * s);
+            meta[kept] = m;
+            kept += 1;
+        }
+    }
+    rows.truncate(kept * s);
+    meta.truncate(kept);
+}
+
+/// FxHash-style hash of a row's coefficients.
+fn hash(coeffs: &[i64]) -> u64 {
+    coeffs.iter().fold(0u64, |h, &c| {
+        (h.rotate_left(5) ^ c as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+    })
+}
+
+/// The columns an emptiness test has not eliminated yet, one bit each;
+/// a system wider than 128 columns keeps the rest on the heap.
+struct Live {
+    bits: u128,
+    wide: Vec<bool>,
+}
+
+impl Live {
+    fn all(width: usize) -> Live {
+        Live {
+            bits: if width >= 128 {
+                !0
+            } else {
+                (1u128 << width) - 1
+            },
+            wide: vec![true; width.saturating_sub(128)],
+        }
+    }
+
+    fn get(&self, v: usize) -> bool {
+        match v.checked_sub(128) {
+            None => self.bits >> v & 1 == 1,
+            Some(w) => self.wide[w],
+        }
+    }
+
+    fn kill(&mut self, v: usize) {
+        match v.checked_sub(128) {
+            None => self.bits &= !(1u128 << v),
+            Some(w) => self.wide[w] = false,
+        }
+    }
+}
 
 /// Eliminate the variable with coefficient index `var` from `constraints`
-/// (each of width `width`). Returns the new constraints (width − 1, the
-/// `var` column removed), whether the projection is integer-exact, and
-/// whether the system was detected to be empty.
+/// (each of width `width`), loaded as given. Returns the new constraints
+/// (width − 1, the `var` column removed), whether the projection is
+/// integer-exact, and whether the system was detected to be empty.
 pub fn eliminate(
     constraints: &[Constraint],
     width: usize,
     var: usize,
-    already_empty: bool,
 ) -> Result<(Vec<Constraint>, bool, bool)> {
-    if already_empty {
-        return Ok((Vec::new(), true, true));
-    }
-    debug_assert!(var < width);
-
-    // Step 1/2: substitution through an equality.
-    if let Some(pos) = constraints
-        .iter()
-        .position(|c| c.kind == ConstraintKind::Eq && c.expr.coeffs[var].abs() == 1)
-    {
-        let eq = &constraints[pos];
-        let c = eq.expr.coeffs[var];
-        // c*v + rest == 0  =>  v == -rest/c; with c = ±1: v = -c*rest.
-        let mut rest = eq.expr.clone();
-        rest.coeffs[var] = 0;
-        let repl = rest.scale(-c)?;
-        let mut out = Vec::with_capacity(constraints.len() - 1);
-        let mut empty = false;
-        for (i, other) in constraints.iter().enumerate() {
-            if i == pos {
-                continue;
-            }
-            let e = other.expr.substitute(var, &repl)?;
-            push_normalized(
-                &mut out,
-                Constraint {
-                    kind: other.kind,
-                    expr: e.remove_var(var),
-                },
-                &mut empty,
-            );
-            if empty {
-                return Ok((Vec::new(), true, true));
-            }
-        }
-        return Ok((out, true, empty));
-    }
-
-    // Non-unit equality: rational cancellation (approximate).
-    if let Some(pos) = constraints
-        .iter()
-        .position(|c| c.kind == ConstraintKind::Eq && c.expr.coeffs[var] != 0)
-    {
-        let eq = &constraints[pos];
-        let c = eq.expr.coeffs[var];
-        let mut out = Vec::with_capacity(constraints.len() - 1);
-        let mut empty = false;
-        for (i, other) in constraints.iter().enumerate() {
-            if i == pos {
-                continue;
-            }
-            let d = other.expr.coeffs[var];
-            let combined = if d == 0 {
-                other.expr.clone()
-            } else {
-                // |c|*other - sign(c)*d*eq cancels v.
-                other.expr.combine(&eq.expr, c.abs(), -(c.signum() * d))?
-            };
-            debug_assert_eq!(combined.coeffs[var], 0);
-            push_normalized(
-                &mut out,
-                Constraint {
-                    kind: other.kind,
-                    expr: combined.remove_var(var),
-                },
-                &mut empty,
-            );
-            if empty {
-                return Ok((Vec::new(), false, true));
-            }
-        }
-        return Ok((out, false, empty));
-    }
-
-    // Step 3: inequality combination.
-    let mut lowers = Vec::new(); // a*v + l >= 0, a > 0
-    let mut uppers = Vec::new(); // -b*v + u >= 0, b > 0
-    let mut rest = Vec::new();
-    for c in constraints {
-        let a = c.expr.coeffs[var];
-        if a == 0 {
-            rest.push(c.clone());
-        } else if a > 0 {
-            lowers.push(c.clone());
-        } else {
-            uppers.push(c.clone());
-        }
-    }
-
-    let mut exact = true;
-    let mut empty = false;
-    let mut out: Vec<Constraint> = Vec::with_capacity(rest.len() + lowers.len() * uppers.len());
-    for c in rest {
-        push_normalized(
-            &mut out,
-            Constraint {
-                kind: c.kind,
-                expr: c.expr.remove_var(var),
-            },
-            &mut empty,
-        );
-        if empty {
-            return Ok((Vec::new(), true, true));
-        }
-    }
-    for lo in &lowers {
-        let a = lo.expr.coeffs[var];
-        for up in &uppers {
-            let b = -up.expr.coeffs[var];
-            debug_assert!(a > 0 && b > 0);
-            if a != 1 && b != 1 {
-                exact = false;
-            }
-            // b*(a v + l) + a*(-b v + u) = b*l + a*u >= 0
-            let combined = lo.expr.combine(&up.expr, b, a)?;
-            debug_assert_eq!(combined.coeffs[var], 0);
-            push_normalized(
-                &mut out,
-                Constraint::ge0(combined.remove_var(var)),
-                &mut empty,
-            );
-            if empty {
-                return Ok((Vec::new(), exact, true));
-            }
-        }
-    }
-    drop_redundant(&mut out);
-    Ok((out, exact, empty))
-}
-
-/// Normalize and insert a constraint, updating the empty flag and skipping
-/// duplicates / trivially true constraints.
-fn push_normalized(out: &mut Vec<Constraint>, c: Constraint, empty: &mut bool) {
-    match c.canonical() {
-        Normalized::True => {}
-        Normalized::False => *empty = true,
-        Normalized::Constraint(c) => {
-            if !out.contains(&c) {
-                out.push(c);
-            }
-        }
-    }
-}
-
-/// Remove inequalities that are strictly implied by another with identical
-/// coefficients: of `e + k1 >= 0` and `e + k2 >= 0`, only the smaller `k`
-/// matters.
-fn drop_redundant(constraints: &mut Vec<Constraint>) {
-    let mut keep = vec![true; constraints.len()];
-    for i in 0..constraints.len() {
-        if !keep[i] || constraints[i].kind != ConstraintKind::GeZero {
-            continue;
-        }
-        for j in 0..constraints.len() {
-            if i == j || !keep[j] || constraints[j].kind != ConstraintKind::GeZero {
-                continue;
-            }
-            if constraints[i].expr.coeffs == constraints[j].expr.coeffs
-                && constraints[i].expr.konst <= constraints[j].expr.konst
-            {
-                keep[j] = false;
-            }
-        }
-    }
-    let mut it = keep.iter();
-    constraints.retain(|_| *it.next().unwrap());
-}
-
-/// Pick the variable whose elimination produces the fewest combined
-/// constraints (classic FM heuristic): minimize `lowers * uppers`.
-pub(crate) fn cheapest_var(constraints: &[Constraint], width: usize) -> usize {
-    let mut best = 0usize;
-    let mut best_cost = usize::MAX;
-    for v in 0..width {
-        let mut lo = 0usize;
-        let mut hi = 0usize;
-        let mut in_eq = false;
-        for c in constraints {
-            let a = c.expr.coeffs[v];
-            if a == 0 {
-                continue;
-            }
-            if c.kind == ConstraintKind::Eq {
-                in_eq = true;
-                break;
-            }
-            if a > 0 {
-                lo += 1;
-            } else {
-                hi += 1;
-            }
-        }
-        let cost = if in_eq { 0 } else { lo * hi };
-        if cost < best_cost {
-            best_cost = cost;
-            best = v;
-            if cost == 0 {
-                break;
-            }
-        }
-    }
-    best
+    let mut m = Matrix::from_constraints(width, constraints);
+    let exact = m.eliminate(var)?;
+    Ok((m.to_constraints(var..var + 1), exact, m.is_empty()))
 }
 
 #[cfg(test)]
@@ -249,7 +506,7 @@ mod tests {
     fn eliminate_with_unit_equality_is_exact() {
         // v0 == v1 + 2 and 0 <= v0 <= 5  --eliminate v0-->  -2 <= v1 <= 3
         let cs = vec![eq(vec![1, -1], -2), ge(vec![1, 0], 0), ge(vec![-1, 0], 5)];
-        let (out, exact, empty) = eliminate(&cs, 2, 0, false).unwrap();
+        let (out, exact, empty) = eliminate(&cs, 2, 0).unwrap();
         assert!(exact);
         assert!(!empty);
         // v1 + 2 >= 0 and 3 - v1 >= 0
@@ -265,7 +522,7 @@ mod tests {
     fn eliminate_pairs_bounds() {
         // x >= y and x <= 4 --eliminate x--> y <= 4
         let cs = vec![ge(vec![1, -1], 0), ge(vec![-1, 0], 4)];
-        let (out, exact, empty) = eliminate(&cs, 2, 0, false).unwrap();
+        let (out, exact, empty) = eliminate(&cs, 2, 0).unwrap();
         assert!(exact);
         assert!(!empty);
         assert_eq!(out.len(), 1);
@@ -277,7 +534,7 @@ mod tests {
     fn detects_empty_after_elimination() {
         // x >= 5 and x <= 2 --eliminate x--> -3 >= 0: empty.
         let cs = vec![ge(vec![1], -5), ge(vec![-1], 2)];
-        let (_, _, empty) = eliminate(&cs, 1, 0, false).unwrap();
+        let (_, _, empty) = eliminate(&cs, 1, 0).unwrap();
         assert!(empty);
     }
 
@@ -285,7 +542,7 @@ mod tests {
     fn non_unit_coefficients_flag_inexact() {
         // 2x <= 7 and 3x >= 2: both coefficients non-unit.
         let cs = vec![ge(vec![-2], 7), ge(vec![3], -2)];
-        let (_, exact, empty) = eliminate(&cs, 1, 0, false).unwrap();
+        let (_, exact, empty) = eliminate(&cs, 1, 0).unwrap();
         assert!(!exact);
         assert!(!empty);
     }
@@ -294,7 +551,7 @@ mod tests {
     fn unit_coefficient_on_one_side_stays_exact() {
         // x >= 0 (unit) and 2x <= n (non-unit): exact since one side is unit.
         let cs = vec![ge(vec![1, 0], 0), ge(vec![-2, 1], 0)];
-        let (out, exact, _) = eliminate(&cs, 2, 0, false).unwrap();
+        let (out, exact, _) = eliminate(&cs, 2, 0).unwrap();
         assert!(exact);
         // n >= 0 remains.
         assert_eq!(out.len(), 1);
@@ -302,16 +559,52 @@ mod tests {
 
     #[test]
     fn redundant_bounds_dropped() {
-        let mut cs = vec![ge(vec![1], -2), ge(vec![1], -5), ge(vec![1], 0)];
-        drop_redundant(&mut cs);
-        // x - 5 >= 0 implies the others.
-        assert_eq!(cs.len(), 1);
-        assert_eq!(cs[0].expr.konst, -5);
+        // Eliminating the unmentioned column y keeps only the tightest of
+        // three lower bounds on x: x - 5 >= 0 implies the others.
+        let cs = vec![ge(vec![1, 0], -2), ge(vec![1, 0], -5), ge(vec![1, 0], 0)];
+        let (out, _, _) = eliminate(&cs, 2, 1).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].expr.konst, -5);
     }
 
     #[test]
     fn cheapest_var_prefers_equalities() {
         let cs = vec![eq(vec![0, 1], 0), ge(vec![1, 0], 0), ge(vec![-1, 0], 5)];
-        assert_eq!(cheapest_var(&cs, 2), 1);
+        let m = Matrix::from_constraints(2, &cs);
+        assert_eq!(m.cheapest_var(&Live::all(2)), 1);
+    }
+
+    #[test]
+    fn cheapest_var_takes_the_first_minimum() {
+        // Columns 0 and 1 both pair one lower with one upper bound.
+        let cs = vec![
+            ge(vec![1, 1, 0], 0),
+            ge(vec![-1, 0, 1], 0),
+            ge(vec![0, -1, 1], 0),
+            ge(vec![0, 0, 1], 0),
+            ge(vec![0, 0, -1], 9),
+            ge(vec![0, 0, 1], 4),
+        ];
+        let m = Matrix::from_constraints(3, &cs);
+        assert_eq!(m.cheapest_var(&Live::all(3)), 0);
+    }
+
+    #[test]
+    fn cheapest_var_skips_dead_columns() {
+        // Column 0 is dead (and zero); of the live ones, column 2 is free.
+        let cs = vec![ge(vec![0, 1, 0], 0), ge(vec![0, -1, 0], 5)];
+        let m = Matrix::from_constraints(3, &cs);
+        let mut live = Live::all(3);
+        live.kill(0);
+        assert_eq!(m.cheapest_var(&live), 2);
+    }
+
+    #[test]
+    fn wide_systems_track_every_column() {
+        let mut live = Live::all(130);
+        assert!(live.get(0) && live.get(127) && live.get(129));
+        live.kill(127);
+        live.kill(129);
+        assert!(!live.get(127) && !live.get(129) && live.get(128));
     }
 }

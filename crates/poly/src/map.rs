@@ -139,23 +139,13 @@ impl Map {
     /// partitioning).
     pub fn is_injective(&self, context: &Polyhedron) -> Result<bool> {
         let n = self.n_in;
-        let d = self.n_out();
-        let np = self.n_params();
         assert_eq!(context.n_dims(), 0);
-        assert_eq!(context.n_params(), np);
+        assert_eq!(context.n_params(), self.n_params());
 
-        // Combined space: t (n) ++ t' (n) ++ y (d), params unchanged.
-        let cwidth = 2 * n + d + np;
+        let cwidth = 2 * n + self.n_out() + self.n_params();
         for a in self.rel.pieces() {
             for b in self.rel.pieces() {
-                // Base system: A over (t, y), B over (t', y).
-                let mut base = Polyhedron::universe(2 * n + d, np);
-                for c in a.constraints() {
-                    base.add_constraint(remap_piece(c, n, d, np, false));
-                }
-                for c in b.constraints() {
-                    base.add_constraint(remap_piece(c, n, d, np, true));
-                }
+                let base = self.pair_system(a, b);
                 if base.is_marked_empty() {
                     continue;
                 }
@@ -180,6 +170,35 @@ impl Map {
         Ok(true)
     }
 
+    /// The two-copy system of pieces `a` and `b` of this relation, the
+    /// base of every proof that two distinct inputs never share an output:
+    /// `a` over `(t, y)` and `b` over `(t', y)` in the space
+    /// `[t (n_in), t' (n_in), y (n_out), params]`, constraints added in
+    /// order, `a`'s first. Callers add their own `t ≠ t'` condition.
+    pub fn pair_system(&self, a: &Polyhedron, b: &Polyhedron) -> Polyhedron {
+        let n = self.n_in;
+        let width = 2 * n + self.n_out() + self.n_params();
+        let mut sys = Polyhedron::universe(2 * n + self.n_out(), self.n_params());
+        for (piece, off) in [(a, 0), (b, n)] {
+            for c in piece.constraints() {
+                let src = &c.expr.coeffs;
+                debug_assert_eq!(src.len() + n, width);
+                let mut coeffs = vec![0i64; width];
+                coeffs[off..off + n].copy_from_slice(&src[..n]);
+                // Outputs and parameters follow both input copies.
+                coeffs[2 * n..].copy_from_slice(&src[n..]);
+                sys.add_constraint(Constraint {
+                    kind: c.kind,
+                    expr: LinExpr {
+                        coeffs,
+                        konst: c.expr.konst,
+                    },
+                });
+            }
+        }
+        sys
+    }
+
     /// Apply to a single concrete input: collect the outputs (test helper).
     pub fn apply_point(&self, input: &[i64], params: &[i64]) -> Result<Vec<Vec<i64>>> {
         assert_eq!(input.len(), self.n_in);
@@ -189,26 +208,6 @@ impl Map {
         }
         let outs = fixed.project_out_dims(0..self.n_in)?;
         Ok(outs.points_sorted(params))
-    }
-}
-
-/// Remap a constraint over `[t (n), y (d), params]` into the combined
-/// space `[t (n), t' (n), y (d), params]`; if `primed`, the input block
-/// goes to `t'` instead of `t`.
-fn remap_piece(c: &Constraint, n: usize, d: usize, np: usize, primed: bool) -> Constraint {
-    let mut coeffs = vec![0i64; 2 * n + d + np];
-    let src = &c.expr.coeffs;
-    debug_assert_eq!(src.len(), n + d + np);
-    let in_off = if primed { n } else { 0 };
-    coeffs[in_off..in_off + n].copy_from_slice(&src[..n]);
-    coeffs[2 * n..2 * n + d].copy_from_slice(&src[n..n + d]);
-    coeffs[2 * n + d..].copy_from_slice(&src[n + d..]);
-    Constraint {
-        kind: c.kind,
-        expr: LinExpr {
-            coeffs,
-            konst: c.expr.konst,
-        },
     }
 }
 

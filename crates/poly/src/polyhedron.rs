@@ -152,38 +152,37 @@ impl Polyhedron {
     /// Returns the projected polyhedron (one dimension narrower) and a flag
     /// telling whether the projection is exact over the integers.
     pub(crate) fn project_out_dim(&self, dim: usize) -> Result<(Polyhedron, bool)> {
-        if dim >= self.n_dims {
+        self.project_out_dims(dim..dim + 1)
+    }
+
+    /// Eliminate a contiguous range of dimensions, highest index first, on
+    /// one matrix; the result is converted back to constraints once.
+    pub fn project_out_dims(&self, range: std::ops::Range<usize>) -> Result<(Polyhedron, bool)> {
+        if range.is_empty() {
+            return Ok((self.clone(), true));
+        }
+        if range.end > self.n_dims {
             return Err(PolyError::DimOutOfRange {
-                index: dim,
+                index: range.end - 1,
                 n_dims: self.n_dims,
             });
         }
-        let (constraints, exact, empty) =
-            fm::eliminate(&self.constraints, self.width(), dim, self.empty)?;
-        let mut out = Polyhedron {
-            n_dims: self.n_dims - 1,
-            n_params: self.n_params,
-            constraints: Vec::new(),
-            empty,
-        };
-        if !empty {
-            for c in constraints {
-                out.add_constraint(c);
-            }
+        let n_dims = self.n_dims - range.len();
+        if self.empty {
+            return Ok((Polyhedron::empty(n_dims, self.n_params), true));
         }
-        Ok((out, exact))
-    }
-
-    /// Eliminate a contiguous range of dimensions, highest index first.
-    pub fn project_out_dims(&self, range: std::ops::Range<usize>) -> Result<(Polyhedron, bool)> {
-        let mut p = self.clone();
+        let mut m = fm::Matrix::from_constraints(self.width(), &self.constraints);
         let mut exact = true;
-        for d in range.rev() {
-            let (q, e) = p.project_out_dim(d)?;
-            p = q;
-            exact &= e;
+        for d in range.clone().rev() {
+            exact &= m.eliminate(d)?;
         }
-        Ok((p, exact))
+        let out = Polyhedron {
+            n_dims,
+            n_params: self.n_params,
+            constraints: m.to_constraints(range),
+            empty: m.is_empty(),
+        };
+        Ok((out, exact))
     }
 
     /// Insert `count` fresh unconstrained dimensions at position `at`.
@@ -224,7 +223,8 @@ impl Polyhedron {
     /// "non-empty" when FM loses integer exactness.
     pub fn is_empty_concrete(&self, params: &[i64]) -> Result<bool> {
         let bound = self.bind_params(params)?;
-        bound.is_empty_all_vars()
+        Ok(bound.empty
+            || fm::Matrix::from_constraints(bound.width(), &bound.constraints).eliminate_all()?)
     }
 
     /// Emptiness test treating parameters as universally quantified over the
@@ -238,49 +238,19 @@ impl Polyhedron {
         if self.empty {
             return Ok(true);
         }
+        let width = self.width();
+        let mut m = fm::Matrix::from_constraints(width, &self.constraints);
         // Lift the context's param-only constraints into our space.
-        let mut p = self.clone();
         for c in &context.constraints {
-            let mut coeffs = vec![0i64; self.width()];
-            coeffs[self.n_dims..].copy_from_slice(&c.expr.coeffs);
-            p.add_constraint(Constraint {
-                kind: c.kind,
-                expr: LinExpr {
-                    coeffs,
-                    konst: c.expr.konst,
-                },
+            m.add(c.kind, |row| {
+                row[self.n_dims..width].copy_from_slice(&c.expr.coeffs);
+                row[width] = c.expr.konst;
             });
         }
         // Treat params as ordinary variables and eliminate everything. If
         // the combined system is rationally infeasible, the set is empty for
         // every parameter choice in the context.
-        p.is_empty_all_vars()
-    }
-
-    /// Eliminate *all* variables (dims and params alike) and check whether a
-    /// contradiction appears. `true` means definitely empty (rationally
-    /// infeasible or an integer gcd contradiction); `false` means "possibly
-    /// non-empty".
-    fn is_empty_all_vars(&self) -> Result<bool> {
-        if self.empty {
-            return Ok(true);
-        }
-        let mut constraints = self.constraints.clone();
-        let mut width = self.width();
-        while width > 0 {
-            // Heuristic: eliminate the variable with the fewest pair
-            // combinations to limit FM blowup.
-            let var = fm::cheapest_var(&constraints, width);
-            let (next, _exact, empty) = fm::eliminate(&constraints, width, var, false)?;
-            if empty {
-                return Ok(true);
-            }
-            constraints = next;
-            width -= 1;
-        }
-        // All remaining constraints are constants; `fm::eliminate` already
-        // normalized them away or flagged emptiness.
-        Ok(false)
+        m.eliminate_all()
     }
 
     /// Lower and upper bounds of dimension `dim` in terms of dimensions

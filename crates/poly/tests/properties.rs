@@ -7,13 +7,17 @@
 //! for the enumerator, identity of the specialised scan with the
 //! row-by-row interpreter it replaced ([`oracle`]) — and, for the point
 //! scan built on the same nest, identity with the per-node-projection scan
-//! it replaced ([`point_oracle`]).
+//! it replaced ([`point_oracle`]) — and, for Fourier–Motzkin elimination,
+//! identity of the flat matrix engine with the per-constraint elimination
+//! it replaced ([`fm_oracle`]).
 
+#[path = "oracle/fm.rs"]
+mod fm_oracle;
 mod oracle;
 #[path = "oracle/points.rs"]
 mod point_oracle;
 
-use mekong_poly::{Constraint, Enumerator, LinExpr, PolyError, Polyhedron, Set, Space};
+use mekong_poly::{fm, Constraint, Enumerator, LinExpr, PolyError, Polyhedron, Set, Space};
 use proptest::prelude::*;
 
 const BOX: i64 = 6;
@@ -355,4 +359,125 @@ fn specialised_scan_keeps_i128_accumulation() {
         .collect();
     assert_eq!(new, expected);
     assert_eq!(old, expected);
+}
+
+/// A literal near ±2⁶²: one more combination with it overflows.
+fn arb_fm_huge() -> impl Strategy<Value = i64> {
+    (-4i64..=4, proptest::bool::ANY).prop_map(|(jitter, negative)| {
+        let huge = (1i64 << 62) + jitter;
+        if negative {
+            -huge
+        } else {
+            huge
+        }
+    })
+}
+
+/// A coefficient of a random FM system: small (unit, non-unit or zero)
+/// but for one in 150, [`arb_fm_huge`].
+fn arb_fm_coeff() -> impl Strategy<Value = i64> {
+    (0u16..150, -3i64..=3, arb_fm_huge())
+        .prop_map(|(pick, small, huge)| if pick == 0 { huge } else { small })
+}
+
+const FM_MAX_WIDTH: usize = 24;
+
+/// A raw (unnormalised) constraint of a random FM system, as one to four
+/// `(column, coefficient)` terms (columns taken modulo the width), a
+/// constant and a kind: one in six an equality, one in a hundred with an
+/// [`arb_fm_huge`] constant. Sparse, as access-map constraints are, so
+/// that eliminating every column stays affordable.
+type FmRow = (Vec<(usize, i64)>, i64, bool);
+
+fn arb_fm_row() -> impl Strategy<Value = FmRow> {
+    (
+        proptest::collection::vec((0..FM_MAX_WIDTH, arb_fm_coeff()), 1..=4),
+        -6i64..=12,
+        arb_fm_huge(),
+        0u8..100,
+    )
+        .prop_map(|(terms, small, huge, shape)| {
+            let konst = if shape == 1 { huge } else { small };
+            (terms, konst, shape % 6 == 0)
+        })
+}
+
+/// `row` as a constraint of width `w` (a constant one if `w` is 0).
+fn fm_constraint((terms, konst, is_eq): &FmRow, w: usize) -> Constraint {
+    let mut coeffs = vec![0; w];
+    for &(col, c) in terms.iter().filter(|_| w > 0) {
+        coeffs[col % w] = c;
+    }
+    let expr = LinExpr {
+        coeffs,
+        konst: *konst,
+    };
+    if *is_eq {
+        Constraint::eq(expr)
+    } else {
+        Constraint::ge0(expr)
+    }
+}
+
+/// A random system: width 1–24, up to 30 raw constraints, and how many of
+/// its columns (at most three) are parameters.
+fn arb_fm_system() -> impl Strategy<Value = (usize, Vec<Constraint>, usize)> {
+    (
+        1..=FM_MAX_WIDTH,
+        proptest::collection::vec(arb_fm_row(), 0..=30),
+        0usize..=3,
+    )
+        .prop_map(|(w, rows, np)| {
+            let cs = rows.iter().map(|r| fm_constraint(r, w)).collect();
+            (w, cs, np.min(w))
+        })
+}
+
+proptest! {
+    /// The flat matrix eliminates every column exactly as the oracle does:
+    /// the same constraints in the same order, the same exactness and
+    /// emptiness flags, the same `Overflow`. Projections of a dimension
+    /// range and both emptiness tests agree as well.
+    #[test]
+    fn flat_fm_matches_oracle(
+        system in arb_fm_system(),
+        range in (0..FM_MAX_WIDTH, 0..FM_MAX_WIDTH),
+        params in proptest::collection::vec(-4i64..=8, 3),
+        ctx in proptest::collection::vec(arb_fm_row(), 0..=3),
+    ) {
+        let (w, cs, np) = system;
+        for var in 0..w {
+            prop_assert_eq!(
+                fm::eliminate(&cs, w, var),
+                fm_oracle::eliminate(&cs, w, var, false),
+                "eliminating column {}", var
+            );
+        }
+
+        let n = w - np;
+        let mut p = Polyhedron::universe(n, np);
+        for c in &cs {
+            p.add_constraint(c.clone());
+        }
+        let (a, b) = (range.0 % (n + 1), range.1 % (n + 1));
+        let range = a.min(b)..a.max(b);
+        prop_assert_eq!(
+            p.project_out_dims(range.clone()),
+            fm_oracle::project_out_dims(&p, range)
+        );
+
+        let params = &params[..np];
+        prop_assert_eq!(
+            p.is_empty_concrete(params),
+            fm_oracle::is_empty_concrete(&p, params)
+        );
+        let mut context = Polyhedron::universe(0, np);
+        for r in &ctx {
+            context.add_constraint(fm_constraint(r, np));
+        }
+        prop_assert_eq!(
+            p.is_empty_symbolic(&context),
+            fm_oracle::is_empty_symbolic(&p, &context)
+        );
+    }
 }

@@ -25,7 +25,8 @@
 
 use crate::constraint::{Constraint, ConstraintKind};
 use crate::expr::{cdiv, fdiv, LinExpr};
-use crate::polyhedron::Polyhedron;
+use crate::fm;
+use crate::polyhedron::{DimBounds, Polyhedron};
 use crate::set::Set;
 use crate::{PolyError, Result};
 use serde::{Deserialize, Serialize};
@@ -123,7 +124,7 @@ impl AstExpr {
 }
 
 /// One `for` loop of a generated nest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoopSpec {
     /// Dimension index this loop scans.
     pub dim: usize,
@@ -135,7 +136,7 @@ pub struct LoopSpec {
 
 /// The scan program for one convex piece: a perfect loop nest over all but
 /// the innermost dimension, guards, and the innermost row range.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PieceNest {
     /// Loops over dimensions `0 .. n_dims-1` (outermost first).
     pub loops: Vec<LoopSpec>,
@@ -232,57 +233,41 @@ impl Enumerator {
     /// The nest of one convex piece. A dimension the piece leaves without
     /// a lower or upper bound gets an empty `max` or `min` there
     /// ([`PieceNest::open_dims`]).
+    ///
+    /// One FM matrix eliminates the columns innermost first; loop `k`'s
+    /// bounds are read off its rows once column `k + 1` is gone. Dead
+    /// columns stay as zeros, so every bound is already over the full
+    /// `[dims ++ params]` width. Loops outside an empty projection are
+    /// impossible ones.
     fn build_piece(p: &Polyhedron, n: usize) -> Result<PieceNest> {
-        // Innermost bounds and guards from the full system.
-        let inner = p.bounds_of_last_dim();
-        let row_lb = bounds_to_expr(&inner.lower, true);
-        let row_ub = bounds_to_expr(&inner.upper, false);
+        let mut m = fm::Matrix::from_constraints(p.width(), p.constraints());
+        let inner = DimBounds::of(n - 1, m.rows());
         let guards: Vec<Constraint> = p
             .constraints()
             .iter()
             .filter(|c| c.expr.coeffs[n - 1] == 0)
             .cloned()
             .collect();
-
-        // Outer loops from successive projections.
-        let mut loops = Vec::with_capacity(n.saturating_sub(1));
-        let mut proj = p.clone();
-        let mut stack = Vec::new();
-        // Build projections from innermost-1 down to 0, then reverse.
+        let mut loops = Vec::with_capacity(n - 1);
         for k in (0..n - 1).rev() {
-            let (q, _exact) = proj.project_out_dim(k + 1)?;
-            proj = q;
-            if proj.is_marked_empty() {
-                // The piece is empty; emit an impossible loop.
-                stack.push(LoopSpec {
-                    dim: k,
-                    lb: AstExpr::Const(1),
-                    ub: AstExpr::Const(0),
-                });
-                continue;
-            }
-            let b = proj.bounds_of_last_dim();
-            // Bounds come from a projection with dims 0..=k; widen the
-            // expressions back to the full [n dims ++ params] width so they
-            // can be evaluated against the shared value vector.
-            let widen = |bs: &[(LinExpr, i64)]| -> Vec<(LinExpr, i64)> {
-                bs.iter()
-                    .map(|(e, d)| (e.insert_vars(k + 1, n - (k + 1)), *d))
-                    .collect()
+            m.eliminate(k + 1)?;
+            let (lb, ub) = if p.is_marked_empty() || m.is_empty() {
+                (AstExpr::Const(1), AstExpr::Const(0))
+            } else {
+                let b = DimBounds::of(k, m.rows());
+                (
+                    bounds_to_expr(b.lower, true),
+                    bounds_to_expr(b.upper, false),
+                )
             };
-            stack.push(LoopSpec {
-                dim: k,
-                lb: bounds_to_expr(&widen(&b.lower), true),
-                ub: bounds_to_expr(&widen(&b.upper), false),
-            });
+            loops.push(LoopSpec { dim: k, lb, ub });
         }
-        stack.reverse();
-        loops.extend(stack);
+        loops.reverse();
         Ok(PieceNest {
             loops,
             guards,
-            row_lb,
-            row_ub,
+            row_lb: bounds_to_expr(inner.lower, true),
+            row_ub: bounds_to_expr(inner.upper, false),
         })
     }
 
@@ -698,12 +683,12 @@ pub(crate) fn scan_points<B>(
 
 /// Turn a list of `(expr, divisor)` bounds into a single `Max`/`Min`
 /// expression (`lower = true` → ceil divisions under `max`).
-fn bounds_to_expr(bounds: &[(LinExpr, i64)], lower: bool) -> AstExpr {
+fn bounds_to_expr(bounds: Vec<(LinExpr, i64)>, lower: bool) -> AstExpr {
     let mut parts: Vec<AstExpr> = bounds
-        .iter()
-        .map(|(e, d)| AstExpr::Div {
-            expr: e.clone(),
-            divisor: *d,
+        .into_iter()
+        .map(|(expr, divisor)| AstExpr::Div {
+            expr,
+            divisor,
             ceil: lower,
         })
         .collect();

@@ -28,12 +28,17 @@
 //! * **Dead columns are zero.** An eliminated column stays in place, zero
 //!   in every row; the matrix never changes shape. Only converting back to
 //!   [`Constraint`]s drops the dead columns.
-//! * **Written rows are canonical and distinct.** Every row an elimination
-//!   writes is canonical (gcd-divided, an inequality's constant tightened,
-//!   an equality's first nonzero coefficient positive) and unequal to every
-//!   row before it; inequalities implied by one with the same coefficients
-//!   and a smaller constant are dropped after pairing bounds. Rows loaded
-//!   raw are used as given.
+//! * **Two facts about the rows, each a flag.** `canonical`: every row is
+//!   canonical (gcd-divided, an inequality's constant tightened, an
+//!   equality's first nonzero coefficient positive) and unequal to every
+//!   other. `irredundant`: no inequality is implied by another with the
+//!   same coefficients and a smaller constant. A raw load sets neither;
+//!   every elimination sets `canonical` (`Matrix::add` keeps it); step 3
+//!   sets `irredundant`, steps 1 and 2 and `add` clear it.
+//! * **An elimination redoes only the rows it writes.** Step 3 copies
+//!   canonical rows without `v` verbatim and skips the redundancy filter
+//!   if it keeps no pair of already irredundant rows (their subset is
+//!   irredundant), so a one-sided or absent column costs one pass.
 //! * **The output order is fixed.** Step 1 and 2 keep the other rows in
 //!   their order; step 3 writes the rows without `v` first, then every
 //!   lower bound × every upper bound, lower-major. The enumerator code
@@ -62,6 +67,10 @@ pub(crate) struct Matrix {
     next_rows: Vec<i64>,
     next_meta: Vec<Meta>,
     empty: bool,
+    /// Rows canonical and distinct (see the module docs).
+    canonical: bool,
+    /// No row implied by one with the same coefficients.
+    irredundant: bool,
 }
 
 impl Matrix {
@@ -77,6 +86,8 @@ impl Matrix {
             next_rows: Vec::with_capacity(cells),
             next_meta: Vec::with_capacity(capacity),
             empty: false,
+            canonical: false,
+            irredundant: false,
         }
     }
 
@@ -127,6 +138,7 @@ impl Matrix {
         let start = self.rows.len();
         self.rows.resize(start + self.stride(), 0);
         fill(&mut self.rows[start..]);
+        self.irredundant = false;
         if !keep_last(&mut self.rows, &mut self.meta, self.width, kind) {
             self.set_empty();
         }
@@ -161,6 +173,7 @@ impl Matrix {
         if feasible {
             std::mem::swap(&mut self.rows, &mut self.next_rows);
             std::mem::swap(&mut self.meta, &mut self.next_meta);
+            self.canonical = true;
         } else {
             self.set_empty();
         }
@@ -170,8 +183,7 @@ impl Matrix {
     /// Step 1: substitute `var` through the unit equality at row `pos`
     /// into every other row. `false` if a row turned trivially false.
     fn substitute(&mut self, var: usize, pos: usize) -> Result<bool> {
-        let (width, s) = (self.width, self.stride());
-        let eq = &self.rows[pos * s..][..s];
+        let eq = &self.rows[pos * self.stride()..][..self.stride()];
         let c = eq[var] as i128;
         // var = -c·(eq without var). Building that replacement overflows
         // on an i64::MIN entry, whether or not a row then needs it.
@@ -182,40 +194,39 @@ impl Matrix {
         {
             return Err(PolyError::Overflow);
         }
-        let n = self.meta.len();
-        self.next_rows.reserve((n - 1) * s);
-        self.next_meta.reserve(n - 1);
-        for (i, (row, meta)) in self.rows.chunks_exact(s).zip(&self.meta).enumerate() {
-            if i == pos {
-                continue;
-            }
-            let d = row[var] as i128;
-            if d == 0 {
-                self.next_rows.extend_from_slice(row);
+        self.combine_with_eq(var, pos, |j, x, e, d| {
+            if j == var {
+                Ok(0)
             } else {
-                for (j, (&x, &e)) in row.iter().zip(eq).enumerate() {
-                    let y = if j == var {
-                        0
-                    } else {
-                        term(x as i128 + term(-c * e as i128 * d)? as i128)?
-                    };
-                    self.next_rows.push(y);
-                }
+                term(x as i128 + term(-c * e as i128 * d as i128)? as i128)
             }
-            if !keep_last(&mut self.next_rows, &mut self.next_meta, width, meta.kind) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        })
     }
 
     /// Step 2: cancel `var` from every other row with the non-unit
     /// equality at row `pos`. `false` if a row turned trivially false.
     fn cancel(&mut self, var: usize, pos: usize) -> Result<bool> {
-        let (width, s) = (self.width, self.stride());
-        let eq = &self.rows[pos * s..][..s];
-        let c = eq[var];
+        let c = self.rows[pos * self.stride() + var];
         let scale = c.abs() as i128;
+        // |c|·row - sign(c)·d·eq cancels var.
+        self.combine_with_eq(var, pos, |_, x, e, d| {
+            term(scale * x as i128 + -(c.signum() * d) as i128 * e as i128)
+        })
+    }
+
+    /// Steps 1 and 2: write every row but the equality at row `pos`, a row
+    /// whose coefficient `d` on `var` is not zero as `comb(column, entry,
+    /// the equality's entry, d)` per column; the result may be redundant.
+    /// `false` if a row turned trivially false.
+    fn combine_with_eq(
+        &mut self,
+        var: usize,
+        pos: usize,
+        comb: impl Fn(usize, i64, i64, i64) -> Result<i64>,
+    ) -> Result<bool> {
+        let (width, s) = (self.width, self.stride());
+        self.irredundant = false;
+        let eq = &self.rows[pos * s..][..s];
         let n = self.meta.len();
         self.next_rows.reserve((n - 1) * s);
         self.next_meta.reserve(n - 1);
@@ -227,11 +238,8 @@ impl Matrix {
             if d == 0 {
                 self.next_rows.extend_from_slice(row);
             } else {
-                // |c|·row - sign(c)·d·eq cancels var.
-                let f = -(c.signum() * d) as i128;
-                for (&x, &e) in row.iter().zip(eq) {
-                    self.next_rows
-                        .push(term(scale * x as i128 + f * e as i128)?);
+                for (j, (&x, &e)) in row.iter().zip(eq).enumerate() {
+                    self.next_rows.push(comb(j, x, e, d)?);
                 }
                 debug_assert_eq!(self.next_rows[self.next_rows.len() - s + var], 0);
             }
@@ -244,7 +252,8 @@ impl Matrix {
 
     /// Step 3: keep the rows without `var`, then pair every lower bound
     /// with every upper bound. Clears `exact` at a pair with two non-unit
-    /// coefficients. `false` if a row turned trivially false.
+    /// coefficients. `false` if a row turned trivially false. Canonical
+    /// rows are copied as they are (see the module docs).
     fn pair_bounds(&mut self, var: usize, exact: &mut bool) -> Result<bool> {
         let (width, s) = (self.width, self.stride());
         let coeff = |row: &[i64]| row[var];
@@ -262,11 +271,14 @@ impl Matrix {
         for (row, meta) in self.rows.chunks_exact(s).zip(&self.meta) {
             if coeff(row) == 0 {
                 self.next_rows.extend_from_slice(row);
-                if !keep_last(&mut self.next_rows, &mut self.next_meta, width, meta.kind) {
+                if self.canonical {
+                    self.next_meta.push(*meta);
+                } else if !keep_last(&mut self.next_rows, &mut self.next_meta, width, meta.kind) {
                     return Ok(false);
                 }
             }
         }
+        let kept_rest = self.next_meta.len();
         for lo in self.rows.chunks_exact(s).filter(|r| coeff(r) > 0) {
             let a = coeff(lo);
             for up in self.rows.chunks_exact(s).filter(|r| coeff(r) < 0) {
@@ -286,7 +298,10 @@ impl Matrix {
                 }
             }
         }
-        drop_redundant(&mut self.next_rows, &mut self.next_meta, width);
+        if self.next_meta.len() > kept_rest || !self.irredundant {
+            drop_redundant(&mut self.next_rows, &mut self.next_meta, width);
+        }
+        self.irredundant = true;
         Ok(true)
     }
 
@@ -344,26 +359,27 @@ impl Matrix {
         Ok(self.empty)
     }
 
-    /// The rows as constraints, without the (dead) columns in `dead`.
-    pub(crate) fn to_constraints(&self, dead: Range<usize>) -> Vec<Constraint> {
+    /// The rows as `(kind, coefficients, constant)`, in order; dead
+    /// columns are zero.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (ConstraintKind, &[i64], i64)> {
         let width = self.width;
         self.rows
             .chunks_exact(self.stride())
             .zip(&self.meta)
-            .map(|(row, meta)| {
-                debug_assert!(row[dead.clone()].iter().all(|&c| c == 0));
-                let mut coeffs = Vec::with_capacity(width - dead.len());
-                coeffs.extend_from_slice(&row[..dead.start]);
-                coeffs.extend_from_slice(&row[dead.end..width]);
-                Constraint {
-                    kind: meta.kind,
-                    expr: LinExpr {
-                        coeffs,
-                        konst: row[width],
-                    },
-                }
-            })
-            .collect()
+            .map(move |(row, meta)| (meta.kind, &row[..width], row[width]))
+    }
+
+    /// The rows as constraints, without the (dead) columns in `dead`.
+    pub(crate) fn to_constraints(&self, dead: Range<usize>) -> Vec<Constraint> {
+        let to_constraint = |(kind, row, konst): (_, &[i64], _)| {
+            debug_assert!(row[dead.clone()].iter().all(|&c| c == 0));
+            let mut coeffs = Vec::with_capacity(self.width - dead.len());
+            coeffs.extend_from_slice(&row[..dead.start]);
+            coeffs.extend_from_slice(&row[dead.end..]);
+            let expr = LinExpr { coeffs, konst };
+            Constraint { kind, expr }
+        };
+        self.rows().map(to_constraint).collect()
     }
 }
 
@@ -476,18 +492,21 @@ impl Live {
     }
 }
 
-/// Eliminate the variable with coefficient index `var` from `constraints`
-/// (each of width `width`), loaded as given. Returns the new constraints
-/// (width − 1, the `var` column removed), whether the projection is
+/// Eliminate the columns `vars`, in order, from `constraints` (each of
+/// width `width`, loaded as given) on one matrix. Returns the constraints
+/// (width `width`, the `vars` columns zero), whether every step was
 /// integer-exact, and whether the system was detected to be empty.
 pub fn eliminate(
     constraints: &[Constraint],
     width: usize,
-    var: usize,
+    vars: &[usize],
 ) -> Result<(Vec<Constraint>, bool, bool)> {
     let mut m = Matrix::from_constraints(width, constraints);
-    let exact = m.eliminate(var)?;
-    Ok((m.to_constraints(var..var + 1), exact, m.is_empty()))
+    let mut exact = true;
+    for &var in vars {
+        exact &= m.eliminate(var)?;
+    }
+    Ok((m.to_constraints(0..0), exact, m.is_empty()))
 }
 
 #[cfg(test)]
@@ -506,27 +525,27 @@ mod tests {
     fn eliminate_with_unit_equality_is_exact() {
         // v0 == v1 + 2 and 0 <= v0 <= 5  --eliminate v0-->  -2 <= v1 <= 3
         let cs = vec![eq(vec![1, -1], -2), ge(vec![1, 0], 0), ge(vec![-1, 0], 5)];
-        let (out, exact, empty) = eliminate(&cs, 2, 0).unwrap();
+        let (out, exact, empty) = eliminate(&cs, 2, &[0]).unwrap();
         assert!(exact);
         assert!(!empty);
         // v1 + 2 >= 0 and 3 - v1 >= 0
         assert!(out
             .iter()
-            .any(|c| c.expr.coeffs == vec![1] && c.expr.konst == 2));
+            .any(|c| c.expr.coeffs == vec![0, 1] && c.expr.konst == 2));
         assert!(out
             .iter()
-            .any(|c| c.expr.coeffs == vec![-1] && c.expr.konst == 3));
+            .any(|c| c.expr.coeffs == vec![0, -1] && c.expr.konst == 3));
     }
 
     #[test]
     fn eliminate_pairs_bounds() {
         // x >= y and x <= 4 --eliminate x--> y <= 4
         let cs = vec![ge(vec![1, -1], 0), ge(vec![-1, 0], 4)];
-        let (out, exact, empty) = eliminate(&cs, 2, 0).unwrap();
+        let (out, exact, empty) = eliminate(&cs, 2, &[0]).unwrap();
         assert!(exact);
         assert!(!empty);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].expr.coeffs, vec![-1]);
+        assert_eq!(out[0].expr.coeffs, vec![0, -1]);
         assert_eq!(out[0].expr.konst, 4);
     }
 
@@ -534,7 +553,7 @@ mod tests {
     fn detects_empty_after_elimination() {
         // x >= 5 and x <= 2 --eliminate x--> -3 >= 0: empty.
         let cs = vec![ge(vec![1], -5), ge(vec![-1], 2)];
-        let (_, _, empty) = eliminate(&cs, 1, 0).unwrap();
+        let (_, _, empty) = eliminate(&cs, 1, &[0]).unwrap();
         assert!(empty);
     }
 
@@ -542,7 +561,7 @@ mod tests {
     fn non_unit_coefficients_flag_inexact() {
         // 2x <= 7 and 3x >= 2: both coefficients non-unit.
         let cs = vec![ge(vec![-2], 7), ge(vec![3], -2)];
-        let (_, exact, empty) = eliminate(&cs, 1, 0).unwrap();
+        let (_, exact, empty) = eliminate(&cs, 1, &[0]).unwrap();
         assert!(!exact);
         assert!(!empty);
     }
@@ -551,7 +570,7 @@ mod tests {
     fn unit_coefficient_on_one_side_stays_exact() {
         // x >= 0 (unit) and 2x <= n (non-unit): exact since one side is unit.
         let cs = vec![ge(vec![1, 0], 0), ge(vec![-2, 1], 0)];
-        let (out, exact, _) = eliminate(&cs, 2, 0).unwrap();
+        let (out, exact, _) = eliminate(&cs, 2, &[0]).unwrap();
         assert!(exact);
         // n >= 0 remains.
         assert_eq!(out.len(), 1);
@@ -562,7 +581,7 @@ mod tests {
         // Eliminating the unmentioned column y keeps only the tightest of
         // three lower bounds on x: x - 5 >= 0 implies the others.
         let cs = vec![ge(vec![1, 0], -2), ge(vec![1, 0], -5), ge(vec![1, 0], 0)];
-        let (out, _, _) = eliminate(&cs, 2, 1).unwrap();
+        let (out, _, _) = eliminate(&cs, 2, &[1]).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].expr.konst, -5);
     }

@@ -5,6 +5,7 @@ use crate::expr::LinExpr;
 use crate::fm;
 use crate::{PolyError, Result};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 
 /// A single convex Z-polyhedron over `n_dims` set dimensions and
@@ -148,15 +149,10 @@ impl Polyhedron {
         Ok(out)
     }
 
-    /// Eliminate dimension `dim` (an index `< n_dims`) by Fourier–Motzkin.
-    /// Returns the projected polyhedron (one dimension narrower) and a flag
-    /// telling whether the projection is exact over the integers.
-    pub(crate) fn project_out_dim(&self, dim: usize) -> Result<(Polyhedron, bool)> {
-        self.project_out_dims(dim..dim + 1)
-    }
-
-    /// Eliminate a contiguous range of dimensions, highest index first, on
-    /// one matrix; the result is converted back to constraints once.
+    /// Eliminate a contiguous range of dimensions by Fourier–Motzkin,
+    /// highest index first, on one matrix; the result is converted back to
+    /// constraints once. Returns the projected polyhedron and whether the
+    /// projection is exact over the integers.
     pub fn project_out_dims(&self, range: std::ops::Range<usize>) -> Result<(Polyhedron, bool)> {
         if range.is_empty() {
             return Ok((self.clone(), true));
@@ -203,18 +199,11 @@ impl Polyhedron {
         }
     }
 
-    /// Fix dimension `dim` to the affine expression `value` (which must not
-    /// reference `dim`): adds the equality `dim == value`.
-    pub(crate) fn fix_dim_expr(&self, dim: usize, value: &LinExpr) -> Result<Polyhedron> {
-        let e = LinExpr::var(self.width(), dim).sub(value)?;
-        let mut out = self.clone();
-        out.add_constraint(Constraint::eq(e));
-        Ok(out)
-    }
-
-    /// Fix dimension `dim` to the integer `value`.
+    /// Fix dimension `dim` to the integer `value`: adds the equality
+    /// `dim == value`.
     pub fn fix_dim(&self, dim: usize, value: i64) -> Result<Polyhedron> {
-        self.fix_dim_expr(dim, &LinExpr::constant(self.width(), value))
+        let e = LinExpr::var(self.width(), dim).sub(&LinExpr::constant(self.width(), value))?;
+        Ok(self.clone().with_constraint(Constraint::eq(e)))
     }
 
     /// Rational + gcd emptiness test with all parameters bound to concrete
@@ -262,39 +251,11 @@ impl Polyhedron {
     /// * upper bound: `dim <= floor(expr / divisor)`
     pub fn bounds_of_last_dim(&self) -> DimBounds {
         assert!(self.n_dims >= 1);
-        let dim = self.n_dims - 1;
-        let mut lower = Vec::new();
-        let mut upper = Vec::new();
-        for c in &self.constraints {
-            let a = c.expr.coeffs[dim];
-            if a == 0 {
-                continue;
-            }
-            // c: a*x + rest (>= / ==) 0
-            let mut rest = c.expr.clone();
-            rest.coeffs[dim] = 0;
-            match c.kind {
-                ConstraintKind::GeZero => {
-                    if a > 0 {
-                        // x >= ceil(-rest / a)
-                        lower.push((rest.neg(), a));
-                    } else {
-                        // x <= floor(rest / -a)
-                        upper.push((rest, -a));
-                    }
-                }
-                ConstraintKind::Eq => {
-                    if a > 0 {
-                        lower.push((rest.neg(), a));
-                        upper.push((rest.neg(), a));
-                    } else {
-                        lower.push((rest.clone(), -a));
-                        upper.push((rest, -a));
-                    }
-                }
-            }
-        }
-        DimBounds { lower, upper }
+        let rows = self
+            .constraints
+            .iter()
+            .map(|c| (c.kind, &c.expr.coeffs[..], c.expr.konst));
+        DimBounds::of(self.n_dims - 1, rows)
     }
 
     /// Visit the integer points for concrete `params` in lexicographic
@@ -308,7 +269,11 @@ impl Polyhedron {
         params: &[i64],
         f: &mut dyn FnMut(&[i64]) -> ControlFlow<B>,
     ) -> Result<Option<B>> {
-        let bound = self.bind_params(params)?;
+        // Without parameters, binding would only copy the constraints.
+        let bound = match self.n_params {
+            0 if params.is_empty() => Cow::Borrowed(self),
+            _ => Cow::Owned(self.bind_params(params)?),
+        };
         let flow = if bound.empty {
             ControlFlow::Continue(())
         } else if self.n_dims == 0 {
@@ -354,6 +319,37 @@ pub struct DimBounds {
     pub lower: Vec<(LinExpr, i64)>,
     /// Upper bounds `(expr, divisor)` meaning `x <= floor(expr / divisor)`.
     pub upper: Vec<(LinExpr, i64)>,
+}
+
+impl DimBounds {
+    /// The bounds that `rows` (`(kind, coefficients, constant)` over the
+    /// full width) put on column `dim`, in row order.
+    pub(crate) fn of<'a>(
+        dim: usize,
+        rows: impl Iterator<Item = (ConstraintKind, &'a [i64], i64)>,
+    ) -> DimBounds {
+        let (mut lower, mut upper) = (Vec::new(), Vec::new());
+        for (kind, coeffs, konst) in rows.filter(|(_, coeffs, _)| coeffs[dim] != 0) {
+            // a·x + rest >= 0: x >= ceil(-rest / a) if a > 0, else
+            // x <= floor(rest / -a); an equality is both at once.
+            let a = coeffs[dim];
+            let mut rest = LinExpr {
+                coeffs: coeffs.to_vec(),
+                konst,
+            };
+            rest.coeffs[dim] = 0;
+            let bound = if a > 0 { (rest.neg(), a) } else { (rest, -a) };
+            match kind {
+                ConstraintKind::Eq => {
+                    lower.push(bound.clone());
+                    upper.push(bound);
+                }
+                ConstraintKind::GeZero if a > 0 => lower.push(bound),
+                ConstraintKind::GeZero => upper.push(bound),
+            }
+        }
+        DimBounds { lower, upper }
+    }
 }
 
 /// Helper rendering a polyhedron in isl-like notation.
@@ -424,7 +420,7 @@ mod tests {
         // Projecting S1 onto x gives 0 <= x <= 4 (5 points).
         let p = s1();
         // Eliminate y (dim 0).
-        let (proj, exact) = p.project_out_dim(0).unwrap();
+        let (proj, exact) = p.project_out_dims(0..1).unwrap();
         assert!(exact);
         assert_eq!(proj.n_dims(), 1);
         assert_eq!(proj.count_points(&[]), 5);

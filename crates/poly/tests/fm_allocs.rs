@@ -11,9 +11,14 @@
 //!   every split axis, however many rows its eliminations write;
 //! * projecting the block coordinates out of that write map allocates
 //!   those four buffers, the output list and one coefficient vector per
-//!   output constraint.
+//!   output constraint;
+//! * building the enumerator of that map's write image, and finding the
+//!   first point of a concretised race system, make an exact number of
+//!   allocations: a loop nest derived with a round trip through
+//!   constraints per level, or a point scan that rebinds a
+//!   parameter-free system, shows up as a different count.
 
-use mekong_poly::{Constraint, LinExpr, Map, Polyhedron};
+use mekong_poly::{Constraint, Enumerator, LinExpr, Map, Polyhedron};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -121,4 +126,54 @@ fn projection_allocates_once_per_output_constraint() {
         allocs <= outputs + 5,
         "{allocs} allocations for {outputs} output constraints"
     );
+}
+
+#[test]
+fn enumerator_build_allocation_count() {
+    let image = hotspot_write().range().unwrap();
+    let (allocs, enumerator) = counted(|| Enumerator::build(&image).unwrap());
+    assert_eq!(enumerator.pieces().len(), 1);
+    // A constraints round trip per loop level made it 60.
+    assert_eq!(allocs, 30, "allocations of one enumerator build");
+}
+
+/// The split pair system along z bound to a trial launch and made finite
+/// the way the checker's race search binds it: per copy `blockOff =
+/// blockDim · blockIdx` with `blockIdx` inside the grid, and each output
+/// inside a box around the `n × n` array.
+fn concretised_race(map: &Map) -> Polyhedron {
+    // bdz, bdy, bdx, gdz, gdy, gdx, n, cap
+    let params = [2, 4, 4, 2, 2, 2, 8, 0];
+    let mut p = split_pair(map, 0).bind_params(&params).unwrap();
+    let w = p.n_dims();
+    let var = |i| LinExpr::var(w, i);
+    let clamp = |p: &mut Polyhedron, dim, lo, hi| {
+        p.add_constraint(Constraint::ge(&var(dim), &LinExpr::constant(w, lo)).unwrap());
+        p.add_constraint(Constraint::le(&var(dim), &LinExpr::constant(w, hi)).unwrap());
+    };
+    for copy in 0..2 {
+        let off = copy * 6;
+        for k in 0..3 {
+            let mut e = LinExpr::constant(w, 0);
+            e.coeffs[off + k] = 1;
+            e.coeffs[off + 3 + k] = -params[k];
+            p.add_constraint(Constraint::eq(e));
+            clamp(&mut p, off + 3 + k, 0, params[3 + k] - 1);
+        }
+    }
+    for out in 12..w {
+        clamp(&mut p, out, -9, 17);
+    }
+    p
+}
+
+#[test]
+fn first_point_allocation_count() {
+    let sys = concretised_race(&hotspot_write());
+    assert_eq!(sys.n_params(), 0);
+    let (allocs, point) = counted(|| sys.first_point(&[]).unwrap());
+    // Along z the tiles of consecutive blocks coincide: a race witness.
+    assert!(point.is_some());
+    // Rebinding the system and a round trip per level made it 967.
+    assert_eq!(allocs, 429, "allocations of one first-point scan");
 }

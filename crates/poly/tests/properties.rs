@@ -9,15 +9,21 @@
 //! scan built on the same nest, identity with the per-node-projection scan
 //! it replaced ([`point_oracle`]) — and, for Fourier–Motzkin elimination,
 //! identity of the flat matrix engine with the per-constraint elimination
-//! it replaced ([`fm_oracle`]).
+//! it replaced ([`fm_oracle`]) — and, for the enumerator build, identity
+//! of the loop nests derived on one matrix with the per-level projections
+//! they replaced ([`nest_oracle`]).
 
 #[path = "oracle/fm.rs"]
 mod fm_oracle;
+#[path = "oracle/nest.rs"]
+mod nest_oracle;
 mod oracle;
 #[path = "oracle/points.rs"]
 mod point_oracle;
 
-use mekong_poly::{fm, Constraint, Enumerator, LinExpr, PolyError, Polyhedron, Set, Space};
+use mekong_poly::{
+    fm, Constraint, ConstraintKind, Enumerator, LinExpr, PolyError, Polyhedron, Set, Space,
+};
 use proptest::prelude::*;
 
 const BOX: i64 = 6;
@@ -322,6 +328,26 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The nests derived on one matrix are the oracle's, field for field:
+    /// loops, guards and row bounds, the impossible loops of a piece found
+    /// empty, and the `Unbounded` error of a piece with a side left open.
+    #[test]
+    fn nest_matches_per_level_projection(
+        pieces in prop_oneof![
+            proptest::collection::vec(arb_param_piece(1, false), 1..=3),
+            proptest::collection::vec(arb_param_piece(2, false), 1..=3),
+            proptest::collection::vec(arb_param_piece(3, false), 1..=3),
+            proptest::collection::vec(arb_param_piece(4, false), 1..=3),
+        ],
+    ) {
+        let n = pieces[0].n_dims();
+        let s = Set::from_pieces(Space::anonymous(n, N_PARAMS), pieces);
+        let new = Enumerator::build(&s).map(|e| e.pieces().to_vec());
+        prop_assert_eq!(new, nest_oracle::build(&s));
+    }
+}
+
 /// Coefficients and a parameter around 2^40: every guard and bound is a
 /// sum of products near 2^80, which only `i128` accumulation gets right
 /// (the low 64 bits of `A·p` are negative as an `i64`).
@@ -382,6 +408,9 @@ fn arb_fm_coeff() -> impl Strategy<Value = i64> {
 
 const FM_MAX_WIDTH: usize = 24;
 
+/// The most bounds one step of a random elimination chain may pair.
+const FM_CHAIN_PAIRS: usize = 16;
+
 /// A raw (unnormalised) constraint of a random FM system, as one to four
 /// `(column, coefficient)` terms (columns taken modulo the width), a
 /// constant and a kind: one in six an equality, one in a hundred with an
@@ -433,24 +462,91 @@ fn arb_fm_system() -> impl Strategy<Value = (usize, Vec<Constraint>, usize)> {
         })
 }
 
+/// `cs`, over the columns `cols` of a system `w` wide, at full width: the
+/// other columns zero, as the flat matrix leaves eliminated columns.
+fn widen(cs: &[Constraint], cols: &[usize], w: usize) -> Vec<Constraint> {
+    let widen_one = |c: &Constraint| {
+        let mut coeffs = vec![0; w];
+        for (&col, &a) in cols.iter().zip(&c.expr.coeffs) {
+            coeffs[col] = a;
+        }
+        let expr = LinExpr {
+            coeffs,
+            konst: c.expr.konst,
+        };
+        Constraint { kind: c.kind, expr }
+    };
+    cs.iter().map(widen_one).collect()
+}
+
 proptest! {
     /// The flat matrix eliminates every column exactly as the oracle does:
     /// the same constraints in the same order, the same exactness and
-    /// emptiness flags, the same `Overflow`. Projections of a dimension
-    /// range and both emptiness tests agree as well.
+    /// emptiness flags, the same `Overflow`. So does every prefix of a
+    /// chain of eliminations on one matrix in a random column order: its
+    /// steps after the first start from canonical rows, irredundant after
+    /// pairing bounds and possibly redundant after a substitution.
+    /// Projections of a dimension range and both emptiness tests agree as
+    /// well.
     #[test]
     fn flat_fm_matches_oracle(
         system in arb_fm_system(),
+        order in proptest::collection::vec(0..FM_MAX_WIDTH, 0..=FM_MAX_WIDTH),
         range in (0..FM_MAX_WIDTH, 0..FM_MAX_WIDTH),
         params in proptest::collection::vec(-4i64..=8, 3),
         ctx in proptest::collection::vec(arb_fm_row(), 0..=3),
     ) {
         let (w, cs, np) = system;
         for var in 0..w {
+            let mut cols: Vec<usize> = (0..w).collect();
+            cols.remove(var);
+            let old = fm_oracle::eliminate(&cs, w, var, false);
             prop_assert_eq!(
-                fm::eliminate(&cs, w, var),
-                fm_oracle::eliminate(&cs, w, var, false),
+                fm::eliminate(&cs, w, &[var]),
+                old.map(|(out, exact, empty)| (widen(&out, &cols, w), exact, empty)),
                 "eliminating column {}", var
+            );
+        }
+
+        // The chain eliminates each column the first time `order` names it
+        // (modulo the width), and stops before a step that would pair more
+        // than `FM_CHAIN_PAIRS` bounds: a random order can blow a system up
+        // step after step. The oracle's chain keeps one narrower system per
+        // step; `cols` maps its columns back to the original ones.
+        let mut chain = Vec::new();
+        for c in order.into_iter().map(|c| c % w) {
+            if !chain.contains(&c) {
+                chain.push(c);
+            }
+        }
+        let mut cols: Vec<usize> = (0..w).collect();
+        let (mut old, mut exact, mut empty) = (cs.clone(), true, false);
+        for (step, &var) in chain.iter().enumerate() {
+            let at = cols.iter().position(|&c| c == var).unwrap();
+            let bounds = |lower: bool| {
+                let on_side = |c: &&Constraint| {
+                    let a = c.expr.coeffs[at];
+                    c.kind == ConstraintKind::GeZero && a != 0 && (a > 0) == lower
+                };
+                old.iter().filter(on_side).count()
+            };
+            if bounds(true) * bounds(false) > FM_CHAIN_PAIRS {
+                break;
+            }
+            let new = fm::eliminate(&cs, w, &chain[..=step]);
+            let next = match fm_oracle::eliminate(&old, cols.len(), at, empty) {
+                Ok(next) => next,
+                Err(e) => {
+                    prop_assert_eq!(new, Err(e), "chain {:?}", &chain[..=step]);
+                    break;
+                }
+            };
+            cols.remove(at);
+            (old, exact, empty) = (next.0, exact && next.1, next.2);
+            prop_assert_eq!(
+                new,
+                Ok((widen(&old, &cols, w), exact, empty)),
+                "chain {:?}", &chain[..=step]
             );
         }
 
